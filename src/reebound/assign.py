@@ -21,12 +21,12 @@ two sides.
 check_invariants re-derives, from scratch, the consistency conditions the
 sweep relies on (single assignment per edge, frontier dichotomy, the
 downstream band {n-1, n}, and the plateau conditions: wherever all
-assigned edges over a probe level share one value, everything assigned to
-the right shares it too and connects back through edges of that value).
+assigned edges spanning an inter-event gap share one value, everything
+assigned to the right shares it too and connects back through edges of
+that value).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -128,25 +128,6 @@ def step0(g: EssentialSubgraph) -> PartialAssignment:
     return empty_assignment()._extend(TraceEntry(STEP0, None, tuple(seeded), 1))
 
 
-def _frontier_probe(g: EssentialSubgraph, vid: str) -> float:
-    """Midpoint of the inter-event gap ending at the vertex level."""
-    events = g.event_levels()
-    level = g.level(vid)
-    i = bisect_left(events, level)
-    if i == 0:
-        raise ValueError("vertex %s sits at or below the window start" % vid)
-    return (events[i - 1] + level) / 2.0
-
-
-def _spanning(g: EssentialSubgraph, probe: float) -> list[str]:
-    out = []
-    for e in g.edges:
-        a, b = g.span(e.id)
-        if a < probe < b:
-            out.append(e.id)
-    return out
-
-
 def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
                       vid: str) -> FrontierClass:
     """Classify the integers on the edges spanning just left of a vertex.
@@ -155,11 +136,10 @@ def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
     NonConsecutiveFrontier if the value set is neither a singleton nor a
     consecutive pair (or is empty); valid inputs never do either.
     """
-    probe = _frontier_probe(g, vid)
-    frontier = _spanning(g, probe)
+    frontier = g.spanning(g.gap_below(vid))
     if not frontier:
         raise NonConsecutiveFrontier(
-            "no essential edge spans level %r left of %s" % (probe, vid))
+            "no essential edge spans the gap just left of %s" % vid)
     missing = [eid for eid in frontier if eid not in p.assigned]
     if missing:
         raise UnassignedFrontier(
@@ -288,11 +268,11 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
       consecutive pair, with every spanning edge assigned;
     * downstream-band: every assigned edge reaching strictly right of
       ``vid`` carries n-1 or n, where n is the top frontier value;
-    * plateau-uniform / plateau-connected: for every probe level from the
-      frontier gap rightwards where all assigned spanning edges share one
-      value m, every assigned edge reaching right of the probe carries m
-      and its component within the m-edges reaches back down to the probe
-      level.
+    * plateau-uniform / plateau-connected: for every inter-event gap
+      (x, y) from the frontier gap rightwards where all assigned spanning
+      edges share one value m, every assigned edge reaching right of x
+      carries m and its component within the m-edges reaches back down to
+      level x.
     """
     out: list[Violation] = []
 
@@ -307,8 +287,8 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
 
     if vid is not None:
         level = g.level(vid)
-        probe0 = _frontier_probe(g, vid)
-        frontier = _spanning(g, probe0)
+        gap0 = g.gap_below(vid)
+        frontier = g.spanning(gap0)
         top = None
         missing = [e for e in frontier if e not in p.assigned]
         if missing:
@@ -338,27 +318,23 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
                         % (vid, val, top - 1, top)))
 
         events = g.event_levels()
-        gap_starts = [events[bisect_left(events, level) - 1]]
-        gap_starts += [lv for lv in events if lv >= level]
-        # skip gaps too narrow for their float midpoint to fall inside
-        probes = [(a + b) / 2.0 for a, b in zip(gap_starts, gap_starts[1:])
-                  if a < (a + b) / 2.0 < b]
         flagged_value: set[str] = set()
         flagged_path: set[str] = set()
         min_level_cache: dict[int, dict[str, float]] = {}
-        for probe in probes:
-            spanning = _spanning(g, probe)
+        for gap in range(gap0, len(events) - 1):
+            spanning = g.spanning(gap)
             vals = {p.assigned[e] for e in spanning if e in p.assigned}
             if len(vals) != 1:
                 continue
             m = vals.pop()
+            x = events[gap]
             if m not in min_level_cache:
                 m_edges = [e.id for e in g.edges if p.value(e.id) == m]
                 min_level_cache[m] = _connected_min_levels(g, m_edges)
             reach = min_level_cache[m]
             for e in g.edges:
                 val = p.value(e.id)
-                if val is None or g.span(e.id)[1] <= probe:
+                if val is None or g.span(e.id)[1] <= x:
                     continue
                 if val != m:
                     if e.id not in flagged_value:
@@ -366,14 +342,14 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
                         out.append(Violation(
                             RULE_PLATEAU_VALUE, (e.id,),
                             "edge above plateau level %r carries %d, not %d"
-                            % (probe, val, m)))
-                elif reach[e.id] > probe:
+                            % (x, val, m)))
+                elif reach[e.id] > x:
                     if e.id not in flagged_path:
                         flagged_path.add(e.id)
                         out.append(Violation(
                             RULE_PLATEAU_PATH, (e.id,),
                             "no path through %d-edges from %s down to level %r"
-                            % (m, e.id, probe)))
+                            % (m, e.id, x)))
 
     return ValidationReport.from_violations(out)
 

@@ -149,7 +149,10 @@ def _cmd_render(args) -> int:
     assignment = None
     if args.assignment:
         data = json.loads(_read_text(args.assignment))
-        assignment = {str(k): int(v) for k, v in data["edges"].items()}
+        try:
+            assignment = {str(k): int(v) for k, v in data["edges"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError("bad assignment payload: %s" % exc) from None
     wrote = False
     if args.svg:
         _emit(render_mod.to_svg(g, assignment), args.svg)

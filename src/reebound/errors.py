@@ -54,8 +54,8 @@ class ConflictingPropagation(ReeboundError):
 
 
 class UnassignedFrontier(ReeboundError):
-    """An edge spanning the probe level just left of the active vertex has
-    no integer yet, so the frontier cannot be classified."""
+    """An edge spanning the gap just left of the active vertex has no
+    integer yet, so the frontier cannot be classified."""
 
 
 class NonConsecutiveFrontier(ReeboundError):

@@ -239,10 +239,6 @@ def naive_assign(g: EssentialSubgraph,
     all_edges = [e.id for e in g.edges]
     all_levels = sorted({v.level for v in g.vertices} | {g.lo})
 
-    def spanning_at(probe: float) -> list[str]:
-        return [eid for eid in all_edges
-                if g.span(eid)[0] < probe < g.span(eid)[1]]
-
     while True:
         changed = True
         while changed:
@@ -275,9 +271,11 @@ def naive_assign(g: EssentialSubgraph,
             raise BrokenUniqueness(
                 "eligible vertices: %s" % (", ".join(sorted(eligible)) or "none"))
         vid = eligible[0]
-        prev = max(lv for lv in all_levels if lv < g.level(vid))
-        probe = (prev + g.level(vid)) / 2.0
-        frontier = spanning_at(probe)
+        level = g.level(vid)
+        prev = max(lv for lv in all_levels if lv < level)
+        # the frontier spans the whole gap (prev, level)
+        frontier = [eid for eid in all_edges
+                    if g.span(eid)[0] <= prev and level <= g.span(eid)[1]]
         if any(eid not in assigned for eid in frontier):
             raise UnassignedFrontier("unassigned frontier at %s" % vid)
         values = sorted({assigned[eid] for eid in frontier})

@@ -5,8 +5,10 @@ level and a kind (boundary, center, saddle, or a valency-two subdivision
 point); edges are monotone (lower level strictly below upper level) and
 carry an essential/inessential label describing the level loops they stand
 for.  All level comparisons are exact on the stored floats; no epsilon is
-ever used.  "Just left of a level" is always operationalized as the
-midpoint of the inter-event gap ending there.
+ever used.  The event levels are the distinct vertex levels plus lo and
+hi; "just left of a level" is the open gap between that level and the
+event level below it, and an edge [a, b] spans a gap (x, y) exactly when
+a <= x and y <= b.
 
 Everything here is a pure function over values that are immutable after
 construction.
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
+from operator import attrgetter
 from typing import Any
 
 from .errors import EmptyWindow, InvalidGraph, MalformedGraph, NonGenericCut
@@ -107,9 +110,12 @@ class ValidationReport:
         }
 
 
-def _check_finite(value: float, what: str) -> None:
+def _check_finite(value: float, what: str, *args) -> None:
+    """Raise MalformedGraph unless value is a finite number; ``what % args``
+    names it, formatted only on failure."""
     if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise MalformedGraph("%s must be a finite number, got %r" % (what, value))
+        raise MalformedGraph("%s must be a finite number, got %r"
+                             % (what % args, value))
 
 
 @dataclass(eq=True)
@@ -120,41 +126,53 @@ class ReebGraph:
     graphs compare equal exactly when they have the same window and the
     same vertex/edge content.  ``meta`` carries provenance (generator
     seeds, mesh info) and is excluded from comparisons.
+
+    Construction also indexes the graph once: the sorted event levels, and
+    for every edge the gaps it spans, where gap k is the open interval
+    between event levels k and k + 1.
     """
 
     vertices: tuple[ReebVertex, ...]
     edges: tuple[ReebEdge, ...]
     lo: float
     hi: float
-    meta: dict | None = field(default=None, compare=False)
+    meta: dict | None = field(default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
         _check_finite(self.lo, "lo")
         _check_finite(self.hi, "hi")
         if not self.lo < self.hi:
             raise MalformedGraph("window lo must be below hi")
-        self.vertices = tuple(sorted(self.vertices, key=lambda v: (v.level, v.id)))
-        self.edges = tuple(sorted(self.edges, key=lambda e: e.id))
+        self.vertices = tuple(sorted(self.vertices, key=attrgetter("level", "id")))
+        self.edges = tuple(sorted(self.edges, key=attrgetter("id")))
         by_id: dict[str, ReebVertex] = {}
         for v in self.vertices:
-            _check_finite(v.level, "level of vertex %s" % v.id)
+            _check_finite(v.level, "level of vertex %s", v.id)
             if v.id in by_id:
                 raise MalformedGraph("duplicate vertex id %r" % v.id)
             by_id[v.id] = v
-        incident: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        seen_edges: set[str] = set()
+        self._events = sorted({v.level for v in self.vertices} | {self.lo, self.hi})
+        index = {level: k for k, level in enumerate(self._events)}
+        event_index = {v.id: index[v.level] for v in self.vertices}
+        incident: dict[str, list[str]] = {vid: [] for vid in by_id}
+        edge_by_id: dict[str, ReebEdge] = {}
+        gaps: dict[str, range] = {}
         for e in self.edges:
-            if e.id in seen_edges:
+            if e.id in edge_by_id:
                 raise MalformedGraph("duplicate edge id %r" % e.id)
-            seen_edges.add(e.id)
             for end in (e.lower, e.upper):
                 if end not in by_id:
                     raise MalformedGraph(
                         "edge %r references missing vertex %r" % (e.id, end))
                 incident[end].append(e.id)
+            edge_by_id[e.id] = e
+            # [a, b] spans (x, y) iff a <= x and y <= b
+            gaps[e.id] = range(event_index[e.lower], event_index[e.upper])
         self._by_id = by_id
         self._incident = {k: tuple(v) for k, v in incident.items()}
-        self._edge_by_id = {e.id: e for e in self.edges}
+        self._edge_by_id = edge_by_id
+        self._event_index = event_index
+        self._gaps = gaps
 
     # -- lookups ------------------------------------------------------------
 
@@ -181,10 +199,25 @@ class ReebGraph:
 
     def event_levels(self) -> list[float]:
         """Sorted distinct vertex levels together with lo and hi."""
-        levels = {v.level for v in self.vertices}
-        levels.add(self.lo)
-        levels.add(self.hi)
-        return sorted(levels)
+        return list(self._events)
+
+    def gap_below(self, vid: str) -> int:
+        """Index of the gap ending at the vertex level (-1 at the bottom)."""
+        return self._event_index[vid] - 1
+
+    def gaps(self, eid: str) -> range:
+        """Indices of the gaps the edge spans.
+
+        Edge [a, b] spans gap (x, y) iff a <= x and y <= b: these are the
+        gaps from the event index of its lower end up to that of its upper
+        end.  Decided on indices, the rule is exact however close the
+        event levels are.
+        """
+        return self._gaps[eid]
+
+    def spanning(self, gap: int) -> list[str]:
+        """Ids of the edges spanning the gap, in id order."""
+        return [eid for eid, gaps in self._gaps.items() if gap in gaps]
 
 
 def validate(g: ReebGraph, *, allow_regular: bool = False,
@@ -253,11 +286,12 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
                                  "center meets an essential edge"))
 
     if check_coverage and monotone_ok:
-        spans = [(g.span(e.id), e.id) for e in g.edges
-                 if e.label is EdgeLabel.ESSENTIAL]
-        for a, b in pairwise(g.event_levels()):
-            mid = (a + b) / 2.0
-            if not any(lo < mid < hi for (lo, hi), _ in spans):
+        covered: set[int] = set()
+        for e in g.edges:
+            if e.label is EdgeLabel.ESSENTIAL:
+                covered.update(g.gaps(e.id))
+        for k, (a, b) in enumerate(pairwise(g.event_levels())):
+            if k not in covered:
                 out.append(Violation(RULE_COVERAGE, (),
                                      "no essential edge spans (%r, %r)" % (a, b)))
 
@@ -316,7 +350,7 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
 
 
 @dataclass(eq=True)
-class EssentialSubgraph:
+class EssentialSubgraph(ReebGraph):
     """The essential edges of a graph, with boundary bookkeeping.
 
     ``boundary_minus`` / ``boundary_plus`` are the surviving boundary
@@ -326,60 +360,18 @@ class EssentialSubgraph:
     two.
     """
 
-    vertices: tuple[ReebVertex, ...]
-    edges: tuple[ReebEdge, ...]
-    lo: float
-    hi: float
     boundary_minus: frozenset[str]
     boundary_plus: frozenset[str]
     interior: tuple[str, ...]
 
     def __post_init__(self):
-        self.vertices = tuple(sorted(self.vertices, key=lambda v: (v.level, v.id)))
-        self.edges = tuple(sorted(self.edges, key=lambda e: e.id))
-        self._by_id = {v.id: v for v in self.vertices}
-        self._edge_by_id = {e.id: e for e in self.edges}
-        incident: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            incident[e.lower].append(e.id)
-            incident[e.upper].append(e.id)
-        self._incident = {k: tuple(v) for k, v in incident.items()}
-        levels = [self._by_id[vid].level for vid in self.interior]
+        super().__post_init__()
+        levels = [self.level(vid) for vid in self.interior]
         if any(a >= b for a, b in pairwise(levels)):
             raise MalformedGraph("interior vertices not strictly ordered by level")
 
-    def vertex(self, vid: str) -> ReebVertex:
-        return self._by_id[vid]
 
-    def edge(self, eid: str) -> ReebEdge:
-        return self._edge_by_id[eid]
-
-    def level(self, vid: str) -> float:
-        return self._by_id[vid].level
-
-    def incident(self, vid: str) -> tuple[str, ...]:
-        return self._incident[vid]
-
-    def degree(self, vid: str) -> int:
-        return len(self._incident[vid])
-
-    def span(self, eid: str) -> tuple[float, float]:
-        e = self._edge_by_id[eid]
-        return (self._by_id[e.lower].level, self._by_id[e.upper].level)
-
-    def event_levels(self) -> list[float]:
-        """Sorted distinct vertex levels plus the window's lo and hi."""
-        levels = {v.level for v in self.vertices}
-        levels.add(self.lo)
-        levels.add(self.hi)
-        return sorted(levels)
-
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
-
-
-def essential_subgraph(g: ReebGraph, *, allow_regular: bool = False,
-                       check_coverage: bool = True,
+def essential_subgraph(g: ReebGraph, *,
                        prevalidated: bool = False) -> EssentialSubgraph:
     """Keep only essential edges and their endpoints.
 
@@ -388,8 +380,7 @@ def essential_subgraph(g: ReebGraph, *, allow_regular: bool = False,
     validated.  Vertices that lose all their edges are dropped.
     """
     if not prevalidated:
-        report = validate(g, allow_regular=allow_regular,
-                          check_coverage=check_coverage)
+        report = validate(g)
         if not report.ok:
             raise InvalidGraph(report)
     edges = tuple(e for e in g.edges if e.label is EdgeLabel.ESSENTIAL)
@@ -399,9 +390,7 @@ def essential_subgraph(g: ReebGraph, *, allow_regular: bool = False,
                        if v.kind is VertexKind.BOUNDARY_MINUS)
     bplus = frozenset(v.id for v in vertices
                       if v.kind is VertexKind.BOUNDARY_PLUS)
-    interior = tuple(sorted((v.id for v in vertices
-                             if v.kind not in BOUNDARY_KINDS),
-                            key=lambda vid: (g.level(vid), vid)))
+    interior = tuple(v.id for v in vertices if v.kind not in BOUNDARY_KINDS)
     return EssentialSubgraph(vertices, edges, g.lo, g.hi,
                              bminus, bplus, interior)
 

@@ -107,6 +107,25 @@ def torus_reeb_by_hand() -> ReebGraph:
         -0.125, 1.125)
 
 
+def adjacent_saddles_graph(s: float) -> ReebGraph:
+    """Two splitting saddles at adjacent floats: u just below w = s."""
+    return _graph(
+        [("b0", 0.0, BM), ("u", math.nextafter(s, 0.0), SAD), ("w", s, SAD),
+         ("t0", 1.0, BP), ("t1", 1.0, BP), ("t2", 1.0, BP)],
+        [("e0", "b0", "u", E), ("a", "u", "w", E), ("b", "u", "t0", E),
+         ("c", "w", "t1", E), ("d", "w", "t2", E)],
+        0.0, 1.0)
+
+
+def center_below_saddle_graph(s: float) -> ReebGraph:
+    """A center one float below the saddle at s that its strand enters."""
+    return _graph(
+        [("b0", 0.0, BM), ("c", math.nextafter(s, 0.0), CEN), ("s", s, SAD),
+         ("t0", 1.0, BP)],
+        [("e0", "b0", "s", E), ("i1", "c", "s", I), ("e1", "s", "t0", E)],
+        0.0, 1.0)
+
+
 def chain_subgraph(n_middle: int = 3, lo=0.0, hi=1.0) -> EssentialSubgraph:
     """A path through n_middle valency-two interior vertices."""
     levels = [lo + (hi - lo) * (k + 1) / (n_middle + 1) for k in range(n_middle)]

@@ -189,6 +189,20 @@ class TestGenRender:
         assert code == 0
         assert out.startswith("digraph")
 
+    @pytest.mark.parametrize("payload", ['{"n_min": 1}', '[1, 2]',
+                                         '{"edges": [1]}',
+                                         '{"edges": {"e0": "x"}}'])
+    def test_render_bad_assignment_exits_3(self, capsys, single_edge_file,
+                                           tmp_path, payload):
+        apath = tmp_path / "a.json"
+        apath.write_text(payload)
+        code, out, err = run_main(capsys, "render", single_edge_file,
+                                  "--assignment", str(apath))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ParseError"
+
 
 def test_module_entry_point(tmp_path):
     gpath = tmp_path / "g.json"
