@@ -25,6 +25,7 @@ from .errors import (
     InvalidGraph,
     InvariantViolation,
     MalformedGraph,
+    MalformedMesh,
     MissingWitness,
     NoLowerBoundary,
     NonConsecutiveFrontier,
@@ -35,6 +36,7 @@ from .errors import (
     NoUpperBoundary,
     OpenCycle,
     ParseError,
+    ReebTopologyMismatch,
     UnassignedFrontier,
 )
 from .graph import (
@@ -52,12 +54,14 @@ EXIT_INVALID = 1
 EXIT_ALGORITHM = 2
 EXIT_IO = 3
 
-_VALIDATION_ERRORS = (InvalidGraph, NotAManifold, NotOrientable, DegenerateField)
+_VALIDATION_ERRORS = (InvalidGraph, NotAManifold, NotOrientable, DegenerateField,
+                      MalformedMesh)
 _ALGORITHM_ERRORS = (
     NonGenericCut, EmptyWindow, NoLowerBoundary, NoUpperBoundary,
     ConflictingPropagation, UnassignedFrontier, NonConsecutiveFrontier,
     NothingToAssign, BrokenUniqueness, IncompleteAssignment,
-    InvariantViolation, OpenCycle, MissingWitness, GenerationFailed,
+    InvariantViolation, OpenCycle, MissingWitness, ReebTopologyMismatch,
+    GenerationFailed,
 )
 _IO_ERRORS = (MalformedGraph, ParseError, OSError, ValueError)
 

@@ -87,6 +87,11 @@ class InvariantViolation(ReeboundError):
 
 # -- mesh front-end ----------------------------------------------------------
 
+class MalformedMesh(ReeboundError, ValueError):
+    """A triangle is degenerate or names a missing vertex, or the scalar
+    field's length differs from the mesh's vertex count."""
+
+
 class NotAManifold(ReeboundError):
     """The triangle set is not a closed connected 2-manifold."""
 
@@ -106,6 +111,11 @@ class OpenCycle(ReeboundError):
 
 class MissingWitness(ReeboundError):
     """An edge has no witness cycle to classify."""
+
+
+class ReebTopologyMismatch(ReeboundError):
+    """The Reeb graph to label is disconnected, or its cycle rank differs
+    from the genus of the surface it was built on."""
 
 
 class GenerationFailed(ReeboundError):

@@ -5,14 +5,17 @@ labeled Reeb graph: a level sweep in increasing field order tracks the
 connected components of the level sets, emitting a center vertex at every
 local extremum and a saddle vertex wherever two components merge or one
 splits.  Each graph edge gets a witness level cycle sampled inside its
-span, and is labeled essential or inessential by cutting the surface
-along the witness and asking whether either side is a disk.
+span.  Labels come from the graph's topology: on a closed orientable
+surface the Reeb graph's cycle rank is the genus, so an edge's level
+curve bounds a disk iff the edge is a bridge with a tree on one side.
 
 Ties between field values are broken symbolically by vertex index, so
 every comparison the sweep makes is decided; criticality is the standard
 lower-link rule (empty lower link: minimum; empty upper link: maximum;
-two lower arcs: saddle; three or more: rejected as degenerate).  Cutting
-is exact integer bookkeeping on a re-triangulated complex; no geometric
+two lower arcs: saddle; three or more: rejected as degenerate).  Any
+single level cycle, Reeb edge or not, can still be classified by cutting
+the surface along it (:func:`cut_along`, :func:`classify_essential`):
+exact integer bookkeeping on a re-triangulated complex.  No geometric
 tolerances anywhere.
 """
 from __future__ import annotations
@@ -23,11 +26,13 @@ from math import isfinite, nextafter
 
 from .errors import (
     DegenerateField,
+    MalformedMesh,
     MissingWitness,
     NotAManifold,
     NotOrientable,
     OpenCycle,
     ParseError,
+    ReebTopologyMismatch,
 )
 from .graph import EdgeLabel, ReebEdge, ReebGraph, ReebVertex, VertexKind
 
@@ -91,9 +96,9 @@ class TriangulatedSurface:
         for t in triangles:
             a, b, c = (int(t[0]), int(t[1]), int(t[2]))
             if len(set((a, b, c))) != 3:
-                raise ValueError("degenerate triangle %r" % (t,))
+                raise MalformedMesh("degenerate triangle %r" % (t,))
             if not all(0 <= x < n for x in (a, b, c)):
-                raise ValueError("triangle %r references missing vertex" % (t,))
+                raise MalformedMesh("triangle %r references missing vertex" % (t,))
             tris.append((a, b, c))
         if not tris:
             raise NotAManifold("no triangles")
@@ -282,7 +287,7 @@ class ScalarField:
 
 def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:
     if len(field.values) != surface.n_vertices:
-        raise ValueError("field has %d values for %d vertices"
+        raise MalformedMesh("field has %d values for %d vertices"
                          % (len(field.values), surface.n_vertices))
 
 
@@ -769,16 +774,100 @@ def classify_essential(surface: TriangulatedSurface, field: ScalarField,
     return EdgeLabel.ESSENTIAL
 
 
+def _disk_edges(g: ReebGraph, genus: int) -> set[str]:
+    """Ids of the edges whose level curves bound a disk.
+
+    One iterative depth-first search over ``g``, keyed by edge id so that
+    parallel edges are never taken for bridges, computes low-links and,
+    per subtree, its vertex count and the number of edges charged to it
+    (tree edges at their parent end, back edges at their deeper end).  A
+    bridge's curve separates the surface; the side below child ``c`` has
+    genus ``rank_c = E_sub(c) - V_sub(c) + 1``, the other ``genus -
+    rank_c``, and a side of genus 0 is a disk.  Non-bridges never
+    separate.  Raises ReebTopologyMismatch if ``g`` is not connected.
+    """
+    index = {v.id: i for i, v in enumerate(g.vertices)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    for k, e in enumerate(g.edges):
+        a, b = index[e.lower], index[e.upper]
+        adj[a].append((k, b))
+        adj[b].append((k, a))
+    n = len(adj)
+    if n == 0:
+        raise ReebTopologyMismatch("Reeb graph has no vertices")
+    disc = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    charged = [0] * n
+    used = [False] * len(g.edges)
+    disc[0] = 0
+    reached = 1
+    # (vertex, its parent, the tree edge to it, its unexplored incidences)
+    stack = [(0, -1, -1, iter(adj[0]))]
+    out: set[str] = set()
+    while stack:
+        v, p, up, todo = stack[-1]
+        for k, u in todo:
+            if used[k]:
+                continue
+            used[k] = True
+            charged[v] += 1
+            if disc[u] < 0:
+                disc[u] = low[u] = reached
+                reached += 1
+                stack.append((u, v, k, iter(adj[u])))
+                break
+            low[v] = min(low[v], disc[u])
+        else:
+            stack.pop()
+            if p < 0:
+                continue
+            low[p] = min(low[p], low[v])
+            size[p] += size[v]
+            charged[p] += charged[v]
+            if low[v] > disc[p]:
+                rank = charged[v] - size[v] + 1
+                if rank == 0 or rank == genus:
+                    out.add(g.edges[up].id)
+    if reached != n:
+        raise ReebTopologyMismatch(
+            "Reeb graph is not connected: %d of %d vertices reachable"
+            % (reached, n))
+    return out
+
+
 def label_reeb(surface: TriangulatedSurface, field: ScalarField,
                g: ReebGraph) -> ReebGraph:
-    """Label every edge by classifying its witness cycle."""
-    edges = []
+    """Label every edge from the topology of ``g``; no mesh is cut.
+
+    Each edge's witness is first checked against the surface (present,
+    parsed, a closed cycle at its level).  Then, because the cycle rank
+    of a connected Reeb graph on a closed orientable surface equals the
+    genus, an edge is inessential iff it is a bridge and one of its two
+    sides has cycle rank 0; one bridge pass decides every edge in
+    O(V + E).  Raises ReebTopologyMismatch when ``g`` is disconnected or
+    its cycle rank is not the surface's genus.
+    """
+    _check_pair(surface, field)
+    witnesses = []
     for e in g.edges:
         w = e.witness
         if w is None:
             raise MissingWitness("edge %s has no witness cycle" % e.id)
         if isinstance(w, dict):
             w = LevelCycle.from_payload(w)
-        label = classify_essential(surface, field, w)
-        edges.append(ReebEdge(e.id, e.lower, e.upper, label, witness=w))
-    return ReebGraph(g.vertices, tuple(edges), g.lo, g.hi, meta=g.meta)
+        _resolve_cycle(surface, field, w)
+        witnesses.append(w)
+    chi = surface.euler_characteristic()
+    rank = len(g.edges) - len(g.vertices) + 1
+    if 2 * rank != 2 - chi:
+        raise ReebTopologyMismatch(
+            "Reeb graph has cycle rank %d but the surface has genus %d"
+            % (rank, (2 - chi) // 2))
+    disk = _disk_edges(g, rank)
+    edges = tuple(
+        ReebEdge(e.id, e.lower, e.upper,
+                 EdgeLabel.INESSENTIAL if e.id in disk else EdgeLabel.ESSENTIAL,
+                 witness=w)
+        for e, w in zip(g.edges, witnesses))
+    return ReebGraph(g.vertices, edges, g.lo, g.hi, meta=g.meta)

@@ -9,6 +9,8 @@ which keeps crossings low without any real optimization.
 """
 from __future__ import annotations
 
+from html import escape
+
 from .graph import EdgeLabel, ReebGraph, VertexKind
 
 _NODE_SHAPE = {
@@ -20,8 +22,12 @@ _NODE_SHAPE = {
 }
 
 
+def _dot_escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(s: str) -> str:
-    return '"%s"' % s.replace('"', '\\"')
+    return '"%s"' % _dot_escape(s)
 
 
 def to_dot(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
@@ -32,7 +38,7 @@ def to_dot(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
         by_level.setdefault(v.level, []).append(v.id)
         lines.append("  %s [label=%s, shape=%s];"
                      % (_quote(v.id),
-                        _quote("%s\\n%g" % (v.id, v.level)),
+                        '"%s\\n%g"' % (_dot_escape(v.id), v.level),
                         _NODE_SHAPE[v.kind]))
     for level in sorted(by_level):
         lines.append("  { rank=same; %s }"
@@ -115,13 +121,15 @@ def to_svg(g: ReebGraph, assignment: dict[str, int] | None = None,
             label = "%s: %d" % (e.id, assignment[e.id])
         parts.append('<text x="%.1f" y="%.1f" font-size="11" fill="#333" '
                      'text-anchor="middle">%s</text>'
-                     % ((x1 + x2) / 2, (y1 + y2) / 2 - 5, label))
+                     % ((x1 + x2) / 2, (y1 + y2) / 2 - 5,
+                        escape(label, quote=False)))
     for v in g.vertices:
         cx, cy = sx(v.level), sy(y[v.id])
         fill = "#d08436" if v.kind is VertexKind.SADDLE else "#444444"
         parts.append('<circle cx="%.1f" cy="%.1f" r="4" fill="%s"/>'
                      % (cx, cy, fill))
         parts.append('<text x="%.1f" y="%.1f" font-size="10" fill="#000" '
-                     'text-anchor="middle">%s</text>' % (cx, cy - 8, v.id))
+                     'text-anchor="middle">%s</text>'
+                     % (cx, cy - 8, escape(v.id, quote=False)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

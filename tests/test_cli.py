@@ -146,6 +146,30 @@ class TestFromMesh:
         assert code == 1
         assert json.loads(err)["error"] == "NotAManifold"
 
+    def test_degenerate_triangle_exits_1(self, capsys, tmp_path, torus_files):
+        _, fld = torus_files
+        bad = tmp_path / "degenerate.off"
+        bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n")
+        code, out, err = run_main(capsys, "from-mesh", str(bad), fld)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MalformedMesh"
+
+    def test_field_length_mismatch_exits_1(self, capsys, tmp_path):
+        tetra = tmp_path / "tetra.off"
+        tetra.write_text("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                         "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+        fld = tmp_path / "short.field"
+        fld.write_text("0.0\n1.0\n2.0\n")
+        code, out, err = run_main(capsys, "from-mesh", str(tetra), str(fld))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MalformedMesh"
+
 
 class TestGenRender:
     def test_gen_then_assign(self, capsys, tmp_path):

@@ -26,7 +26,9 @@ from reebound.errors import (
     NotOrientable,
     OpenCycle,
     ParseError,
+    ReebTopologyMismatch,
 )
+from reebound.graph import ReebEdge, ReebGraph, ReebVertex
 from reebound.mesh import LevelCycle
 
 from _fixtures import (
@@ -230,6 +232,48 @@ class TestBuildReeb:
         g2 = graph_loads(graph_dumps(g))
         relabeled = label_reeb(s, f, g2)
         assert [e.label for e in relabeled.edges] == [e.label for e in g.edges]
+
+
+class TestLabelsFromTopology:
+    @pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("fixture", [
+        octa_sphere, vertical_torus,
+        lambda: chained_tori(2), lambda: chained_tori(3)],
+        ids=["sphere", "torus", "genus2", "genus3"])
+    def test_labels_match_naive_cut(self, fixture, frac):
+        s, f = fixture()
+        g = label_reeb(s, f, build_reeb(s, f, frac))
+        for e in g.edges:
+            assert (e.label is EdgeLabel.INESSENTIAL) \
+                == naive_is_inessential(s, f, e.witness), e.id
+
+    def test_rank_below_genus_rejected(self):
+        s, f = vertical_torus()
+        g = build_reeb(s, f)
+        # drop e1, one of the two parallel side branches between the saddles
+        dropped = ReebGraph(g.vertices,
+                            tuple(e for e in g.edges if e.id != "e1"),
+                            g.lo, g.hi)
+        with pytest.raises(ReebTopologyMismatch):
+            label_reeb(s, f, dropped)
+
+    def test_disconnected_graph_rejected(self):
+        # a two-edge loop beside a single edge: cycle rank 0, as on the
+        # sphere, but in two components
+        s, f = octa_sphere()
+        (e,) = build_reeb(s, f).edges
+        w = e.witness
+        g = ReebGraph(
+            (ReebVertex("a0", -1.0, VertexKind.CENTER),
+             ReebVertex("a1", -0.5, VertexKind.CENTER),
+             ReebVertex("b0", 0.0, VertexKind.CENTER),
+             ReebVertex("b1", 0.5, VertexKind.CENTER)),
+            (ReebEdge("x", "a0", "a1", e.label, witness=w),
+             ReebEdge("y", "a0", "a1", e.label, witness=w),
+             ReebEdge("z", "b0", "b1", e.label, witness=w)),
+            -2.0, 2.0)
+        with pytest.raises(ReebTopologyMismatch):
+            label_reeb(s, f, g)
 
 
 class TestCutAlong:

@@ -1,7 +1,17 @@
 """DOT and SVG emission."""
 from __future__ import annotations
 
-from reebound import assign_all, essential_subgraph
+from xml.dom import minidom
+
+from reebound import (
+    EdgeLabel,
+    ReebEdge,
+    ReebGraph,
+    ReebVertex,
+    VertexKind,
+    assign_all,
+    essential_subgraph,
+)
 from reebound.render import to_dot, to_svg
 
 from _fixtures import theta_graph, torus_reeb_by_hand
@@ -54,3 +64,25 @@ def test_svg_well_formed():
 def test_svg_handles_unassigned_graph():
     text = to_svg(torus_reeb_by_hand())
     assert "<line " in text
+
+
+def _markup_graph():
+    return ReebGraph(
+        (ReebVertex('a<&"', 0.0, VertexKind.CENTER),
+         ReebVertex('b\\', 1.0, VertexKind.CENTER)),
+        (ReebEdge('e<"&', 'a<&"', 'b\\', EdgeLabel.ESSENTIAL),),
+        -0.5, 1.5)
+
+
+def test_svg_escapes_markup_in_ids():
+    text = to_svg(_markup_graph(), {'e<"&': 3})
+    doc = minidom.parseString(text)
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert sorted(labels) == sorted(['e<"&: 3', 'a<&"', 'b\\'])
+
+
+def test_dot_escapes_backslash_then_quote():
+    text = to_dot(_markup_graph())
+    assert '"a<&\\"" [label="a<&\\"\\n0", shape=circle];' in text
+    assert '"b\\\\" [label="b\\\\\\n1", shape=circle];' in text
+    assert '"a<&\\"" -> "b\\\\"' in text
