@@ -16,7 +16,7 @@ from .assign import (
     step1_saturate,
     step2,
 )
-from .gen import GenParams, naive_assign, random_reeb
+from .gen import GenParams, random_reeb
 from .graph import (
     EdgeLabel,
     EssentialSubgraph,
@@ -39,8 +39,6 @@ from .mesh import (
     ScalarField,
     TriangulatedSurface,
     build_reeb,
-    classify_essential,
-    cut_along,
     label_reeb,
     level_cycles,
     pl_criticality,
@@ -54,9 +52,8 @@ __all__ = [
     "ReebEdge", "ReebGraph", "ReebVertex", "ScalarField", "TraceEntry",
     "TriangulatedSurface", "ValidationReport", "VertexKind", "Violation",
     "assign_all", "assignment_to_dict", "build_reeb", "check_invariants",
-    "classify_essential", "classify_frontier", "cut_along", "distance_bound",
-    "essential_subgraph", "graph_dumps", "graph_from_dict", "graph_loads",
-    "graph_to_dict", "label_reeb", "level_cycles", "naive_assign",
-    "pl_criticality", "random_reeb", "restrict", "step0", "step1_saturate",
-    "step2", "validate",
+    "classify_frontier", "distance_bound", "essential_subgraph",
+    "graph_dumps", "graph_from_dict", "graph_loads", "graph_to_dict",
+    "label_reeb", "level_cycles", "pl_criticality", "random_reeb",
+    "restrict", "step0", "step1_saturate", "step2", "validate",
 ]

@@ -16,6 +16,7 @@ from . import assign as assign_mod
 from . import gen as gen_mod
 from . import render as render_mod
 from .errors import (
+    BadWitnessFraction,
     BrokenUniqueness,
     ConflictingPropagation,
     DegenerateField,
@@ -61,7 +62,7 @@ _ALGORITHM_ERRORS = (
     ConflictingPropagation, UnassignedFrontier, NonConsecutiveFrontier,
     NothingToAssign, BrokenUniqueness, IncompleteAssignment,
     InvariantViolation, OpenCycle, MissingWitness, ReebTopologyMismatch,
-    GenerationFailed,
+    GenerationFailed, BadWitnessFraction,
 )
 _IO_ERRORS = (MalformedGraph, ParseError, OSError, ValueError)
 

@@ -105,6 +105,10 @@ class DegenerateField(ReeboundError):
     (subdivide the mesh around it), or coinciding critical values."""
 
 
+class BadWitnessFraction(ReeboundError, ValueError):
+    """The witness fraction is not a number strictly inside (0, 1)."""
+
+
 class OpenCycle(ReeboundError):
     """A level cycle does not close up."""
 

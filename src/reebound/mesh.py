@@ -12,11 +12,10 @@ curve bounds a disk iff the edge is a bridge with a tree on one side.
 Ties between field values are broken symbolically by vertex index, so
 every comparison the sweep makes is decided; criticality is the standard
 lower-link rule (empty lower link: minimum; empty upper link: maximum;
-two lower arcs: saddle; three or more: rejected as degenerate).  Any
-single level cycle, Reeb edge or not, can still be classified by cutting
-the surface along it (:func:`cut_along`, :func:`classify_essential`):
-exact integer bookkeeping on a re-triangulated complex.  No geometric
-tolerances anywhere.
+two lower arcs: saddle; three or more: rejected as degenerate), decided
+once per vertex inside the sweep.  :func:`pl_criticality` applies the
+same rule on its own, for callers that want only the critical vertices.
+No geometric tolerances anywhere.
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 from math import isfinite, nextafter
 
 from .errors import (
+    BadWitnessFraction,
     DegenerateField,
     MalformedMesh,
     MissingWitness,
@@ -478,17 +478,13 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     sampled at ``witness_fraction`` of its span (nudged off vertex
     values).  Labels are left inessential; run :func:`label_reeb` to
     classify.  The window is padded slightly past the extreme values so
-    every vertex is interior.
+    every vertex is interior.  Raises DegenerateField on a monkey saddle
+    or when two critical vertices share a value.
     """
     _check_pair(surface, field)
     if not 0.0 < witness_fraction < 1.0:
-        raise ValueError("witness_fraction must be inside (0, 1)")
-    mins, saddles, maxes = pl_criticality(surface, field)
-    crit_values = sorted(field.values[v] for v in mins + saddles + maxes)
-    for x, y in zip(crit_values, crit_values[1:]):
-        if x == y:
-            raise DegenerateField(
-                "two critical vertices share the value %r; perturb the field" % x)
+        raise BadWitnessFraction(
+            "witness_fraction %r must be inside (0, 1)" % witness_fraction)
 
     key = field.key
     order = sorted(range(surface.n_vertices), key=key)
@@ -560,7 +556,8 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             continue
         if n_lo != 2 or n_up != 2:
             raise DegenerateField(
-                "monkey saddle at vertex %d; subdivide the mesh around it" % v)
+                "monkey saddle at vertex %d (%d descending sectors); "
+                "subdivide the mesh around it" % (v, n_lo))
 
         vid = "v%d" % v
         vertices.append(ReebVertex(vid, field.values[v], VertexKind.SADDLE))
@@ -603,6 +600,11 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 
     if tracker.members:
         raise AssertionError("sweep finished with live contours")
+    crit_values = sorted(rv.level for rv in vertices)
+    for x, y in zip(crit_values, crit_values[1:]):
+        if x == y:
+            raise DegenerateField(
+                "two critical vertices share the value %r; perturb the field" % x)
 
     sorted_values = sorted(set(field.values))
     lo_val, hi_val = sorted_values[0], sorted_values[-1]
@@ -635,16 +637,12 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
                      lo_val - pad, hi_val + pad, meta=meta)
 
 
-# -- cutting along a cycle ----------------------------------------------------
-
-def _resolve_cycle(surface: TriangulatedSurface, field: ScalarField,
-                   cycle: LevelCycle):
-    """Validate a cycle against the surface; return (tris, entry eids)."""
+def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
+                 cycle: LevelCycle) -> None:
+    """Raise unless the cycle is a closed loop of crossings at its level."""
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
     level = cycle.level
-    tris: list[int] = []
-    eids: list[int] = []
     n = len(cycle.crossings)
     for i, (t, entry, exit_) in enumerate(cycle.crossings):
         nxt = cycle.crossings[(i + 1) % n]
@@ -664,114 +662,8 @@ def _resolve_cycle(surface: TriangulatedSurface, field: ScalarField,
         te = set(surface._tri_edges[t])
         if not {surface.edge_index[entry], surface.edge_index[exit_]} <= te:
             raise ValueError("triangle %d does not contain both crossing edges" % t)
-        tris.append(t)
-        eids.append(surface.edge_index[entry])
-    if len(set(tris)) != len(tris):
+    if len({t for t, _, _ in cycle.crossings}) != n:
         raise ValueError("cycle visits a triangle twice")
-    return tris, eids
-
-
-def cut_along(surface: TriangulatedSurface, field: ScalarField,
-              cycle: LevelCycle) -> tuple[tuple[int, int], ...]:
-    """Cut the surface along the cycle; per-component (Euler, circles).
-
-    Crossed triangles split into the piece below and the piece above the
-    cycle's level; the two seam copies stay boundary.  Returns one
-    (Euler characteristic, boundary-circle count) pair per component of
-    the cut surface, sorted.  The pairs always sum to (Euler of the whole
-    surface, 2).
-    """
-    _check_pair(surface, field)
-    tris, eids = _resolve_cycle(surface, field, cycle)
-    level = cycle.level
-    crossed_tris = set(tris)
-    cyc_edges = set(eids)
-
-    pid: dict[tuple[int, str], int] = {}
-    n_pieces = 0
-    for t in range(surface.n_triangles):
-        if t in crossed_tris:
-            pid[(t, "b")] = n_pieces
-            pid[(t, "a")] = n_pieces + 1
-            n_pieces += 2
-        else:
-            pid[(t, "w")] = n_pieces
-            n_pieces += 1
-
-    parent = list(range(n_pieces))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def piece_for(t: int, value: float) -> int:
-        if t in crossed_tris:
-            return pid[(t, "b" if value < level else "a")]
-        return pid[(t, "w")]
-
-    for eid, (a, b) in enumerate(surface.edges):
-        t1, t2 = surface.edge_tris[eid]
-        if eid in cyc_edges:
-            union(pid[(t1, "b")], pid[(t2, "b")])
-            union(pid[(t1, "a")], pid[(t2, "a")])
-        else:
-            union(piece_for(t1, field.values[a]), piece_for(t2, field.values[a]))
-
-    v_count: dict[int, int] = {}
-    e_count: dict[int, int] = {}
-    f_count: dict[int, int] = {}
-
-    def bump(counter, root, by=1):
-        counter[root] = counter.get(root, 0) + by
-
-    for p in range(n_pieces):
-        bump(f_count, find(p))
-    for eid, (a, b) in enumerate(surface.edges):
-        t1, _ = surface.edge_tris[eid]
-        if eid in cyc_edges:
-            bump(e_count, find(pid[(t1, "b")]))
-            bump(e_count, find(pid[(t1, "a")]))
-            bump(v_count, find(pid[(t1, "b")]))
-            bump(v_count, find(pid[(t1, "a")]))
-        else:
-            bump(e_count, find(piece_for(t1, field.values[a])))
-    for t in crossed_tris:
-        bump(e_count, find(pid[(t, "b")]))
-        bump(e_count, find(pid[(t, "a")]))
-    for u in range(surface.n_vertices):
-        bump(v_count, find(piece_for(surface.vertex_tri[u], field.values[u])))
-
-    below_root = find(pid[(tris[0], "b")])
-    above_root = find(pid[(tris[0], "a")])
-    out = []
-    for root in sorted(f_count):
-        chi = v_count.get(root, 0) - e_count.get(root, 0) + f_count[root]
-        circles = (root == below_root) + (root == above_root)
-        out.append((chi, circles))
-    total_chi = sum(c for c, _ in out)
-    if total_chi != surface.euler_characteristic() or sum(
-            b for _, b in out) != 2:
-        raise AssertionError("cut bookkeeping lost cells")
-    return tuple(sorted(out))
-
-
-def classify_essential(surface: TriangulatedSurface, field: ScalarField,
-                       cycle: LevelCycle) -> EdgeLabel:
-    """Inessential iff cutting along the cycle leaves a disk component."""
-    pieces = cut_along(surface, field, cycle)
-    for chi, circles in pieces:
-        if chi == 1:
-            if circles != 1:
-                raise AssertionError("disk piece with %d boundary circles" % circles)
-            return EdgeLabel.INESSENTIAL
-    return EdgeLabel.ESSENTIAL
 
 
 def _disk_edges(g: ReebGraph, genus: int) -> set[str]:
@@ -856,7 +748,7 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
             raise MissingWitness("edge %s has no witness cycle" % e.id)
         if isinstance(w, dict):
             w = LevelCycle.from_payload(w)
-        _resolve_cycle(surface, field, w)
+        _check_cycle(surface, field, w)
         witnesses.append(w)
     chi = surface.euler_characteristic()
     rank = len(g.edges) - len(g.vertices) + 1

@@ -1,9 +1,20 @@
 """Independent test oracles, deliberately written with different machinery
-than the production code: explicit named cells and BFS instead of indexed
-union-find, and direct level-set component counting."""
+than the production code: explicit named cells and BFS for cutting a
+surface, direct level-set component counting, and an assignment sweep
+that rescans everything every round."""
 from __future__ import annotations
 
+import random
 from collections import deque
+
+from reebound.assign import STEP0, STEP1, STEP2, PartialAssignment, TraceEntry
+from reebound.errors import (
+    BrokenUniqueness,
+    NonConsecutiveFrontier,
+    NoLowerBoundary,
+    UnassignedFrontier,
+)
+from reebound.graph import EssentialSubgraph
 
 
 def naive_cut_euler(surface, field, cycle):
@@ -131,3 +142,83 @@ def count_level_components(surface, field, level) -> int:
                     seen.add(nxt)
                     queue.append(nxt)
     return comps
+
+
+def naive_assign(g: EssentialSubgraph,
+                 rng: random.Random | None = None) -> PartialAssignment:
+    """Reference assignment by brute rescanning.
+
+    Re-derives the assignment with none of the sweep's bookkeeping: every
+    round it rescans all vertices (in a randomized order) for valency-two
+    copies, recomputes eligibility and the frontier from scratch, and
+    asserts that exactly one vertex is eligible.  Its output map must
+    coincide with assign_all's.  ``rng`` only shuffles scan orders; the
+    resulting map must not depend on it.
+    """
+    rng = rng if rng is not None else random.Random(0)
+    if not g.boundary_minus:
+        raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
+    assigned: dict[str, int] = {}
+    trace: list[TraceEntry] = []
+
+    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
+    for eid in seeded:
+        assigned[eid] = 1
+    trace.append(TraceEntry(STEP0, None, tuple(seeded), 1))
+
+    all_edges = [e.id for e in g.edges]
+    all_levels = sorted({v.level for v in g.vertices} | {g.lo})
+
+    while True:
+        changed = True
+        while changed:
+            changed = False
+            order = [v.id for v in g.vertices if g.degree(v.id) == 2]
+            rng.shuffle(order)
+            for vid in order:
+                e1, e2 = g.incident(vid)
+                have1, have2 = e1 in assigned, e2 in assigned
+                if have1 == have2:
+                    continue
+                src, dst = (e1, e2) if have1 else (e2, e1)
+                assigned[dst] = assigned[src]
+                trace.append(TraceEntry(STEP1, vid, (dst,), assigned[src]))
+                changed = True
+
+        if all(eid in assigned for eid in all_edges):
+            break
+
+        eligible = []
+        for vid in g.interior:
+            if all(eid in assigned for eid in g.incident(vid)):
+                continue
+            left_done = all(
+                eid in assigned for eid in all_edges
+                if g.span(eid)[0] < g.level(vid))
+            if left_done:
+                eligible.append(vid)
+        if len(eligible) != 1:
+            raise BrokenUniqueness(
+                "eligible vertices: %s" % (", ".join(sorted(eligible)) or "none"))
+        vid = eligible[0]
+        level = g.level(vid)
+        prev = max(lv for lv in all_levels if lv < level)
+        # the frontier spans the whole gap (prev, level)
+        frontier = [eid for eid in all_edges
+                    if g.span(eid)[0] <= prev and level <= g.span(eid)[1]]
+        if any(eid not in assigned for eid in frontier):
+            raise UnassignedFrontier("unassigned frontier at %s" % vid)
+        values = sorted({assigned[eid] for eid in frontier})
+        if len(values) == 1:
+            value = values[0] + 1
+        elif len(values) == 2 and values[1] - values[0] == 1:
+            value = values[1]
+        else:
+            raise NonConsecutiveFrontier("frontier of %s carries %r" % (vid, values))
+        todo = [eid for eid in g.incident(vid) if eid not in assigned]
+        rng.shuffle(todo)
+        for eid in todo:
+            assigned[eid] = value
+        trace.append(TraceEntry(STEP2, vid, tuple(sorted(todo)), value))
+
+    return PartialAssignment(assigned, tuple(trace))

@@ -22,7 +22,6 @@ from reebound import (
     classify_frontier,
     distance_bound,
     essential_subgraph,
-    naive_assign,
     random_reeb,
     step0,
     step1_saturate,
@@ -48,6 +47,7 @@ from _fixtures import (
     theta_graph,
     y_graph,
 )
+from _oracles import naive_assign
 
 SINGLE_EXPECTED = {"e0": 1}
 Y_EXPECTED = {"e0": 1, "e1": 2, "e2": 2}

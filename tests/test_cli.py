@@ -11,6 +11,7 @@ from reebound import graph_dumps, graph_loads
 from reebound.cli import main
 
 from _fixtures import (
+    monkey_bipyramid,
     saddle_parity_violation,
     single_edge_graph,
     theta_graph,
@@ -169,6 +170,30 @@ class TestFromMesh:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "MalformedMesh"
+
+    def test_monkey_saddle_exits_1(self, capsys, tmp_path):
+        surface, field = monkey_bipyramid()
+        off = tmp_path / "monkey.off"
+        fld = tmp_path / "monkey.field"
+        off.write_text(surface.to_off_text())
+        fld.write_text(field.to_text())
+        code, out, err = run_main(capsys, "from-mesh", str(off), str(fld))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DegenerateField"
+
+    @pytest.mark.parametrize("fraction", ["1.5", "nan"])
+    def test_bad_witness_fraction_exits_2(self, capsys, torus_files, fraction):
+        off, fld = torus_files
+        code, out, err = run_main(capsys, "from-mesh", off, fld,
+                                  "--witness-fraction", fraction)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BadWitnessFraction"
 
 
 class TestGenRender:

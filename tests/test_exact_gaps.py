@@ -22,7 +22,6 @@ from reebound import (
     VertexKind,
     assign_all,
     essential_subgraph,
-    naive_assign,
     random_reeb,
     validate,
 )
@@ -30,6 +29,7 @@ from reebound.errors import MalformedGraph
 from reebound.graph import EdgeLabel, ReebEdge
 
 from _fixtures import adjacent_saddles_graph, center_below_saddle_graph
+from _oracles import naive_assign
 
 LEVELS = [0.3, 0.5]
 ADJACENT_EXPECTED = {"e0": 1, "a": 2, "b": 2, "c": 3, "d": 3}

@@ -11,8 +11,6 @@ from reebound import (
     TriangulatedSurface,
     VertexKind,
     build_reeb,
-    classify_essential,
-    cut_along,
     label_reeb,
     level_cycles,
     pl_criticality,
@@ -41,18 +39,7 @@ from _fixtures import (
     octa_sphere,
     vertical_torus,
 )
-from _oracles import count_level_components, naive_cut_euler, naive_is_inessential
-
-
-def _safe_level(field, target):
-    """Midpoint of the vertex-value gap containing (or next to) target."""
-    values = sorted(set(field.values))
-    for lo, hi in zip(values, values[1:]):
-        if lo <= target < hi:
-            mid = (lo + hi) / 2
-            if lo < mid < hi:
-                return mid
-    raise AssertionError("no gap near %r" % target)
+from _oracles import count_level_components, naive_is_inessential
 
 
 def _random_gap_levels(field, rng, count):
@@ -139,6 +126,8 @@ class TestCriticality:
         s, f = monkey_bipyramid()
         with pytest.raises(DegenerateField):
             pl_criticality(s, f)
+        with pytest.raises(DegenerateField):
+            build_reeb(s, f)
 
     def test_euler_counting_all_fixtures(self):
         for surface, field in (octa_sphere(), vertical_torus(),
@@ -154,6 +143,11 @@ class TestCriticality:
         vals[0] = vals[1]
         with pytest.raises(DegenerateField):
             build_reeb(s, ScalarField(tuple(vals)))
+        # two minima at 0 (poles), saddles at 1 and 1.5, maxima at 2 and
+        # 3: no Reeb edge joins the tied minima, so only the tie check
+        # can reject the field
+        with pytest.raises(DegenerateField, match="share the value"):
+            build_reeb(s, ScalarField((0.0, 0.0, 2.0, 3.0, 1.0, 1.5)))
 
 
 class TestBuildReeb:
@@ -199,14 +193,17 @@ class TestBuildReeb:
 
     def test_spanning_counts_match_level_sets(self):
         # independent oracle: at sampled levels, the number of edges whose
-        # span contains the level equals the number of level-set components
+        # span contains the level, and the number of contours traced
+        # there, equal the number of level-set components
         for surface, field in (octa_sphere(), vertical_torus(), chained_tori(2)):
             g = build_reeb(surface, field)
             rng = random.Random(1)
             for level in _random_gap_levels(field, rng, 12):
                 spanning = sum(1 for e in g.edges
                                if g.span(e.id)[0] < level < g.span(e.id)[1])
-                assert spanning == count_level_components(surface, field, level)
+                components = count_level_components(surface, field, level)
+                assert spanning == components
+                assert len(level_cycles(surface, field, level)) == components
 
     def test_witness_level_independence(self):
         for surface, field in (vertical_torus(), chained_tori(2)):
@@ -277,58 +274,19 @@ class TestLabelsFromTopology:
 
 
 class TestCutAlong:
-    def test_star_loop_is_inessential(self):
-        for surface, field in (octa_sphere(), vertical_torus(), chained_tori(2)):
-            values = sorted(set(field.values))
-            level = (values[0] + values[1]) / 2
-            (cycle,) = level_cycles(surface, field, level)
-            assert classify_essential(surface, field, cycle) \
-                is EdgeLabel.INESSENTIAL
-
-    def test_torus_meridian_is_essential(self):
-        s, f = vertical_torus()
-        cycles = level_cycles(s, f, 0.5000001)
-        assert len(cycles) == 2
-        for c in cycles:
-            pieces = cut_along(s, f, c)
-            assert pieces == ((0, 2),)    # one annulus: non-separating
-            assert classify_essential(s, f, c) is EdgeLabel.ESSENTIAL
-
-    def test_genus2_separating_curve(self):
-        s, f = chained_tori(2)
-        # the neck between the two handles sits between saddle (1.0) and
-        # the junction zone; its cut gives two genus-1 pieces
-        (cycle,) = level_cycles(s, f, _safe_level(f, 2.0))
-        pieces = cut_along(s, f, cycle)
-        assert pieces == ((-1, 1), (-1, 1))
-        assert classify_essential(s, f, cycle) is EdgeLabel.ESSENTIAL
-
-    def test_bookkeeping_invariants(self):
-        for surface, field in (vertical_torus(), chained_tori(2)):
-            rng = random.Random(7)
-            for level in _random_gap_levels(field, rng, 10):
-                for cycle in level_cycles(surface, field, level):
-                    pieces = cut_along(surface, field, cycle)
-                    assert sum(chi for chi, _ in pieces) \
-                        == surface.euler_characteristic()
-                    assert sum(b for _, b in pieces) == 2
-
-    def test_matches_naive_oracle(self):
-        s, f = chained_tori(2)
-        rng = random.Random(3)
-        for level in _random_gap_levels(f, rng, 8):
-            for cycle in level_cycles(s, f, level):
-                assert cut_along(s, f, cycle) == naive_cut_euler(s, f, cycle)
-                assert (classify_essential(s, f, cycle)
-                        is EdgeLabel.INESSENTIAL) \
-                    == naive_is_inessential(s, f, cycle)
+    """Level cycles: tracing one at a level, and checking a witness."""
 
     def test_open_cycle_rejected(self):
         s, f = vertical_torus()
-        (cycle, _) = level_cycles(s, f, 0.5000001)
-        broken = LevelCycle(cycle.level, cycle.crossings[:-1])
+        g = build_reeb(s, f)
+        edges = tuple(
+            ReebEdge(e.id, e.lower, e.upper, e.label,
+                     witness=LevelCycle(e.witness.level,
+                                        e.witness.crossings[:-1]))
+            if e.id == "e1" else e
+            for e in g.edges)
         with pytest.raises(OpenCycle):
-            classify_essential(s, f, broken)
+            label_reeb(s, f, ReebGraph(g.vertices, edges, g.lo, g.hi))
 
     def test_level_cycles_rejects_vertex_level(self):
         s, f = octa_sphere()
