@@ -3,8 +3,9 @@
 Subcommands: validate, assign, bound, from-mesh, gen, render.  Graphs
 travel as the JSON wire format on files or stdin ("-"); outputs go to
 stdout or --output.  Exit codes: 0 success, 1 validation failure,
-2 algorithm error, 3 I/O or parse error.  Errors print one JSON object
-on stderr with "error" (the exception class) and "message".
+2 algorithm error, 3 I/O or parse error; each error type declares its
+own as ``exit_code`` in :mod:`reebound.errors`.  Errors print one JSON
+object on stderr with "error" (the exception class) and "message".
 """
 from __future__ import annotations
 
@@ -15,31 +16,7 @@ import sys
 from . import assign as assign_mod
 from . import gen as gen_mod
 from . import render as render_mod
-from .errors import (
-    BadWitnessFraction,
-    BrokenUniqueness,
-    ConflictingPropagation,
-    DegenerateField,
-    EmptyWindow,
-    GenerationFailed,
-    IncompleteAssignment,
-    InvalidGraph,
-    InvariantViolation,
-    MalformedGraph,
-    MalformedMesh,
-    MissingWitness,
-    NoLowerBoundary,
-    NonConsecutiveFrontier,
-    NonGenericCut,
-    NotAManifold,
-    NothingToAssign,
-    NotOrientable,
-    NoUpperBoundary,
-    OpenCycle,
-    ParseError,
-    ReebTopologyMismatch,
-    UnassignedFrontier,
-)
+from .errors import InvalidGraph, ParseError, ReeboundError
 from .graph import (
     ReebGraph,
     essential_subgraph,
@@ -52,19 +29,7 @@ from .mesh import ScalarField, TriangulatedSurface, build_reeb, label_reeb
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_ALGORITHM = 2
 EXIT_IO = 3
-
-_VALIDATION_ERRORS = (InvalidGraph, NotAManifold, NotOrientable, DegenerateField,
-                      MalformedMesh)
-_ALGORITHM_ERRORS = (
-    NonGenericCut, EmptyWindow, NoLowerBoundary, NoUpperBoundary,
-    ConflictingPropagation, UnassignedFrontier, NonConsecutiveFrontier,
-    NothingToAssign, BrokenUniqueness, IncompleteAssignment,
-    InvariantViolation, OpenCycle, MissingWitness, ReebTopologyMismatch,
-    GenerationFailed, BadWitnessFraction,
-)
-_IO_ERRORS = (MalformedGraph, ParseError, OSError, ValueError)
 
 
 def _read_text(path: str) -> str:
@@ -153,10 +118,14 @@ def _cmd_render(args) -> int:
     g = _windowed(_load_graph(args.graph), args.window)
     assignment = None
     if args.assignment:
-        data = json.loads(_read_text(args.assignment))
+        try:
+            data = json.loads(_read_text(args.assignment))
+        except RecursionError as exc:   # nesting too deep for the decoder
+            raise ParseError("bad assignment payload: %s" % exc) from None
         try:
             assignment = {str(k): int(v) for k, v in data["edges"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise ParseError("bad assignment payload: %s" % exc) from None
     wrote = False
     if args.svg:
@@ -233,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(exc: Exception, code: int) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, (InvalidGraph, InvariantViolation)):
-        payload["violations"] = exc.report.to_dict()["violations"]
+    report = getattr(exc, "report", None)
+    if report is not None:
+        payload["violations"] = report.to_dict()["violations"]
     sys.stderr.write(json.dumps(payload) + "\n")
     return code
 
@@ -243,13 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc, EXIT_INVALID)
-    except _ALGORITHM_ERRORS as exc:
-        return _fail(exc, EXIT_ALGORITHM)
-    except _IO_ERRORS as exc:
-        return _fail(exc, EXIT_IO)
-    except json.JSONDecodeError as exc:
+    except ReeboundError as exc:
+        return _fail(exc, exc.exit_code)
+    except (OSError, ValueError) as exc:
         return _fail(exc, EXIT_IO)
 
 

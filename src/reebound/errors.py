@@ -4,28 +4,45 @@ Graph-structure problems raise MalformedGraph (the input does not even
 resolve into a graph) or InvalidGraph (it resolves but violates a
 validation rule).  The assignment sweep and the mesh front-end each have
 their own small families below.
+
+Each type declares the command-line exit code it maps to as its
+``exit_code`` class attribute, here and nowhere else: 2 (algorithm error
+or out-of-range parameter) unless overridden with 1 (validation failure:
+graph rules, mesh structure, unusable field) or 3 (I/O or parse error).
 """
 
 
 class ReeboundError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class MalformedGraph(ReeboundError):
     """Edge endpoints reference missing vertices, duplicate ids, or
     non-finite levels: the payload is not a graph at all."""
 
+    exit_code = 3
 
-class InvalidGraph(ReeboundError):
+
+class _ReportError(ReeboundError):
+    """An error carrying a report in ``self.report``; the message names
+    the sorted ids of the rules it violates after ``prefix``."""
+
+    def __init__(self, report):
+        self.report = report
+        rules = sorted({v.rule for v in report.violations})
+        super().__init__("%s: %s" % (self.prefix, ", ".join(rules)))
+
+
+class InvalidGraph(_ReportError):
     """A structurally well-formed graph failed validation.
 
     Carries the full report in ``self.report``.
     """
 
-    def __init__(self, report):
-        self.report = report
-        rules = sorted({v.rule for v in report.violations})
-        super().__init__("graph failed validation: %s" % ", ".join(rules))
+    exit_code = 1
+    prefix = "graph failed validation"
 
 
 class NonGenericCut(ReeboundError):
@@ -76,13 +93,10 @@ class IncompleteAssignment(ReeboundError):
     """A complete assignment was required but some edge has no integer."""
 
 
-class InvariantViolation(ReeboundError):
+class InvariantViolation(_ReportError):
     """A mid-run consistency check failed; ``self.report`` holds details."""
 
-    def __init__(self, report):
-        self.report = report
-        rules = sorted({v.rule for v in report.violations})
-        super().__init__("assignment invariants violated: %s" % ", ".join(rules))
+    prefix = "assignment invariants violated"
 
 
 # -- mesh front-end ----------------------------------------------------------
@@ -91,18 +105,27 @@ class MalformedMesh(ReeboundError, ValueError):
     """A triangle is degenerate or names a missing vertex, or the scalar
     field's length differs from the mesh's vertex count."""
 
+    exit_code = 1
+
 
 class NotAManifold(ReeboundError):
     """The triangle set is not a closed connected 2-manifold."""
+
+    exit_code = 1
 
 
 class NotOrientable(ReeboundError):
     """The triangles admit no consistent orientation."""
 
+    exit_code = 1
+
 
 class DegenerateField(ReeboundError):
-    """The scalar field is unusable: non-finite values, a monkey saddle
-    (subdivide the mesh around it), or coinciding critical values."""
+    """The scalar field is unusable: non-finite values or a value of the
+    largest finite magnitude, a monkey saddle (subdivide the mesh around
+    it), or coinciding critical values."""
+
+    exit_code = 1
 
 
 class BadWitnessFraction(ReeboundError, ValueError):
@@ -129,3 +152,5 @@ class GenerationFailed(ReeboundError):
 
 class ParseError(ReeboundError):
     """A mesh, field, or JSON payload could not be parsed."""
+
+    exit_code = 3

@@ -355,9 +355,9 @@ class EssentialSubgraph(ReebGraph):
 
     ``boundary_minus`` / ``boundary_plus`` are the surviving boundary
     vertex ids; ``interior`` lists the surviving non-boundary vertices in
-    strictly increasing level order.  Valencies here are valencies within
-    the subgraph: a saddle that lost an inessential branch has valency
-    two.
+    non-decreasing level order (only valency-two vertices may share a
+    level).  Valencies here are valencies within the subgraph: a saddle
+    that lost an inessential branch has valency two.
     """
 
     boundary_minus: frozenset[str]
@@ -367,8 +367,8 @@ class EssentialSubgraph(ReebGraph):
     def __post_init__(self):
         super().__post_init__()
         levels = [self.level(vid) for vid in self.interior]
-        if any(a >= b for a, b in pairwise(levels)):
-            raise MalformedGraph("interior vertices not strictly ordered by level")
+        if any(a > b for a, b in pairwise(levels)):
+            raise MalformedGraph("interior vertices not ordered by level")
 
 
 def essential_subgraph(g: ReebGraph, *,
@@ -442,7 +442,7 @@ def graph_from_dict(data: dict) -> ReebGraph:
         lo = float(data["lo"])
         hi = float(data["hi"])
         meta = data.get("meta")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedGraph("bad graph payload: %s" % exc) from None
     return ReebGraph(vertices, edges, lo, hi, meta=meta)
 
@@ -456,7 +456,7 @@ def graph_dumps(g: ReebGraph) -> str:
 def graph_loads(text: str) -> ReebGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedGraph("not valid JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise MalformedGraph("graph payload must be a JSON object")

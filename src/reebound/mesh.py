@@ -19,9 +19,10 @@ No geometric tolerances anywhere.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import isfinite, nextafter
+from math import inf, isfinite, nextafter
 
 from .errors import (
     BadWitnessFraction,
@@ -478,8 +479,9 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     sampled at ``witness_fraction`` of its span (nudged off vertex
     values).  Labels are left inessential; run :func:`label_reeb` to
     classify.  The window is padded slightly past the extreme values so
-    every vertex is interior.  Raises DegenerateField on a monkey saddle
-    or when two critical vertices share a value.
+    every vertex is interior, and clamped to the finite floats.  Raises
+    DegenerateField on a monkey saddle, when two critical vertices share
+    a value, or when a value is the largest finite float in magnitude.
     """
     _check_pair(surface, field)
     if not 0.0 < witness_fraction < 1.0:
@@ -608,7 +610,15 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 
     sorted_values = sorted(set(field.values))
     lo_val, hi_val = sorted_values[0], sorted_values[-1]
+    big = sys.float_info.max
+    if lo_val == -big or hi_val == big:
+        raise DegenerateField("no finite window lies strictly outside the "
+                              "field values [%r, %r]" % (lo_val, hi_val))
+    # the padded window must stay finite and strictly outside every value,
+    # even where the pad overflows or rounds away
     pad = (hi_val - lo_val) / 16.0
+    lo = max(min(lo_val - pad, nextafter(lo_val, -inf)), -big)
+    hi = min(max(hi_val + pad, nextafter(hi_val, inf)), big)
     edges: list[ReebEdge] = []
     for i, arc in enumerate(arcs):
         a, b = arc["lower_val"], arc["upper_val"]
@@ -633,8 +643,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 
     meta = {"builder": {"witness_fraction": witness_fraction,
                         "triangles": surface.n_triangles}}
-    return ReebGraph(tuple(vertices), tuple(edges),
-                     lo_val - pad, hi_val + pad, meta=meta)
+    return ReebGraph(tuple(vertices), tuple(edges), lo, hi, meta=meta)
 
 
 def _check_cycle(surface: TriangulatedSurface, field: ScalarField,

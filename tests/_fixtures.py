@@ -291,6 +291,9 @@ def klein_grid(nu: int = 8, nv: int = 8):
     return pos, tris
 
 
+TETRA_OFF = ("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+             "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+
 NON_MANIFOLD_OFF = """OFF
 5 3 0
 0 0 0

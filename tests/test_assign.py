@@ -231,6 +231,33 @@ class TestTrickyShapes:
         assert p.assigned == expected
         assert distance_bound(sub, p).n_min == 1
 
+    def test_regular_vertices_sharing_a_level(self):
+        # two valency-two subdivision vertices at one level pass
+        # validate --allow-regular, so the subgraph must accept them too
+        from reebound.graph import EdgeLabel as L, ReebGraph, validate
+        g = ReebGraph(
+            (ReebVertex("b0", 0.0, VertexKind.BOUNDARY_MINUS),
+             ReebVertex("s1", 0.25, VertexKind.SADDLE),
+             ReebVertex("r1", 0.5, VertexKind.REGULAR),
+             ReebVertex("r2", 0.5, VertexKind.REGULAR),
+             ReebVertex("s2", 0.75, VertexKind.SADDLE),
+             ReebVertex("t0", 1.0, VertexKind.BOUNDARY_PLUS)),
+            (ReebEdge("e0", "b0", "s1", L.ESSENTIAL),
+             ReebEdge("e1", "s1", "r1", L.ESSENTIAL),
+             ReebEdge("e2", "s1", "r2", L.ESSENTIAL),
+             ReebEdge("e3", "r1", "s2", L.ESSENTIAL),
+             ReebEdge("e4", "r2", "s2", L.ESSENTIAL),
+             ReebEdge("e5", "s2", "t0", L.ESSENTIAL)),
+            0.0, 1.0)
+        assert validate(g, allow_regular=True).ok
+        sub = essential_subgraph(g, prevalidated=True)
+        expected = {"e0": 1, "e1": 2, "e2": 2, "e3": 2, "e4": 2, "e5": 3}
+        for seed in range(20):
+            assert naive_assign(sub, random.Random(seed)).assigned == expected
+        p = assign_all(sub, check=True)
+        assert p.assigned == expected
+        assert distance_bound(sub, p).bound == 4
+
 
 class TestCheckInvariants:
     def _theta_mid(self):

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from reebound import graph_dumps, graph_loads
 from reebound.cli import main
 
 from _fixtures import (
+    TETRA_OFF,
     monkey_bipyramid,
     saddle_parity_violation,
     single_edge_graph,
@@ -160,8 +163,7 @@ class TestFromMesh:
 
     def test_field_length_mismatch_exits_1(self, capsys, tmp_path):
         tetra = tmp_path / "tetra.off"
-        tetra.write_text("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-                         "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+        tetra.write_text(TETRA_OFF)
         fld = tmp_path / "short.field"
         fld.write_text("0.0\n1.0\n2.0\n")
         code, out, err = run_main(capsys, "from-mesh", str(tetra), str(fld))
@@ -183,6 +185,22 @@ class TestFromMesh:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "DegenerateField"
+
+    @pytest.mark.parametrize("values, code", [
+        ("-1e308 0 1 1e308", 0), ("-1.7976931348623157e308 0 1 2", 1)])
+    def test_extreme_field_values(self, capsys, tmp_path, values, code):
+        tetra = tmp_path / "tetra.off"
+        tetra.write_text(TETRA_OFF)
+        fld = tmp_path / "extreme.field"
+        fld.write_text(values)
+        got, out, err = run_main(capsys, "from-mesh", str(tetra), str(fld))
+        assert got == code
+        if code == 0:
+            assert graph_loads(out).lo == -sys.float_info.max
+            assert err == ""
+        else:
+            assert out == ""
+            assert json.loads(err)["error"] == "DegenerateField"
 
     @pytest.mark.parametrize("fraction", ["1.5", "nan"])
     def test_bad_witness_fraction_exits_2(self, capsys, torus_files, fraction):
@@ -240,7 +258,10 @@ class TestGenRender:
 
     @pytest.mark.parametrize("payload", ['{"n_min": 1}', '[1, 2]',
                                          '{"edges": [1]}',
-                                         '{"edges": {"e0": "x"}}'])
+                                         '{"edges": {"e0": "x"}}',
+                                         '{"edges": {"e": 1e400}}',
+                                         pytest.param("[" * 100_000,
+                                                      id="deep-nesting")])
     def test_render_bad_assignment_exits_3(self, capsys, single_edge_file,
                                            tmp_path, payload):
         apath = tmp_path / "a.json"
@@ -256,8 +277,11 @@ class TestGenRender:
 def test_module_entry_point(tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text(graph_dumps(single_edge_graph()))
+    # run this checkout's package, not whichever copy is installed
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "reebound.cli", "assign", str(gpath)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bound"] == 2

@@ -269,6 +269,11 @@ class TestJson:
             graph_loads("[1, 2]")
         with pytest.raises(MalformedGraph):
             graph_loads('{"lo": 0, "hi": 1, "vertices": [], "edges": 3}')
+        with pytest.raises(MalformedGraph):     # too large for a float
+            graph_loads('{"lo": 0, "hi": 1%s, "vertices": [], "edges": []}'
+                        % ("0" * 400))
+        with pytest.raises(MalformedGraph):     # too deep for the decoder
+            graph_loads("[" * 100_000)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), saddles=st.integers(0, 30))

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from math import nextafter
 
 import pytest
 
@@ -204,6 +206,32 @@ class TestBuildReeb:
                 components = count_level_components(surface, field, level)
                 assert spanning == components
                 assert len(level_cycles(surface, field, level)) == components
+
+    def test_huge_field_window_clamped(self):
+        # (hi - lo) / 16 overflows, so the window ends clamp to the
+        # largest finite floats
+        s, _ = octa_sphere()
+        g = build_reeb(s, ScalarField((1e308, -1e308, 0.0, 0.1, 0.2, 0.3)))
+        assert (g.lo, g.hi) == (-sys.float_info.max, sys.float_info.max)
+        assert validate(g, check_coverage=False).ok
+
+    def test_narrow_field_window_strictly_outside(self):
+        # a pad below half an ulp rounds away at both extremes
+        s, _ = octa_sphere()
+        mid = nextafter(nextafter(1.5, 2.0), 2.0)
+        top = nextafter(nextafter(mid, 2.0), 2.0)
+        g = build_reeb(s, ScalarField((top, 1.5, mid, mid, mid, mid)))
+        assert g.lo < 1.5 and top < g.hi
+        assert validate(g, check_coverage=False).ok
+
+    @pytest.mark.parametrize("values", [
+        (sys.float_info.max, 0.0, 0.1, 0.2, 0.3, 0.4),
+        (1.0, -sys.float_info.max, 0.1, 0.2, 0.3, 0.4)],
+        ids=["max", "-max"])
+    def test_field_at_float_max_rejected(self, values):
+        s, _ = octa_sphere()
+        with pytest.raises(DegenerateField):
+            build_reeb(s, ScalarField(values))
 
     def test_witness_level_independence(self):
         for surface, field in (vertical_torus(), chained_tori(2)):
