@@ -2,19 +2,13 @@
 assignment that bounds curve-complex distance, and a mesh front-end."""
 
 from .assign import (
-    AllEqual,
-    Consecutive,
     DistanceBoundReport,
     PartialAssignment,
     TraceEntry,
     assign_all,
     assignment_to_dict,
     check_invariants,
-    classify_frontier,
     distance_bound,
-    step0,
-    step1_saturate,
-    step2,
 )
 from .gen import GenParams, random_reeb
 from .graph import (
@@ -47,13 +41,13 @@ from .mesh import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllEqual", "Consecutive", "DistanceBoundReport", "EdgeLabel",
-    "EssentialSubgraph", "GenParams", "LevelCycle", "PartialAssignment",
-    "ReebEdge", "ReebGraph", "ReebVertex", "ScalarField", "TraceEntry",
-    "TriangulatedSurface", "ValidationReport", "VertexKind", "Violation",
-    "assign_all", "assignment_to_dict", "build_reeb", "check_invariants",
-    "classify_frontier", "distance_bound", "essential_subgraph",
-    "graph_dumps", "graph_from_dict", "graph_loads", "graph_to_dict",
-    "label_reeb", "level_cycles", "pl_criticality", "random_reeb",
-    "restrict", "step0", "step1_saturate", "step2", "validate",
+    "DistanceBoundReport", "EdgeLabel", "EssentialSubgraph", "GenParams",
+    "LevelCycle", "PartialAssignment", "ReebEdge", "ReebGraph",
+    "ReebVertex", "ScalarField", "TraceEntry", "TriangulatedSurface",
+    "ValidationReport", "VertexKind", "Violation", "assign_all",
+    "assignment_to_dict", "build_reeb", "check_invariants",
+    "distance_bound", "essential_subgraph", "graph_dumps",
+    "graph_from_dict", "graph_loads", "graph_to_dict", "label_reeb",
+    "level_cycles", "pl_criticality", "random_reeb", "restrict",
+    "validate",
 ]

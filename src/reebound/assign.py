@@ -3,7 +3,8 @@
 The sweep walks the window left to right and gives every essential edge a
 positive integer whose meaning is: curves on that edge are at most that
 many steps from a compressing curve at the lower boundary in the curve
-complex of the sweep surface.  Three rules drive it:
+complex of the sweep surface.  Three rules drive it, each recorded in the
+trace under its name:
 
 * step0 seeds every edge adjacent to the lower boundary with 1;
 * step1 copies the integer across any valency-two vertex of the subgraph
@@ -13,6 +14,13 @@ complex of the sweep surface.  Three rules drive it:
   integers on the frontier (the edges spanning the gap just left of it)
   as either one value n or two consecutive values {n-1, n}, and writes
   n+1 respectively n onto the unassigned edges there.
+
+assign_all runs them in one pass over the interior vertices in level
+order, keeping its state between rounds instead of rescanning the graph:
+step1 is a worklist seeded by the edges the round wrote, the next step2
+vertex comes from a pointer that only moves up, and the frontier is the
+set of edges spanning the current gap, with a count per integer on it.
+A run costs O((V + E) log V).
 
 The final report takes the minimum m over edges adjacent to the upper
 boundary; m+1 bounds the distance between the compressing systems of the
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from .errors import (
@@ -57,21 +66,6 @@ RULE_PLATEAU_PATH = "plateau-connected"
 
 
 @dataclass(frozen=True)
-class AllEqual:
-    """Every frontier edge carries the same integer n."""
-    n: int
-
-
-@dataclass(frozen=True)
-class Consecutive:
-    """The frontier carries exactly the two integers n-1 and n."""
-    n: int
-
-
-FrontierClass = AllEqual | Consecutive
-
-
-@dataclass(frozen=True)
 class TraceEntry:
     step: str
     vertex: str | None
@@ -81,10 +75,7 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class PartialAssignment:
-    """Edge id -> positive integer, plus the per-round trace.
-
-    Instances are immutable; the step functions return new ones.
-    """
+    """Edge id -> positive integer, plus the per-round trace."""
 
     assigned: dict[str, int]
     trace: tuple[TraceEntry, ...]
@@ -94,12 +85,6 @@ class PartialAssignment:
 
     def is_complete(self, g: EssentialSubgraph) -> bool:
         return all(e.id in self.assigned for e in g.edges)
-
-    def _extend(self, entry: TraceEntry) -> "PartialAssignment":
-        assigned = dict(self.assigned)
-        for eid in entry.edges:
-            assigned[eid] = entry.integer
-        return PartialAssignment(assigned, self.trace + (entry,))
 
 
 @dataclass(frozen=True)
@@ -114,115 +99,6 @@ class DistanceBoundReport:
             "n_min": self.n_min,
             "bound": self.bound,
         }
-
-
-def empty_assignment() -> PartialAssignment:
-    return PartialAssignment({}, ())
-
-
-def step0(g: EssentialSubgraph) -> PartialAssignment:
-    """Seed: every edge touching the lower boundary gets 1."""
-    if not g.boundary_minus:
-        raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
-    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
-    return empty_assignment()._extend(TraceEntry(STEP0, None, tuple(seeded), 1))
-
-
-def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
-                      vid: str) -> FrontierClass:
-    """Classify the integers on the edges spanning just left of a vertex.
-
-    Raises UnassignedFrontier if a spanning edge has no integer yet, and
-    NonConsecutiveFrontier if the value set is neither a singleton nor a
-    consecutive pair (or is empty); valid inputs never do either.
-    """
-    frontier = g.spanning(g.gap_below(vid))
-    if not frontier:
-        raise NonConsecutiveFrontier(
-            "no essential edge spans the gap just left of %s" % vid)
-    missing = [eid for eid in frontier if eid not in p.assigned]
-    if missing:
-        raise UnassignedFrontier(
-            "frontier of %s has unassigned edges: %s" % (vid, ", ".join(missing)))
-    values = sorted({p.assigned[eid] for eid in frontier})
-    if len(values) == 1:
-        return AllEqual(values[0])
-    if len(values) == 2 and values[1] - values[0] == 1:
-        return Consecutive(values[1])
-    raise NonConsecutiveFrontier(
-        "frontier of %s carries %r" % (vid, values))
-
-
-def _valency2_vertices(g: EssentialSubgraph) -> list[str]:
-    return [v.id for v in g.vertices if g.degree(v.id) == 2]
-
-
-def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
-    """Copy integers across valency-two vertices until a fixpoint.
-
-    The copy applies whenever a vertex has valency two in the subgraph and
-    exactly one of its edges carries an integer, regardless of whether the
-    edges leave on opposite sides or the same side of the vertex.  If both
-    edges end up assigned with different integers the input was not in the
-    supported class: ConflictingPropagation.
-    """
-    out = p
-    queue = deque(_valency2_vertices(g))
-    while queue:
-        vid = queue.popleft()
-        if g.degree(vid) != 2:
-            continue
-        e1, e2 = g.incident(vid)
-        v1, v2 = out.value(e1), out.value(e2)
-        if (v1 is None) == (v2 is None):
-            continue
-        src, dst = (e1, e2) if v2 is None else (e2, e1)
-        entry = TraceEntry(STEP1, vid, (dst,), out.assigned[src])
-        out = out._extend(entry)
-        edge = g.edge(dst)
-        for end in (edge.lower, edge.upper):
-            if end != vid and g.degree(end) == 2:
-                queue.append(end)
-    for vid in _valency2_vertices(g):
-        e1, e2 = g.incident(vid)
-        v1, v2 = out.value(e1), out.value(e2)
-        if v1 is not None and v2 is not None and v1 != v2:
-            raise ConflictingPropagation(
-                "vertex %s joins edges assigned %d and %d" % (vid, v1, v2))
-    return out
-
-
-def _next_target(g: EssentialSubgraph, p: PartialAssignment) -> str | None:
-    """Lowest-level interior vertex with an unassigned incident edge."""
-    for vid in g.interior:
-        if any(eid not in p.assigned for eid in g.incident(vid)):
-            return vid
-    return None
-
-
-def step2(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
-    """One sweep round: classify the frontier at the unique lowest vertex
-    with unassigned edges and write the dictated integer onto them.
-
-    Verifies the uniqueness guarantee first: every edge reaching strictly
-    left of the target must already be assigned (BrokenUniqueness
-    otherwise -- valid inputs cannot trip this).
-    """
-    target = _next_target(g, p)
-    if target is None:
-        raise NothingToAssign("all %d edges carry integers" % len(g.edges))
-    level = g.level(target)
-    stragglers = [e.id for e in g.edges
-                  if e.id not in p.assigned and g.span(e.id)[0] < level]
-    if stragglers:
-        raise BrokenUniqueness(
-            "unassigned edges strictly left of %s: %s"
-            % (target, ", ".join(sorted(stragglers))))
-    cls = classify_frontier(g, p, target)
-    value = cls.n + 1 if isinstance(cls, AllEqual) else cls.n
-    todo = tuple(sorted(eid for eid in g.incident(target)
-                        if eid not in p.assigned))
-    return p._extend(TraceEntry(STEP2, target, todo, value))
 
 
 def _connected_min_levels(g: EssentialSubgraph,
@@ -354,10 +230,181 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
     return ValidationReport.from_violations(out)
 
 
-def _checked(g: EssentialSubgraph, p: PartialAssignment) -> None:
-    report = check_invariants(g, p, _next_target(g, p))
-    if not report.ok:
-        raise InvariantViolation(report)
+class _Sweep:
+    """The state one run of the sweep carries from round to round.
+
+    Rounds only ever add integers, so every structure moves one way:
+    ``next`` indexes the lowest interior vertex that may still have an
+    unassigned edge, ``passed`` counts the edges (by lower end) already
+    known to be assigned left of the sweep, and ``gap`` is the gap whose
+    spanning edges form the frontier.
+    """
+
+    def __init__(self, g: EssentialSubgraph):
+        self.g = g
+        self.assigned: dict[str, int] = {}
+        self.trace: list[TraceEntry] = []
+        self.valency2 = [v.id for v in g.vertices if g.degree(v.id) == 2]
+        self.rank = {vid: k for k, vid in enumerate(self.valency2)}
+        self.ends = {e.id: (e.lower, e.upper) for e in g.edges}
+        self.gaps = {e.id: g.gaps(e.id) for e in g.edges}
+        self.next = 0
+        self.by_lower = sorted(self.gaps, key=lambda eid: self.gaps[eid].start)
+        self.passed = 0
+        # frontier: the edges entering and leaving it at each gap, its
+        # width, its integers with their multiplicities, and the number
+        # of its unassigned edges
+        n_events = len(g.event_levels())
+        self.enter: list[list[str]] = [[] for _ in range(n_events)]
+        self.leave: list[list[str]] = [[] for _ in range(n_events)]
+        for eid, gaps in self.gaps.items():
+            if gaps:
+                self.enter[gaps.start].append(eid)
+                self.leave[gaps.stop].append(eid)
+        self.gap = -1
+        self.width = 0
+        self.open = 0
+        self.counts: dict[int, int] = {}
+
+    def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
+                  value: int) -> None:
+        """Write ``value`` onto ``eids``, then saturate step 1."""
+        self.trace.append(TraceEntry(step, vid, eids, value))
+        written = []
+        for eid in eids:
+            if eid not in self.assigned:    # a loop is listed twice
+                self._write(eid, value)
+                written.append(eid)
+        self._saturate(written)
+
+    def _write(self, eid: str, value: int) -> None:
+        self.assigned[eid] = value
+        if self.gap in self.gaps[eid]:
+            self.open -= 1
+            self.counts[value] = self.counts.get(value, 0) + 1
+
+    def _saturate(self, written: list[str]) -> None:
+        """Copy integers across valency-two vertices until a fixpoint.
+
+        Replays the queue order of a full in-order pass over the
+        valency-two vertices followed by a FIFO of the ones re-queued
+        behind each copy.  Before the round every such vertex had both or
+        neither edge assigned, so the pass can only copy at the ends of
+        edges written since: the heap ``ahead`` holds those still in
+        front of the pass, by rank.  Then checks the vertices whose edges
+        were written this round for ConflictingPropagation.
+        """
+        rank, assigned = self.rank, self.assigned
+        ahead = [rank[end] for eid in written for end in self.ends[eid]
+                 if end in rank]
+        heapify(ahead)
+        behind: deque[str] = deque()
+        cursor = -1
+        while ahead or behind:
+            if ahead:
+                cursor = heappop(ahead)
+                vid = self.valency2[cursor]
+            else:
+                cursor = len(self.valency2)
+                vid = behind.popleft()
+            e1, e2 = self.g.incident(vid)
+            if (e1 in assigned) == (e2 in assigned):
+                continue
+            src, dst = (e1, e2) if e1 in assigned else (e2, e1)
+            value = assigned[src]
+            self.trace.append(TraceEntry(STEP1, vid, (dst,), value))
+            self._write(dst, value)
+            written.append(dst)
+            for end in self.ends[dst]:
+                if end != vid and end in rank:
+                    behind.append(end)
+                    if rank[end] > cursor:
+                        heappush(ahead, rank[end])
+        clashes = [rank[end] for eid in written for end in self.ends[eid]
+                   if end in rank and self._clash(end)]
+        if clashes:
+            vid = self.valency2[min(clashes)]
+            e1, e2 = self.g.incident(vid)
+            raise ConflictingPropagation(
+                "vertex %s joins edges assigned %d and %d"
+                % (vid, assigned[e1], assigned[e2]))
+
+    def _clash(self, vid: str) -> bool:
+        e1, e2 = self.g.incident(vid)
+        v1, v2 = self.assigned.get(e1), self.assigned.get(e2)
+        return v1 is not None and v2 is not None and v1 != v2
+
+    def next_target(self) -> str | None:
+        """Lowest-level interior vertex with an unassigned incident edge."""
+        interior, assigned = self.g.interior, self.assigned
+        while self.next < len(interior):
+            vid = interior[self.next]
+            if any(eid not in assigned for eid in self.g.incident(vid)):
+                return vid
+            self.next += 1
+        return None
+
+    def check_left_of(self, target: str) -> None:
+        """BrokenUniqueness unless every edge whose lower end is strictly
+        below the target is assigned."""
+        index = self.g.gap_below(target) + 1
+        by_lower, assigned = self.by_lower, self.assigned
+        while (self.passed < len(by_lower)
+               and self.gaps[by_lower[self.passed]].start < index):
+            if by_lower[self.passed] not in assigned:
+                level = self.g.level(target)
+                stragglers = [e.id for e in self.g.edges
+                              if e.id not in assigned
+                              and self.g.span(e.id)[0] < level]
+                raise BrokenUniqueness(
+                    "unassigned edges strictly left of %s: %s"
+                    % (target, ", ".join(sorted(stragglers))))
+            self.passed += 1
+
+    def frontier_value(self, target: str) -> int:
+        """The integer step 2 writes at the target: n+1 if the frontier
+        carries one value n, n if it carries n-1 and n.
+
+        Raises UnassignedFrontier if a spanning edge has no integer yet,
+        and NonConsecutiveFrontier if the frontier is empty or its values
+        are neither; valid inputs never do either.
+        """
+        gap = self.g.gap_below(target)
+        while self.gap < gap:
+            self.gap += 1
+            for eid in self.leave[self.gap]:
+                self._count(eid, -1)
+            for eid in self.enter[self.gap]:
+                self._count(eid, 1)
+        if not self.width:
+            raise NonConsecutiveFrontier(
+                "no essential edge spans the gap just left of %s" % target)
+        if self.open:
+            missing = [eid for eid in self.g.spanning(gap)
+                       if eid not in self.assigned]
+            raise UnassignedFrontier(
+                "frontier of %s has unassigned edges: %s"
+                % (target, ", ".join(missing)))
+        values = sorted(self.counts)
+        if len(values) == 1:
+            return values[0] + 1
+        if len(values) == 2 and values[1] - values[0] == 1:
+            return values[1]
+        raise NonConsecutiveFrontier(
+            "frontier of %s carries %r" % (target, values))
+
+    def _count(self, eid: str, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) a frontier edge."""
+        self.width += sign
+        value = self.assigned.get(eid)
+        if value is None:
+            self.open += sign
+            return
+        n = self.counts.get(value, 0) + sign
+        if n:
+            self.counts[value] = n
+        else:
+            del self.counts[value]
 
 
 def assign_all(g: EssentialSubgraph, check: bool = False) -> PartialAssignment:
@@ -367,14 +414,27 @@ def assign_all(g: EssentialSubgraph, check: bool = False) -> PartialAssignment:
     scratch after every saturation; a failure aborts the run with
     InvariantViolation carrying the report.
     """
-    p = step1_saturate(g, step0(g))
-    if check:
-        _checked(g, p)
-    while not p.is_complete(g):
-        p = step1_saturate(g, step2(g, p))
+    if not g.boundary_minus:
+        raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
+    sweep = _Sweep(g)
+    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
+    sweep.run_round(STEP0, None, tuple(seeded), 1)
+    while True:
         if check:
-            _checked(g, p)
-    return p
+            snapshot = PartialAssignment(dict(sweep.assigned), tuple(sweep.trace))
+            report = check_invariants(g, snapshot, sweep.next_target())
+            if not report.ok:
+                raise InvariantViolation(report)
+        if len(sweep.assigned) == len(g.edges):
+            return PartialAssignment(sweep.assigned, tuple(sweep.trace))
+        target = sweep.next_target()
+        if target is None:
+            raise NothingToAssign("all %d edges carry integers" % len(g.edges))
+        sweep.check_left_of(target)
+        value = sweep.frontier_value(target)
+        todo = tuple(sorted(eid for eid in g.incident(target)
+                            if eid not in sweep.assigned))
+        sweep.run_round(STEP2, target, todo, value)
 
 
 def distance_bound(g: EssentialSubgraph,

@@ -54,6 +54,10 @@ class EmptyWindow(ReeboundError):
     """No edge of the graph meets the open restriction window."""
 
 
+class BadWindow(ReeboundError, ValueError):
+    """A restriction window end is not a finite number."""
+
+
 # -- integer-assignment sweep ------------------------------------------------
 
 class NoLowerBoundary(ReeboundError):
@@ -126,6 +130,16 @@ class DegenerateField(ReeboundError):
     it), or coinciding critical values."""
 
     exit_code = 1
+
+
+class ContourSweepFailed(ReeboundError):
+    """The mesh sweep lost track of its level-set contours (a contour torn
+    at a regular vertex, a split that did not split, a contour left open
+    at the end, an edge without a witness segment).  This is a bug in the
+    sweep, not a property of the input; the mesh and field reproduce it.
+    """
+
+    exit_code = 2
 
 
 class BadWitnessFraction(ReeboundError, ValueError):

@@ -11,7 +11,9 @@ rule hold because only legal patterns are emitted.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import GenerationFailed
 from .graph import (
@@ -56,16 +58,19 @@ class GenParams:
 
 
 class _Strand:
-    """A live edge being grown rightwards."""
+    """A live edge being grown rightwards; ``number`` counts the strands
+    opened before it and names its edge."""
 
-    __slots__ = ("edge_id", "label", "lower", "twin")
+    __slots__ = ("number", "label", "lower", "twin")
 
-    def __init__(self, edge_id: str, label: str, lower: str,
-                 twin: "_Strand | None" = None):
-        self.edge_id = edge_id
+    def __init__(self, number: int, label: str, lower: str):
+        self.number = number
         self.label = label
         self.lower = lower
-        self.twin = twin
+        self.twin: _Strand | None = None
+
+
+_number = attrgetter("number")
 
 
 def _distinct_levels(rng: random.Random, count: int) -> list[float]:
@@ -120,52 +125,63 @@ def random_reeb(params: GenParams) -> ReebGraph:
         vertices.append(ReebVertex(vid, level, kind))
         return vid
 
-    def open_strand(label: str, lower: str,
-                    twin: _Strand | None = None) -> _Strand:
+    # Live strands of each label, and those whose twin is live with the
+    # same label, in opening order.  Strands open in number order, so the
+    # lists stay sorted by number and a strand is found by bisection.
+    pools: dict[str, list[_Strand]] = {"E": [], "I": []}
+    twins: dict[str, list[_Strand]] = {"E": [], "I": []}
+
+    def position(strands: list[_Strand], s: _Strand) -> int | None:
+        k = bisect_left(strands, s.number, key=_number)
+        return k if k < len(strands) and strands[k] is s else None
+
+    def open_strand(label: str, lower: str) -> _Strand:
         nonlocal edge_n
-        s = _Strand("e%d" % edge_n, label, lower, twin)
+        s = _Strand(edge_n, label, lower)
         edge_n += 1
+        pools[label].append(s)
         return s
 
     def close_strand(s: _Strand, upper: str) -> None:
         label = (EdgeLabel.ESSENTIAL if s.label == "E"
                  else EdgeLabel.INESSENTIAL)
-        edges.append(ReebEdge(s.edge_id, s.lower, upper, label))
+        edges.append(ReebEdge("e%d" % s.number, s.lower, upper, label))
+        del pools[s.label][position(pools[s.label], s)]
+        pair = twins[s.label]
+        k = position(pair, s)
+        if k is not None:
+            del pair[k]
+            del pair[position(pair, s.twin)]
 
-    live: list[_Strand] = [open_strand("E", new_vertex(lo, VertexKind.BOUNDARY_MINUS))]
+    open_strand("E", new_vertex(lo, VertexKind.BOUNDARY_MINUS))
 
     def pick(label: str) -> _Strand:
-        pool = [s for s in live if s.label == label]
+        pool = pools[label]
         return pool[rng.randrange(len(pool))]
 
     def pick_pair(la: str, lb: str) -> tuple[_Strand, _Strand]:
         if la == lb:
-            twins = [s for s in live
-                     if s.label == la and s.twin in live and s.twin.label == lb
-                     and s.twin is not s]
-            if twins and rng.random() < params.parallel_edge_bias:
-                s = twins[rng.randrange(len(twins))]
+            pair = twins[la]
+            if pair and rng.random() < params.parallel_edge_bias:
+                s = pair[rng.randrange(len(pair))]
                 return s, s.twin
-            pool = [s for s in live if s.label == la]
-            a, b = rng.sample(pool, 2)
+            a, b = rng.sample(pools[la], 2)
             return a, b
         return pick(la), pick(lb)
 
     for level, kind in zip(levels, kinds):
-        n_ine = sum(1 for s in live if s.label == "I")
+        n_ine = len(pools["I"])
         if kind == "death" and n_ine == 0:
             kind = "birth"
         if kind == "birth":
-            vid = new_vertex(level, VertexKind.CENTER)
-            live.append(open_strand("I", vid))
+            open_strand("I", new_vertex(level, VertexKind.CENTER))
             continue
         if kind == "death":
             s = pick("I")
             vid = new_vertex(level, VertexKind.CENTER)
             close_strand(s, vid)
-            live.remove(s)
             continue
-        n_ess = len(live) - n_ine
+        n_ess = len(pools["E"])
         weights = _pattern_weights(n_ess, n_ine, params.inessential_bias)
         names = sorted(weights)
         name = rng.choices(names, weights=[weights[n] for n in names])[0]
@@ -177,14 +193,14 @@ def random_reeb(params: GenParams) -> ReebGraph:
             consumed = list(pick_pair(*consumed_labels))
         for s in consumed:
             close_strand(s, vid)
-            live.remove(s)
         produced = [open_strand(lb, vid) for lb in produced_labels]
         if len(produced) == 2:
-            produced[0].twin = produced[1]
-            produced[1].twin = produced[0]
-        live.extend(produced)
+            a, b = produced
+            a.twin, b.twin = b, a
+            if a.label == b.label:
+                twins[a.label] += produced
 
-    for s in live:
+    for s in sorted(pools["E"] + pools["I"], key=_number):
         close_strand(s, new_vertex(hi, VertexKind.BOUNDARY_PLUS))
 
     meta = {

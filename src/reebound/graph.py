@@ -23,7 +23,8 @@ from itertools import pairwise
 from operator import attrgetter
 from typing import Any
 
-from .errors import EmptyWindow, InvalidGraph, MalformedGraph, NonGenericCut
+from .errors import (BadWindow, EmptyWindow, InvalidGraph, MalformedGraph,
+                     NonGenericCut)
 
 
 class VertexKind(str, Enum):
@@ -110,12 +111,13 @@ class ValidationReport:
         }
 
 
-def _check_finite(value: float, what: str, *args) -> None:
-    """Raise MalformedGraph unless value is a finite number; ``what % args``
+def _check_finite(value: float, what: str, *args,
+                  error: type[Exception] = MalformedGraph) -> None:
+    """Raise ``error`` unless value is a finite number; ``what % args``
     names it, formatted only on failure."""
     if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise MalformedGraph("%s must be a finite number, got %r"
-                             % (what % args, value))
+        raise error("%s must be a finite number, got %r"
+                    % (what % args, value))
 
 
 @dataclass(eq=True)
@@ -286,12 +288,19 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
                                  "center meets an essential edge"))
 
     if check_coverage and monotone_ok:
-        covered: set[int] = set()
+        # difference array over event indices: +1 where an essential
+        # edge's gaps start, -1 where they stop
+        events = g.event_levels()
+        delta = [0] * len(events)
         for e in g.edges:
             if e.label is EdgeLabel.ESSENTIAL:
-                covered.update(g.gaps(e.id))
-        for k, (a, b) in enumerate(pairwise(g.event_levels())):
-            if k not in covered:
+                gaps = g.gaps(e.id)
+                delta[gaps.start] += 1
+                delta[gaps.stop] -= 1
+        spanning = 0
+        for k, (a, b) in enumerate(pairwise(events)):
+            spanning += delta[k]
+            if not spanning:
                 out.append(Violation(RULE_COVERAGE, (),
                                      "no essential edge spans (%r, %r)" % (a, b)))
 
@@ -308,11 +317,12 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
     own window are clamped to it, so restriction always means
     intersection.
 
-    Raises NonGenericCut if an interior vertex sits exactly on a window
-    boundary, and EmptyWindow if nothing survives.
+    Raises BadWindow unless lo and hi are finite numbers, NonGenericCut
+    if an interior vertex sits exactly on a window boundary, and
+    EmptyWindow if nothing survives.
     """
-    _check_finite(lo, "lo")
-    _check_finite(hi, "hi")
+    _check_finite(lo, "window lo", error=BadWindow)
+    _check_finite(hi, "window hi", error=BadWindow)
     lo_eff = max(lo, g.lo)
     hi_eff = min(hi, g.hi)
     if not lo_eff < hi_eff:

@@ -26,6 +26,7 @@ from math import inf, isfinite, nextafter
 
 from .errors import (
     BadWitnessFraction,
+    ContourSweepFailed,
     DegenerateField,
     MalformedMesh,
     MissingWitness,
@@ -544,14 +545,14 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             vertices.append(ReebVertex(vid, field.values[v], VertexKind.CENTER))
             cid = tracker.owner[next(iter(dead))]
             if tracker.members[cid] != dead:
-                raise AssertionError("contour at maximum %d is not its star" % v)
+                raise ContourSweepFailed("contour at maximum %d is not its star" % v)
             close_arc(cid, vid, v)
             tracker.drop(cid)
             continue
         if n_lo == 1 and n_up == 1:
             cid = tracker.owner[next(iter(dead))]
             if any(tracker.owner[e] != cid for e in dead):
-                raise AssertionError("torn contour at regular vertex %d" % v)
+                raise ContourSweepFailed("torn contour at regular vertex %d" % v)
             tracker.splice(cid, dead, born)
             arcs[arc_of[cid]]["segments"].append(
                 (kv, pick_rep(born, field.values[v])))
@@ -591,7 +592,8 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
                 side_a.add(entry)
                 side_a.add(exit_)
             if rep2 in side_a or not side_a <= tracker.members[c1]:
-                raise AssertionError("level cycle failed to split at vertex %d" % v)
+                raise ContourSweepFailed(
+                    "level cycle failed to split at vertex %d" % v)
             side_b = tracker.members[c1] - side_a
             cid_a = tracker.new(side_a)
             tracker.members[c1] = side_b
@@ -601,7 +603,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             open_arc(c1, vid, v)
 
     if tracker.members:
-        raise AssertionError("sweep finished with live contours")
+        raise ContourSweepFailed("sweep finished with live contours")
     crit_values = sorted(rv.level for rv in vertices)
     for x, y in zip(crit_values, crit_values[1:]):
         if x == y:
@@ -629,7 +631,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
                 rep = seg_rep
                 break
         if rep is None:
-            raise AssertionError("no witness segment below level %r" % t)
+            raise ContourSweepFailed("no witness segment below level %r" % t)
 
         def crossed(eid: int, _t=t) -> bool:
             x, y = surface.edges[eid]

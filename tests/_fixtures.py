@@ -126,6 +126,27 @@ def center_below_saddle_graph(s: float) -> ReebGraph:
         0.0, 1.0)
 
 
+def _float_chain(center: float, n: int) -> list[float]:
+    """n consecutive floats, the middle one at center."""
+    level = center
+    for _ in range(n // 2):
+        level = math.nextafter(level, 0.0)
+    out = [level]
+    while len(out) < n:
+        out.append(math.nextafter(out[-1], 1.0))
+    return out
+
+
+def squeezed(g: ReebGraph, center: float) -> ReebGraph:
+    """The same graph with its interior levels moved, in order, onto
+    consecutive floats around center."""
+    inner = sorted({v.level for v in g.vertices if g.lo < v.level < g.hi})
+    moved = dict(zip(inner, _float_chain(center, len(inner))))
+    vertices = tuple(ReebVertex(v.id, moved.get(v.level, v.level), v.kind)
+                     for v in g.vertices)
+    return ReebGraph(vertices, g.edges, g.lo, g.hi)
+
+
 def chain_subgraph(n_middle: int = 3, lo=0.0, hi=1.0) -> EssentialSubgraph:
     """A path through n_middle valency-two interior vertices."""
     levels = [lo + (hi - lo) * (k + 1) / (n_middle + 1) for k in range(n_middle)]

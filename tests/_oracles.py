@@ -1,17 +1,29 @@
 """Independent test oracles, deliberately written with different machinery
 than the production code: explicit named cells and BFS for cutting a
-surface, direct level-set component counting, and an assignment sweep
-that rescans everything every round."""
+surface, direct level-set component counting, an assignment sweep that
+rescans everything every round, and the sweep as separate steps over
+frozen assignments, which rescans the graph in each of them."""
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 
-from reebound.assign import STEP0, STEP1, STEP2, PartialAssignment, TraceEntry
+from reebound.assign import (
+    STEP0,
+    STEP1,
+    STEP2,
+    PartialAssignment,
+    TraceEntry,
+    check_invariants,
+)
 from reebound.errors import (
     BrokenUniqueness,
+    ConflictingPropagation,
+    InvariantViolation,
     NonConsecutiveFrontier,
     NoLowerBoundary,
+    NothingToAssign,
     UnassignedFrontier,
 )
 from reebound.graph import EssentialSubgraph
@@ -222,3 +234,161 @@ def naive_assign(g: EssentialSubgraph,
         trace.append(TraceEntry(STEP2, vid, tuple(sorted(todo)), value))
 
     return PartialAssignment(assigned, tuple(trace))
+
+
+# -- the sweep one step at a time ---------------------------------------------
+
+@dataclass(frozen=True)
+class AllEqual:
+    """Every frontier edge carries the same integer n."""
+    n: int
+
+
+@dataclass(frozen=True)
+class Consecutive:
+    """The frontier carries exactly the two integers n-1 and n."""
+    n: int
+
+
+FrontierClass = AllEqual | Consecutive
+
+
+def _extend(p: PartialAssignment, entry: TraceEntry) -> PartialAssignment:
+    assigned = dict(p.assigned)
+    for eid in entry.edges:
+        assigned[eid] = entry.integer
+    return PartialAssignment(assigned, p.trace + (entry,))
+
+
+def empty_assignment() -> PartialAssignment:
+    return PartialAssignment({}, ())
+
+
+def step0(g: EssentialSubgraph) -> PartialAssignment:
+    """Seed: every edge touching the lower boundary gets 1."""
+    if not g.boundary_minus:
+        raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
+    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
+    return _extend(empty_assignment(), TraceEntry(STEP0, None, tuple(seeded), 1))
+
+
+def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
+                      vid: str) -> FrontierClass:
+    """Classify the integers on the edges spanning just left of a vertex.
+
+    Raises UnassignedFrontier if a spanning edge has no integer yet, and
+    NonConsecutiveFrontier if the value set is neither a singleton nor a
+    consecutive pair (or is empty); valid inputs never do either.
+    """
+    frontier = g.spanning(g.gap_below(vid))
+    if not frontier:
+        raise NonConsecutiveFrontier(
+            "no essential edge spans the gap just left of %s" % vid)
+    missing = [eid for eid in frontier if eid not in p.assigned]
+    if missing:
+        raise UnassignedFrontier(
+            "frontier of %s has unassigned edges: %s" % (vid, ", ".join(missing)))
+    values = sorted({p.assigned[eid] for eid in frontier})
+    if len(values) == 1:
+        return AllEqual(values[0])
+    if len(values) == 2 and values[1] - values[0] == 1:
+        return Consecutive(values[1])
+    raise NonConsecutiveFrontier(
+        "frontier of %s carries %r" % (vid, values))
+
+
+def _valency2_vertices(g: EssentialSubgraph) -> list[str]:
+    return [v.id for v in g.vertices if g.degree(v.id) == 2]
+
+
+def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
+    """Copy integers across valency-two vertices until a fixpoint.
+
+    The copy applies whenever a vertex has valency two in the subgraph and
+    exactly one of its edges carries an integer, regardless of whether the
+    edges leave on opposite sides or the same side of the vertex.  If both
+    edges end up assigned with different integers the input was not in the
+    supported class: ConflictingPropagation.
+    """
+    out = p
+    queue = deque(_valency2_vertices(g))
+    while queue:
+        vid = queue.popleft()
+        if g.degree(vid) != 2:
+            continue
+        e1, e2 = g.incident(vid)
+        v1, v2 = out.value(e1), out.value(e2)
+        if (v1 is None) == (v2 is None):
+            continue
+        src, dst = (e1, e2) if v2 is None else (e2, e1)
+        entry = TraceEntry(STEP1, vid, (dst,), out.assigned[src])
+        out = _extend(out, entry)
+        edge = g.edge(dst)
+        for end in (edge.lower, edge.upper):
+            if end != vid and g.degree(end) == 2:
+                queue.append(end)
+    for vid in _valency2_vertices(g):
+        e1, e2 = g.incident(vid)
+        v1, v2 = out.value(e1), out.value(e2)
+        if v1 is not None and v2 is not None and v1 != v2:
+            raise ConflictingPropagation(
+                "vertex %s joins edges assigned %d and %d" % (vid, v1, v2))
+    return out
+
+
+def _next_target(g: EssentialSubgraph, p: PartialAssignment) -> str | None:
+    """Lowest-level interior vertex with an unassigned incident edge."""
+    for vid in g.interior:
+        if any(eid not in p.assigned for eid in g.incident(vid)):
+            return vid
+    return None
+
+
+def step2(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
+    """One sweep round: classify the frontier at the unique lowest vertex
+    with unassigned edges and write the dictated integer onto them.
+
+    Verifies the uniqueness guarantee first: every edge reaching strictly
+    left of the target must already be assigned (BrokenUniqueness
+    otherwise -- valid inputs cannot trip this).
+    """
+    target = _next_target(g, p)
+    if target is None:
+        raise NothingToAssign("all %d edges carry integers" % len(g.edges))
+    level = g.level(target)
+    stragglers = [e.id for e in g.edges
+                  if e.id not in p.assigned and g.span(e.id)[0] < level]
+    if stragglers:
+        raise BrokenUniqueness(
+            "unassigned edges strictly left of %s: %s"
+            % (target, ", ".join(sorted(stragglers))))
+    cls = classify_frontier(g, p, target)
+    value = cls.n + 1 if isinstance(cls, AllEqual) else cls.n
+    todo = tuple(sorted(eid for eid in g.incident(target)
+                        if eid not in p.assigned))
+    return _extend(p, TraceEntry(STEP2, target, todo, value))
+
+
+def _checked(g: EssentialSubgraph, p: PartialAssignment) -> None:
+    report = check_invariants(g, p, _next_target(g, p))
+    if not report.ok:
+        raise InvariantViolation(report)
+
+
+def stepwise_assign(g: EssentialSubgraph,
+                    check: bool = False) -> PartialAssignment:
+    """The sweep one step at a time, each step returning a new frozen
+    assignment: the reference for assign_all's map, trace and errors.
+
+    With ``check=True`` the consistency conditions are re-verified from
+    scratch after every saturation; a failure aborts the run with
+    InvariantViolation carrying the report.
+    """
+    p = step1_saturate(g, step0(g))
+    if check:
+        _checked(g, p)
+    while not p.is_complete(g):
+        p = step1_saturate(g, step2(g, p))
+        if check:
+            _checked(g, p)
+    return p

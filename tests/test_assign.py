@@ -1,8 +1,10 @@
 """The integer sweep: steps, frontier, invariants, bound.
 
-Expected maps for the worked graphs were derived with the naive
-rescanning oracle and frozen here; each test re-confirms the oracle
-agrees before asserting the frozen value.
+The single steps are driven through the step-at-a-time reference in
+``_oracles``; assign_all runs them as one pass.  Expected maps for the
+worked graphs were derived with the naive rescanning oracle and frozen
+here; each test re-confirms the oracle agrees before asserting the
+frozen value.
 """
 from __future__ import annotations
 
@@ -13,19 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebound import (
-    AllEqual,
-    Consecutive,
     GenParams,
     PartialAssignment,
     assign_all,
     check_invariants,
-    classify_frontier,
     distance_bound,
     essential_subgraph,
     random_reeb,
-    step0,
-    step1_saturate,
-    step2,
 )
 from reebound.errors import (
     BrokenUniqueness,
@@ -35,19 +31,32 @@ from reebound.errors import (
     NonConsecutiveFrontier,
     NothingToAssign,
     NoUpperBoundary,
+    ReeboundError,
     UnassignedFrontier,
 )
 from reebound.graph import (EdgeLabel, EssentialSubgraph, ReebEdge, ReebVertex,
                             VertexKind)
 
 from _fixtures import (
+    adjacent_saddles_graph,
+    center_below_saddle_graph,
     chain_subgraph,
     frontier_subgraph,
     single_edge_graph,
+    squeezed,
     theta_graph,
     y_graph,
 )
-from _oracles import naive_assign
+from _oracles import (
+    AllEqual,
+    Consecutive,
+    classify_frontier,
+    naive_assign,
+    step0,
+    step1_saturate,
+    step2,
+    stepwise_assign,
+)
 
 SINGLE_EXPECTED = {"e0": 1}
 Y_EXPECTED = {"e0": 1, "e1": 2, "e2": 2}
@@ -178,6 +187,181 @@ class TestAssignAll:
             g = random_reeb(GenParams(seed=seed, saddle_count=12))
             sub = essential_subgraph(g, prevalidated=True)
             assert assign_all(sub).assigned == assign_all(sub, check=True).assigned
+
+
+def _outcome(sweep, sub, check=False):
+    """The map and trace of a run, or its error type and message."""
+    try:
+        p = sweep(sub, check=check)
+    except ReeboundError as exc:
+        return type(exc).__name__, str(exc)
+    return p.assigned, p.trace
+
+
+def _hand_built(vertices, edges, bminus, interior):
+    """A subgraph over [0, 1]; vertices at level 1 are the upper boundary."""
+    vs = tuple(ReebVertex(vid, level, VertexKind.SADDLE)
+               for vid, level in vertices)
+    es = tuple(ReebEdge(eid, a, b, EdgeLabel.ESSENTIAL)
+               for eid, a, b in edges)
+    bplus = frozenset(vid for vid, level in vertices if level == 1.0)
+    return EssentialSubgraph(vs, es, 0.0, 1.0, frozenset(bminus),
+                             bplus, tuple(interior))
+
+
+# Each raises in step 2; messages are the ones the step-at-a-time sweep
+# gives.
+FAULTY_SUBGRAPHS = {
+    # c is missing from the interior, so its edge is never swept
+    "straggler": (
+        [("b0", 0.0), ("c", 0.3), ("v", 0.5), ("t0", 1.0)],
+        [("e0", "b0", "v"), ("e1", "c", "v"), ("e2", "v", "t0")],
+        ["b0"], ["v"],
+        ("BrokenUniqueness", "unassigned edges strictly left of v: e1")),
+    # nothing spans (0.3, 0.5)
+    "empty-gap": (
+        [("b0", 0.0), ("x", 0.3), ("s", 0.5), ("t0", 1.0), ("t1", 1.0)],
+        [("e0", "b0", "x"), ("e1", "s", "t0"), ("e2", "s", "t1")],
+        ["b0"], ["x", "s"],
+        ("NonConsecutiveFrontier",
+         "no essential edge spans the gap just left of s")),
+    # f reaches 3 by two splits, and m is seeded with 1 at level 0.5
+    "gap-in-values": (
+        [("b1", 0.0), ("s1", 0.2), ("s2", 0.4), ("bm", 0.5), ("s3", 0.6),
+         ("t0", 1.0), ("t1", 1.0), ("t2", 1.0)],
+        [("b", "b1", "s1"), ("c1", "s1", "s2"), ("c2", "s1", "s2"),
+         ("f", "s2", "s3"), ("m", "bm", "t1"), ("g", "s3", "t0"),
+         ("h", "s3", "t2")],
+        ["b1", "bm"], ["s1", "s2", "s3"],
+        ("NonConsecutiveFrontier", "frontier of s3 carries [1, 3]")),
+    # the stray edge touches no interior vertex
+    "no-target": (
+        [("b0", 0.0), ("t0", 1.0), ("t1", 1.0), ("t2", 1.0)],
+        [("e0", "b0", "t0"), ("x", "t1", "t2")],
+        ["b0"], [],
+        ("NothingToAssign", "all 2 edges carry integers")),
+}
+
+
+@st.composite
+def _any_subgraph(draw):
+    """Small subgraphs with no promise of validity: shared levels,
+    backwards edges and loops, boundary sets and interior drawn freely."""
+    levels = draw(st.lists(st.sampled_from([0.0, 0.2, 0.4, 0.5, 0.6, 1.0]),
+                           min_size=1, max_size=7))
+    vids = ["v%d" % k for k in range(len(levels))]
+    ends = st.sampled_from(vids)
+    edges = [("e%d" % k, a, b) for k, (a, b) in enumerate(
+        draw(st.lists(st.tuples(ends, ends), max_size=9)))]
+    bminus = draw(st.sets(ends))
+    inner = draw(st.sets(ends))
+    interior = sorted(inner, key=lambda vid: levels[vids.index(vid)])
+    return _hand_built(list(zip(vids, levels)), edges, bminus, interior)
+
+
+class TestOnePass:
+    """assign_all against the step-at-a-time reference in _oracles: the
+    same map, the same trace, the same error type and message.
+
+    ConflictingPropagation and UnassignedFrontier cannot come out of a
+    full run.  Every round writes one integer (step 1 copies what the
+    round wrote), onto unassigned edges only, after a saturation that
+    left each valency-two vertex with both or neither edge assigned, so
+    no valency-two vertex ends up joining two integers.  And every
+    frontier edge starts strictly below the step-2 vertex, so an
+    unassigned one fails the BrokenUniqueness check first.  The step
+    tests above raise both through the reference steps.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000), saddles=st.integers(0, 400),
+           pbias=st.floats(0, 1), ibias=st.floats(0, 1))
+    def test_generator_graphs(self, seed, saddles, pbias, ibias):
+        g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                  parallel_edge_bias=pbias,
+                                  inessential_bias=ibias))
+        sub = essential_subgraph(g, prevalidated=True)
+        assigned, trace = _outcome(assign_all, sub)
+        assert (assigned, trace) == _outcome(stepwise_assign, sub)
+        if saddles <= 100:
+            assert naive_assign(sub, random.Random(seed)).assigned == assigned
+
+    def test_generator_graph_at_400_saddles(self):
+        g = random_reeb(GenParams(seed=6, saddle_count=400,
+                                  parallel_edge_bias=0.5,
+                                  inessential_bias=0.5))
+        sub = essential_subgraph(g, prevalidated=True)
+        p = assign_all(sub)
+        q = stepwise_assign(sub)
+        assert (p.assigned, p.trace) == (q.assigned, q.trace)
+        assert naive_assign(sub).assigned == p.assigned
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 100_000), saddles=st.integers(0, 40),
+           pbias=st.floats(0, 1), ibias=st.floats(0, 1))
+    def test_checked_generator_graphs(self, seed, saddles, pbias, ibias):
+        g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                  parallel_edge_bias=pbias,
+                                  inessential_bias=ibias))
+        sub = essential_subgraph(g, prevalidated=True)
+        assert (_outcome(assign_all, sub, check=True)
+                == _outcome(stepwise_assign, sub, check=True))
+
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    @pytest.mark.parametrize("fixture", [adjacent_saddles_graph,
+                                         center_below_saddle_graph])
+    def test_adjacent_float_fixtures(self, fixture, s):
+        sub = essential_subgraph(fixture(s))
+        for check in (False, True):
+            assert (_outcome(assign_all, sub, check)
+                    == _outcome(stepwise_assign, sub, check))
+        assert naive_assign(sub).assigned == assign_all(sub).assigned
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 100_000), saddles=st.integers(1, 20),
+           pbias=st.floats(0, 1), ibias=st.floats(0, 1),
+           center=st.sampled_from([0.25, 0.3, 0.5, 0.75]))
+    def test_adjacent_float_generator_graphs(self, seed, saddles, pbias,
+                                             ibias, center):
+        g = squeezed(random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                           parallel_edge_bias=pbias,
+                                           inessential_bias=ibias)), center)
+        sub = essential_subgraph(g)
+        for check in (False, True):
+            assert (_outcome(assign_all, sub, check)
+                    == _outcome(stepwise_assign, sub, check))
+        assert naive_assign(sub).assigned == assign_all(sub).assigned
+
+    def test_copies_behind_the_pass_keep_queue_order(self):
+        # s writes c1 and c2; the caps w1 and w2 copy them down onto d1 and
+        # d2 during the in-order pass, which has already passed u1 and u2,
+        # so those two copy afterwards, first in, first out
+        sub = _hand_built(
+            [("b0", 0.0), ("s", 0.2), ("p1", 0.3), ("p2", 0.35),
+             ("u1", 0.5), ("u2", 0.55), ("w1", 0.8), ("w2", 0.9)],
+            [("e0", "b0", "s"), ("c1", "s", "w1"), ("c2", "s", "w2"),
+             ("d1", "u1", "w1"), ("d2", "u2", "w2"), ("a1", "p1", "u1"),
+             ("a2", "p2", "u2")],
+            ["b0"], ["s", "p1", "p2", "u1", "u2", "w1", "w2"])
+        p = assign_all(sub)
+        assert [t.vertex for t in p.trace] == [None, "s", "w1", "w2",
+                                               "u1", "u2"]
+        assert _outcome(assign_all, sub) == _outcome(stepwise_assign, sub)
+
+    @pytest.mark.parametrize("name", sorted(FAULTY_SUBGRAPHS))
+    def test_faulty_subgraphs(self, name):
+        *parts, expected = FAULTY_SUBGRAPHS[name]
+        sub = _hand_built(*parts)
+        assert _outcome(stepwise_assign, sub) == expected
+        assert _outcome(assign_all, sub) == expected
+        assert (_outcome(assign_all, sub, check=True)
+                == _outcome(stepwise_assign, sub, check=True))
+
+    @settings(max_examples=400, deadline=None)
+    @given(sub=_any_subgraph(), check=st.booleans())
+    def test_arbitrary_subgraphs(self, sub, check):
+        assert (_outcome(assign_all, sub, check)
+                == _outcome(stepwise_assign, sub, check))
 
 
 class TestTrickyShapes:

@@ -82,6 +82,29 @@ class TestAssign:
         assert code == 2
         assert json.loads(err)["error"] == "EmptyWindow"
 
+    @pytest.mark.parametrize("window", [("nan", "nan"), ("0.2", "inf"),
+                                        ("nan", "0.8")])
+    def test_non_finite_window_exits_2(self, capsys, single_edge_file,
+                                       window):
+        code, out, err = run_main(capsys, "assign", single_edge_file,
+                                  "--window", *window)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BadWindow"
+
+    def test_non_finite_graph_window_exits_3(self, capsys, tmp_path):
+        # the graph's own window is the input's fault, not an argument's
+        path = tmp_path / "nan.json"
+        data = json.loads(graph_dumps(single_edge_graph()))
+        data["lo"] = float("nan")
+        path.write_text(json.dumps(data))
+        code, out, err = run_main(capsys, "assign", str(path))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "MalformedGraph"
+
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_main(capsys, "assign", "/nonexistent.json")
         assert code == 3
@@ -201,6 +224,16 @@ class TestFromMesh:
         else:
             assert out == ""
             assert json.loads(err)["error"] == "DegenerateField"
+
+    def test_non_finite_window_exits_2(self, capsys, torus_files):
+        off, fld = torus_files
+        code, out, err = run_main(capsys, "from-mesh", off, fld,
+                                  "--window", "nan", "2")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BadWindow"
 
     @pytest.mark.parametrize("fraction", ["1.5", "nan"])
     def test_bad_witness_fraction_exits_2(self, capsys, torus_files, fraction):

@@ -40,7 +40,9 @@ from _fixtures import (
     y_graph,
 )
 
-#: The code each error type exited with when cli.py mapped types to codes.
+#: The code each error type exited with when cli.py mapped types to codes,
+#: and for types added since, the code of their family: a bad window
+#: argument is a parameter error, a failed mesh sweep an algorithm error.
 EXPECTED_EXIT = {
     "InvalidGraph": 1, "MalformedMesh": 1, "NotAManifold": 1,
     "NotOrientable": 1, "DegenerateField": 1,
@@ -51,6 +53,7 @@ EXPECTED_EXIT = {
     "NothingToAssign": 2, "BrokenUniqueness": 2, "IncompleteAssignment": 2,
     "InvariantViolation": 2, "BadWitnessFraction": 2, "OpenCycle": 2,
     "MissingWitness": 2, "ReebTopologyMismatch": 2, "GenerationFailed": 2,
+    "BadWindow": 2, "ContourSweepFailed": 2,
 }
 REPORTING = {"InvalidGraph", "InvariantViolation"}
 

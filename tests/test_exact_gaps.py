@@ -8,8 +8,6 @@ both directions in which the float midpoint of such a gap rounds.
 """
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,6 @@ from hypothesis import strategies as st
 from reebound import (
     EssentialSubgraph,
     GenParams,
-    ReebGraph,
     ReebVertex,
     VertexKind,
     assign_all,
@@ -28,7 +25,11 @@ from reebound import (
 from reebound.errors import MalformedGraph
 from reebound.graph import EdgeLabel, ReebEdge
 
-from _fixtures import adjacent_saddles_graph, center_below_saddle_graph
+from _fixtures import (
+    adjacent_saddles_graph,
+    center_below_saddle_graph,
+    squeezed,
+)
 from _oracles import naive_assign
 
 LEVELS = [0.3, 0.5]
@@ -57,27 +58,6 @@ def test_center_below_saddle_accepted(s):
     assert checked == naive == {"e0": 1, "e1": 1}
 
 
-def _float_chain(center: float, n: int) -> list[float]:
-    """n consecutive floats, the middle one at center."""
-    level = center
-    for _ in range(n // 2):
-        level = math.nextafter(level, 0.0)
-    out = [level]
-    while len(out) < n:
-        out.append(math.nextafter(out[-1], 1.0))
-    return out
-
-
-def _squeezed(g: ReebGraph, center: float) -> ReebGraph:
-    """The same graph with its interior levels moved, in order, onto
-    consecutive floats around center."""
-    inner = sorted({v.level for v in g.vertices if g.lo < v.level < g.hi})
-    moved = dict(zip(inner, _float_chain(center, len(inner))))
-    vertices = tuple(ReebVertex(v.id, moved.get(v.level, v.level), v.kind)
-                     for v in g.vertices)
-    return ReebGraph(vertices, g.edges, g.lo, g.hi)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), saddles=st.integers(1, 20),
        pbias=st.floats(0, 1), ibias=st.floats(0, 1),
@@ -88,9 +68,9 @@ def test_nextafter_chain_property(seed, saddles, pbias, ibias, center):
                               parallel_edge_bias=pbias,
                               inessential_bias=ibias))
     expected = assign_all(essential_subgraph(g, prevalidated=True)).assigned
-    squeezed = _squeezed(g, center)
-    assert validate(squeezed).ok
-    checked, naive = _assignments(squeezed)
+    squeezed_g = squeezed(g, center)
+    assert validate(squeezed_g).ok
+    checked, naive = _assignments(squeezed_g)
     assert checked == naive == expected
 
 

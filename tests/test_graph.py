@@ -20,6 +20,7 @@ from reebound import (
     validate,
 )
 from reebound.errors import (
+    BadWindow,
     EmptyWindow,
     InvalidGraph,
     MalformedGraph,
@@ -183,6 +184,13 @@ class TestRestrict:
             restrict(torus_reeb_by_hand(), 2.0, 3.0)
         with pytest.raises(EmptyWindow):
             restrict(single_edge_graph(), 0.7, 0.2)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (float("nan"), float("nan")), (0.2, float("inf")),
+        (float("-inf"), 0.8), ("0.2", 0.8)])
+    def test_non_finite_window_is_a_bad_window(self, lo, hi):
+        with pytest.raises(BadWindow):
+            restrict(single_edge_graph(), lo, hi)
 
     def test_boundary_vertex_reuse_at_same_level(self):
         g = single_edge_graph()
