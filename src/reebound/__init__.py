@@ -34,8 +34,6 @@ from .mesh import (
     TriangulatedSurface,
     build_reeb,
     label_reeb,
-    level_cycles,
-    pl_criticality,
 )
 
 __version__ = "0.1.0"
@@ -48,6 +46,5 @@ __all__ = [
     "assignment_to_dict", "build_reeb", "check_invariants",
     "distance_bound", "essential_subgraph", "graph_dumps",
     "graph_from_dict", "graph_loads", "graph_to_dict", "label_reeb",
-    "level_cycles", "pl_criticality", "random_reeb", "restrict",
-    "validate",
+    "random_reeb", "restrict", "validate",
 ]

@@ -31,14 +31,16 @@ sweep relies on (single assignment per edge, frontier dichotomy, the
 downstream band {n-1, n}, and the plateau conditions: wherever all
 assigned edges spanning an inter-event gap share one value, everything
 assigned to the right shares it too and connects back through edges of
-that value).
+that value).  It reads only the assignment, its trace and the graph's
+index, in one sweep over the gaps and one union-find over the edges, so
+a call costs O(E + G + T) for E edges, G gaps and T trace entries, and
+the checked run, which calls it once per round, costs O(V * (E + T)).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable
 
 from .errors import (
     BrokenUniqueness,
@@ -101,37 +103,6 @@ class DistanceBoundReport:
         }
 
 
-def _connected_min_levels(g: EssentialSubgraph,
-                          eids: Iterable[str]) -> dict[str, float]:
-    """For each edge in the set, the lowest level reached by its connected
-    component within the set (edges connect through shared vertices)."""
-    eids = list(eids)
-    parent: dict[str, str] = {eid: eid for eid in eids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    anchor: dict[str, str] = {}
-    for eid in eids:
-        e = g.edge(eid)
-        for end in (e.lower, e.upper):
-            if end in anchor:
-                ra, rb = find(anchor[end]), find(eid)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                anchor[end] = eid
-    low: dict[str, float] = {}
-    for eid in eids:
-        root = find(eid)
-        a, _ = g.span(eid)
-        low[root] = min(low.get(root, a), a)
-    return {eid: low[find(eid)] for eid in eids}
-
-
 def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
                      vid: str | None) -> ValidationReport:
     """Re-verify the sweep's consistency conditions by direct recomputation.
@@ -148,7 +119,11 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
       (x, y) from the frontier gap rightwards where all assigned spanning
       edges share one value m, every assigned edge reaching right of x
       carries m and its component within the m-edges reaches back down to
-      level x.
+      level x.  Each edge is reported at the first such gap only.
+
+    Every level comparison is one on event indices: an edge's upper end
+    lies right of the level of event k iff ``gaps.stop > k``.  A call
+    costs O(E + G + T) for E edges, G gaps and T trace entries.
     """
     out: list[Violation] = []
 
@@ -160,73 +135,111 @@ def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
         if n > 1:
             out.append(Violation(RULE_SINGLE, (eid,),
                                  "edge written %d times" % n))
+    if vid is None:
+        return ValidationReport.from_violations(out)
 
-    if vid is not None:
-        level = g.level(vid)
-        gap0 = g.gap_below(vid)
-        frontier = g.spanning(gap0)
-        top = None
-        missing = [e for e in frontier if e not in p.assigned]
-        if missing:
-            out.append(Violation(RULE_FRONTIER, tuple(sorted(missing)),
-                                 "unassigned frontier edges at %s" % vid))
-        values = sorted({p.assigned[e] for e in frontier if e in p.assigned})
-        if values:
-            top = values[-1]
-        if not frontier:
-            out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
-        elif not missing:
-            pair = len(values) == 2 and values[1] - values[0] == 1
-            if not (len(values) == 1 or pair):
-                out.append(Violation(RULE_FRONTIER, (vid,),
-                                     "frontier carries %r" % values))
+    assigned = p.assigned
+    gap0 = g.gap_below(vid)
+    frontier = g.spanning(gap0)
+    top = None
+    missing = [e for e in frontier if e not in assigned]
+    if missing:
+        out.append(Violation(RULE_FRONTIER, tuple(sorted(missing)),
+                             "unassigned frontier edges at %s" % vid))
+    values = sorted({assigned[e] for e in frontier if e in assigned})
+    if values:
+        top = values[-1]
+    if not frontier:
+        out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
+    elif not missing:
+        pair = len(values) == 2 and values[1] - values[0] == 1
+        if not (len(values) == 1 or pair):
+            out.append(Violation(RULE_FRONTIER, (vid,),
+                                 "frontier carries %r" % values))
 
-        if top is not None:
-            band = {top - 1, top}
-            for e in g.edges:
-                val = p.value(e.id)
-                if val is None or g.span(e.id)[1] <= level:
-                    continue
-                if val not in band:
-                    out.append(Violation(
-                        RULE_BAND, (e.id,),
-                        "edge right of %s carries %d outside {%d, %d}"
-                        % (vid, val, top - 1, top)))
+    # the assigned edges in id order, each with its value and gap range
+    valued = [(e, assigned[e.id], g.gaps(e.id))
+              for e in g.edges if e.id in assigned]
+    if top is not None:
+        for e, val, gaps in valued:
+            # upper level above level(vid), which is event gap0 + 1
+            if gaps.stop > gap0 + 1 and val not in (top - 1, top):
+                out.append(Violation(
+                    RULE_BAND, (e.id,),
+                    "edge right of %s carries %d outside {%d, %d}"
+                    % (vid, val, top - 1, top)))
 
-        events = g.event_levels()
-        flagged_value: set[str] = set()
-        flagged_path: set[str] = set()
-        min_level_cache: dict[int, dict[str, float]] = {}
-        for gap in range(gap0, len(events) - 1):
-            spanning = g.spanning(gap)
-            vals = {p.assigned[e] for e in spanning if e in p.assigned}
-            if len(vals) != 1:
-                continue
-            m = vals.pop()
-            x = events[gap]
-            if m not in min_level_cache:
-                m_edges = [e.id for e in g.edges if p.value(e.id) == m]
-                min_level_cache[m] = _connected_min_levels(g, m_edges)
-            reach = min_level_cache[m]
-            for e in g.edges:
-                val = p.value(e.id)
-                if val is None or g.span(e.id)[1] <= x:
-                    continue
-                if val != m:
-                    if e.id not in flagged_value:
-                        flagged_value.add(e.id)
-                        out.append(Violation(
-                            RULE_PLATEAU_VALUE, (e.id,),
-                            "edge above plateau level %r carries %d, not %d"
-                            % (x, val, m)))
-                elif reach[e.id] > x:
-                    if e.id not in flagged_path:
-                        flagged_path.add(e.id)
-                        out.append(Violation(
-                            RULE_PLATEAU_PATH, (e.id,),
-                            "no path through %d-edges from %s down to level %r"
-                            % (m, e.id, x)))
+    # plateaus: the gaps from gap0 on whose assigned spanning edges carry
+    # one value, found by a sweep that counts the values live at each gap
+    events = g.event_levels()
+    enter: list[list[int]] = [[] for _ in events]
+    leave: list[list[int]] = [[] for _ in events]
+    for _, val, gaps in valued:
+        if gaps:
+            enter[gaps.start].append(val)
+            leave[gaps.stop].append(val)
+    live: dict[int, int] = {}
+    plateaus: list[tuple[int, int]] = []
+    for gap in range(len(events) - 1):
+        for val in leave[gap]:
+            live[val] -= 1
+            if not live[val]:
+                del live[val]
+        for val in enter[gap]:
+            live[val] = live.get(val, 0) + 1
+        if gap >= gap0 and len(live) == 1:
+            plateaus.append((gap, next(iter(live))))
+    if not plateaus:
+        return ValidationReport.from_violations(out)
 
+    # an edge of value v reaching right of the first plateau fails
+    # plateau-uniform there unless that plateau's value is v, and then at
+    # the first plateau of another value; it fails plateau-connected at
+    # the first plateau of value v if its component within the v-edges
+    # starts above that gap
+    first_of: dict[int, int] = {}
+    for gap, m in plateaus:
+        first_of.setdefault(m, gap)
+    first = plateaus[0]
+    other = next((pm for pm in plateaus if pm[1] != first[1]),
+                 (None, None))
+
+    # components of the plateau-valued edges, joined at shared vertices
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def find(x: tuple[str, int]) -> tuple[str, int]:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, val, _ in valued:
+        if val in first_of:
+            parent[find((e.lower, val))] = find((e.upper, val))
+    low: dict[tuple[str, int], int] = {}
+    for e, val, gaps in valued:
+        if val in first_of:
+            root = find((e.lower, val))
+            low[root] = min(low.get(root, gaps.start), gaps.start)
+
+    # (gap, edge position, violation): emitted by gap, then in edge order
+    hits: list[tuple[int, int, Violation]] = []
+    for k, (e, val, gaps) in enumerate(valued):
+        gap, m = other if first[1] == val else first
+        if gap is not None and gap < gaps.stop:
+            hits.append((gap, k, Violation(
+                RULE_PLATEAU_VALUE, (e.id,),
+                "edge above plateau level %r carries %d, not %d"
+                % (events[gap], val, m))))
+        gap = first_of.get(val)
+        if (gap is not None and gap < gaps.stop
+                and gap < low[find((e.lower, val))]):
+            hits.append((gap, k, Violation(
+                RULE_PLATEAU_PATH, (e.id,),
+                "no path through %d-edges from %s down to level %r"
+                % (val, e.id, events[gap]))))
+    out.extend(v for _, _, v in sorted(hits))
     return ValidationReport.from_violations(out)
 
 
@@ -429,7 +442,9 @@ def assign_all(g: EssentialSubgraph, check: bool = False) -> PartialAssignment:
             return PartialAssignment(sweep.assigned, tuple(sweep.trace))
         target = sweep.next_target()
         if target is None:
-            raise NothingToAssign("all %d edges carry integers" % len(g.edges))
+            missing = sorted(e.id for e in g.edges if e.id not in sweep.assigned)
+            raise NothingToAssign("no interior vertex meets the unassigned edges: %s"
+                                  % ", ".join(missing))
         sweep.check_left_of(target)
         value = sweep.frontier_value(target)
         todo = tuple(sorted(eid for eid in g.incident(target)

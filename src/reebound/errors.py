@@ -85,7 +85,8 @@ class NonConsecutiveFrontier(ReeboundError):
 
 
 class NothingToAssign(ReeboundError):
-    """All edges already carry integers."""
+    """The sweep has no step-2 target: no interior vertex meets an
+    unassigned edge."""
 
 
 class BrokenUniqueness(ReeboundError):

@@ -13,9 +13,7 @@ Ties between field values are broken symbolically by vertex index, so
 every comparison the sweep makes is decided; criticality is the standard
 lower-link rule (empty lower link: minimum; empty upper link: maximum;
 two lower arcs: saddle; three or more: rejected as degenerate), decided
-once per vertex inside the sweep.  :func:`pl_criticality` applies the
-same rule on its own, for callers that want only the critical vertices.
-No geometric tolerances anywhere.
+once per vertex inside the sweep.  No geometric tolerances anywhere.
 """
 from __future__ import annotations
 
@@ -52,13 +50,6 @@ class LevelCycle:
 
     level: float
     crossings: tuple[tuple[int, Edge, Edge], ...]
-
-    def edge_pairs(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for _, entry, exit_ in self.crossings:
-            out.add(entry)
-            out.add(exit_)
-        return out
 
     def to_payload(self) -> dict:
         return {
@@ -293,33 +284,6 @@ def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:
                          % (len(field.values), surface.n_vertices))
 
 
-def pl_criticality(surface: TriangulatedSurface,
-                   field: ScalarField) -> tuple[list[int], list[int], list[int]]:
-    """(minima, saddles, maxima) vertex indices by the lower-link rule.
-
-    Raises DegenerateField on a monkey saddle (three or more lower-link
-    arcs); subdividing the star resolves those.
-    """
-    _check_pair(surface, field)
-    mins: list[int] = []
-    saddles: list[int] = []
-    maxes: list[int] = []
-    for v in range(surface.n_vertices):
-        ring = surface.links[v]
-        kv = field.key(v)
-        low = [field.key(u) < kv for u in ring]
-        arcs = sum(1 for i in range(len(ring)) if low[i] and not low[i - 1])
-        if arcs == 0:
-            (maxes if all(low) else mins).append(v)
-        elif arcs == 2:
-            saddles.append(v)
-        elif arcs > 2:
-            raise DegenerateField(
-                "monkey saddle at vertex %d (%d descending sectors); "
-                "subdivide the mesh around it" % (v, arcs))
-    return mins, saddles, maxes
-
-
 def _lower_arcs(ring, low) -> list[list[int]]:
     """Maximal runs of ring positions whose ``low`` flag is set."""
     n = len(ring)
@@ -408,32 +372,6 @@ def _cycle_from_crossings(surface: TriangulatedSurface, level: float,
     pairs = tuple((t, surface.edges[a], surface.edges[b])
                   for t, a, b in _normalize_crossings(crossings))
     return LevelCycle(level, pairs)
-
-
-def level_cycles(surface: TriangulatedSurface, field: ScalarField,
-                 level: float) -> list[LevelCycle]:
-    """All contours of the level set at a non-vertex level."""
-    _check_pair(surface, field)
-    if level in set(field.values):
-        raise ValueError("level %r hits a vertex value; pick another" % level)
-
-    def crossed(eid: int) -> bool:
-        a, b = surface.edges[eid]
-        va, vb = field.values[a], field.values[b]
-        return min(va, vb) < level < max(va, vb)
-
-    todo = sorted(eid for eid in range(surface.n_edges) if crossed(eid))
-    seen: set[int] = set()
-    out: list[LevelCycle] = []
-    for eid in todo:
-        if eid in seen:
-            continue
-        crossings = _trace(surface, crossed, eid)
-        for _, e1, e2 in crossings:
-            seen.add(e1)
-            seen.add(e2)
-        out.append(_cycle_from_crossings(surface, level, crossings))
-    return out
 
 
 def _pick_witness_level(a: float, b: float, fraction: float,

@@ -1,32 +1,113 @@
 """Independent test oracles, deliberately written with different machinery
 than the production code: explicit named cells and BFS for cutting a
-surface, direct level-set component counting, an assignment sweep that
-rescans everything every round, and the sweep as separate steps over
-frozen assignments, which rescans the graph in each of them."""
+surface, direct level-set component counting, the lower-link rule and
+contour tracing applied on their own, an assignment sweep that rescans
+everything every round, the consistency checker that rescans every edge
+at every gap, and the sweep as separate steps over frozen assignments,
+which rescans the graph in each of them."""
 from __future__ import annotations
 
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from reebound.assign import (
+    RULE_BAND,
+    RULE_FRONTIER,
+    RULE_PLATEAU_PATH,
+    RULE_PLATEAU_VALUE,
+    RULE_SINGLE,
     STEP0,
     STEP1,
     STEP2,
     PartialAssignment,
     TraceEntry,
-    check_invariants,
 )
 from reebound.errors import (
     BrokenUniqueness,
     ConflictingPropagation,
+    DegenerateField,
     InvariantViolation,
     NonConsecutiveFrontier,
     NoLowerBoundary,
     NothingToAssign,
     UnassignedFrontier,
 )
-from reebound.graph import EssentialSubgraph
+from reebound.graph import EssentialSubgraph, ValidationReport, Violation
+from reebound.mesh import (
+    Edge,
+    LevelCycle,
+    ScalarField,
+    TriangulatedSurface,
+    _check_pair,
+    _cycle_from_crossings,
+    _trace,
+)
+
+
+# -- the mesh front-end's rules, applied on their own -------------------------
+
+def pl_criticality(surface: TriangulatedSurface,
+                   field: ScalarField) -> tuple[list[int], list[int], list[int]]:
+    """(minima, saddles, maxima) vertex indices by the lower-link rule.
+
+    Raises DegenerateField on a monkey saddle (three or more lower-link
+    arcs); subdividing the star resolves those.
+    """
+    _check_pair(surface, field)
+    mins: list[int] = []
+    saddles: list[int] = []
+    maxes: list[int] = []
+    for v in range(surface.n_vertices):
+        ring = surface.links[v]
+        kv = field.key(v)
+        low = [field.key(u) < kv for u in ring]
+        arcs = sum(1 for i in range(len(ring)) if low[i] and not low[i - 1])
+        if arcs == 0:
+            (maxes if all(low) else mins).append(v)
+        elif arcs == 2:
+            saddles.append(v)
+        elif arcs > 2:
+            raise DegenerateField(
+                "monkey saddle at vertex %d (%d descending sectors); "
+                "subdivide the mesh around it" % (v, arcs))
+    return mins, saddles, maxes
+
+
+def level_cycles(surface: TriangulatedSurface, field: ScalarField,
+                 level: float) -> list[LevelCycle]:
+    """All contours of the level set at a non-vertex level."""
+    _check_pair(surface, field)
+    if level in set(field.values):
+        raise ValueError("level %r hits a vertex value; pick another" % level)
+
+    def crossed(eid: int) -> bool:
+        a, b = surface.edges[eid]
+        va, vb = field.values[a], field.values[b]
+        return min(va, vb) < level < max(va, vb)
+
+    todo = sorted(eid for eid in range(surface.n_edges) if crossed(eid))
+    seen: set[int] = set()
+    out: list[LevelCycle] = []
+    for eid in todo:
+        if eid in seen:
+            continue
+        crossings = _trace(surface, crossed, eid)
+        for _, e1, e2 in crossings:
+            seen.add(e1)
+            seen.add(e2)
+        out.append(_cycle_from_crossings(surface, level, crossings))
+    return out
+
+
+def edge_pairs(cycle: LevelCycle) -> set[Edge]:
+    """The mesh edges the cycle crosses."""
+    out: set[Edge] = set()
+    for _, entry, exit_ in cycle.crossings:
+        out.add(entry)
+        out.add(exit_)
+    return out
 
 
 def naive_cut_euler(surface, field, cycle):
@@ -34,7 +115,7 @@ def naive_cut_euler(surface, field, cycle):
     along the cycle, recomputed from an explicitly named cell complex."""
     level = cycle.level
     vals = field.values
-    crossed_edges = {tuple(sorted(p)) for p in cycle.edge_pairs()}
+    crossed_edges = {tuple(sorted(p)) for p in edge_pairs(cycle)}
     crossed_tris = {t for t, _, _ in cycle.crossings}
 
     def side(value):
@@ -236,6 +317,137 @@ def naive_assign(g: EssentialSubgraph,
     return PartialAssignment(assigned, tuple(trace))
 
 
+# -- the consistency checker, one gap at a time -------------------------------
+
+def _connected_min_levels(g: EssentialSubgraph,
+                          eids: Iterable[str]) -> dict[str, float]:
+    """For each edge in the set, the lowest level reached by its connected
+    component within the set (edges connect through shared vertices)."""
+    eids = list(eids)
+    parent: dict[str, str] = {eid: eid for eid in eids}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    anchor: dict[str, str] = {}
+    for eid in eids:
+        e = g.edge(eid)
+        for end in (e.lower, e.upper):
+            if end in anchor:
+                ra, rb = find(anchor[end]), find(eid)
+                if ra != rb:
+                    parent[ra] = rb
+            else:
+                anchor[end] = eid
+    low: dict[str, float] = {}
+    for eid in eids:
+        root = find(eid)
+        a, _ = g.span(eid)
+        low[root] = min(low.get(root, a), a)
+    return {eid: low[find(eid)] for eid in eids}
+
+
+def naive_check_invariants(g: EssentialSubgraph, p: PartialAssignment,
+                           vid: str | None) -> ValidationReport:
+    """Re-verify the sweep's consistency conditions by direct recomputation.
+
+    ``vid`` is the next sweep target, or None when the assignment is
+    complete (then only single-assignment is checkable).  Checks:
+
+    * single-assignment: the trace never writes an edge twice;
+    * frontier-class: the frontier at ``vid`` is one value or a
+      consecutive pair, with every spanning edge assigned;
+    * downstream-band: every assigned edge reaching strictly right of
+      ``vid`` carries n-1 or n, where n is the top frontier value;
+    * plateau-uniform / plateau-connected: for every inter-event gap
+      (x, y) from the frontier gap rightwards where all assigned spanning
+      edges share one value m, every assigned edge reaching right of x
+      carries m and its component within the m-edges reaches back down to
+      level x.
+    """
+    out: list[Violation] = []
+
+    counts: dict[str, int] = {}
+    for entry in p.trace:
+        for eid in entry.edges:
+            counts[eid] = counts.get(eid, 0) + 1
+    for eid, n in sorted(counts.items()):
+        if n > 1:
+            out.append(Violation(RULE_SINGLE, (eid,),
+                                 "edge written %d times" % n))
+
+    if vid is not None:
+        level = g.level(vid)
+        gap0 = g.gap_below(vid)
+        frontier = g.spanning(gap0)
+        top = None
+        missing = [e for e in frontier if e not in p.assigned]
+        if missing:
+            out.append(Violation(RULE_FRONTIER, tuple(sorted(missing)),
+                                 "unassigned frontier edges at %s" % vid))
+        values = sorted({p.assigned[e] for e in frontier if e in p.assigned})
+        if values:
+            top = values[-1]
+        if not frontier:
+            out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
+        elif not missing:
+            pair = len(values) == 2 and values[1] - values[0] == 1
+            if not (len(values) == 1 or pair):
+                out.append(Violation(RULE_FRONTIER, (vid,),
+                                     "frontier carries %r" % values))
+
+        if top is not None:
+            band = {top - 1, top}
+            for e in g.edges:
+                val = p.value(e.id)
+                if val is None or g.span(e.id)[1] <= level:
+                    continue
+                if val not in band:
+                    out.append(Violation(
+                        RULE_BAND, (e.id,),
+                        "edge right of %s carries %d outside {%d, %d}"
+                        % (vid, val, top - 1, top)))
+
+        events = g.event_levels()
+        flagged_value: set[str] = set()
+        flagged_path: set[str] = set()
+        min_level_cache: dict[int, dict[str, float]] = {}
+        for gap in range(gap0, len(events) - 1):
+            spanning = g.spanning(gap)
+            vals = {p.assigned[e] for e in spanning if e in p.assigned}
+            if len(vals) != 1:
+                continue
+            m = vals.pop()
+            x = events[gap]
+            if m not in min_level_cache:
+                m_edges = [e.id for e in g.edges if p.value(e.id) == m]
+                min_level_cache[m] = _connected_min_levels(g, m_edges)
+            reach = min_level_cache[m]
+            for e in g.edges:
+                val = p.value(e.id)
+                if val is None or g.span(e.id)[1] <= x:
+                    continue
+                if val != m:
+                    if e.id not in flagged_value:
+                        flagged_value.add(e.id)
+                        out.append(Violation(
+                            RULE_PLATEAU_VALUE, (e.id,),
+                            "edge above plateau level %r carries %d, not %d"
+                            % (x, val, m)))
+                elif reach[e.id] > x:
+                    if e.id not in flagged_path:
+                        flagged_path.add(e.id)
+                        out.append(Violation(
+                            RULE_PLATEAU_PATH, (e.id,),
+                            "no path through %d-edges from %s down to level %r"
+                            % (m, e.id, x)))
+
+    return ValidationReport.from_violations(out)
+
+
 # -- the sweep one step at a time ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -354,7 +566,9 @@ def step2(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
     """
     target = _next_target(g, p)
     if target is None:
-        raise NothingToAssign("all %d edges carry integers" % len(g.edges))
+        missing = sorted(e.id for e in g.edges if e.id not in p.assigned)
+        raise NothingToAssign("no interior vertex meets the unassigned edges: %s"
+                              % (", ".join(missing) or "none"))
     level = g.level(target)
     stragglers = [e.id for e in g.edges
                   if e.id not in p.assigned and g.span(e.id)[0] < level]
@@ -370,7 +584,7 @@ def step2(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
 
 
 def _checked(g: EssentialSubgraph, p: PartialAssignment) -> None:
-    report = check_invariants(g, p, _next_target(g, p))
+    report = naive_check_invariants(g, p, _next_target(g, p))
     if not report.ok:
         raise InvariantViolation(report)
 

@@ -19,7 +19,6 @@ from reebound import (
     graph_loads,
     build_reeb,
     label_reeb,
-    pl_criticality,
     random_reeb,
     restrict,
     validate,
@@ -38,7 +37,7 @@ from _fixtures import (
     vertical_torus,
     y_graph,
 )
-from _oracles import naive_assign, naive_is_inessential
+from _oracles import naive_assign, naive_is_inessential, pl_criticality
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

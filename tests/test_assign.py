@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reebound.assign as assign_mod
 from reebound import (
     GenParams,
     PartialAssignment,
+    TraceEntry,
     assign_all,
     check_invariants,
     distance_bound,
@@ -52,6 +54,7 @@ from _oracles import (
     Consecutive,
     classify_frontier,
     naive_assign,
+    naive_check_invariants,
     step0,
     step1_saturate,
     step2,
@@ -239,7 +242,8 @@ FAULTY_SUBGRAPHS = {
         [("b0", 0.0), ("t0", 1.0), ("t1", 1.0), ("t2", 1.0)],
         [("e0", "b0", "t0"), ("x", "t1", "t2")],
         ["b0"], [],
-        ("NothingToAssign", "all 2 edges carry integers")),
+        ("NothingToAssign",
+         "no interior vertex meets the unassigned edges: x")),
 }
 
 
@@ -492,6 +496,93 @@ class TestCheckInvariants:
         report = check_invariants(sub, p, "v_c")
         assert not report.ok
         assert "plateau-connected" in report.rules()
+
+
+def _checked_rounds(monkeypatch, sub):
+    """The (assignment, target) of every check a checked run makes."""
+    rounds = []
+
+    def spy(g, p, vid):
+        rounds.append((p, vid))
+        return check_invariants(g, p, vid)
+
+    monkeypatch.setattr(assign_mod, "check_invariants", spy)
+    assign_all(sub, check=True)
+    monkeypatch.undo()
+    return rounds
+
+
+@st.composite
+def _any_assignment(draw, sub):
+    """Values from a narrow range on any subset of the edges, and a trace
+    that may write an edge twice or not at all."""
+    if not sub.edges:
+        return PartialAssignment({}, ())
+    edge = st.sampled_from([e.id for e in sub.edges])
+    assigned = draw(st.dictionaries(edge, st.integers(1, 4)))
+    writes = draw(st.lists(st.lists(edge, max_size=3), max_size=4))
+    return PartialAssignment(assigned, tuple(
+        TraceEntry("step2", None, tuple(w), 1) for w in writes))
+
+
+class TestCheckAgainstNaive:
+    """check_invariants against the checker that rescans every edge at
+    every gap (``naive_check_invariants``): equal reports, violations in
+    the same order."""
+
+    @pytest.mark.parametrize("seed,saddles", [
+        (seed, saddles) for saddles in (0, 1, 2, 5, 13, 40, 120)
+        for seed in range(3)] + [(6, 400)])
+    def test_every_round_of_checked_runs(self, monkeypatch, seed, saddles):
+        g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                  parallel_edge_bias=(seed % 3) / 2,
+                                  inessential_bias=0.5))
+        sub = essential_subgraph(g, prevalidated=True)
+        for p, vid in _checked_rounds(monkeypatch, sub):
+            report = naive_check_invariants(sub, p, vid)
+            assert report.ok
+            assert check_invariants(sub, p, vid) == report
+
+    def test_mutated_rounds(self, monkeypatch):
+        # 1 to 3 edges moved by 1 to 3, and about one trace in five
+        # writing one of its edges again
+        rng = random.Random(7)
+        rules = set()
+        reports = 0
+        for seed in range(100):
+            g = random_reeb(GenParams(seed=seed, saddle_count=seed % 30,
+                                      parallel_edge_bias=(seed % 5) / 4,
+                                      inessential_bias=(seed % 7) / 6))
+            sub = essential_subgraph(g, prevalidated=True)
+            for p, vid in _checked_rounds(monkeypatch, sub):
+                for _ in range(6):
+                    assigned = dict(p.assigned)
+                    for eid in rng.sample(sorted(assigned),
+                                          min(len(assigned),
+                                              rng.randint(1, 3))):
+                        assigned[eid] += rng.choice((-3, -2, -1, 1, 2, 3))
+                    trace = p.trace
+                    if rng.random() < 0.2:
+                        trace += (rng.choice(trace),)
+                    q = PartialAssignment(assigned, trace)
+                    report = naive_check_invariants(sub, q, vid)
+                    assert check_invariants(sub, q, vid) == report
+                    rules |= report.rules()
+                    reports += 1
+        assert reports > 4000
+        assert rules == {"single-assignment", "frontier-class",
+                         "downstream-band", "plateau-uniform",
+                         "plateau-connected"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), sub=_any_subgraph())
+    def test_arbitrary_subgraphs(self, data, sub):
+        # shared levels, loops, backward edges, and interior vertices at
+        # lo, whose frontier gap is -1
+        p = data.draw(_any_assignment(sub))
+        for vid in sub.interior + (None,):
+            assert (check_invariants(sub, p, vid)
+                    == naive_check_invariants(sub, p, vid))
 
 
 class TestDistanceBound:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -27,6 +28,7 @@ from reebound import (
     graph_to_dict,
 )
 from reebound.errors import ReeboundError
+from reebound.gen import MAX_SADDLES
 from reebound.graph import ValidationReport, Violation
 
 from _fixtures import (
@@ -273,3 +275,32 @@ def test_from_mesh_never_crashes(fuzz_dir, mesh, window, fraction):
     off = _write(fuzz_dir / "mesh.off", mesh[0])
     field = _write(fuzz_dir / "mesh.field", mesh[1])
     check_contract(["from-mesh", off, field] + window + fraction)
+
+
+#: Saddle counts and biases inside, at and just past the documented
+#: ranges [0, MAX_SADDLES] and [0, 1].  No count asks for more than
+#: MAX_SADDLES saddles, so no run takes long.
+SADDLE_COUNTS = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([MAX_SADDLES, MAX_SADDLES + 1, 10**30, -10**30]))
+BIASES = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0.0, -0.0, 1.0, math.nextafter(0.0, -1.0),
+                     math.nextafter(1.0, 2.0), math.inf, -math.inf,
+                     math.nan]))
+
+
+@FUZZ
+@given(seed=st.integers(), saddles=SADDLE_COUNTS, pbias=BIASES,
+       ibias=BIASES)
+def test_gen_never_crashes(seed, saddles, pbias, ibias):
+    # the "=" form, so that values such as -inf are not read as options
+    code, out, err = run(["gen", "--seed=%d" % seed, "--saddles=%d" % saddles,
+                          "--parallel-bias=%r" % pbias,
+                          "--inessential-bias=%r" % ibias])
+    if 0 <= saddles <= MAX_SADDLES and 0 <= pbias <= 1 and 0 <= ibias <= 1:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meta"]["generator"]["seed"] == seed
+    else:
+        assert (code, out) == (EXPECTED_EXIT["GenerationFailed"], "")
+        assert one_json_object(err)["error"] == "GenerationFailed"

@@ -14,8 +14,6 @@ from reebound import (
     VertexKind,
     build_reeb,
     label_reeb,
-    level_cycles,
-    pl_criticality,
     restrict,
     validate,
 )
@@ -41,7 +39,8 @@ from _fixtures import (
     octa_sphere,
     vertical_torus,
 )
-from _oracles import count_level_components, naive_is_inessential
+from _oracles import (count_level_components, level_cycles,
+                      naive_is_inessential, pl_criticality)
 
 
 def _random_gap_levels(field, rng, count):
