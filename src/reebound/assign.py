@@ -82,9 +82,6 @@ class PartialAssignment:
     assigned: dict[str, int]
     trace: tuple[TraceEntry, ...]
 
-    def value(self, eid: str) -> int | None:
-        return self.assigned.get(eid)
-
     def is_complete(self, g: EssentialSubgraph) -> bool:
         return all(e.id in self.assigned for e in g.edges)
 

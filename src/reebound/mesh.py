@@ -8,6 +8,9 @@ splits.  Each graph edge gets a witness level cycle sampled inside its
 span.  Labels come from the graph's topology: on a closed orientable
 surface the Reeb graph's cycle rank is the genus, so an edge's level
 curve bounds a disk iff the edge is a bridge with a tree on one side.
+The surface builds its edge, link and star tables once on loading; the
+sweep, the contour walks and the witness check only read them, and the
+labelling walks the Reeb graph's own incidence index.
 
 Ties between field values are broken symbolically by vertex index, so
 every comparison the sweep makes is decided; criticality is the standard
@@ -75,11 +78,20 @@ def _edge_key(a: int, b: int) -> Edge:
 class TriangulatedSurface:
     """A closed, connected, orientable triangulated surface.
 
-    Construction validates everything: every edge borders exactly two
-    triangles, every vertex link is a single cycle, the triangles admit a
-    consistent orientation (re-orienting as needed), and the triangle
-    adjacency graph is connected.  Positions are carried but never enter
-    any computation here; all the topology is combinatorial.
+    Construction validates everything, in this order: every edge borders
+    exactly two triangles, the triangles admit a consistent orientation
+    (re-orienting as needed) and are connected, every vertex is used, and
+    every vertex link is a single cycle.  Positions are carried but never
+    enter any computation; the topology is combinatorial.
+
+    It also builds, once, every table the sweep and the contour walks
+    read: ``edges`` (sorted vertex pairs; an edge's id is its position),
+    ``edge_index`` (pair -> id), ``edge_tris`` (each edge's two
+    triangles), ``_tri_edges`` (the ids of edges ab, bc, ca of each
+    oriented triangle abc, to step a contour across it), ``links`` (each
+    vertex's neighbours in rotation order, from the smallest) and
+    ``stars`` (``stars[v][i]`` is the id of the edge from v to
+    ``links[v][i]``, so the sweep never looks an edge up by its pair).
     """
 
     def __init__(self, positions, triangles):
@@ -112,31 +124,42 @@ class TriangulatedSurface:
         self.edge_tris: list[tuple[int, int]] = [
             (edge_tris[e][0], edge_tris[e][1]) for e in self.edges]
 
-        self._tri_edges: list[tuple[int, int, int]] = []
-        for a, b, c in self.triangles:
-            self._tri_edges.append((
-                self.edge_index[_edge_key(a, b)],
-                self.edge_index[_edge_key(b, c)],
-                self.edge_index[_edge_key(c, a)],
-            ))
+        ix = self.edge_index
+        self._tri_edges: list[tuple[int, int, int]] = [
+            (ix[_edge_key(a, b)], ix[_edge_key(b, c)], ix[_edge_key(c, a)])
+            for a, b, c in self.triangles]
 
-        self.vertex_tri: list[int] = [-1] * n
-        for ti, (a, b, c) in enumerate(self.triangles):
-            for u in (a, b, c):
-                if self.vertex_tri[u] < 0:
-                    self.vertex_tri[u] = ti
-        if any(t < 0 for t in self.vertex_tri):
+        # fan[v][x] = the oriented triangle running v -> x; the orientation
+        # makes each fan[v] a bijection from v's neighbours to its triangles
+        fan: list[dict[int, int]] = [{} for _ in self.positions]
+        for t, (a, b, c) in enumerate(self.triangles):
+            fan[a][b] = fan[b][c] = fan[c][a] = t
+        if not all(fan):
             raise NotAManifold("isolated vertex present")
-
-        self.links: list[tuple[int, ...]] = self._build_links()
+        self.links: list[tuple[int, ...]] = []
+        self.stars: list[tuple[int, ...]] = []
+        for v, out in enumerate(fan):
+            x = start = min(out)
+            ring, star = [], []
+            while x != start or not ring:
+                ring.append(x)
+                t = out[x]
+                # t is (v, x, y) rotated: its edge k runs v -> x, y precedes v
+                k = self.triangles[t].index(v)
+                star.append(self._tri_edges[t][k])
+                x = self.triangles[t][k - 1]
+            if len(ring) != len(out):
+                raise NotAManifold("link of vertex %d is not a single cycle" % v)
+            self.links.append(tuple(ring))
+            self.stars.append(tuple(star))
 
     @staticmethod
     def _orient(tris, edge_tris) -> tuple[tuple[int, int, int], ...]:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(tris))}
-        for owners in edge_tris.values():
-            a, b = owners
-            adj[a].append(b)
-            adj[b].append(a)
+        # each triangle's neighbours, in first-seen order of the shared edges
+        nbrs: list[list[int]] = [[] for _ in tris]
+        for a, b in edge_tris.values():
+            nbrs[a].append(b)
+            nbrs[b].append(a)
         oriented: list[tuple[int, int, int] | None] = [None] * len(tris)
         oriented[0] = tris[0]
         stack = [0]
@@ -144,41 +167,19 @@ class TriangulatedSurface:
             ti = stack.pop()
             a, b, c = oriented[ti]
             directed = {(a, b), (b, c), (c, a)}
-            for tj in adj[ti]:
-                x, y, z = tris[tj] if oriented[tj] is None else oriented[tj]
-                shared_same = {(x, y), (y, z), (z, x)} & directed
-                want = (x, y, z) if not shared_same else (x, z, y)
+            for tj in nbrs[ti]:
+                # tj must run the edge it shares with ti the other way
+                x, y, z = tris[tj]
+                want = ((x, z, y) if {(x, y), (y, z), (z, x)} & directed
+                        else tris[tj])
                 if oriented[tj] is None:
                     oriented[tj] = want
                     stack.append(tj)
-                elif oriented[tj] != want and oriented[tj] not in (
-                        (want[1], want[2], want[0]), (want[2], want[0], want[1])):
+                elif oriented[tj] != want:
                     raise NotOrientable("triangles %d and %d disagree" % (ti, tj))
         if any(t is None for t in oriented):
             raise NotAManifold("surface is not connected")
         return tuple(oriented)
-
-    def _build_links(self) -> list[tuple[int, ...]]:
-        succ: list[dict[int, int]] = [dict() for _ in self.positions]
-        for a, b, c in self.triangles:
-            for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-                if x in succ[v]:
-                    raise NotAManifold("pinched link at vertex %d" % v)
-                succ[v][x] = y
-        links: list[tuple[int, ...]] = []
-        for v, nxt in enumerate(succ):
-            start = min(nxt)
-            ring = [start]
-            cur = nxt[start]
-            while cur != start:
-                ring.append(cur)
-                if cur not in nxt or len(ring) > len(nxt):
-                    raise NotAManifold("broken link at vertex %d" % v)
-                cur = nxt[cur]
-            if len(ring) != len(nxt):
-                raise NotAManifold("link of vertex %d is not a single cycle" % v)
-            links.append(tuple(ring))
-        return links
 
     @property
     def n_vertices(self) -> int:
@@ -284,22 +285,14 @@ def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:
                          % (len(field.values), surface.n_vertices))
 
 
-def _lower_arcs(ring, low) -> list[list[int]]:
-    """Maximal runs of ring positions whose ``low`` flag is set."""
-    n = len(ring)
-    if all(low):
-        return [list(range(n))]
-    start = next(i for i in range(n) if not low[i])
-    arcs: list[list[int]] = []
-    cur: list[int] = []
-    for off in range(1, n + 1):
-        i = (start + off) % n
-        if low[i]:
-            cur.append(i)
-        elif cur:
-            arcs.append(cur)
-            cur = []
-    return arcs
+def _run_starts(flags: list[bool]) -> list[int]:
+    """First position of each maximal cyclic run of set flags, in ring
+    order from the first unset flag ([0] when every flag is set)."""
+    if all(flags):
+        return [0]
+    n, k = len(flags), flags.index(False)
+    return [i % n for i in range(k + 1, k + n + 1)
+            if flags[i % n] and not flags[i % n - 1]]
 
 
 class _ContourTracker:
@@ -429,10 +422,6 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 
     key = field.key
     order = sorted(range(surface.n_vertices), key=key)
-    star_edge = [
-        {u: surface.edge_index[_edge_key(u, v)] for u in surface.links[v]}
-        for v in range(surface.n_vertices)
-    ]
 
     tracker = _ContourTracker()
     vertices: list[ReebVertex] = []
@@ -463,31 +452,27 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         arc["upper_val"] = field.values[v]
 
     for v in order:
-        ring = surface.links[v]
+        star = surface.stars[v]
         kv = key(v)
-        low = [key(u) < kv for u in ring]
-        lower_arcs = _lower_arcs(ring, low)
-        upper_arcs = _lower_arcs(ring, [not x for x in low])
-        n_lo, n_up = len(lower_arcs), len(upper_arcs)
-        dead = {star_edge[v][u] for i, u in enumerate(ring) if low[i]}
-        born = {star_edge[v][u] for i, u in enumerate(ring) if not low[i]}
+        low = [key(u) < kv for u in surface.links[v]]
+        lower = _run_starts(low)
+        upper = _run_starts([not x for x in low])
+        dead = {e for e, x in zip(star, low) if x}
+        born = {e for e, x in zip(star, low) if not x}
 
-        if n_lo == 0:
+        if not lower or not upper:
             vid = "v%d" % v
             vertices.append(ReebVertex(vid, field.values[v], VertexKind.CENTER))
-            cid = tracker.new(born)
-            open_arc(cid, vid, v)
-            continue
-        if n_up == 0:
-            vid = "v%d" % v
-            vertices.append(ReebVertex(vid, field.values[v], VertexKind.CENTER))
+            if not lower:
+                open_arc(tracker.new(born), vid, v)
+                continue
             cid = tracker.owner[next(iter(dead))]
             if tracker.members[cid] != dead:
                 raise ContourSweepFailed("contour at maximum %d is not its star" % v)
             close_arc(cid, vid, v)
             tracker.drop(cid)
             continue
-        if n_lo == 1 and n_up == 1:
+        if len(lower) == 1 and len(upper) == 1:
             cid = tracker.owner[next(iter(dead))]
             if any(tracker.owner[e] != cid for e in dead):
                 raise ContourSweepFailed("torn contour at regular vertex %d" % v)
@@ -495,15 +480,15 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             arcs[arc_of[cid]]["segments"].append(
                 (kv, pick_rep(born, field.values[v])))
             continue
-        if n_lo != 2 or n_up != 2:
+        if len(lower) != 2 or len(upper) != 2:
             raise DegenerateField(
                 "monkey saddle at vertex %d (%d descending sectors); "
-                "subdivide the mesh around it" % (v, n_lo))
+                "subdivide the mesh around it" % (v, len(lower)))
 
         vid = "v%d" % v
         vertices.append(ReebVertex(vid, field.values[v], VertexKind.SADDLE))
-        c1 = tracker.owner[star_edge[v][ring[lower_arcs[0][0]]]]
-        c2 = tracker.owner[star_edge[v][ring[lower_arcs[1][0]]]]
+        c1 = tracker.owner[star[lower[0]]]
+        c2 = tracker.owner[star[lower[1]]]
         if c1 != c2:
             close_arc(c1, vid, v)
             close_arc(c2, vid, v)
@@ -523,8 +508,8 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
                     ka, kb = kb, ka
                 return ka <= _kv < kb
 
-            rep1 = star_edge[v][ring[upper_arcs[0][0]]]
-            rep2 = star_edge[v][ring[upper_arcs[1][0]]]
+            rep1 = star[upper[0]]
+            rep2 = star[upper[1]]
             side_a: set[int] = set()
             for _, entry, exit_ in _trace(surface, crossed_above, rep1):
                 side_a.add(entry)
@@ -532,11 +517,8 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             if rep2 in side_a or not side_a <= tracker.members[c1]:
                 raise ContourSweepFailed(
                     "level cycle failed to split at vertex %d" % v)
-            side_b = tracker.members[c1] - side_a
+            tracker.members[c1] -= side_a
             cid_a = tracker.new(side_a)
-            tracker.members[c1] = side_b
-            for e in side_b:
-                tracker.owner[e] = c1
             open_arc(cid_a, vid, v)
             open_arc(c1, vid, v)
 
@@ -618,50 +600,41 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
 def _disk_edges(g: ReebGraph, genus: int) -> set[str]:
     """Ids of the edges whose level curves bound a disk.
 
-    One iterative depth-first search over ``g``, keyed by edge id so that
-    parallel edges are never taken for bridges, computes low-links and,
-    per subtree, its vertex count and the number of edges charged to it
-    (tree edges at their parent end, back edges at their deeper end).  A
-    bridge's curve separates the surface; the side below child ``c`` has
+    One iterative depth-first search over ``g.incident``, keyed by edge id
+    so that parallel edges are never taken for bridges, computes low-links
+    and, per subtree, its vertex count and the number of edges charged to
+    it (tree edges at their parent end, back edges at their deeper end).
+    A bridge's curve separates the surface; the side below child ``c`` has
     genus ``rank_c = E_sub(c) - V_sub(c) + 1``, the other ``genus -
     rank_c``, and a side of genus 0 is a disk.  Non-bridges never
     separate.  Raises ReebTopologyMismatch if ``g`` is not connected.
     """
-    index = {v.id: i for i, v in enumerate(g.vertices)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
-    for k, e in enumerate(g.edges):
-        a, b = index[e.lower], index[e.upper]
-        adj[a].append((k, b))
-        adj[b].append((k, a))
-    n = len(adj)
-    if n == 0:
+    if not g.vertices:
         raise ReebTopologyMismatch("Reeb graph has no vertices")
-    disc = [-1] * n
-    low = [0] * n
-    size = [1] * n
-    charged = [0] * n
-    used = [False] * len(g.edges)
-    disc[0] = 0
-    reached = 1
+    root = g.vertices[0].id
+    disc, low, size, charged = {root: 0}, {root: 0}, {root: 1}, {root: 0}
+    used: set[str] = set()
     # (vertex, its parent, the tree edge to it, its unexplored incidences)
-    stack = [(0, -1, -1, iter(adj[0]))]
+    stack = [(root, None, None, iter(g.incident(root)))]
     out: set[str] = set()
     while stack:
         v, p, up, todo = stack[-1]
-        for k, u in todo:
-            if used[k]:
+        for k in todo:
+            if k in used:
                 continue
-            used[k] = True
+            used.add(k)
             charged[v] += 1
-            if disc[u] < 0:
-                disc[u] = low[u] = reached
-                reached += 1
-                stack.append((u, v, k, iter(adj[u])))
+            e = g.edge(k)
+            u = e.upper if e.lower == v else e.lower
+            if u not in disc:
+                disc[u] = low[u] = len(disc)
+                size[u], charged[u] = 1, 0
+                stack.append((u, v, k, iter(g.incident(u))))
                 break
             low[v] = min(low[v], disc[u])
         else:
             stack.pop()
-            if p < 0:
+            if p is None:
                 continue
             low[p] = min(low[p], low[v])
             size[p] += size[v]
@@ -669,11 +642,11 @@ def _disk_edges(g: ReebGraph, genus: int) -> set[str]:
             if low[v] > disc[p]:
                 rank = charged[v] - size[v] + 1
                 if rank == 0 or rank == genus:
-                    out.add(g.edges[up].id)
-    if reached != n:
+                    out.add(up)
+    if len(disc) != len(g.vertices):
         raise ReebTopologyMismatch(
             "Reeb graph is not connected: %d of %d vertices reachable"
-            % (reached, n))
+            % (len(disc), len(g.vertices)))
     return out
 
 

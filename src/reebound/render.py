@@ -72,9 +72,11 @@ def _strand_layout(g: ReebGraph) -> dict[str, float]:
             if g.edge(eid).lower == v.id:
                 starts.setdefault(v.id, []).append(eid)
     for v in order:
-        ins = [eid for eid in g.incident(v.id) if g.edge(eid).upper == v.id]
+        # a self-loop is not in ``slots`` yet when it reaches its own end
+        ins = [eid for eid in g.incident(v.id)
+               if g.edge(eid).upper == v.id and eid in slots]
         outs = sorted(starts.get(v.id, ()))
-        positions = sorted(slots.index(eid) for eid in ins if eid in slots)
+        positions = sorted(slots.index(eid) for eid in ins)
         if positions:
             y[v.id] = sum(positions) / len(positions)
             anchor = positions[0]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 from reebound import (
     EdgeLabel,
@@ -275,6 +276,44 @@ def chained_tori(n: int):
     return TriangulatedSurface(pos, tris), ScalarField(tuple(vals))
 
 
+def noisy_torus(seed: int = 3, amplitude: float = 0.05):
+    """48 x 24 upright torus, field = height plus seeded uniform noise.
+
+    At the defaults the sweep finds 86 Reeb edges; most other seeds at
+    this amplitude make a monkey saddle, which the sweep rejects.
+    """
+    surface, field = vertical_torus(48, 24)
+    rng = random.Random(seed)
+    return surface, ScalarField(tuple(v + amplitude * rng.random()
+                                      for v in field.values))
+
+
+def pillow():
+    """Two triangles on the same three vertices: a sphere whose vertex
+    links have length two."""
+    surface = TriangulatedSurface([(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                                  [(0, 1, 2), (0, 2, 1)])
+    return surface, ScalarField((0.0, 1.0, 2.0))
+
+
+def pinched_torus():
+    """A 24 x 12 torus grid with vertex (12, 6) glued onto vertex (0, 0).
+
+    Every edge still borders two consistently oriented triangles, but
+    the glued vertex's link is two disjoint cycles.
+    """
+    nu, nv = 24, 12
+    pos, _, tris = _torus_grid(nu, nv)
+    gone, keep = 12 * nv + 6, 0
+    del pos[gone]
+
+    def renumber(x):
+        x = keep if x == gone else x
+        return x - 1 if x > gone else x
+
+    return pos, [tuple(renumber(x) for x in t) for t in tris]
+
+
 def monkey_bipyramid():
     """Hexagonal bipyramid whose apex has three descending sectors."""
     pos = [(0, 0, 0.5), (0, 0, -2.0)]
@@ -326,6 +365,10 @@ NON_MANIFOLD_OFF = """OFF
 3 0 1 3
 3 0 1 4
 """
+
+#: the tetrahedron plus a fifth vertex no triangle uses
+ISOLATED_VERTEX_OFF = ("OFF\n5 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n"
+                       "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
 
 OPEN_SURFACE_OFF = """OFF
 3 1 0

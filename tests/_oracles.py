@@ -75,6 +75,24 @@ def pl_criticality(surface: TriangulatedSurface,
     return mins, saddles, maxes
 
 
+def _lower_arcs(ring, low) -> list[list[int]]:
+    """Maximal runs of ring positions whose ``low`` flag is set."""
+    n = len(ring)
+    if all(low):
+        return [list(range(n))]
+    start = next(i for i in range(n) if not low[i])
+    arcs: list[list[int]] = []
+    cur: list[int] = []
+    for off in range(1, n + 1):
+        i = (start + off) % n
+        if low[i]:
+            cur.append(i)
+        elif cur:
+            arcs.append(cur)
+            cur = []
+    return arcs
+
+
 def level_cycles(surface: TriangulatedSurface, field: ScalarField,
                  level: float) -> list[LevelCycle]:
     """All contours of the level set at a non-vertex level."""
@@ -402,7 +420,7 @@ def naive_check_invariants(g: EssentialSubgraph, p: PartialAssignment,
         if top is not None:
             band = {top - 1, top}
             for e in g.edges:
-                val = p.value(e.id)
+                val = p.assigned.get(e.id)
                 if val is None or g.span(e.id)[1] <= level:
                     continue
                 if val not in band:
@@ -423,11 +441,11 @@ def naive_check_invariants(g: EssentialSubgraph, p: PartialAssignment,
             m = vals.pop()
             x = events[gap]
             if m not in min_level_cache:
-                m_edges = [e.id for e in g.edges if p.value(e.id) == m]
+                m_edges = [e.id for e in g.edges if p.assigned.get(e.id) == m]
                 min_level_cache[m] = _connected_min_levels(g, m_edges)
             reach = min_level_cache[m]
             for e in g.edges:
-                val = p.value(e.id)
+                val = p.assigned.get(e.id)
                 if val is None or g.span(e.id)[1] <= x:
                     continue
                 if val != m:
@@ -529,7 +547,7 @@ def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignm
         if g.degree(vid) != 2:
             continue
         e1, e2 = g.incident(vid)
-        v1, v2 = out.value(e1), out.value(e2)
+        v1, v2 = out.assigned.get(e1), out.assigned.get(e2)
         if (v1 is None) == (v2 is None):
             continue
         src, dst = (e1, e2) if v2 is None else (e2, e1)
@@ -541,7 +559,7 @@ def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignm
                 queue.append(end)
     for vid in _valency2_vertices(g):
         e1, e2 = g.incident(vid)
-        v1, v2 = out.value(e1), out.value(e2)
+        v1, v2 = out.assigned.get(e1), out.assigned.get(e2)
         if v1 is not None and v2 is not None and v1 != v2:
             raise ConflictingPropagation(
                 "vertex %s joins edges assigned %d and %d" % (vid, v1, v2))

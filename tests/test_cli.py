@@ -284,6 +284,26 @@ class TestGenRender:
         assert dot.read_text().startswith("digraph")
         assert svg.read_text().startswith("<svg")
 
+    def test_render_svg_with_self_loop(self, capsys, tmp_path):
+        # valid JSON that validate rejects (EdgeMonotone): the loop at b
+        # is not open yet when b's incoming edges are closed
+        gpath = tmp_path / "loop.json"
+        gpath.write_text(json.dumps({
+            "lo": 0.0, "hi": 1.0,
+            "vertices": [{"id": "a", "level": 0.25, "kind": "center"},
+                         {"id": "b", "level": 0.5, "kind": "center"}],
+            "edges": [{"id": "e0", "lower": "a", "upper": "b",
+                       "label": "inessential"},
+                      {"id": "e1", "lower": "b", "upper": "b",
+                       "label": "inessential"}]}))
+        code, _, _ = run_main(capsys, "validate", str(gpath))
+        assert code == 1
+        svg = tmp_path / "loop.svg"
+        code, out, err = run_main(capsys, "render", str(gpath),
+                                  "--svg", str(svg))
+        assert (code, out, err) == (0, "", "")
+        assert svg.read_text().count("<line ") == 2
+
     def test_render_defaults_to_stdout_dot(self, capsys, single_edge_file):
         code, out, _ = run_main(capsys, "render", single_edge_file)
         assert code == 0

@@ -1,6 +1,8 @@
 """Mesh front-end: loading, validation, the sweep, and classification."""
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 import sys
 from math import nextafter
@@ -13,6 +15,7 @@ from reebound import (
     TriangulatedSurface,
     VertexKind,
     build_reeb,
+    graph_dumps,
     label_reeb,
     restrict,
     validate,
@@ -27,19 +30,23 @@ from reebound.errors import (
     ReebTopologyMismatch,
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex
-from reebound.mesh import LevelCycle
+from reebound.mesh import LevelCycle, _run_starts
 
 from _fixtures import (
+    ISOLATED_VERTEX_OFF,
     NON_MANIFOLD_OFF,
     OPEN_SURFACE_OFF,
     chained_tori,
     disconnected_off,
     klein_grid,
     monkey_bipyramid,
+    noisy_torus,
     octa_sphere,
+    pillow,
+    pinched_torus,
     vertical_torus,
 )
-from _oracles import (count_level_components, level_cycles,
+from _oracles import (_lower_arcs, count_level_components, level_cycles,
                       naive_is_inessential, pl_criticality)
 
 
@@ -109,6 +116,34 @@ class TestLoading:
         s, _ = octa_sphere()
         with pytest.raises(ValueError):
             build_reeb(s, ScalarField((1.0, 2.0)))
+
+
+class TestSurfaceTables:
+    def test_run_starts_match_arc_oracle(self):
+        # every boolean ring of length 1..12, and its negation: the
+        # starts are the first positions of the oracle's arcs, in order
+        for n in range(1, 13):
+            for bits in itertools.product((False, True), repeat=n):
+                for flags in (list(bits), [not x for x in bits]):
+                    assert _run_starts(flags) == [
+                        arc[0] for arc in _lower_arcs(flags, flags)], flags
+
+    @pytest.mark.parametrize("fixture", [
+        octa_sphere, vertical_torus, lambda: chained_tori(2),
+        lambda: chained_tori(3), noisy_torus, pillow, monkey_bipyramid],
+        ids=["sphere", "torus", "genus2", "genus3", "noisy-torus", "pillow",
+             "monkey"])
+    def test_star_edges_join_vertex_to_link(self, fixture):
+        s, _ = fixture()
+        assert len(s.stars) == len(s.links) == s.n_vertices
+        for v, (ring, star) in enumerate(zip(s.links, s.stars)):
+            assert len(star) == len(ring)
+            for u, eid in zip(ring, star):
+                assert s.edges[eid] == tuple(sorted((v, u)))
+
+    def test_pillow_links_have_length_two(self):
+        s, _ = pillow()
+        assert s.links == [(1, 2), (0, 2), (0, 1)]
 
 
 class TestCriticality:
@@ -319,3 +354,76 @@ class TestCutAlong:
         s, f = octa_sphere()
         with pytest.raises(ValueError):
             level_cycles(s, f, 1.0)
+
+
+#: the meshes whose from-mesh output is pinned below
+PINNED_MESHES = {
+    "sphere": octa_sphere,
+    "torus": vertical_torus,
+    "genus1": lambda: chained_tori(1),
+    "genus2": lambda: chained_tori(2),
+    "genus3": lambda: chained_tori(3),
+    "genus4": lambda: chained_tori(4),
+    "noisy-torus": noisy_torus,
+    "pillow": pillow,
+}
+
+#: SHA-256 of graph_dumps(label_reeb(build_reeb(...))) per (mesh, witness
+#: fraction), recorded while build_reeb still keyed every vertex's star
+#: edges itself and label_reeb indexed the graph again: reading the
+#: surface's and the graph's own tables must keep every output byte.
+MESH_SHA256 = {
+    ("sphere", 0.1): "249a2f7b472a76a811f28184bc1f6f2430a01000e25ab2119cc7a0645da31008",
+    ("sphere", 0.5): "0ffc22e027ccfd312f467da775544d123d8ba1831f2975445ac96ea3949e22db",
+    ("sphere", 0.9): "7b1c8544ab0da14ea9b07d4bda74305c2564a88a583c32eea66bfa13c2c3c037",
+    ("torus", 0.1): "a94922331154449695d596c6952c23bb3d6ba0e4dfc54c5bd97b74dbb407cb36",
+    ("torus", 0.5): "3244d43026ad8060a5b174ceb588396998f3e91047c9445207a062a4c83da684",
+    ("torus", 0.9): "346ec387427cff6614b1fd50b5de9ecafe0150cb1b62a14103ffa127c32a40dd",
+    ("genus1", 0.1): "7fd01c2263d4cd23c330be03abbd3c8c30d3302f1d893911f49ef00103552c30",
+    ("genus1", 0.5): "618068a1145b8ef3945001b27c9f7e680b861097dfbfc6a876140f4cb9fdef53",
+    ("genus1", 0.9): "9e8f8277252f1a8aeab7ce049e6dc1f7fcb745f6409874aa5e59b4f13d57b314",
+    ("genus2", 0.1): "edd1f3c650ec44c9ce1286a479417758be0cc8e55a82daed72f17a46ba7ebcc5",
+    ("genus2", 0.5): "f0f0044c627599785a2d38298079216c101e096211913c92e616da9de2a439ed",
+    ("genus2", 0.9): "520dab2d02081ce249de318e0c191cade95c49df0c93eadba2624023a5a2831d",
+    ("genus3", 0.1): "c48dacd7d73ac485a98c7127f699ed41730eabc35345f0f6bdef6cecc79acca6",
+    ("genus3", 0.5): "48c46fbf2b30e9845e4db41fd194e60d63ae3c70f4e1810b1159d46c45a7c35e",
+    ("genus3", 0.9): "daa4ec8826e95e96105cb867f9a970198e2f31e920af1094dac4dfffbf23264d",
+    ("genus4", 0.1): "1bf10ae32b448e9b5f2640939f900898e151b19d65f8670fa52426ffbeeee40b",
+    ("genus4", 0.5): "1a7e035a2508bf6f8cc979dae9f3ebf46ca242a3d2dec46de9fa692b5ac78446",
+    ("genus4", 0.9): "9a9a0f2d922f40625c9d5c19dfda2393131d7b2fcc9950cd3e1b8df83d50ac15",
+    ("noisy-torus", 0.1): "2a5f7e84f1b5e3b62528dafd03d4e337fcc04fdb56e9b6384583a1ffd6f7c86b",
+    ("noisy-torus", 0.5): "1c4e553d762c280b1fa72836fa0ae39042a8be3e954c92932b2c445dab6a5402",
+    ("noisy-torus", 0.9): "f289672c12311eecaf03c1b35ef3a6fc0a2770bdbd4fbfcb2599fbdc24e48972",
+    ("pillow", 0.1): "26e52fe50c02423a045c1f43f86f25bd258f47cd53baf508f7923b81c9b96001",
+    ("pillow", 0.5): "643e752f68de0c668c8b668503d236f9a2ea561fe6269496d62c9738e4d5f010",
+    ("pillow", 0.9): "b7a64c9c999c7c64f5eacfe114ea7fea4fdd9794bd2e6ef8654e29e12bee9c4a",
+}
+
+
+class TestPinnedOutput:
+    def test_graph_bytes_pinned(self):
+        got = {}
+        for name, make in PINNED_MESHES.items():
+            s, f = make()
+            for frac in (0.1, 0.5, 0.9):
+                text = graph_dumps(label_reeb(s, f, build_reeb(s, f, frac)))
+                got[name, frac] = hashlib.sha256(text.encode()).hexdigest()
+        assert got == MESH_SHA256
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: TriangulatedSurface.from_off_text(OPEN_SURFACE_OFF),
+         NotAManifold, "edge (0, 1) borders 1 triangles, expected 2"),
+        (lambda: TriangulatedSurface(*klein_grid()),
+         NotOrientable, "triangles 101 and 100 disagree"),
+        (lambda: TriangulatedSurface.from_off_text(disconnected_off()),
+         NotAManifold, "surface is not connected"),
+        (lambda: TriangulatedSurface.from_off_text(ISOLATED_VERTEX_OFF),
+         NotAManifold, "isolated vertex present"),
+        (lambda: TriangulatedSurface(*pinched_torus()),
+         NotAManifold, "link of vertex 0 is not a single cycle"),
+    ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched"])
+    def test_surface_check_messages(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert str(info.value) == message
