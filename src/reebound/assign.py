@@ -16,11 +16,11 @@ trace under its name:
   n+1 respectively n onto the unassigned edges there.
 
 assign_all runs them in one pass over the interior vertices in level
-order, keeping its state between rounds instead of rescanning the graph:
-step1 is a worklist seeded by the edges the round wrote, the next step2
-vertex comes from a pointer that only moves up, and the frontier is the
-set of edges spanning the current gap, with a count per integer on it.
-A run costs O((V + E) log V).
+order, reading the graph's incidence and gap index where it stands and
+keeping its own state between rounds: step1 is a worklist seeded by the
+edges the round wrote, the next step2 vertex comes from a pointer that
+only moves up, and the frontier is the set of edges spanning the current
+gap, with a count per integer on it.  A run costs O((V + E) log V).
 
 The final report takes the minimum m over edges adjacent to the upper
 boundary; m+1 bounds the distance between the compressing systems of the
@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from .errors import (
     BrokenUniqueness,
@@ -65,6 +66,8 @@ RULE_FRONTIER = "frontier-class"
 RULE_BAND = "downstream-band"
 RULE_PLATEAU_VALUE = "plateau-uniform"
 RULE_PLATEAU_PATH = "plateau-connected"
+
+_ends = attrgetter("lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -254,26 +257,23 @@ class _Sweep:
         self.g = g
         self.assigned: dict[str, int] = {}
         self.trace: list[TraceEntry] = []
-        self.valency2 = [v.id for v in g.vertices if g.degree(v.id) == 2]
+        # the graph's own index, read in place
+        self.edges, self.incident, self.gaps = g._edge_by_id, g._incident, g._gaps
+        self.valency2 = [v for v, eids in self.incident.items() if len(eids) == 2]
         self.rank = {vid: k for k, vid in enumerate(self.valency2)}
-        self.ends = {e.id: (e.lower, e.upper) for e in g.edges}
-        self.gaps = {e.id: g.gaps(e.id) for e in g.edges}
         self.next = 0
         self.by_lower = sorted(self.gaps, key=lambda eid: self.gaps[eid].start)
         self.passed = 0
         # frontier: the edges entering and leaving it at each gap, its
         # width, its integers with their multiplicities, and the number
         # of its unassigned edges
-        n_events = len(g.event_levels())
-        self.enter: list[list[str]] = [[] for _ in range(n_events)]
-        self.leave: list[list[str]] = [[] for _ in range(n_events)]
+        self.enter: list[list[str]] = [[] for _ in g._events]
+        self.leave: list[list[str]] = [[] for _ in g._events]
         for eid, gaps in self.gaps.items():
             if gaps:
                 self.enter[gaps.start].append(eid)
                 self.leave[gaps.stop].append(eid)
-        self.gap = -1
-        self.width = 0
-        self.open = 0
+        self.gap, self.width, self.open = -1, 0, 0
         self.counts: dict[int, int] = {}
 
     def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
@@ -304,8 +304,8 @@ class _Sweep:
         front of the pass, by rank.  Then checks the vertices whose edges
         were written this round for ConflictingPropagation.
         """
-        rank, assigned = self.rank, self.assigned
-        ahead = [rank[end] for eid in written for end in self.ends[eid]
+        rank, assigned, edges = self.rank, self.assigned, self.edges
+        ahead = [rank[end] for eid in written for end in _ends(edges[eid])
                  if end in rank]
         heapify(ahead)
         behind: deque[str] = deque()
@@ -317,7 +317,7 @@ class _Sweep:
             else:
                 cursor = len(self.valency2)
                 vid = behind.popleft()
-            e1, e2 = self.g.incident(vid)
+            e1, e2 = self.incident[vid]
             if (e1 in assigned) == (e2 in assigned):
                 continue
             src, dst = (e1, e2) if e1 in assigned else (e2, e1)
@@ -325,22 +325,22 @@ class _Sweep:
             self.trace.append(TraceEntry(STEP1, vid, (dst,), value))
             self._write(dst, value)
             written.append(dst)
-            for end in self.ends[dst]:
+            for end in _ends(edges[dst]):
                 if end != vid and end in rank:
                     behind.append(end)
                     if rank[end] > cursor:
                         heappush(ahead, rank[end])
-        clashes = [rank[end] for eid in written for end in self.ends[eid]
+        clashes = [rank[end] for eid in written for end in _ends(edges[eid])
                    if end in rank and self._clash(end)]
         if clashes:
             vid = self.valency2[min(clashes)]
-            e1, e2 = self.g.incident(vid)
+            e1, e2 = self.incident[vid]
             raise ConflictingPropagation(
                 "vertex %s joins edges assigned %d and %d"
                 % (vid, assigned[e1], assigned[e2]))
 
     def _clash(self, vid: str) -> bool:
-        e1, e2 = self.g.incident(vid)
+        e1, e2 = self.incident[vid]
         v1, v2 = self.assigned.get(e1), self.assigned.get(e2)
         return v1 is not None and v2 is not None and v1 != v2
 
@@ -349,7 +349,7 @@ class _Sweep:
         interior, assigned = self.g.interior, self.assigned
         while self.next < len(interior):
             vid = interior[self.next]
-            if any(eid not in assigned for eid in self.g.incident(vid)):
+            if any(eid not in assigned for eid in self.incident[vid]):
                 return vid
             self.next += 1
         return None
@@ -362,10 +362,8 @@ class _Sweep:
         while (self.passed < len(by_lower)
                and self.gaps[by_lower[self.passed]].start < index):
             if by_lower[self.passed] not in assigned:
-                level = self.g.level(target)
-                stragglers = [e.id for e in self.g.edges
-                              if e.id not in assigned
-                              and self.g.span(e.id)[0] < level]
+                stragglers = [eid for eid in by_lower if eid not in assigned
+                              and self.gaps[eid].start < index]
                 raise BrokenUniqueness(
                     "unassigned edges strictly left of %s: %s"
                     % (target, ", ".join(sorted(stragglers))))

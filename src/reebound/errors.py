@@ -151,6 +151,11 @@ class OpenCycle(ReeboundError):
     """A level cycle does not close up."""
 
 
+class BadWitness(ReeboundError, ValueError):
+    """A witness cycle enters and leaves a triangle by one edge, names a
+    missing or uncrossed edge, or a triangle lacking its edges or met twice."""
+
+
 class MissingWitness(ReeboundError):
     """An edge has no witness cycle to classify."""
 

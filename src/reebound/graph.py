@@ -16,7 +16,7 @@ construction.
 from __future__ import annotations
 
 import json
-import math
+from math import isfinite
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
@@ -35,21 +35,19 @@ class VertexKind(str, Enum):
     REGULAR = "regular"
 
 
-#: Valency each vertex kind must have in the full graph.
-EXPECTED_VALENCY = {
-    VertexKind.BOUNDARY_MINUS: 1,
-    VertexKind.BOUNDARY_PLUS: 1,
-    VertexKind.CENTER: 1,
-    VertexKind.SADDLE: 3,
-    VertexKind.REGULAR: 2,
-}
-
-BOUNDARY_KINDS = (VertexKind.BOUNDARY_MINUS, VertexKind.BOUNDARY_PLUS)
-
-
 class EdgeLabel(str, Enum):
     ESSENTIAL = "essential"
     INESSENTIAL = "inessential"
+
+
+# plain names for hot loops: Enum class attribute reads are slow on CPython 3.11
+_MINUS, _PLUS, _CENTER, _SADDLE, _REGULAR = VertexKind
+_ESSENTIAL = EdgeLabel.ESSENTIAL
+
+#: Valency each vertex kind must have in the full graph.
+EXPECTED_VALENCY = {_MINUS: 1, _PLUS: 1, _CENTER: 1, _SADDLE: 3, _REGULAR: 2}
+
+BOUNDARY_KINDS = (_MINUS, _PLUS)
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def _check_finite(value: float, what: str, *args,
                   error: type[Exception] = MalformedGraph) -> None:
     """Raise ``error`` unless value is a finite number; ``what % args``
     names it, formatted only on failure."""
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not isinstance(value, (int, float)) or not isfinite(value):
         raise error("%s must be a finite number, got %r"
                     % (what % args, value))
 
@@ -129,9 +127,10 @@ class ReebGraph:
     same vertex/edge content.  ``meta`` carries provenance (generator
     seeds, mesh info) and is excluded from comparisons.
 
-    Construction also indexes the graph once: the sorted event levels, and
-    for every edge the gaps it spans, where gap k is the open interval
-    between event levels k and k + 1.
+    Construction also indexes the graph once, and validate and the sweep
+    read the index in place: the sorted event levels (``_events``), each
+    edge's range of spanned gaps (``_gaps``; gap k is the open interval
+    between event levels k and k + 1), ``_incident`` and ``_edge_by_id``.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -147,18 +146,20 @@ class ReebGraph:
             raise MalformedGraph("window lo must be below hi")
         self.vertices = tuple(sorted(self.vertices, key=attrgetter("level", "id")))
         self.edges = tuple(sorted(self.edges, key=attrgetter("id")))
-        by_id: dict[str, ReebVertex] = {}
+        self._by_id = by_id = {}
         for v in self.vertices:
-            _check_finite(v.level, "level of vertex %s", v.id)
+            if type(v.level) is not float or not isfinite(v.level):
+                _check_finite(v.level, "level of vertex %s", v.id)
             if v.id in by_id:
                 raise MalformedGraph("duplicate vertex id %r" % v.id)
             by_id[v.id] = v
         self._events = sorted({v.level for v in self.vertices} | {self.lo, self.hi})
         index = {level: k for k, level in enumerate(self._events)}
-        event_index = {v.id: index[v.level] for v in self.vertices}
+        self._event_index = event_index = {v.id: index[v.level]
+                                           for v in self.vertices}
         incident: dict[str, list[str]] = {vid: [] for vid in by_id}
-        edge_by_id: dict[str, ReebEdge] = {}
-        gaps: dict[str, range] = {}
+        self._edge_by_id = edge_by_id = {}
+        self._gaps = gaps = {}
         for e in self.edges:
             if e.id in edge_by_id:
                 raise MalformedGraph("duplicate edge id %r" % e.id)
@@ -170,11 +171,7 @@ class ReebGraph:
             edge_by_id[e.id] = e
             # [a, b] spans (x, y) iff a <= x and y <= b
             gaps[e.id] = range(event_index[e.lower], event_index[e.upper])
-        self._by_id = by_id
         self._incident = {k: tuple(v) for k, v in incident.items()}
-        self._edge_by_id = edge_by_id
-        self._event_index = event_index
-        self._gaps = gaps
 
     # -- lookups ------------------------------------------------------------
 
@@ -190,9 +187,6 @@ class ReebGraph:
     def incident(self, vid: str) -> tuple[str, ...]:
         """Ids of the edges meeting the vertex."""
         return self._incident[vid]
-
-    def degree(self, vid: str) -> int:
-        return len(self._incident[vid])
 
     def span(self, eid: str) -> tuple[float, float]:
         """(lower level, upper level) of the edge."""
@@ -232,7 +226,9 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     rule (a saddle meets 0, 2 or 3 essential edge-ends, never exactly 1),
     the center rule (all edges at a center are inessential), and level
     coverage (every inter-event gap is spanned by at least one essential
-    edge).
+    edge).  Each rule is decided on the graph's index, in one pass over the
+    edges and one over the vertices: an edge is monotone iff its gap range
+    is non-empty, and a valency is an incidence count.
 
     ``allow_regular`` tolerates valency-two subdivision vertices, which
     never come from critical points.  ``check_coverage=False`` skips the
@@ -240,65 +236,61 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     because level loops near their extrema bound disks.
     """
     out: list[Violation] = []
-    monotone_ok = True
+    # essential ends per vertex, and essential edges opening minus closing per event
+    ess: dict[str, int] = {}
+    delta = [0] * len(g._events)
     for e in g.edges:
-        a, b = g.span(e.id)
-        if not a < b:
-            monotone_ok = False
+        gaps = g._gaps[e.id]
+        if not gaps:
             out.append(Violation(RULE_EDGE_MONOTONE, (e.id,),
-                                 "edge levels %r -> %r are not increasing" % (a, b)))
+                                 "edge levels %r -> %r are not increasing"
+                                 % g.span(e.id)))
+        if e.label is _ESSENTIAL:
+            ess[e.lower] = ess.get(e.lower, 0) + 1
+            ess[e.upper] = ess.get(e.upper, 0) + 1
+            delta[gaps.start] += 1
+            delta[gaps.stop] -= 1
+    monotone_ok = not out
 
+    # critical vertices by level (in level order, as the vertices come),
+    # and the parity and center rules, reported after genericity
+    crit_levels: dict[float, list[str]] = {}
+    ends: list[Violation] = []
     for v in g.vertices:
-        deg = g.degree(v.id)
-        if v.kind is VertexKind.REGULAR and not allow_regular:
+        kind, deg, want = v.kind, len(g._incident[v.id]), EXPECTED_VALENCY[v.kind]
+        if kind is _REGULAR and not allow_regular:
             out.append(Violation(RULE_REGULAR, (v.id,),
                                  "valency-two subdivision vertex present"))
-        want = EXPECTED_VALENCY[v.kind]
         if deg != want:
             out.append(Violation(RULE_VERTEX_VALENCY, (v.id,),
                                  "%s vertex has valency %d, expected %d"
-                                 % (v.kind.value, deg, want)))
-        if v.kind is VertexKind.BOUNDARY_MINUS and v.level != g.lo:
+                                 % (kind.value, deg, want)))
+        if kind is _MINUS and v.level != g.lo:
             out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
                                  "lower-boundary vertex not at lo"))
-        elif v.kind is VertexKind.BOUNDARY_PLUS and v.level != g.hi:
+        elif kind is _PLUS and v.level != g.hi:
             out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
                                  "upper-boundary vertex not at hi"))
-        elif v.kind not in BOUNDARY_KINDS and not g.lo < v.level < g.hi:
+        elif kind not in BOUNDARY_KINDS and not g.lo < v.level < g.hi:
             out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
                                  "interior vertex not strictly inside the window"))
-
-    crit_levels: dict[float, list[str]] = {}
-    for v in g.vertices:
-        if v.kind in (VertexKind.CENTER, VertexKind.SADDLE):
+        if kind is _SADDLE or kind is _CENTER:
             crit_levels.setdefault(v.level, []).append(v.id)
-    for level, vids in sorted(crit_levels.items()):
+            if kind is _SADDLE and ess.get(v.id) == 1:
+                ends.append(Violation(RULE_SADDLE_PARITY, (v.id,),
+                                      "saddle meets exactly one essential edge-end"))
+            elif kind is _CENTER and v.id in ess:
+                ends.append(Violation(RULE_CENTER, (v.id,),
+                                      "center meets an essential edge"))
+    for level, vids in crit_levels.items():
         if len(vids) > 1:
-            out.append(Violation(RULE_GENERICITY, tuple(sorted(vids)),
+            out.append(Violation(RULE_GENERICITY, tuple(vids),
                                  "interior vertices share level %r" % level))
-
-    for v in g.vertices:
-        labels = [g.edge(eid).label for eid in g.incident(v.id)]
-        ess = sum(1 for lb in labels if lb is EdgeLabel.ESSENTIAL)
-        if v.kind is VertexKind.SADDLE and ess == 1:
-            out.append(Violation(RULE_SADDLE_PARITY, (v.id,),
-                                 "saddle meets exactly one essential edge-end"))
-        if v.kind is VertexKind.CENTER and ess > 0:
-            out.append(Violation(RULE_CENTER, (v.id,),
-                                 "center meets an essential edge"))
+    out += ends
 
     if check_coverage and monotone_ok:
-        # difference array over event indices: +1 where an essential
-        # edge's gaps start, -1 where they stop
-        events = g.event_levels()
-        delta = [0] * len(events)
-        for e in g.edges:
-            if e.label is EdgeLabel.ESSENTIAL:
-                gaps = g.gaps(e.id)
-                delta[gaps.start] += 1
-                delta[gaps.stop] -= 1
         spanning = 0
-        for k, (a, b) in enumerate(pairwise(events)):
+        for k, (a, b) in enumerate(pairwise(g._events)):
             spanning += delta[k]
             if not spanning:
                 out.append(Violation(RULE_COVERAGE, (),
@@ -376,8 +368,8 @@ class EssentialSubgraph(ReebGraph):
 
     def __post_init__(self):
         super().__post_init__()
-        levels = [self.level(vid) for vid in self.interior]
-        if any(a > b for a, b in pairwise(levels)):
+        index = self._event_index
+        if any(index[a] > index[b] for a, b in pairwise(self.interior)):
             raise MalformedGraph("interior vertices not ordered by level")
 
 
@@ -393,13 +385,11 @@ def essential_subgraph(g: ReebGraph, *,
         report = validate(g)
         if not report.ok:
             raise InvalidGraph(report)
-    edges = tuple(e for e in g.edges if e.label is EdgeLabel.ESSENTIAL)
+    edges = tuple(e for e in g.edges if e.label is _ESSENTIAL)
     keep = {e.lower for e in edges} | {e.upper for e in edges}
     vertices = tuple(v for v in g.vertices if v.id in keep)
-    bminus = frozenset(v.id for v in vertices
-                       if v.kind is VertexKind.BOUNDARY_MINUS)
-    bplus = frozenset(v.id for v in vertices
-                      if v.kind is VertexKind.BOUNDARY_PLUS)
+    bminus, bplus = (frozenset(v.id for v in vertices if v.kind is kind)
+                     for kind in BOUNDARY_KINDS)
     interior = tuple(v.id for v in vertices if v.kind not in BOUNDARY_KINDS)
     return EssentialSubgraph(vertices, edges, g.lo, g.hi,
                              bminus, bplus, interior)
@@ -440,21 +430,30 @@ def graph_to_dict(g: ReebGraph) -> dict:
     return out
 
 
+_MEMBERS = {enum: {m.value: m for m in enum} for enum in (VertexKind, EdgeLabel)}
+
+
+def _member(enum: type[Enum], value: Any) -> Any:
+    """``enum(value)`` read off a table; a miss raises the enum's ValueError."""
+    try:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
 def graph_from_dict(data: dict) -> ReebGraph:
     try:
         vertices = tuple(
-            ReebVertex(str(v["id"]), float(v["level"]), VertexKind(v["kind"]))
+            ReebVertex(str(v["id"]), float(v["level"]), _member(VertexKind, v["kind"]))
             for v in data["vertices"])
         edges = tuple(
             ReebEdge(str(e["id"]), str(e["lower"]), str(e["upper"]),
-                     EdgeLabel(e["label"]), witness=e.get("witness"))
+                     _member(EdgeLabel, e["label"]), e.get("witness"))
             for e in data["edges"])
-        lo = float(data["lo"])
-        hi = float(data["hi"])
-        meta = data.get("meta")
+        lo, hi = float(data["lo"]), float(data["hi"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedGraph("bad graph payload: %s" % exc) from None
-    return ReebGraph(vertices, edges, lo, hi, meta=meta)
+    return ReebGraph(vertices, edges, lo, hi, meta=data.get("meta"))
 
 
 def graph_dumps(g: ReebGraph) -> str:

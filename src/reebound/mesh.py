@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from math import inf, isfinite, nextafter
 
 from .errors import (
+    BadWitness,
     BadWitnessFraction,
     ContourSweepFailed,
     DegenerateField,
@@ -573,28 +574,25 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
     """Raise unless the cycle is a closed loop of crossings at its level."""
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
-    level = cycle.level
-    n = len(cycle.crossings)
+    level, n = cycle.level, len(cycle.crossings)
     for i, (t, entry, exit_) in enumerate(cycle.crossings):
         nxt = cycle.crossings[(i + 1) % n]
         if entry == exit_:
-            raise ValueError("crossing %d enters and exits edge %r"
-                             % (i, entry))
+            raise BadWitness("crossing %d enters and exits edge %r" % (i, entry))
         if exit_ != nxt[1]:
             raise OpenCycle("crossing %d exits %r but the next enters %r"
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
             if pair not in surface.edge_index:
-                raise ValueError("cycle references missing edge %r" % (pair,))
+                raise BadWitness("cycle references missing edge %r" % (pair,))
             va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):
-                raise ValueError(
-                    "edge %r is not crossed at level %r" % (pair, level))
+                raise BadWitness("edge %r is not crossed at level %r" % (pair, level))
         te = set(surface._tri_edges[t])
         if not {surface.edge_index[entry], surface.edge_index[exit_]} <= te:
-            raise ValueError("triangle %d does not contain both crossing edges" % t)
+            raise BadWitness("triangle %d does not contain both crossing edges" % t)
     if len({t for t, _, _ in cycle.crossings}) != n:
-        raise ValueError("cycle visits a triangle twice")
+        raise BadWitness("cycle visits a triangle twice")
 
 
 def _disk_edges(g: ReebGraph, genus: int) -> set[str]:

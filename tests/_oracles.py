@@ -3,13 +3,15 @@ than the production code: explicit named cells and BFS for cutting a
 surface, direct level-set component counting, the lower-link rule and
 contour tracing applied on their own, an assignment sweep that rescans
 everything every round, the consistency checker that rescans every edge
-at every gap, and the sweep as separate steps over frozen assignments,
-which rescans the graph in each of them."""
+at every gap, the sweep as separate steps over frozen assignments,
+which rescans the graph in each of them, and the validator as one pass
+per rule group through the graph's lookup methods."""
 from __future__ import annotations
 
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable
 
 from reebound.assign import (
@@ -34,7 +36,24 @@ from reebound.errors import (
     NothingToAssign,
     UnassignedFrontier,
 )
-from reebound.graph import EssentialSubgraph, ValidationReport, Violation
+from reebound.graph import (
+    BOUNDARY_KINDS,
+    EXPECTED_VALENCY,
+    RULE_BOUNDARY_LEVEL,
+    RULE_CENTER,
+    RULE_COVERAGE,
+    RULE_EDGE_MONOTONE,
+    RULE_GENERICITY,
+    RULE_REGULAR,
+    RULE_SADDLE_PARITY,
+    RULE_VERTEX_VALENCY,
+    EdgeLabel,
+    EssentialSubgraph,
+    ReebGraph,
+    ValidationReport,
+    VertexKind,
+    Violation,
+)
 from reebound.mesh import (
     Edge,
     LevelCycle,
@@ -44,6 +63,94 @@ from reebound.mesh import (
     _cycle_from_crossings,
     _trace,
 )
+
+
+# -- the graph validator, one rule group at a time ----------------------------
+
+def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
+                   check_coverage: bool = True) -> ValidationReport:
+    """Reference validator: one pass per rule group through the graph's
+    lookup methods, with the violations in the order validate reports.
+
+    Rules: monotone edges, valency matching the vertex kind, boundary
+    vertices sitting exactly on lo/hi with everything else strictly
+    inside, pairwise-distinct interior critical levels, the saddle parity
+    rule (a saddle meets 0, 2 or 3 essential edge-ends, never exactly 1),
+    the center rule (all edges at a center are inessential), and level
+    coverage (every inter-event gap is spanned by at least one essential
+    edge).
+
+    ``allow_regular`` tolerates valency-two subdivision vertices, which
+    never come from critical points.  ``check_coverage=False`` skips the
+    coverage rule; unrestricted whole-surface graphs fail it trivially
+    because level loops near their extrema bound disks.
+    """
+    out: list[Violation] = []
+    monotone_ok = True
+    for e in g.edges:
+        a, b = g.span(e.id)
+        if not a < b:
+            monotone_ok = False
+            out.append(Violation(RULE_EDGE_MONOTONE, (e.id,),
+                                 "edge levels %r -> %r are not increasing" % (a, b)))
+
+    for v in g.vertices:
+        deg = len(g.incident(v.id))
+        if v.kind is VertexKind.REGULAR and not allow_regular:
+            out.append(Violation(RULE_REGULAR, (v.id,),
+                                 "valency-two subdivision vertex present"))
+        want = EXPECTED_VALENCY[v.kind]
+        if deg != want:
+            out.append(Violation(RULE_VERTEX_VALENCY, (v.id,),
+                                 "%s vertex has valency %d, expected %d"
+                                 % (v.kind.value, deg, want)))
+        if v.kind is VertexKind.BOUNDARY_MINUS and v.level != g.lo:
+            out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
+                                 "lower-boundary vertex not at lo"))
+        elif v.kind is VertexKind.BOUNDARY_PLUS and v.level != g.hi:
+            out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
+                                 "upper-boundary vertex not at hi"))
+        elif v.kind not in BOUNDARY_KINDS and not g.lo < v.level < g.hi:
+            out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
+                                 "interior vertex not strictly inside the window"))
+
+    crit_levels: dict[float, list[str]] = {}
+    for v in g.vertices:
+        if v.kind in (VertexKind.CENTER, VertexKind.SADDLE):
+            crit_levels.setdefault(v.level, []).append(v.id)
+    for level, vids in sorted(crit_levels.items()):
+        if len(vids) > 1:
+            out.append(Violation(RULE_GENERICITY, tuple(sorted(vids)),
+                                 "interior vertices share level %r" % level))
+
+    for v in g.vertices:
+        labels = [g.edge(eid).label for eid in g.incident(v.id)]
+        ess = sum(1 for lb in labels if lb is EdgeLabel.ESSENTIAL)
+        if v.kind is VertexKind.SADDLE and ess == 1:
+            out.append(Violation(RULE_SADDLE_PARITY, (v.id,),
+                                 "saddle meets exactly one essential edge-end"))
+        if v.kind is VertexKind.CENTER and ess > 0:
+            out.append(Violation(RULE_CENTER, (v.id,),
+                                 "center meets an essential edge"))
+
+    if check_coverage and monotone_ok:
+        # difference array over event indices: +1 where an essential
+        # edge's gaps start, -1 where they stop
+        events = g.event_levels()
+        delta = [0] * len(events)
+        for e in g.edges:
+            if e.label is EdgeLabel.ESSENTIAL:
+                gaps = g.gaps(e.id)
+                delta[gaps.start] += 1
+                delta[gaps.stop] -= 1
+        spanning = 0
+        for k, (a, b) in enumerate(pairwise(events)):
+            spanning += delta[k]
+            if not spanning:
+                out.append(Violation(RULE_COVERAGE, (),
+                                     "no essential edge spans (%r, %r)" % (a, b)))
+
+    return ValidationReport.from_violations(out)
 
 
 # -- the mesh front-end's rules, applied on their own -------------------------
@@ -284,7 +391,7 @@ def naive_assign(g: EssentialSubgraph,
         changed = True
         while changed:
             changed = False
-            order = [v.id for v in g.vertices if g.degree(v.id) == 2]
+            order = [v.id for v in g.vertices if len(g.incident(v.id)) == 2]
             rng.shuffle(order)
             for vid in order:
                 e1, e2 = g.incident(vid)
@@ -528,7 +635,7 @@ def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
 
 
 def _valency2_vertices(g: EssentialSubgraph) -> list[str]:
-    return [v.id for v in g.vertices if g.degree(v.id) == 2]
+    return [v.id for v in g.vertices if len(g.incident(v.id)) == 2]
 
 
 def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
@@ -544,7 +651,7 @@ def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignm
     queue = deque(_valency2_vertices(g))
     while queue:
         vid = queue.popleft()
-        if g.degree(vid) != 2:
+        if len(g.incident(vid)) != 2:
             continue
         e1, e2 = g.incident(vid)
         v1, v2 = out.assigned.get(e1), out.assigned.get(e2)
@@ -555,7 +662,7 @@ def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignm
         out = _extend(out, entry)
         edge = g.edge(dst)
         for end in (edge.lower, edge.upper):
-            if end != vid and g.degree(end) == 2:
+            if end != vid and len(g.incident(end)) == 2:
                 queue.append(end)
     for vid in _valency2_vertices(g):
         e1, e2 = g.incident(vid)

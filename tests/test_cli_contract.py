@@ -44,7 +44,8 @@ from _fixtures import (
 
 #: The code each error type exited with when cli.py mapped types to codes,
 #: and for types added since, the code of their family: a bad window
-#: argument is a parameter error, a failed mesh sweep an algorithm error.
+#: argument is a parameter error, a failed mesh sweep or a broken witness
+#: cycle an algorithm error.
 EXPECTED_EXIT = {
     "InvalidGraph": 1, "MalformedMesh": 1, "NotAManifold": 1,
     "NotOrientable": 1, "DegenerateField": 1,
@@ -55,7 +56,7 @@ EXPECTED_EXIT = {
     "NothingToAssign": 2, "BrokenUniqueness": 2, "IncompleteAssignment": 2,
     "InvariantViolation": 2, "BadWitnessFraction": 2, "OpenCycle": 2,
     "MissingWitness": 2, "ReebTopologyMismatch": 2, "GenerationFailed": 2,
-    "BadWindow": 2, "ContourSweepFailed": 2,
+    "BadWindow": 2, "ContourSweepFailed": 2, "BadWitness": 2,
 }
 REPORTING = {"InvalidGraph", "InvariantViolation"}
 

@@ -1,6 +1,10 @@
 """Core model: validation rules, restriction, essential subgraph, JSON."""
 from __future__ import annotations
 
+import json
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from reebound import (
     restrict,
     validate,
 )
+from reebound.graph import graph_to_dict
 from reebound.errors import (
     BadWindow,
     EmptyWindow,
@@ -38,6 +43,7 @@ from _fixtures import (
     torus_reeb_by_hand,
     y_graph,
 )
+from _oracles import naive_validate
 
 
 class TestValidate:
@@ -222,7 +228,7 @@ class TestEssentialSubgraph:
 
     def test_mixed_saddle_becomes_valency_two(self):
         sub = essential_subgraph(mixed_saddle_graph())
-        assert sub.degree("s") == 2
+        assert len(sub.incident("s")) == 2
         assert {e.id for e in sub.edges} == {"e0", "e1"}
         # the inessential branch endpoint dropped
         assert "t1" not in {v.id for v in sub.vertices}
@@ -283,6 +289,28 @@ class TestJson:
         with pytest.raises(MalformedGraph):     # too deep for the decoder
             graph_loads("[" * 100_000)
 
+    @pytest.mark.parametrize("value, shown", [
+        ("foo", "'foo'"), ([], "[]"), (None, "None"), (3, "3")])
+    @pytest.mark.parametrize("where, key, enum", [
+        ("vertices", "kind", "VertexKind"), ("edges", "label", "EdgeLabel")])
+    def test_bad_member_message_pinned(self, where, key, enum, value, shown):
+        data = graph_to_dict(theta_graph())
+        data[where][0][key] = value
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == ("bad graph payload: %s is not a valid %s"
+                                   % (shown, enum))
+
+    @pytest.mark.parametrize("level, shown", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
+    def test_nonfinite_level_message_pinned(self, level, shown):
+        data = graph_to_dict(theta_graph())
+        data["vertices"][0]["level"] = level
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == ("level of vertex b0 must be a finite "
+                                   "number, got %s" % shown)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), saddles=st.integers(0, 30))
     def test_round_trip_property(self, seed, saddles):
@@ -290,3 +318,124 @@ class TestJson:
         text = graph_dumps(g)
         assert graph_loads(text) == g
         assert graph_dumps(graph_loads(text)) == text
+
+
+# -- validate against the reference validator ---------------------------------
+
+MUTATIONS = ("drop", "retarget", "kind", "label", "level", "horizontal")
+
+
+def mutate(g: ReebGraph, choose, count: int) -> ReebGraph:
+    """``g`` with ``count`` structural faults planted, each picked by
+    ``choose(options)``: a dropped or retargeted edge, a swapped kind or
+    label, a level moved onto lo, hi or another vertex's level, or a new
+    horizontal edge (a loop when both ends are one vertex)."""
+    vertices = {v.id: v for v in g.vertices}
+    edges = {e.id: e for e in g.edges}
+    for n in range(count):
+        move, vid = choose(MUTATIONS), choose(sorted(vertices))
+        eid = choose(sorted(edges)) if edges else None
+        if move == "drop" and eid:
+            del edges[eid]
+        elif move == "retarget" and eid:
+            end = choose(("lower", "upper"))
+            edges[eid] = replace(edges[eid], **{end: vid})
+        elif move == "kind":
+            vertices[vid] = replace(vertices[vid], kind=choose(list(VertexKind)))
+        elif move == "label" and eid:
+            flipped = (EdgeLabel.INESSENTIAL if edges[eid].label is EdgeLabel.ESSENTIAL
+                       else EdgeLabel.ESSENTIAL)
+            edges[eid] = replace(edges[eid], label=flipped)
+        elif move == "level":
+            levels = sorted({g.lo, g.hi} | {v.level for v in vertices.values()})
+            vertices[vid] = replace(vertices[vid], level=choose(levels))
+        elif move == "horizontal":
+            other = vertices[choose(sorted(vertices))]
+            vertices[vid] = replace(vertices[vid], level=other.level)
+            edges["h%d" % n] = ReebEdge("h%d" % n, vid, other.id,
+                                        choose(list(EdgeLabel)))
+    return ReebGraph(tuple(vertices.values()), tuple(edges.values()),
+                     g.lo, g.hi)
+
+
+SETTINGS = [dict(allow_regular=a, check_coverage=c)
+            for a in (False, True) for c in (True, False)]
+
+
+def generated(seed: int, saddles: int, parallel: float,
+              inessential: float) -> ReebGraph:
+    return random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                 parallel_edge_bias=parallel,
+                                 inessential_bias=inessential))
+
+
+@st.composite
+def mutated_graphs(draw):
+    """A random_reeb output with zero to four faults planted in it."""
+    g = generated(draw(st.integers(0, 10_000)), draw(st.integers(0, 12)),
+                  draw(st.sampled_from((0.0, 0.5, 1.0))),
+                  draw(st.sampled_from((0.0, 0.35, 1.0))))
+
+    def choose(options):
+        return draw(st.sampled_from(options))
+
+    return mutate(g, choose, draw(st.integers(0, 4)))
+
+
+class TestValidateOracle:
+    """validate decides every rule on the graph's index in two passes;
+    naive_validate, the per-rule-group reference, must report the same
+    violations in the same order with the same notes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=mutated_graphs())
+    def test_matches_naive_validate(self, g):
+        for kw in SETTINGS:
+            assert validate(g, **kw).to_dict() == naive_validate(g, **kw).to_dict()
+
+    def test_mutations_reach_every_rule(self):
+        rng = random.Random(0)
+        seen = set()
+        for seed in range(300):
+            g = mutate(generated(seed, seed % 9, 0.5, 0.35), rng.choice,
+                       rng.randrange(1, 4))
+            for kw in SETTINGS:
+                report = validate(g, **kw)
+                assert report.to_dict() == naive_validate(g, **kw).to_dict()
+                seen |= report.rules()
+        assert seen == {"EdgeMonotone", "VertexValency", "BoundaryLevel",
+                        "Genericity", "SaddleParity", "CenterRule",
+                        "LevelCoverage", "RegularVertex"}
+
+
+# -- the index against a recomputation from the tuples ------------------------
+
+def assert_index_consistent(g: ReebGraph) -> None:
+    """Every index lookup equals a naive recomputation from g.vertices and
+    g.edges, with gap k the open interval between event levels k, k + 1."""
+    level = {v.id: v.level for v in g.vertices}
+    events = sorted(set(level.values()) | {g.lo, g.hi})
+    assert g.event_levels() == events
+    gaps = list(zip(events, events[1:]))
+    spans = {e.id: [k for k, (x, y) in enumerate(gaps)
+                    if level[e.lower] <= x and y <= level[e.upper]]
+             for e in g.edges}
+    for e in g.edges:
+        assert list(g.gaps(e.id)) == spans[e.id], e.id
+    for v in g.vertices:
+        assert g.gap_below(v.id) == events.index(v.level) - 1
+        assert g.incident(v.id) == tuple(
+            e.id for e in g.edges for end in (e.lower, e.upper) if end == v.id)
+    for k in range(len(gaps)):
+        assert g.spanning(k) == [e.id for e in g.edges if k in spans[e.id]]
+
+
+def test_index_matches_tuples(corpus):
+    rng = random.Random(1)
+    for g, sub in corpus:
+        mids = [(x + y) / 2 for x, y in zip(g.event_levels(), g.event_levels()[1:])]
+        i = rng.randrange(len(mids))
+        j = rng.randrange(i, len(mids))
+        window = restrict(g, mids[i], mids[j] if j > i else g.hi)
+        for h in (g, sub, window, essential_subgraph(window, prevalidated=True)):
+            assert_index_consistent(h)

@@ -21,6 +21,7 @@ from reebound import (
     validate,
 )
 from reebound.errors import (
+    BadWitness,
     DegenerateField,
     MissingWitness,
     NotAManifold,
@@ -335,6 +336,19 @@ class TestLabelsFromTopology:
             label_reeb(s, f, g)
 
 
+def torus_with_moved_witness(level):
+    """The vertical torus, its field, and its Reeb graph with the witness
+    of e1 moved to ``level`` (crossings unchanged)."""
+    s, f = vertical_torus()
+    g = build_reeb(s, f)
+    edges = tuple(
+        ReebEdge(e.id, e.lower, e.upper, e.label,
+                 witness=LevelCycle(level, e.witness.crossings))
+        if e.id == "e1" else e
+        for e in g.edges)
+    return s, f, ReebGraph(g.vertices, edges, g.lo, g.hi)
+
+
 class TestCutAlong:
     """Level cycles: tracing one at a level, and checking a witness."""
 
@@ -349,6 +363,11 @@ class TestCutAlong:
             for e in g.edges)
         with pytest.raises(OpenCycle):
             label_reeb(s, f, ReebGraph(g.vertices, edges, g.lo, g.hi))
+
+    def test_uncrossed_witness_rejected(self):
+        with pytest.raises(BadWitness) as info:
+            label_reeb(*torus_with_moved_witness(0.99))
+        assert isinstance(info.value, ValueError)
 
     def test_level_cycles_rejects_vertex_level(self):
         s, f = octa_sphere()
@@ -421,7 +440,10 @@ class TestPinnedOutput:
          NotAManifold, "isolated vertex present"),
         (lambda: TriangulatedSurface(*pinched_torus()),
          NotAManifold, "link of vertex 0 is not a single cycle"),
-    ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched"])
+        (lambda: label_reeb(*torus_with_moved_witness(0.99)),
+         BadWitness, "edge (0, 13) is not crossed at level 0.99"),
+    ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
+            "witness-not-crossed"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
             make()
