@@ -13,7 +13,6 @@ from .assign import (
 from .gen import GenParams, random_reeb
 from .graph import (
     EdgeLabel,
-    EssentialSubgraph,
     ReebEdge,
     ReebGraph,
     ReebVertex,
@@ -39,9 +38,9 @@ from .mesh import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistanceBoundReport", "EdgeLabel", "EssentialSubgraph", "GenParams",
-    "LevelCycle", "PartialAssignment", "ReebEdge", "ReebGraph",
-    "ReebVertex", "ScalarField", "TraceEntry", "TriangulatedSurface",
+    "DistanceBoundReport", "EdgeLabel", "GenParams", "LevelCycle",
+    "PartialAssignment", "ReebEdge", "ReebGraph", "ReebVertex",
+    "ScalarField", "TraceEntry", "TriangulatedSurface",
     "ValidationReport", "VertexKind", "Violation", "assign_all",
     "assignment_to_dict", "build_reeb", "check_invariants",
     "distance_bound", "essential_subgraph", "graph_dumps",

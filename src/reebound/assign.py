@@ -1,10 +1,10 @@
 """Integer assignment on the essential subgraph and the distance bound.
 
-The sweep walks the window left to right and gives every essential edge a
-positive integer whose meaning is: curves on that edge are at most that
-many steps from a compressing curve at the lower boundary in the curve
-complex of the sweep surface.  Three rules drive it, each recorded in the
-trace under its name:
+The sweep walks the :class:`ReebGraph` from :func:`essential_subgraph`
+left to right and gives every edge a positive integer whose meaning is:
+curves on that edge are at most that many steps from a compressing curve
+at the lower boundary in the curve complex of the sweep surface.  Three
+rules drive it, each recorded in the trace under its name:
 
 * step0 seeds every edge adjacent to the lower boundary with 1;
 * step1 copies the integer across any valency-two vertex of the subgraph
@@ -54,7 +54,7 @@ from .errors import (
     NoUpperBoundary,
     UnassignedFrontier,
 )
-from .graph import EssentialSubgraph, ValidationReport, Violation
+from .graph import ReebGraph, ValidationReport, Violation
 
 STEP0 = "step0"
 STEP1 = "step1"
@@ -85,7 +85,7 @@ class PartialAssignment:
     assigned: dict[str, int]
     trace: tuple[TraceEntry, ...]
 
-    def is_complete(self, g: EssentialSubgraph) -> bool:
+    def is_complete(self, g: ReebGraph) -> bool:
         return all(e.id in self.assigned for e in g.edges)
 
 
@@ -103,7 +103,7 @@ class DistanceBoundReport:
         }
 
 
-def check_invariants(g: EssentialSubgraph, p: PartialAssignment,
+def check_invariants(g: ReebGraph, p: PartialAssignment,
                      vid: str | None) -> ValidationReport:
     """Re-verify the sweep's consistency conditions by direct recomputation.
 
@@ -253,7 +253,7 @@ class _Sweep:
     spanning edges form the frontier.
     """
 
-    def __init__(self, g: EssentialSubgraph):
+    def __init__(self, g: ReebGraph):
         self.g = g
         self.assigned: dict[str, int] = {}
         self.trace: list[TraceEntry] = []
@@ -415,7 +415,7 @@ class _Sweep:
             del self.counts[value]
 
 
-def assign_all(g: EssentialSubgraph, check: bool = False) -> PartialAssignment:
+def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
     """Run the full sweep until every edge carries an integer.
 
     With ``check=True`` the consistency conditions are re-verified from
@@ -447,7 +447,7 @@ def assign_all(g: EssentialSubgraph, check: bool = False) -> PartialAssignment:
         sweep.run_round(STEP2, target, todo, value)
 
 
-def distance_bound(g: EssentialSubgraph,
+def distance_bound(g: ReebGraph,
                    p: PartialAssignment) -> DistanceBoundReport:
     """Minimum over upper-boundary edges, plus one."""
     if not g.boundary_plus:

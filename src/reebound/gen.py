@@ -26,6 +26,9 @@ from .graph import (
 
 MAX_SADDLES = 10_000
 
+# plain names: Enum class attribute reads are slow on CPython 3.11
+_MINUS, _PLUS, _CENTER, _SADDLE, _REGULAR = VertexKind
+
 # Saddle patterns as (consumed labels, produced labels); E essential,
 # I inessential.  Splits consume one strand, merges consume two.
 _PATTERNS = {
@@ -38,6 +41,7 @@ _PATTERNS = {
     "EI>E": (("E", "I"), ("E",)),
     "II>I": (("I", "I"), ("I",)),
 }
+_LABELS = {"E": EdgeLabel.ESSENTIAL, "I": EdgeLabel.INESSENTIAL}
 
 
 @dataclass(frozen=True)
@@ -143,9 +147,8 @@ def random_reeb(params: GenParams) -> ReebGraph:
         return s
 
     def close_strand(s: _Strand, upper: str) -> None:
-        label = (EdgeLabel.ESSENTIAL if s.label == "E"
-                 else EdgeLabel.INESSENTIAL)
-        edges.append(ReebEdge("e%d" % s.number, s.lower, upper, label))
+        edges.append(ReebEdge("e%d" % s.number, s.lower, upper,
+                              _LABELS[s.label]))
         del pools[s.label][position(pools[s.label], s)]
         pair = twins[s.label]
         k = position(pair, s)
@@ -153,7 +156,7 @@ def random_reeb(params: GenParams) -> ReebGraph:
             del pair[k]
             del pair[position(pair, s.twin)]
 
-    open_strand("E", new_vertex(lo, VertexKind.BOUNDARY_MINUS))
+    open_strand("E", new_vertex(lo, _MINUS))
 
     def pick(label: str) -> _Strand:
         pool = pools[label]
@@ -174,19 +177,18 @@ def random_reeb(params: GenParams) -> ReebGraph:
         if kind == "death" and n_ine == 0:
             kind = "birth"
         if kind == "birth":
-            open_strand("I", new_vertex(level, VertexKind.CENTER))
+            open_strand("I", new_vertex(level, _CENTER))
             continue
         if kind == "death":
             s = pick("I")
-            vid = new_vertex(level, VertexKind.CENTER)
-            close_strand(s, vid)
+            close_strand(s, new_vertex(level, _CENTER))
             continue
         n_ess = len(pools["E"])
         weights = _pattern_weights(n_ess, n_ine, params.inessential_bias)
         names = sorted(weights)
         name = rng.choices(names, weights=[weights[n] for n in names])[0]
         consumed_labels, produced_labels = _PATTERNS[name]
-        vid = new_vertex(level, VertexKind.SADDLE)
+        vid = new_vertex(level, _SADDLE)
         if len(consumed_labels) == 1:
             consumed = [pick(consumed_labels[0])]
         else:
@@ -201,7 +203,7 @@ def random_reeb(params: GenParams) -> ReebGraph:
                 twins[a.label] += produced
 
     for s in sorted(pools["E"] + pools["I"], key=_number):
-        close_strand(s, new_vertex(hi, VertexKind.BOUNDARY_PLUS))
+        close_strand(s, new_vertex(hi, _PLUS))
 
     meta = {
         "generator": {

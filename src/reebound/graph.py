@@ -40,9 +40,10 @@ class EdgeLabel(str, Enum):
     INESSENTIAL = "inessential"
 
 
-# plain names for hot loops: Enum class attribute reads are slow on CPython 3.11
+# plain names and values for hot loops: Enum attribute reads are slow on CPython 3.11
 _MINUS, _PLUS, _CENTER, _SADDLE, _REGULAR = VertexKind
 _ESSENTIAL = EdgeLabel.ESSENTIAL
+_VALUES = {m: m.value for enum in (VertexKind, EdgeLabel) for m in enum}
 
 #: Valency each vertex kind must have in the full graph.
 EXPECTED_VALENCY = {_MINUS: 1, _PLUS: 1, _CENTER: 1, _SADDLE: 3, _REGULAR: 2}
@@ -131,6 +132,9 @@ class ReebGraph:
     read the index in place: the sorted event levels (``_events``), each
     edge's range of spanned gaps (``_gaps``; gap k is the open interval
     between event levels k and k + 1), ``_incident`` and ``_edge_by_id``.
+    The same pass reads the vertex kinds into ``boundary_minus`` and
+    ``boundary_plus`` (frozensets of ids) and ``interior`` (every other id
+    in (level, id) order: on a full graph, centers and regular vertices too).
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -147,12 +151,17 @@ class ReebGraph:
         self.vertices = tuple(sorted(self.vertices, key=attrgetter("level", "id")))
         self.edges = tuple(sorted(self.edges, key=attrgetter("id")))
         self._by_id = by_id = {}
+        bounds, interior = {_MINUS: [], _PLUS: []}, []
         for v in self.vertices:
             if type(v.level) is not float or not isfinite(v.level):
                 _check_finite(v.level, "level of vertex %s", v.id)
             if v.id in by_id:
                 raise MalformedGraph("duplicate vertex id %r" % v.id)
             by_id[v.id] = v
+            bounds.get(v.kind, interior).append(v.id)
+        self.boundary_minus = frozenset(bounds[_MINUS])
+        self.boundary_plus = frozenset(bounds[_PLUS])
+        self.interior = tuple(interior)
         self._events = sorted({v.level for v in self.vertices} | {self.lo, self.hi})
         index = {level: k for k, level in enumerate(self._events)}
         self._event_index = event_index = {v.id: index[v.level]
@@ -351,35 +360,14 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
                      lo_eff, hi_eff, meta=g.meta)
 
 
-@dataclass(eq=True)
-class EssentialSubgraph(ReebGraph):
-    """The essential edges of a graph, with boundary bookkeeping.
-
-    ``boundary_minus`` / ``boundary_plus`` are the surviving boundary
-    vertex ids; ``interior`` lists the surviving non-boundary vertices in
-    non-decreasing level order (only valency-two vertices may share a
-    level).  Valencies here are valencies within the subgraph: a saddle
-    that lost an inessential branch has valency two.
-    """
-
-    boundary_minus: frozenset[str]
-    boundary_plus: frozenset[str]
-    interior: tuple[str, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        index = self._event_index
-        if any(index[a] > index[b] for a, b in pairwise(self.interior)):
-            raise MalformedGraph("interior vertices not ordered by level")
-
-
 def essential_subgraph(g: ReebGraph, *,
-                       prevalidated: bool = False) -> EssentialSubgraph:
+                       prevalidated: bool = False) -> ReebGraph:
     """Keep only essential edges and their endpoints.
 
     The input must pass :func:`validate` (raises InvalidGraph otherwise);
     pass ``prevalidated=True`` to skip the re-check when the caller just
-    validated.  Vertices that lose all their edges are dropped.
+    validated.  Vertices that lose all their edges are dropped, and a
+    saddle that loses an inessential branch has valency two in the result.
     """
     if not prevalidated:
         report = validate(g)
@@ -388,11 +376,7 @@ def essential_subgraph(g: ReebGraph, *,
     edges = tuple(e for e in g.edges if e.label is _ESSENTIAL)
     keep = {e.lower for e in edges} | {e.upper for e in edges}
     vertices = tuple(v for v in g.vertices if v.id in keep)
-    bminus, bplus = (frozenset(v.id for v in vertices if v.kind is kind)
-                     for kind in BOUNDARY_KINDS)
-    interior = tuple(v.id for v in vertices if v.kind not in BOUNDARY_KINDS)
-    return EssentialSubgraph(vertices, edges, g.lo, g.hi,
-                             bminus, bplus, interior)
+    return ReebGraph(vertices, edges, g.lo, g.hi)
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -413,14 +397,14 @@ def graph_to_dict(g: ReebGraph) -> dict:
         "lo": g.lo,
         "hi": g.hi,
         "vertices": [
-            {"id": v.id, "level": v.level, "kind": v.kind.value}
+            {"id": v.id, "level": v.level, "kind": _VALUES[v.kind]}
             for v in g.vertices
         ],
         "edges": [],
     }
     for e in g.edges:
         entry: dict[str, Any] = {"id": e.id, "lower": e.lower,
-                                 "upper": e.upper, "label": e.label.value}
+                                 "upper": e.upper, "label": _VALUES[e.label]}
         payload = _witness_payload(e.witness)
         if payload is not None:
             entry["witness"] = payload

@@ -13,6 +13,8 @@ from html import escape
 
 from .graph import EdgeLabel, ReebGraph, VertexKind
 
+SVG_WIDTH, SVG_HEIGHT = 900, 480     # canvas size in pixels
+
 _NODE_SHAPE = {
     VertexKind.BOUNDARY_MINUS: "square",
     VertexKind.BOUNDARY_PLUS: "square",
@@ -63,15 +65,14 @@ def to_dot(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
 
 def _strand_layout(g: ReebGraph) -> dict[str, float]:
     """y coordinate per vertex from a left-to-right strand sweep."""
-    order = sorted(g.vertices, key=lambda v: (v.level, v.id))
     slots: list[str] = []          # open edge ids, bottom to top
     y: dict[str, float] = {}
     starts: dict[str, list[str]] = {}
-    for v in order:
+    for v in g.vertices:
         for eid in g.incident(v.id):
             if g.edge(eid).lower == v.id:
                 starts.setdefault(v.id, []).append(eid)
-    for v in order:
+    for v in g.vertices:
         # a self-loop is not in ``slots`` yet when it reaches its own end
         ins = [eid for eid in g.incident(v.id)
                if g.edge(eid).upper == v.id and eid in slots]
@@ -90,8 +91,7 @@ def _strand_layout(g: ReebGraph) -> dict[str, float]:
     return y
 
 
-def to_svg(g: ReebGraph, assignment: dict[str, int] | None = None,
-           width: int = 900, height: int = 480) -> str:
+def to_svg(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
     """Standalone SVG with straight edges: x is the level."""
     y = _strand_layout(g)
     pad = 50.0
@@ -99,15 +99,15 @@ def to_svg(g: ReebGraph, assignment: dict[str, int] | None = None,
     ymax = max(y.values()) if y else 1.0
 
     def sx(level: float) -> float:
-        return pad + (level - g.lo) / span * (width - 2 * pad)
+        return pad + (level - g.lo) / span * (SVG_WIDTH - 2 * pad)
 
     def sy(value: float) -> float:
         if ymax == 0:
-            return height / 2.0
-        return height - pad - value / ymax * (height - 2 * pad)
+            return SVG_HEIGHT / 2.0
+        return SVG_HEIGHT - pad - value / ymax * (SVG_HEIGHT - 2 * pad)
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-             'viewBox="0 0 %d %d">' % (width, height, width, height),
+             'viewBox="0 0 %d %d">' % ((SVG_WIDTH, SVG_HEIGHT) * 2),
              '<rect width="100%" height="100%" fill="white"/>']
     for e in g.edges:
         x1, y1 = sx(g.level(e.lower)), sy(y[e.lower])

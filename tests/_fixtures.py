@@ -6,7 +6,6 @@ import random
 
 from reebound import (
     EdgeLabel,
-    EssentialSubgraph,
     ReebEdge,
     ReebGraph,
     ReebVertex,
@@ -148,7 +147,7 @@ def squeezed(g: ReebGraph, center: float) -> ReebGraph:
     return ReebGraph(vertices, g.edges, g.lo, g.hi)
 
 
-def chain_subgraph(n_middle: int = 3, lo=0.0, hi=1.0) -> EssentialSubgraph:
+def chain_subgraph(n_middle: int = 3, lo=0.0, hi=1.0) -> ReebGraph:
     """A path through n_middle valency-two interior vertices."""
     levels = [lo + (hi - lo) * (k + 1) / (n_middle + 1) for k in range(n_middle)]
     vertices = [ReebVertex("b", lo, BM)]
@@ -157,10 +156,7 @@ def chain_subgraph(n_middle: int = 3, lo=0.0, hi=1.0) -> EssentialSubgraph:
     ids = [v.id for v in vertices]
     edges = tuple(ReebEdge("e%d" % k, ids[k], ids[k + 1], E)
                   for k in range(len(ids) - 1))
-    return EssentialSubgraph(
-        tuple(vertices), edges, lo, hi,
-        frozenset({"b"}), frozenset({"t"}),
-        tuple(v.id for v in vertices[1:-1]))
+    return ReebGraph(tuple(vertices), edges, lo, hi)
 
 
 def frontier_subgraph(values: list[int]):
@@ -185,12 +181,7 @@ def frontier_subgraph(values: list[int]):
     edges.append(ReebEdge("g.out1", "v", "t.out1", E))
     edges.append(ReebEdge("g.out2", "v", "t.out2", E))
     assigned["g.in"] = values[0]
-    sub = EssentialSubgraph(
-        tuple(vertices), tuple(edges), 0.0, 1.0,
-        frozenset(v.id for v in vertices if v.kind is BM),
-        frozenset(v.id for v in vertices if v.kind is BP),
-        ("v",))
-    return sub, assigned
+    return ReebGraph(tuple(vertices), tuple(edges), 0.0, 1.0), assigned
 
 
 # -- meshes -------------------------------------------------------------------

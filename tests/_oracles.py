@@ -48,7 +48,6 @@ from reebound.graph import (
     RULE_SADDLE_PARITY,
     RULE_VERTEX_VALENCY,
     EdgeLabel,
-    EssentialSubgraph,
     ReebGraph,
     ValidationReport,
     VertexKind,
@@ -362,7 +361,7 @@ def count_level_components(surface, field, level) -> int:
     return comps
 
 
-def naive_assign(g: EssentialSubgraph,
+def naive_assign(g: ReebGraph,
                  rng: random.Random | None = None) -> PartialAssignment:
     """Reference assignment by brute rescanning.
 
@@ -444,7 +443,7 @@ def naive_assign(g: EssentialSubgraph,
 
 # -- the consistency checker, one gap at a time -------------------------------
 
-def _connected_min_levels(g: EssentialSubgraph,
+def _connected_min_levels(g: ReebGraph,
                           eids: Iterable[str]) -> dict[str, float]:
     """For each edge in the set, the lowest level reached by its connected
     component within the set (edges connect through shared vertices)."""
@@ -475,7 +474,7 @@ def _connected_min_levels(g: EssentialSubgraph,
     return {eid: low[find(eid)] for eid in eids}
 
 
-def naive_check_invariants(g: EssentialSubgraph, p: PartialAssignment,
+def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
                            vid: str | None) -> ValidationReport:
     """Re-verify the sweep's consistency conditions by direct recomputation.
 
@@ -601,7 +600,7 @@ def empty_assignment() -> PartialAssignment:
     return PartialAssignment({}, ())
 
 
-def step0(g: EssentialSubgraph) -> PartialAssignment:
+def step0(g: ReebGraph) -> PartialAssignment:
     """Seed: every edge touching the lower boundary gets 1."""
     if not g.boundary_minus:
         raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
@@ -609,7 +608,7 @@ def step0(g: EssentialSubgraph) -> PartialAssignment:
     return _extend(empty_assignment(), TraceEntry(STEP0, None, tuple(seeded), 1))
 
 
-def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
+def classify_frontier(g: ReebGraph, p: PartialAssignment,
                       vid: str) -> FrontierClass:
     """Classify the integers on the edges spanning just left of a vertex.
 
@@ -634,11 +633,11 @@ def classify_frontier(g: EssentialSubgraph, p: PartialAssignment,
         "frontier of %s carries %r" % (vid, values))
 
 
-def _valency2_vertices(g: EssentialSubgraph) -> list[str]:
+def _valency2_vertices(g: ReebGraph) -> list[str]:
     return [v.id for v in g.vertices if len(g.incident(v.id)) == 2]
 
 
-def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
+def step1_saturate(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
     """Copy integers across valency-two vertices until a fixpoint.
 
     The copy applies whenever a vertex has valency two in the subgraph and
@@ -673,7 +672,7 @@ def step1_saturate(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignm
     return out
 
 
-def _next_target(g: EssentialSubgraph, p: PartialAssignment) -> str | None:
+def _next_target(g: ReebGraph, p: PartialAssignment) -> str | None:
     """Lowest-level interior vertex with an unassigned incident edge."""
     for vid in g.interior:
         if any(eid not in p.assigned for eid in g.incident(vid)):
@@ -681,7 +680,7 @@ def _next_target(g: EssentialSubgraph, p: PartialAssignment) -> str | None:
     return None
 
 
-def step2(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
+def step2(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
     """One sweep round: classify the frontier at the unique lowest vertex
     with unassigned edges and write the dictated integer onto them.
 
@@ -708,13 +707,13 @@ def step2(g: EssentialSubgraph, p: PartialAssignment) -> PartialAssignment:
     return _extend(p, TraceEntry(STEP2, target, todo, value))
 
 
-def _checked(g: EssentialSubgraph, p: PartialAssignment) -> None:
+def _checked(g: ReebGraph, p: PartialAssignment) -> None:
     report = naive_check_invariants(g, p, _next_target(g, p))
     if not report.ok:
         raise InvariantViolation(report)
 
 
-def stepwise_assign(g: EssentialSubgraph,
+def stepwise_assign(g: ReebGraph,
                     check: bool = False) -> PartialAssignment:
     """The sweep one step at a time, each step returning a new frozen
     assignment: the reference for assign_all's map, trace and errors.

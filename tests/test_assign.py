@@ -36,7 +36,7 @@ from reebound.errors import (
     ReeboundError,
     UnassignedFrontier,
 )
-from reebound.graph import (EdgeLabel, EssentialSubgraph, ReebEdge, ReebVertex,
+from reebound.graph import (EdgeLabel, ReebEdge, ReebGraph, ReebVertex,
                             VertexKind)
 
 from _fixtures import (
@@ -81,11 +81,11 @@ class TestStep0:
         assert p.assigned == {"e_a": 1, "e_b": 1}
 
     def test_no_lower_boundary(self):
-        sub = EssentialSubgraph(
+        sub = ReebGraph(
             (ReebVertex("t", 1.0, VertexKind.BOUNDARY_PLUS),
              ReebVertex("c", 0.5, VertexKind.SADDLE)),
             (ReebEdge("e0", "c", "t", EdgeLabel.ESSENTIAL),),
-            0.0, 1.0, frozenset(), frozenset({"t"}), ("c",))
+            0.0, 1.0)
         with pytest.raises(NoLowerBoundary):
             step0(sub)
 
@@ -201,47 +201,51 @@ def _outcome(sweep, sub, check=False):
     return p.assigned, p.trace
 
 
-def _hand_built(vertices, edges, bminus, interior):
-    """A subgraph over [0, 1]; vertices at level 1 are the upper boundary."""
-    vs = tuple(ReebVertex(vid, level, VertexKind.SADDLE)
-               for vid, level in vertices)
+_KINDS = {"-": VertexKind.BOUNDARY_MINUS, "+": VertexKind.BOUNDARY_PLUS,
+          "o": VertexKind.SADDLE}
+
+
+def _hand_built(vertices, edges):
+    """A subgraph over [0, 1] from (id, level, kind) triples, kind "-"
+    for the lower boundary, "+" for the upper one and "o" for interior."""
+    vs = tuple(ReebVertex(vid, level, _KINDS[kind])
+               for vid, level, kind in vertices)
     es = tuple(ReebEdge(eid, a, b, EdgeLabel.ESSENTIAL)
                for eid, a, b in edges)
-    bplus = frozenset(vid for vid, level in vertices if level == 1.0)
-    return EssentialSubgraph(vs, es, 0.0, 1.0, frozenset(bminus),
-                             bplus, tuple(interior))
+    return ReebGraph(vs, es, 0.0, 1.0)
 
 
 # Each raises in step 2; messages are the ones the step-at-a-time sweep
 # gives.
 FAULTY_SUBGRAPHS = {
-    # c is missing from the interior, so its edge is never swept
+    # c is an upper-boundary vertex, not interior, so its edge is never
+    # swept
     "straggler": (
-        [("b0", 0.0), ("c", 0.3), ("v", 0.5), ("t0", 1.0)],
+        [("b0", 0.0, "-"), ("c", 0.3, "+"), ("v", 0.5, "o"),
+         ("t0", 1.0, "+")],
         [("e0", "b0", "v"), ("e1", "c", "v"), ("e2", "v", "t0")],
-        ["b0"], ["v"],
         ("BrokenUniqueness", "unassigned edges strictly left of v: e1")),
     # nothing spans (0.3, 0.5)
     "empty-gap": (
-        [("b0", 0.0), ("x", 0.3), ("s", 0.5), ("t0", 1.0), ("t1", 1.0)],
+        [("b0", 0.0, "-"), ("x", 0.3, "o"), ("s", 0.5, "o"),
+         ("t0", 1.0, "+"), ("t1", 1.0, "+")],
         [("e0", "b0", "x"), ("e1", "s", "t0"), ("e2", "s", "t1")],
-        ["b0"], ["x", "s"],
         ("NonConsecutiveFrontier",
          "no essential edge spans the gap just left of s")),
     # f reaches 3 by two splits, and m is seeded with 1 at level 0.5
     "gap-in-values": (
-        [("b1", 0.0), ("s1", 0.2), ("s2", 0.4), ("bm", 0.5), ("s3", 0.6),
-         ("t0", 1.0), ("t1", 1.0), ("t2", 1.0)],
+        [("b1", 0.0, "-"), ("s1", 0.2, "o"), ("s2", 0.4, "o"),
+         ("bm", 0.5, "-"), ("s3", 0.6, "o"), ("t0", 1.0, "+"),
+         ("t1", 1.0, "+"), ("t2", 1.0, "+")],
         [("b", "b1", "s1"), ("c1", "s1", "s2"), ("c2", "s1", "s2"),
          ("f", "s2", "s3"), ("m", "bm", "t1"), ("g", "s3", "t0"),
          ("h", "s3", "t2")],
-        ["b1", "bm"], ["s1", "s2", "s3"],
         ("NonConsecutiveFrontier", "frontier of s3 carries [1, 3]")),
     # the stray edge touches no interior vertex
     "no-target": (
-        [("b0", 0.0), ("t0", 1.0), ("t1", 1.0), ("t2", 1.0)],
+        [("b0", 0.0, "-"), ("t0", 1.0, "+"), ("t1", 1.0, "+"),
+         ("t2", 1.0, "+")],
         [("e0", "b0", "t0"), ("x", "t1", "t2")],
-        ["b0"], [],
         ("NothingToAssign",
          "no interior vertex meets the unassigned edges: x")),
 }
@@ -250,17 +254,18 @@ FAULTY_SUBGRAPHS = {
 @st.composite
 def _any_subgraph(draw):
     """Small subgraphs with no promise of validity: shared levels,
-    backwards edges and loops, boundary sets and interior drawn freely."""
-    levels = draw(st.lists(st.sampled_from([0.0, 0.2, 0.4, 0.5, 0.6, 1.0]),
-                           min_size=1, max_size=7))
-    vids = ["v%d" % k for k in range(len(levels))]
+    backwards edges and loops, and each vertex's kind drawn freely, so
+    boundary vertices may sit at any level."""
+    drawn = draw(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.2, 0.4, 0.5, 0.6, 1.0]),
+                  st.sampled_from(sorted(_KINDS))),
+        min_size=1, max_size=7))
+    vids = ["v%d" % k for k in range(len(drawn))]
     ends = st.sampled_from(vids)
     edges = [("e%d" % k, a, b) for k, (a, b) in enumerate(
         draw(st.lists(st.tuples(ends, ends), max_size=9)))]
-    bminus = draw(st.sets(ends))
-    inner = draw(st.sets(ends))
-    interior = sorted(inner, key=lambda vid: levels[vids.index(vid)])
-    return _hand_built(list(zip(vids, levels)), edges, bminus, interior)
+    return _hand_built([(vid, level, kind)
+                        for vid, (level, kind) in zip(vids, drawn)], edges)
 
 
 class TestOnePass:
@@ -341,12 +346,12 @@ class TestOnePass:
         # d2 during the in-order pass, which has already passed u1 and u2,
         # so those two copy afterwards, first in, first out
         sub = _hand_built(
-            [("b0", 0.0), ("s", 0.2), ("p1", 0.3), ("p2", 0.35),
-             ("u1", 0.5), ("u2", 0.55), ("w1", 0.8), ("w2", 0.9)],
+            [("b0", 0.0, "-"), ("s", 0.2, "o"), ("p1", 0.3, "o"),
+             ("p2", 0.35, "o"), ("u1", 0.5, "o"), ("u2", 0.55, "o"),
+             ("w1", 0.8, "o"), ("w2", 0.9, "o")],
             [("e0", "b0", "s"), ("c1", "s", "w1"), ("c2", "s", "w2"),
              ("d1", "u1", "w1"), ("d2", "u2", "w2"), ("a1", "p1", "u1"),
-             ("a2", "p2", "u2")],
-            ["b0"], ["s", "p1", "p2", "u1", "u2", "w1", "w2"])
+             ("a2", "p2", "u2")])
         p = assign_all(sub)
         assert [t.vertex for t in p.trace] == [None, "s", "w1", "w2",
                                                "u1", "u2"]
@@ -480,7 +485,7 @@ class TestCheckInvariants:
     def test_disconnected_plateau_flagged(self):
         # a floating strand carries the plateau value but never reaches
         # down to the probe level through same-value edges
-        sub = EssentialSubgraph(
+        sub = ReebGraph(
             (ReebVertex("b0", 0.0, VertexKind.BOUNDARY_MINUS),
              ReebVertex("v_c", 0.3, VertexKind.SADDLE),
              ReebVertex("v_a", 0.6, VertexKind.SADDLE),
@@ -490,8 +495,7 @@ class TestCheckInvariants:
             (ReebEdge("e_main", "b0", "t0", EdgeLabel.ESSENTIAL),
              ReebEdge("e_top", "v_a", "v_b", EdgeLabel.ESSENTIAL),
              ReebEdge("e_u", "v_c", "t1", EdgeLabel.ESSENTIAL)),
-            0.0, 1.0, frozenset({"b0"}), frozenset({"t0", "t1"}),
-            ("v_c", "v_a", "v_b"))
+            0.0, 1.0)
         p = PartialAssignment({"e_main": 1, "e_top": 1}, ())
         report = check_invariants(sub, p, "v_c")
         assert not report.ok
@@ -609,11 +613,11 @@ class TestDistanceBound:
             distance_bound(sub, step0(sub))
 
     def test_no_upper_boundary(self):
-        sub = EssentialSubgraph(
+        sub = ReebGraph(
             (ReebVertex("b", 0.0, VertexKind.BOUNDARY_MINUS),
              ReebVertex("c", 0.5, VertexKind.SADDLE)),
             (ReebEdge("e0", "b", "c", EdgeLabel.ESSENTIAL),),
-            0.0, 1.0, frozenset({"b"}), frozenset(), ("c",))
+            0.0, 1.0)
         with pytest.raises(NoUpperBoundary):
             distance_bound(sub, PartialAssignment({"e0": 1}, ()))
 

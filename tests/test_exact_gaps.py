@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebound import (
-    EssentialSubgraph,
     GenParams,
+    ReebGraph,
     ReebVertex,
     VertexKind,
     assign_all,
@@ -76,7 +76,7 @@ def test_nextafter_chain_property(seed, saddles, pbias, ibias, center):
 
 def test_subgraph_edge_to_missing_vertex_is_malformed():
     with pytest.raises(MalformedGraph):
-        EssentialSubgraph(
+        ReebGraph(
             (ReebVertex("b", 0.0, VertexKind.BOUNDARY_MINUS),),
             (ReebEdge("e0", "b", "ghost", EdgeLabel.ESSENTIAL),),
-            0.0, 1.0, frozenset({"b"}), frozenset(), ())
+            0.0, 1.0)

@@ -411,8 +411,9 @@ class TestValidateOracle:
 # -- the index against a recomputation from the tuples ------------------------
 
 def assert_index_consistent(g: ReebGraph) -> None:
-    """Every index lookup equals a naive recomputation from g.vertices and
-    g.edges, with gap k the open interval between event levels k, k + 1."""
+    """Every index lookup equals a naive recomputation from g.vertices,
+    their kinds and g.edges, with gap k the open interval between event
+    levels k, k + 1."""
     level = {v.id: v.level for v in g.vertices}
     events = sorted(set(level.values()) | {g.lo, g.hi})
     assert g.event_levels() == events
@@ -428,6 +429,13 @@ def assert_index_consistent(g: ReebGraph) -> None:
             e.id for e in g.edges for end in (e.lower, e.upper) if end == v.id)
     for k in range(len(gaps)):
         assert g.spanning(k) == [e.id for e in g.edges if k in spans[e.id]]
+    minus, plus = VertexKind.BOUNDARY_MINUS, VertexKind.BOUNDARY_PLUS
+    assert type(g.boundary_minus) is type(g.boundary_plus) is frozenset
+    assert g.boundary_minus == {v.id for v in g.vertices if v.kind is minus}
+    assert g.boundary_plus == {v.id for v in g.vertices if v.kind is plus}
+    assert g.interior == tuple(sorted(
+        (v.id for v in g.vertices if v.kind not in (minus, plus)),
+        key=lambda vid: (level[vid], vid)))
 
 
 def test_index_matches_tuples(corpus):
