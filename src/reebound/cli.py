@@ -118,9 +118,9 @@ def _cmd_render(args) -> int:
     g = _windowed(_load_graph(args.graph), args.window)
     assignment = None
     if args.assignment:
-        try:
+        try:   # the decoder raises RecursionError on too deep a nesting
             data = json.loads(_read_text(args.assignment))
-        except RecursionError as exc:   # nesting too deep for the decoder
+        except (RecursionError, json.JSONDecodeError) as exc:
             raise ParseError("bad assignment payload: %s" % exc) from None
         try:
             assignment = {str(k): int(v) for k, v in data["edges"].items()}
@@ -177,9 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="labeled graph from an OFF mesh and a scalar file")
     p.add_argument("mesh", help="OFF file")
     p.add_argument("field", help="one scalar per vertex, same order")
-    p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
+    add_common(p, graph=False)
     p.add_argument("--witness-fraction", type=float, default=0.5)
-    p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_from_mesh)
 
     p = sub.add_parser("gen", help="emit a random valid graph")

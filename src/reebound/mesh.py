@@ -76,14 +76,20 @@ def _edge_key(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def _tokens(text: str):
+    """The whitespace-separated tokens of ``text``, each line cut at ``#``."""
+    for line in text.splitlines():
+        yield from line.split("#", 1)[0].split()
+
+
 class TriangulatedSurface:
     """A closed, connected, orientable triangulated surface.
 
     Construction validates everything, in this order: every edge borders
     exactly two triangles, the triangles admit a consistent orientation
     (re-orienting as needed) and are connected, every vertex is used, and
-    every vertex link is a single cycle.  Positions are carried but never
-    enter any computation; the topology is combinatorial.
+    every vertex link is a single cycle.  The topology is combinatorial:
+    a vertex is an index below ``n_vertices``, and no coordinates are kept.
 
     It also builds, once, every table the sweep and the contour walks
     read: ``edges`` (sorted vertex pairs; an edge's id is its position),
@@ -95,46 +101,51 @@ class TriangulatedSurface:
     ``links[v][i]``, so the sweep never looks an edge up by its pair).
     """
 
-    def __init__(self, positions, triangles):
-        self.positions = tuple(tuple(float(x) for x in p) for p in positions)
-        n = len(self.positions)
+    def __init__(self, n_vertices: int, triangles):
+        self.n_vertices = n = n_vertices
         tris: list[tuple[int, int, int]] = []
         for t in triangles:
-            a, b, c = (int(t[0]), int(t[1]), int(t[2]))
-            if len(set((a, b, c))) != 3:
+            a, b, c = t
+            if a == b or b == c or c == a:
                 raise MalformedMesh("degenerate triangle %r" % (t,))
-            if not all(0 <= x < n for x in (a, b, c)):
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
                 raise MalformedMesh("triangle %r references missing vertex" % (t,))
             tris.append((a, b, c))
         if not tris:
             raise NotAManifold("no triangles")
 
-        edge_tris: dict[Edge, list[int]] = {}
+        # owners[e] = [t1, up1, t2, up2]: the triangles bordering e in
+        # first-seen order, each with whether it runs e from its smaller vertex
+        owners: dict[Edge, list] = {}
         for ti, (a, b, c) in enumerate(tris):
             for u, v in ((a, b), (b, c), (c, a)):
-                edge_tris.setdefault(_edge_key(u, v), []).append(ti)
-        for e, owners in edge_tris.items():
-            if len(owners) != 2:
-                raise NotAManifold(
-                    "edge %r borders %d triangles, expected 2" % (e, len(owners)))
+                owners.setdefault(_edge_key(u, v), []).extend((ti, u < v))
+        for e, owned in owners.items():
+            if len(owned) != 4:
+                raise NotAManifold("edge %r borders %d triangles, expected 2"
+                                   % (e, len(owned) // 2))
 
-        self.triangles = self._orient(tris, edge_tris)
-
-        self.edges: list[Edge] = sorted(edge_tris)
+        flips = self._orient(owners, len(tris))
+        self.triangles = tuple((t[0], t[2], t[1]) if f else t
+                               for t, f in zip(tris, flips))
+        self.edges: list[Edge] = sorted(owners)
         self.edge_index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
         self.edge_tris: list[tuple[int, int]] = [
-            (edge_tris[e][0], edge_tris[e][1]) for e in self.edges]
+            (owners[e][0], owners[e][2]) for e in self.edges]
+        del tris, owners
 
         ix = self.edge_index
         self._tri_edges: list[tuple[int, int, int]] = [
             (ix[_edge_key(a, b)], ix[_edge_key(b, c)], ix[_edge_key(c, a)])
             for a, b, c in self.triangles]
 
-        # fan[v][x] = the oriented triangle running v -> x; the orientation
-        # makes each fan[v] a bijection from v's neighbours to its triangles
-        fan: list[dict[int, int]] = [{} for _ in self.positions]
-        for t, (a, b, c) in enumerate(self.triangles):
-            fan[a][b] = fan[b][c] = fan[c][a] = t
+        # fan[v][x] = (y, id of edge vx) for the oriented triangle v -> x -> y;
+        # the orientation makes each fan[v] a permutation of v's neighbours
+        fan: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+        for (a, b, c), (ab, bc, ca) in zip(self.triangles, self._tri_edges):
+            fan[a][b] = (c, ab)
+            fan[b][c] = (a, bc)
+            fan[c][a] = (b, ca)
         if not all(fan):
             raise NotAManifold("isolated vertex present")
         self.links: list[tuple[int, ...]] = []
@@ -144,47 +155,38 @@ class TriangulatedSurface:
             ring, star = [], []
             while x != start or not ring:
                 ring.append(x)
-                t = out[x]
-                # t is (v, x, y) rotated: its edge k runs v -> x, y precedes v
-                k = self.triangles[t].index(v)
-                star.append(self._tri_edges[t][k])
-                x = self.triangles[t][k - 1]
+                x, e = out[x]
+                star.append(e)
             if len(ring) != len(out):
                 raise NotAManifold("link of vertex %d is not a single cycle" % v)
             self.links.append(tuple(ring))
             self.stars.append(tuple(star))
 
     @staticmethod
-    def _orient(tris, edge_tris) -> tuple[tuple[int, int, int], ...]:
-        # each triangle's neighbours, in first-seen order of the shared edges
-        nbrs: list[list[int]] = [[] for _ in tris]
-        for a, b in edge_tris.values():
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        oriented: list[tuple[int, int, int] | None] = [None] * len(tris)
-        oriented[0] = tris[0]
+    def _orient(owners, n_triangles: int) -> list[int]:
+        """One flip bit per triangle; triangle 0 keeps its orientation."""
+        # each triangle's neighbours, in first-seen order of the shared
+        # edges, with True where the two run that edge the same way
+        nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(n_triangles)]
+        for t1, up1, t2, up2 in owners.values():
+            nbrs[t1].append((t2, up1 == up2))
+            nbrs[t2].append((t1, up1 == up2))
+        flips: list[int | None] = [None] * n_triangles
+        flips[0] = 0
         stack = [0]
         while stack:
             ti = stack.pop()
-            a, b, c = oriented[ti]
-            directed = {(a, b), (b, c), (c, a)}
-            for tj in nbrs[ti]:
-                # tj must run the edge it shares with ti the other way
-                x, y, z = tris[tj]
-                want = ((x, z, y) if {(x, y), (y, z), (z, x)} & directed
-                        else tris[tj])
-                if oriented[tj] is None:
-                    oriented[tj] = want
+            for tj, same in nbrs[ti]:
+                # agreeing neighbours run their shared edge opposite ways
+                want = flips[ti] ^ same
+                if flips[tj] is None:
+                    flips[tj] = want
                     stack.append(tj)
-                elif oriented[tj] != want:
+                elif flips[tj] != want:
                     raise NotOrientable("triangles %d and %d disagree" % (ti, tj))
-        if any(t is None for t in oriented):
+        if None in flips:
             raise NotAManifold("surface is not connected")
-        return tuple(oriented)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.positions)
+        return flips
 
     @property
     def n_edges(self) -> int:
@@ -197,21 +199,10 @@ class TriangulatedSurface:
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_triangles
 
-    def to_off_text(self) -> str:
-        lines = ["OFF", "%d %d %d" % (self.n_vertices, self.n_triangles, 0)]
-        for p in self.positions:
-            lines.append(" ".join(repr(x) for x in p))
-        for a, b, c in self.triangles:
-            lines.append("3 %d %d %d" % (a, b, c))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_off_text(cls, text: str) -> "TriangulatedSurface":
-        tokens = []
-        for line in text.splitlines():
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-        it = iter(tokens)
+        """Parse OFF; every coordinate must be a float but none is kept."""
+        it = _tokens(text)
 
         def take(what):
             try:
@@ -225,8 +216,8 @@ class TriangulatedSurface:
         try:
             nv, nf = int(take("vertex count")), int(take("face count"))
             int(take("edge count"))
-            positions = [tuple(float(take("coordinate")) for _ in range(3))
-                         for _ in range(nv)]
+            for _ in range(3 * nv):
+                float(take("coordinate"))
             faces = []
             for _ in range(nf):
                 k = int(take("face size"))
@@ -235,7 +226,7 @@ class TriangulatedSurface:
                 faces.append(tuple(int(take("vertex index")) for _ in range(3)))
         except ValueError as exc:
             raise ParseError("bad OFF token: %s" % exc) from None
-        return cls(positions, faces)
+        return cls(nv, faces)
 
     @classmethod
     def load_off(cls, path) -> "TriangulatedSurface":
@@ -260,24 +251,17 @@ class ScalarField:
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
         vals = []
-        for line in text.splitlines():
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            for tok in body.split():
-                try:
-                    vals.append(float(tok))
-                except ValueError:
-                    raise ParseError("bad scalar value %r" % tok) from None
+        for tok in _tokens(text):
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                raise ParseError("bad scalar value %r" % tok) from None
         return cls(tuple(vals))
 
     @classmethod
     def load(cls, path) -> "ScalarField":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
-
-    def to_text(self) -> str:
-        return "\n".join(repr(v) for v in self.values) + "\n"
 
 
 def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:

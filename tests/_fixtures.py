@@ -190,20 +190,19 @@ def octa_sphere():
     pos = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
     tris = [(0, 2, 4), (0, 4, 3), (0, 3, 5), (0, 5, 2),
             (1, 4, 2), (1, 3, 4), (1, 5, 3), (1, 2, 5)]
-    surface = TriangulatedSurface(pos, tris)
+    surface = TriangulatedSurface(len(pos), tris)
     field = ScalarField(tuple(p[2] for p in pos))
     return surface, field
 
 
 def _torus_grid(nu: int, nv: int, R: float = 2.0, r: float = 1.0):
-    pos, zs, tris = [], [], []
+    """Heights (one per vertex) and triangles of an upright torus grid."""
+    zs, tris = [], []
     for i in range(nu):
         th = 2 * math.pi * i / nu
         for j in range(nv):
             ph = 2 * math.pi * j / nv
-            rad = R + r * math.cos(ph)
-            pos.append((rad * math.cos(th), r * math.sin(ph), rad * math.sin(th)))
-            zs.append(rad * math.sin(th))
+            zs.append((R + r * math.cos(ph)) * math.sin(th))
 
     def vid(i, j):
         return (i % nu) * nv + (j % nv)
@@ -213,7 +212,7 @@ def _torus_grid(nu: int, nv: int, R: float = 2.0, r: float = 1.0):
             a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return pos, zs, tris
+    return zs, tris
 
 
 def vertical_torus(nu: int = 24, nv: int = 12):
@@ -221,10 +220,10 @@ def vertical_torus(nu: int = 24, nv: int = 12):
 
     Criticals: minimum at 0, saddles at 1/3 and 2/3, maximum at 1.
     """
-    pos, zs, tris = _torus_grid(nu, nv)
+    zs, tris = _torus_grid(nu, nv)
     top = 3.0
     field = ScalarField(tuple((z + top) / (2 * top) for z in zs))
-    return TriangulatedSurface(pos, tris), field
+    return TriangulatedSurface(len(zs), tris), field
 
 
 def chained_tori(n: int):
@@ -236,13 +235,12 @@ def chained_tori(n: int):
     7k-3 .. 7k+3).
     """
     nu, nv = 24, 12
-    pos, vals, tris = [], [], []
+    vals, tris = [], []
     offsets = []
     for k in range(n):
-        p, zs, ts = _torus_grid(nu, nv)
-        off = len(pos)
+        zs, ts = _torus_grid(nu, nv)
+        off = len(vals)
         offsets.append(off)
-        pos += [(x, y, z + 7.0 * k) for (x, y, z) in p]
         vals += [z + 7.0 * k for z in zs]
         tris += [(a + off, b + off, c + off) for (a, b, c) in ts]
 
@@ -261,10 +259,9 @@ def chained_tori(n: int):
 
     used = sorted({x for t in tris for x in t})
     remap = {old: new for new, old in enumerate(used)}
-    pos = [pos[u] for u in used]
     vals = [vals[u] for u in used]
     tris = [tuple(remap[x] for x in t) for t in tris]
-    return TriangulatedSurface(pos, tris), ScalarField(tuple(vals))
+    return TriangulatedSurface(len(vals), tris), ScalarField(tuple(vals))
 
 
 def noisy_torus(seed: int = 3, amplitude: float = 0.05):
@@ -282,8 +279,7 @@ def noisy_torus(seed: int = 3, amplitude: float = 0.05):
 def pillow():
     """Two triangles on the same three vertices: a sphere whose vertex
     links have length two."""
-    surface = TriangulatedSurface([(0, 0, 0), (1, 0, 0), (0, 1, 0)],
-                                  [(0, 1, 2), (0, 2, 1)])
+    surface = TriangulatedSurface(3, [(0, 1, 2), (0, 2, 1)])
     return surface, ScalarField((0.0, 1.0, 2.0))
 
 
@@ -294,29 +290,24 @@ def pinched_torus():
     the glued vertex's link is two disjoint cycles.
     """
     nu, nv = 24, 12
-    pos, _, tris = _torus_grid(nu, nv)
+    _, tris = _torus_grid(nu, nv)
     gone, keep = 12 * nv + 6, 0
-    del pos[gone]
 
     def renumber(x):
         x = keep if x == gone else x
         return x - 1 if x > gone else x
 
-    return pos, [tuple(renumber(x) for x in t) for t in tris]
+    return nu * nv - 1, [tuple(renumber(x) for x in t) for t in tris]
 
 
 def monkey_bipyramid():
     """Hexagonal bipyramid whose apex has three descending sectors."""
-    pos = [(0, 0, 0.5), (0, 0, -2.0)]
-    for k in range(6):
-        th = 2 * math.pi * k / 6
-        pos.append((math.cos(th), math.sin(th), 0.0))
     tris = []
     for k in range(6):
         a, b = 2 + k, 2 + (k + 1) % 6
         tris.append((0, a, b))
         tris.append((1, b, a))
-    surface = TriangulatedSurface(pos, tris)
+    surface = TriangulatedSurface(8, tris)
     vals = [0.5, -2.0] + [1.0 + 0.01 * k if k % 2 == 0 else -1.0 - 0.01 * k
                           for k in range(6)]
     return surface, ScalarField(tuple(vals))
@@ -324,10 +315,7 @@ def monkey_bipyramid():
 
 def klein_grid(nu: int = 8, nv: int = 8):
     """Klein-bottle identification of a grid: closed but non-orientable."""
-    pos, tris = [], []
-    for i in range(nu):
-        for j in range(nv):
-            pos.append((float(i), float(j), 0.0))
+    tris = []
 
     def vid(i, j):
         if i < nu:
@@ -339,7 +327,7 @@ def klein_grid(nu: int = 8, nv: int = 8):
             a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return pos, tris
+    return nu * nv, tris
 
 
 TETRA_OFF = ("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
@@ -372,11 +360,21 @@ OPEN_SURFACE_OFF = """OFF
 
 def disconnected_off() -> str:
     s, _ = octa_sphere()
-    lines = ["OFF", "12 16 0"]
-    for p in s.positions * 2:
-        lines.append("%g %g %g" % p)
-    for a, b, c in s.triangles:
-        lines.append("3 %d %d %d" % (a, b, c))
-    for a, b, c in s.triangles:
-        lines.append("3 %d %d %d" % (a + 6, b + 6, c + 6))
+    lines = ["OFF", "12 16 0"] + ["0 0 0"] * 12
+    for k in (0, 6):
+        lines += ["3 %d %d %d" % (a + k, b + k, c + k) for a, b, c in s.triangles]
     return "\n".join(lines) + "\n"
+
+
+def off_text(surface: TriangulatedSurface) -> str:
+    """OFF text of a surface, every vertex at the origin: no computation
+    reads coordinates."""
+    lines = ["OFF", "%d %d 0" % (surface.n_vertices, surface.n_triangles)]
+    lines += ["0 0 0"] * surface.n_vertices
+    lines += ["3 %d %d %d" % t for t in surface.triangles]
+    return "\n".join(lines) + "\n"
+
+
+def field_text(field: ScalarField) -> str:
+    """One scalar per line, exactly as stored."""
+    return "\n".join(repr(v) for v in field.values) + "\n"

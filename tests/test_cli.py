@@ -14,7 +14,9 @@ from reebound.cli import main
 
 from _fixtures import (
     TETRA_OFF,
+    field_text,
     monkey_bipyramid,
+    off_text,
     saddle_parity_violation,
     single_edge_graph,
     theta_graph,
@@ -34,8 +36,8 @@ def torus_files(tmp_path):
     surface, field = vertical_torus()
     off = tmp_path / "torus.off"
     fld = tmp_path / "torus.field"
-    off.write_text(surface.to_off_text())
-    fld.write_text(field.to_text())
+    off.write_text(off_text(surface))
+    fld.write_text(field_text(field))
     return str(off), str(fld)
 
 
@@ -200,8 +202,8 @@ class TestFromMesh:
         surface, field = monkey_bipyramid()
         off = tmp_path / "monkey.off"
         fld = tmp_path / "monkey.field"
-        off.write_text(surface.to_off_text())
-        fld.write_text(field.to_text())
+        off.write_text(off_text(surface))
+        fld.write_text(field_text(field))
         code, out, err = run_main(capsys, "from-mesh", str(off), str(fld))
         assert code == 1
         assert out == ""

@@ -33,8 +33,10 @@ from reebound.graph import ValidationReport, Violation
 
 from _fixtures import (
     TETRA_OFF,
+    field_text,
     monkey_bipyramid,
     octa_sphere,
+    off_text,
     single_edge_graph,
     theta_graph,
     torus_reeb_by_hand,
@@ -59,6 +61,9 @@ EXPECTED_EXIT = {
     "BadWindow": 2, "ContourSweepFailed": 2, "BadWitness": 2,
 }
 REPORTING = {"InvalidGraph", "InvariantViolation"}
+#: The only errors that may exit 3: a graph or a mesh that does not parse,
+#: or an input file that is not UTF-8.
+PARSE_ERRORS = {"MalformedGraph", "ParseError", "UnicodeDecodeError"}
 
 ERROR_TYPES = sorted(
     (cls for name, cls in vars(errors).items()
@@ -127,7 +132,11 @@ def check_contract(argv):
         assert err == ""
         assert json.loads(out)["ok"] is False
     else:
-        one_json_object(err)
+        payload = one_json_object(err)
+        if code == 3:
+            # exit 3 means the input did not parse; a fault inside the
+            # package must not read as one
+            assert payload["error"] in PARSE_ERRORS, payload
 
 
 def _assignment_payload(g, trace):
@@ -224,7 +233,7 @@ def _mesh_texts():
     out = [(TETRA_OFF, "0\n1\n2\n3\n")]
     for surface, field in (octa_sphere(), monkey_bipyramid(),
                            vertical_torus(6, 4)):
-        out.append((surface.to_off_text(), field.to_text()))
+        out.append((off_text(surface), field_text(field)))
     return out
 
 

@@ -23,6 +23,7 @@ from reebound import (
 from reebound.errors import (
     BadWitness,
     DegenerateField,
+    MalformedMesh,
     MissingWitness,
     NotAManifold,
     NotOrientable,
@@ -43,6 +44,7 @@ from _fixtures import (
     monkey_bipyramid,
     noisy_torus,
     octa_sphere,
+    off_text,
     pillow,
     pinched_torus,
     vertical_torus,
@@ -66,9 +68,12 @@ def _random_gap_levels(field, rng, count):
 class TestLoading:
     def test_off_round_trip(self):
         s, _ = octa_sphere()
-        s2 = TriangulatedSurface.from_off_text(s.to_off_text())
+        s2 = TriangulatedSurface.from_off_text(off_text(s))
+        assert s2.n_vertices == s.n_vertices
         assert s2.triangles == s.triangles
-        assert s2.positions == s.positions
+        assert (s2.edges, s2.edge_tris, s2._tri_edges) == (
+            s.edges, s.edge_tris, s._tri_edges)
+        assert (s2.links, s2.stars) == (s.links, s.stars)
 
     def test_off_with_comments_and_blanks(self):
         text = "# a comment\nOFF\n# counts\n3 1 0\n\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -101,9 +106,8 @@ class TestLoading:
             TriangulatedSurface.from_off_text(disconnected_off())
 
     def test_klein_bottle_not_orientable(self):
-        pos, tris = klein_grid()
         with pytest.raises(NotOrientable):
-            TriangulatedSurface(pos, tris)
+            TriangulatedSurface(*klein_grid())
 
     def test_scalar_field_parsing(self):
         f = ScalarField.from_text("0.5\n# c\n1.25 2.5\n")
@@ -119,6 +123,13 @@ class TestLoading:
             build_reeb(s, ScalarField((1.0, 2.0)))
 
 
+ORIENTABLE = pytest.mark.parametrize("fixture", [
+    octa_sphere, vertical_torus, lambda: chained_tori(2),
+    lambda: chained_tori(3), noisy_torus, pillow, monkey_bipyramid],
+    ids=["sphere", "torus", "genus2", "genus3", "noisy-torus", "pillow",
+         "monkey"])
+
+
 class TestSurfaceTables:
     def test_run_starts_match_arc_oracle(self):
         # every boolean ring of length 1..12, and its negation: the
@@ -129,11 +140,7 @@ class TestSurfaceTables:
                     assert _run_starts(flags) == [
                         arc[0] for arc in _lower_arcs(flags, flags)], flags
 
-    @pytest.mark.parametrize("fixture", [
-        octa_sphere, vertical_torus, lambda: chained_tori(2),
-        lambda: chained_tori(3), noisy_torus, pillow, monkey_bipyramid],
-        ids=["sphere", "torus", "genus2", "genus3", "noisy-torus", "pillow",
-             "monkey"])
+    @ORIENTABLE
     def test_star_edges_join_vertex_to_link(self, fixture):
         s, _ = fixture()
         assert len(s.stars) == len(s.links) == s.n_vertices
@@ -141,6 +148,27 @@ class TestSurfaceTables:
             assert len(star) == len(ring)
             for u, eid in zip(ring, star):
                 assert s.edges[eid] == tuple(sorted((v, u)))
+
+    @ORIENTABLE
+    def test_flipped_triangles_oriented_back(self, fixture):
+        # triangle 0 fixes the orientation, so reversing any others must
+        # rebuild every table exactly
+        s, _ = fixture()
+        rng = random.Random(2)
+        tris = [(a, c, b) if k and rng.random() < 0.5 else (a, b, c)
+                for k, (a, b, c) in enumerate(s.triangles)]
+        s2 = TriangulatedSurface(s.n_vertices, tris)
+        for name in ("triangles", "edges", "edge_tris", "_tri_edges",
+                     "links", "stars"):
+            assert getattr(s2, name) == getattr(s, name), name
+
+    def test_flipped_klein_bottle_not_orientable(self):
+        n, tris = klein_grid()
+        rng = random.Random(2)
+        for _ in range(10):
+            with pytest.raises(NotOrientable):
+                TriangulatedSurface(n, [(a, c, b) if rng.random() < 0.5
+                                        else (a, b, c) for a, b, c in tris])
 
     def test_pillow_links_have_length_two(self):
         s, _ = pillow()
@@ -442,8 +470,33 @@ class TestPinnedOutput:
          NotAManifold, "link of vertex 0 is not a single cycle"),
         (lambda: label_reeb(*torus_with_moved_witness(0.99)),
          BadWitness, "edge (0, 13) is not crossed at level 0.99"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 0\n"),
+         MalformedMesh, "degenerate triangle (0, 1, 0)"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n"),
+         MalformedMesh, "triangle (0, 1, 3) references missing vertex"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+         NotAManifold, "no triangles"),
+        (lambda: TriangulatedSurface.from_off_text(NON_MANIFOLD_OFF),
+         NotAManifold, "edge (0, 1) borders 3 triangles, expected 2"),
+        (lambda: TriangulatedSurface.from_off_text("PLY\n3 1 0\n"),
+         ParseError, "not an OFF file (header 'PLY')"),
+        (lambda: TriangulatedSurface.from_off_text("OFF\n3 1 0\n0 0 0\n"),
+         ParseError, "OFF data ends early, expected coordinate"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"),
+         ParseError, "face with 4 sides; only triangles supported"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n"),
+         ParseError, "bad OFF token: could not convert string to float: 'x'"),
+        (lambda: ScalarField.from_text("0.5\nnot-a-number\n"),
+         ParseError, "bad scalar value 'not-a-number'"),
     ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
-            "witness-not-crossed"])
+            "witness-not-crossed", "degenerate", "missing-vertex",
+            "no-triangles", "three-owners", "bad-header", "ends-early",
+            "quad-face", "bad-token", "bad-scalar"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
             make()
