@@ -33,11 +33,16 @@ assigned edges spanning an inter-event gap share one value, everything
 assigned to the right shares it too and connects back through edges of
 that value).  It reads only the assignment, its trace and the graph's
 index, in one sweep over the gaps and one union-find over the edges, so
-a call costs O(E + G + T) for E edges, G gaps and T trace entries, and
-the checked run, which calls it once per round, costs O(V * (E + T)).
+a call costs O(E + G + T) for E edges, G gaps and T trace entries.
+The checked run decides each round from state a private checker keeps
+between rounds, at O(log E) per write plus, per round, a comparison of
+the gap ranges two integers cover.  Unless the graph has a loop, flat or
+backward edge, it certifies exactly the rounds check_invariants passes,
+which thus runs only to report a violation.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -101,6 +106,15 @@ class DistanceBoundReport:
             "n_min": self.n_min,
             "bound": self.bound,
         }
+
+
+def _find(parent: dict, x):
+    """The root of x in a union-find forest, halving the path to it."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def check_invariants(g: ReebGraph, p: PartialAssignment,
@@ -206,21 +220,13 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
 
     # components of the plateau-valued edges, joined at shared vertices
     parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(x: tuple[str, int]) -> tuple[str, int]:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e, val, _ in valued:
         if val in first_of:
-            parent[find((e.lower, val))] = find((e.upper, val))
+            parent[_find(parent, (e.lower, val))] = _find(parent, (e.upper, val))
     low: dict[tuple[str, int], int] = {}
     for e, val, gaps in valued:
         if val in first_of:
-            root = find((e.lower, val))
+            root = _find(parent, (e.lower, val))
             low[root] = min(low.get(root, gaps.start), gaps.start)
 
     # (gap, edge position, violation): emitted by gap, then in edge order
@@ -234,13 +240,142 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
                 % (events[gap], val, m))))
         gap = first_of.get(val)
         if (gap is not None and gap < gaps.stop
-                and gap < low[find((e.lower, val))]):
+                and gap < low[_find(parent, (e.lower, val))]):
             hits.append((gap, k, Violation(
                 RULE_PLATEAU_PATH, (e.id,),
                 "no path through %d-edges from %s down to level %r"
                 % (val, e.id, events[gap]))))
     out.extend(v for _, _, v in sorted(hits))
     return ValidationReport.from_violations(out)
+
+
+def _clip(spans: tuple[list[int], list[int]], lo: int, hi: int) -> list:
+    """The disjoint gap ranges ``spans`` covers, cut to [lo, hi)."""
+    starts, stops = spans
+    i, j = bisect_right(stops, lo), bisect_left(starts, hi)
+    return [(max(s, lo), min(t, hi)) for s, t in zip(starts[i:j], stops[i:j])]
+
+
+class _Checker:
+    """Decides each round of a checked run from state kept between rounds:
+    ``clean`` is True exactly when check_invariants would find nothing.
+
+    It reads the trace entries appended since its last call, their edges'
+    integers, the next target and the graph's index, never the sweep's
+    state.  Integers are never rewritten and the target's gap never
+    decreases, so its state only grows or moves up: ``value`` per edge
+    written; the frontier; ``band``, the integers on edges reaching past
+    the gap after the frontier's; ``spans``, the disjoint gap ranges each
+    integer's edges cover; a union-find over (vertex, integer) with each
+    root's lowest gap, in a lazily cleaned max-heap per integer.
+
+    Once the frontier carries b, or b - 1 and b, and the band only those,
+    a gap from the frontier's on is a plateau iff exactly one of the two
+    is live there: a violation below the smaller reach.  Beyond it only
+    the integer that reaches further is live, and its components must
+    start at or below its first live gap.  The exceptions: a graph with
+    an edge that spans no gap (a loop, a flat or a backward edge), or a
+    trace at odds with the assignment, is never certified.
+    """
+
+    def __init__(self, g: ReebGraph):
+        self.g, self.gaps, self.edges = g, g._gaps, g._edge_by_id
+        self.sound = all(self.gaps.values())
+        self.value: dict[str, int] = {}
+        self.enter: list[list[str]] = [[] for _ in g._events]
+        self.leave: list[list[str]] = [[] for _ in g._events]
+        for eid, gaps in self.gaps.items():     # read only if none is empty
+            self.enter[gaps.start].append(eid)
+            self.leave[gaps.stop].append(eid)
+        self.seen, self.gap, self.open, self.cut = 0, -1, 0, 0
+        self.counts: dict[int, int] = {}
+        self.band: dict[int, int] = {}
+        self.by_stop: list[list[int]] = [[] for _ in g._events]
+        self.spans: dict[int, tuple[list[int], list[int]]] = {}
+        self.parent: dict[tuple[str, int], tuple[str, int]] = {}
+        self.low: dict[tuple[str, int], int] = {}
+        self.lows: dict[int, list[tuple[int, tuple[str, int]]]] = {}
+
+    def clean(self, assigned: dict[str, int], trace, vid: str | None) -> bool:
+        for entry in trace[self.seen:]:
+            for eid in entry.edges:
+                if eid in self.value or eid not in assigned:
+                    self.sound = False
+                elif self.sound:
+                    self._add(eid, assigned[eid])
+        self.seen = len(trace)
+        self.sound = self.sound and len(self.value) == len(assigned)
+        if not self.sound or vid is None:
+            return self.sound
+        gap0 = self.g.gap_below(vid)
+        self._advance(gap0)
+        values = sorted(self.counts)
+        if (self.gap != gap0 or self.open or not values
+                or values[-1] - values[0] > 1):
+            return False
+        a, b = values[-1] - 1, values[-1]
+        if any(v != a and v != b for v in self.band):
+            return False
+        reach_a = self.spans[a][1][-1] if a in self.spans else 0
+        reach_b = self.spans[b][1][-1]
+        if reach_a <= gap0:
+            m, plateau = b, gap0
+        else:
+            first = min(reach_a, reach_b)
+            if _clip(self.spans[a], gap0, first) != _clip(self.spans[b], gap0, first):
+                return False
+            if reach_a == reach_b:
+                return True
+            m = a if reach_a > reach_b else b
+            starts, stops = self.spans[m]
+            plateau = max(first, starts[bisect_right(stops, first)])
+        # the highest lowest gap over the components of m's edges
+        heap = self.lows[m]
+        while (self.parent[heap[0][1]] != heap[0][1]
+               or self.low[heap[0][1]] != -heap[0][0]):
+            heappop(heap)
+        return -heap[0][0] <= plateau
+
+    def _add(self, eid: str, value: int) -> None:
+        self.value[eid] = value
+        gaps = self.gaps[eid]
+        start, stop = gaps.start, gaps.stop
+        if self.gap in gaps:
+            self.open -= 1
+            self.counts[value] = self.counts.get(value, 0) + 1
+        if stop > self.cut:
+            self.band[value] = self.band.get(value, 0) + 1
+            self.by_stop[stop].append(value)
+        # merge [start, stop) with the ranges it overlaps or touches
+        starts, stops = self.spans.setdefault(value, ([], []))
+        i, j = bisect_left(stops, start), bisect_right(starts, stop)
+        if i < j:
+            start, stop = min(start, starts[i]), max(stop, stops[j - 1])
+        starts[i:j], stops[i:j] = [start], [stop]
+        e, low = self.edges[eid], self.low
+        r1 = _find(self.parent, (e.lower, value))
+        r2 = self.parent[r1] = _find(self.parent, (e.upper, value))
+        low[r2] = min(low.get(r1, gaps.start), low.get(r2, gaps.start), gaps.start)
+        heappush(self.lows.setdefault(value, []), (-low[r2], r2))
+
+    def _advance(self, gap0: int) -> None:
+        while self.gap < gap0:
+            self.gap += 1
+            for sign, eids in ((-1, self.leave[self.gap]), (1, self.enter[self.gap])):
+                for eid in eids:
+                    value = self.value.get(eid)
+                    if value is None:
+                        self.open += sign
+                    elif self.counts.get(value, 0) + sign:
+                        self.counts[value] = self.counts.get(value, 0) + sign
+                    else:
+                        del self.counts[value]
+        while self.cut < gap0 + 1:
+            self.cut += 1
+            for value in self.by_stop[self.cut]:
+                self.band[value] -= 1
+                if not self.band[value]:
+                    del self.band[value]
 
 
 class _Sweep:
@@ -418,21 +553,25 @@ class _Sweep:
 def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
     """Run the full sweep until every edge carries an integer.
 
-    With ``check=True`` the consistency conditions are re-verified from
-    scratch after every saturation; a failure aborts the run with
-    InvariantViolation carrying the report.
+    With ``check=True`` the consistency conditions are verified after
+    every saturation: the incremental checker certifies the round clean,
+    or check_invariants derives the report from scratch, and a report
+    with violations aborts the run with InvariantViolation carrying it.
     """
     if not g.boundary_minus:
         raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
     sweep = _Sweep(g)
+    checker = _Checker(g) if check else None
     seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
     sweep.run_round(STEP0, None, tuple(seeded), 1)
     while True:
-        if check:
-            snapshot = PartialAssignment(dict(sweep.assigned), tuple(sweep.trace))
-            report = check_invariants(g, snapshot, sweep.next_target())
-            if not report.ok:
-                raise InvariantViolation(report)
+        if checker is not None:
+            target = sweep.next_target()
+            if not checker.clean(sweep.assigned, sweep.trace, target):
+                report = check_invariants(g, PartialAssignment(
+                    sweep.assigned, tuple(sweep.trace)), target)
+                if not report.ok:
+                    raise InvariantViolation(report)
         if len(sweep.assigned) == len(g.edges):
             return PartialAssignment(sweep.assigned, tuple(sweep.trace))
         target = sweep.next_target()

@@ -103,6 +103,7 @@ class TriangulatedSurface:
 
     def __init__(self, n_vertices: int, triangles):
         self.n_vertices = n = n_vertices
+        ids = list(range(n))    # one int per vertex id, shared by every table
         tris: list[tuple[int, int, int]] = []
         for t in triangles:
             a, b, c = t
@@ -110,7 +111,7 @@ class TriangulatedSurface:
                 raise MalformedMesh("degenerate triangle %r" % (t,))
             if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
                 raise MalformedMesh("triangle %r references missing vertex" % (t,))
-            tris.append((a, b, c))
+            tris.append((ids[a], ids[b], ids[c]))
         if not tris:
             raise NotAManifold("no triangles")
 

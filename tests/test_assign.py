@@ -29,6 +29,7 @@ from reebound.errors import (
     BrokenUniqueness,
     ConflictingPropagation,
     IncompleteAssignment,
+    InvariantViolation,
     NoLowerBoundary,
     NonConsecutiveFrontier,
     NothingToAssign,
@@ -503,17 +504,41 @@ class TestCheckInvariants:
 
 
 def _checked_rounds(monkeypatch, sub):
-    """The (assignment, target) of every check a checked run makes."""
-    rounds = []
+    """The (assignment, target) of every round a checked run decides,
+    rebuilt from its trace: a round ends before each step-2 entry, and a
+    last one, with no target, after the final entry."""
+    targets = []
+    clean = assign_mod._Checker.clean
 
-    def spy(g, p, vid):
-        rounds.append((p, vid))
-        return check_invariants(g, p, vid)
+    def spy(self, assigned, trace, vid):
+        targets.append(vid)
+        return clean(self, assigned, trace, vid)
 
-    monkeypatch.setattr(assign_mod, "check_invariants", spy)
-    assign_all(sub, check=True)
+    monkeypatch.setattr(assign_mod._Checker, "clean", spy)
+    p = assign_all(sub, check=True)
     monkeypatch.undo()
+    ends = [k for k, t in enumerate(p.trace) if t.step == "step2"]
+    rounds, assigned = [], {}
+    for start, end in zip([0] + ends, ends + [len(p.trace)]):
+        assigned.update((eid, p.assigned[eid])
+                        for t in p.trace[start:end] for eid in t.edges)
+        vid = p.trace[end].vertex if end < len(p.trace) else None
+        rounds.append((PartialAssignment(dict(assigned), p.trace[:end]), vid))
+    assert len(rounds) == 1 + len(ends)
+    assert [vid for _, vid in rounds] == targets
     return rounds
+
+
+# (seed, saddles) of the generator graphs whose every round is checked
+ROUND_GRAPHS = [(seed, saddles) for saddles in (0, 1, 2, 5, 13, 40, 120)
+                for seed in range(3)] + [(6, 400)]
+
+
+def _round_graph(seed, saddles):
+    g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                              parallel_edge_bias=(seed % 3) / 2,
+                              inessential_bias=0.5))
+    return essential_subgraph(g, prevalidated=True)
 
 
 @st.composite
@@ -534,14 +559,9 @@ class TestCheckAgainstNaive:
     every gap (``naive_check_invariants``): equal reports, violations in
     the same order."""
 
-    @pytest.mark.parametrize("seed,saddles", [
-        (seed, saddles) for saddles in (0, 1, 2, 5, 13, 40, 120)
-        for seed in range(3)] + [(6, 400)])
+    @pytest.mark.parametrize("seed,saddles", ROUND_GRAPHS)
     def test_every_round_of_checked_runs(self, monkeypatch, seed, saddles):
-        g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
-                                  parallel_edge_bias=(seed % 3) / 2,
-                                  inessential_bias=0.5))
-        sub = essential_subgraph(g, prevalidated=True)
+        sub = _round_graph(seed, saddles)
         for p, vid in _checked_rounds(monkeypatch, sub):
             report = naive_check_invariants(sub, p, vid)
             assert report.ok
@@ -571,6 +591,9 @@ class TestCheckAgainstNaive:
                     q = PartialAssignment(assigned, trace)
                     report = naive_check_invariants(sub, q, vid)
                     assert check_invariants(sub, q, vid) == report
+                    verdict = assign_mod._Checker(sub).clean(q.assigned,
+                                                             q.trace, vid)
+                    assert verdict == report.ok
                     rules |= report.rules()
                     reports += 1
         assert reports > 4000
@@ -587,6 +610,118 @@ class TestCheckAgainstNaive:
         for vid in sub.interior + (None,):
             assert (check_invariants(sub, p, vid)
                     == naive_check_invariants(sub, p, vid))
+
+
+def _checked_outcome(sub):
+    """The map and trace of a checked run, or its error type with the
+    report (InvariantViolation) or the message."""
+    try:
+        p = assign_all(sub, check=True)
+    except InvariantViolation as exc:
+        return "InvariantViolation", exc.report
+    except ReeboundError as exc:
+        return type(exc).__name__, str(exc)
+    return p.assigned, p.trace
+
+
+def _corrupt_sweep(monkeypatch, at, picks, repeat):
+    """Make the sweep's round ``at`` end by writing its integer moved by d
+    onto the k-th unassigned edge (mod their number) for each (k, d) in
+    ``picks``, and, unless ``repeat`` is None, by appending the trace
+    entry at that index (mod the trace's length) again."""
+    run_round = assign_mod._Sweep.run_round
+
+    def bad_round(self, step, vid, eids, value):
+        run_round(self, step, vid, eids, value)
+        self.rounds = getattr(self, "rounds", 0) + 1
+        if self.rounds != at:
+            return
+        if repeat is not None:
+            self.trace.append(self.trace[repeat % len(self.trace)])
+        for k, d in picks:
+            free = [e.id for e in self.g.edges if e.id not in self.assigned]
+            if free:
+                eid = free[k % len(free)]
+                self.trace.append(TraceEntry(step, vid, (eid,), value + d))
+                self._write(eid, value + d)
+
+    monkeypatch.setattr(assign_mod._Sweep, "run_round", bad_round)
+
+
+class TestIncrementalChecker:
+    """The checked run's round-by-round verdicts against check_invariants,
+    which the run falls back to whenever a round is not certified."""
+
+    @pytest.mark.parametrize("seed,saddles", ROUND_GRAPHS)
+    def test_every_round_verdict(self, monkeypatch, seed, saddles):
+        sub = _round_graph(seed, saddles)
+        checker = assign_mod._Checker(sub)
+        for p, vid in _checked_rounds(monkeypatch, sub):
+            assert checker.clean(p.assigned, p.trace, vid)
+            assert check_invariants(sub, p, vid).ok
+
+    def test_rounds_missing_a_write(self, monkeypatch):
+        # one trace entry dropped with its edges' integers, so the
+        # frontier may have edges with no integer
+        rng = random.Random(5)
+        rules = set()
+        for seed in range(60):
+            g = random_reeb(GenParams(seed=seed, saddle_count=seed % 30,
+                                      parallel_edge_bias=(seed % 5) / 4,
+                                      inessential_bias=(seed % 7) / 6))
+            sub = essential_subgraph(g, prevalidated=True)
+            for p, vid in _checked_rounds(monkeypatch, sub):
+                k = rng.randrange(len(p.trace))
+                trace = p.trace[:k] + p.trace[k + 1:]
+                assigned = {eid: n for eid, n in p.assigned.items()
+                            if eid not in p.trace[k].edges}
+                q = PartialAssignment(assigned, trace)
+                report = check_invariants(sub, q, vid)
+                assert assign_mod._Checker(sub).clean(assigned, trace,
+                                                      vid) == report.ok
+                rules |= report.rules()
+        assert "frontier-class" in rules
+
+    def test_corrupted_sweeps(self, monkeypatch):
+        # one round also writes 1 to 3 stray edges with its integer moved
+        # by 1 to 3, or writes an earlier trace entry again; the run must
+        # end as it does when every round is derived in full
+        rng = random.Random(12)
+        rules = set()
+        for seed in range(200):
+            g = random_reeb(GenParams(seed=seed, saddle_count=seed % 30,
+                                      parallel_edge_bias=(seed % 5) / 4,
+                                      inessential_bias=(seed % 7) / 6))
+            sub = essential_subgraph(g, prevalidated=True)
+            picks, repeat = [], None
+            if seed % 4:
+                picks = [(rng.randrange(99), rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in range(rng.randint(1, 3))]
+            else:
+                repeat = rng.randrange(99)
+            _corrupt_sweep(monkeypatch, rng.randint(1, 1 + seed % 30),
+                           picks, repeat)
+            fast = _checked_outcome(sub)
+            monkeypatch.setattr(assign_mod._Checker, "clean",
+                                lambda self, assigned, trace, vid: False)
+            assert fast == _checked_outcome(sub)
+            monkeypatch.undo()
+            if fast[0] == "InvariantViolation":
+                rules |= fast[1].rules()
+        assert rules == {"single-assignment", "frontier-class",
+                         "downstream-band", "plateau-uniform",
+                         "plateau-connected"}
+
+    def test_no_fallback_on_generator_graph(self, monkeypatch):
+        g = random_reeb(GenParams(seed=3, saddle_count=200,
+                                  parallel_edge_bias=0.25,
+                                  inessential_bias=0.35))
+        sub = essential_subgraph(g, prevalidated=True)
+        calls = []
+        monkeypatch.setattr(assign_mod, "check_invariants",
+                            lambda *args: calls.append(args))
+        assert assign_all(sub, check=True).assigned == assign_all(sub).assigned
+        assert calls == []
 
 
 class TestDistanceBound:
