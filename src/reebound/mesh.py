@@ -13,17 +13,20 @@ sweep, the contour walks and the witness check only read them, and the
 labelling walks the Reeb graph's own incidence index.
 
 Ties between field values are broken symbolically by vertex index, so
-every comparison the sweep makes is decided; criticality is the standard
-lower-link rule (empty lower link: minimum; empty upper link: maximum;
-two lower arcs: saddle; three or more: rejected as degenerate), decided
-once per vertex inside the sweep.  No geometric tolerances anywhere.
+every comparison the sweep makes is decided.  Criticality is the
+lower-link rule, decided once per vertex inside the sweep by counting the
+turns around its link where "below" flips to "above" or back: none at an
+extremum, two at a regular vertex, four at a saddle, and more at a monkey
+saddle, rejected as degenerate.  No geometric tolerances anywhere.
 """
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 from math import inf, isfinite, nextafter
+from operator import ne
 
 from .errors import (
     BadWitness,
@@ -78,8 +81,8 @@ def _edge_key(a: int, b: int) -> Edge:
 
 def _tokens(text: str):
     """The whitespace-separated tokens of ``text``, each line cut at ``#``."""
-    for line in text.splitlines():
-        yield from line.split("#", 1)[0].split()
+    return chain.from_iterable(
+        line.partition("#")[0].split() for line in text.splitlines())
 
 
 class TriangulatedSurface:
@@ -205,26 +208,28 @@ class TriangulatedSurface:
         """Parse OFF; every coordinate must be a float but none is kept."""
         it = _tokens(text)
 
-        def take(what):
-            try:
-                return next(it)
-            except StopIteration:
-                raise ParseError("OFF data ends early, expected %s" % what) from None
+        def take(what, convert=str, count=1):
+            # tokens convert as read: a bad one wins over an early end
+            got = tuple(map(convert, islice(it, min(max(count, 0), sys.maxsize))))
+            if len(got) < count:
+                raise ParseError("OFF data ends early, expected %s" % what)
+            return got
 
-        header = take("header")
+        (header,) = take("header")
         if header != "OFF":
             raise ParseError("not an OFF file (header %r)" % header)
         try:
-            nv, nf = int(take("vertex count")), int(take("face count"))
-            int(take("edge count"))
-            for _ in range(3 * nv):
-                float(take("coordinate"))
+            (nv,), (nf,) = take("vertex count", int), take("face count", int)
+            take("edge count", int)
+            take("coordinate", float, 3 * nv)
             faces = []
             for _ in range(nf):
-                k = int(take("face size"))
+                # a short read leaves ``it`` spent, so ``take`` then raises
+                k = int(next(it, None) or take("face size")[0])
                 if k != 3:
                     raise ParseError("face with %d sides; only triangles supported" % k)
-                faces.append(tuple(int(take("vertex index")) for _ in range(3)))
+                face = tuple(map(int, islice(it, 3)))
+                faces.append(face if len(face) == 3 else take("vertex index", int, 3))
         except ValueError as exc:
             raise ParseError("bad OFF token: %s" % exc) from None
         return cls(nv, faces)
@@ -251,13 +256,15 @@ class ScalarField:
 
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
-        vals = []
-        for tok in _tokens(text):
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise ParseError("bad scalar value %r" % tok) from None
-        return cls(tuple(vals))
+        try:
+            values = tuple(map(float, _tokens(text)))
+        except ValueError:
+            for tok in _tokens(text):   # again, one by one, to name the bad one
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError("bad scalar value %r" % tok) from None
+        return cls(values)
 
     @classmethod
     def load(cls, path) -> "ScalarField":
@@ -269,6 +276,11 @@ def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:
     if len(field.values) != surface.n_vertices:
         raise MalformedMesh("field has %d values for %d vertices"
                          % (len(field.values), surface.n_vertices))
+
+
+def _turns(flags: list[bool]) -> int:
+    """Positions around the ring where a flag differs from the one before."""
+    return sum(map(ne, flags, flags[1:])) + (flags[0] != flags[-1])
 
 
 def _run_starts(flags: list[bool]) -> list[int]:
@@ -301,14 +313,14 @@ class _ContourTracker:
         for e in self.members.pop(cid):
             del self.owner[e]
 
-    def splice(self, cid: int, dead: set[int], born: set[int]) -> None:
-        m = self.members[cid]
+    def splice(self, cid: int, dead: list[int], born: list[int]) -> None:
+        m, owner = self.members[cid], self.owner
+        m.difference_update(dead)
+        m.update(born)
         for e in dead:
-            m.discard(e)
-            del self.owner[e]
+            del owner[e]
         for e in born:
-            m.add(e)
-            self.owner[e] = cid
+            owner[e] = cid
 
     def absorb(self, keep: int, gone: int) -> None:
         for e in self.members[gone]:
@@ -359,29 +371,27 @@ def _pick_witness_level(a: float, b: float, fraction: float,
 
     Works gap by gap between the vertex values inside (a, b), starting at
     the gap containing the requested fraction and spiralling outward;
-    gaps too narrow to hold a representable float are skipped.
+    gaps too narrow to hold a representable float are skipped.  Only the
+    gaps visited are read: gap ``p`` runs from ``sorted_values[p]`` (``a``
+    for ``p == lo - 1``) to the next value (``b`` for ``p == hi - 1``).
     """
-    inside = sorted_values[bisect_right(sorted_values, a):
-                           bisect_left(sorted_values, b)]
-    bounds = [a] + inside + [b]
+    lo = bisect_right(sorted_values, a)
+    hi = bisect_left(sorted_values, b)
     t0 = a + (b - a) * fraction
     if not a < t0 < b:
         t0 = (a + b) / 2.0
-    k = min(max(bisect_right(bounds, t0) - 1, 0), len(bounds) - 2)
-    order = [k]
-    for d in range(1, len(bounds) - 1):
-        if k + d <= len(bounds) - 2:
-            order.append(k + d)
-        if k - d >= 0:
-            order.append(k - d)
-    for idx in order:
-        lo, hi = bounds[idx], bounds[idx + 1]
-        mid = (lo + hi) / 2.0
-        if lo < mid < hi:
-            return mid
-        step = nextafter(lo, hi)
-        if lo < step < hi:
-            return step
+    k = bisect_right(sorted_values, t0, lo, hi) - 1
+    for d in range(hi - lo + 1):
+        for p in (k + d, k - d) if d else (k,):
+            if lo <= p + 1 <= hi:
+                x = sorted_values[p] if p >= lo else a
+                y = sorted_values[p + 1] if p + 1 < hi else b
+                mid = (x + y) / 2.0
+                if x < mid < y:
+                    return mid
+                step = nextafter(x, y)
+                if x < step < y:
+                    return step
     raise DegenerateField("no representable level strictly inside (%r, %r)"
                           % (a, b))
 
@@ -395,21 +405,28 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     field values; edges are the contour classes in between, created in
     sweep order (ids ``e0``, ``e1``, ...), each carrying a witness cycle
     sampled at ``witness_fraction`` of its span (nudged off vertex
-    values).  Labels are left inessential; run :func:`label_reeb` to
-    classify.  The window is padded slightly past the extreme values so
-    every vertex is interior, and clamped to the finite floats.  Raises
-    DegenerateField on a monkey saddle, when two critical vertices share
-    a value, or when a value is the largest finite float in magnitude.
+    values).  The sweep records only the vertices each class passed; a
+    witness level, and the edge its trace starts from, are picked only
+    for the one vertex each witness reads.  Labels are left inessential;
+    run :func:`label_reeb` to classify.  The window is padded slightly
+    past the extreme values so every vertex is interior, and clamped to
+    the finite floats.  Raises DegenerateField on a monkey saddle, when
+    two critical vertices share a value, or when a value is the largest
+    finite float in magnitude.
     """
     _check_pair(surface, field)
     if not 0.0 < witness_fraction < 1.0:
         raise BadWitnessFraction(
             "witness_fraction %r must be inside (0, 1)" % witness_fraction)
 
-    key = field.key
-    order = sorted(range(surface.n_vertices), key=key)
+    values, links, stars = field.values, surface.links, surface.stars
+    order = sorted(range(surface.n_vertices), key=field.key)
+    rank = [0] * surface.n_vertices     # position in the (value, index) order
+    for i, v in enumerate(order):
+        rank[v] = i
 
     tracker = _ContourTracker()
+    owner = tracker.owner
     vertices: list[ReebVertex] = []
     arcs: list[dict] = []
     arc_of: dict[int, int] = {}
@@ -421,60 +438,59 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         # every candidate is flat, the segment is value-degenerate and a
         # later segment at the same value will be used instead.
         rising = [e for e in candidates
-                  if max(field.values[surface.edges[e][0]],
-                         field.values[surface.edges[e][1]]) > event_value]
+                  if max(values[surface.edges[e][0]],
+                         values[surface.edges[e][1]]) > event_value]
         return min(rising) if rising else min(candidates)
 
     def open_arc(cid: int, vid: str, v: int) -> None:
-        rep = pick_rep(tracker.members[cid], field.values[v])
-        arcs.append({"lower_vid": vid, "lower_val": field.values[v],
-                     "upper_vid": None, "upper_val": None,
-                     "segments": [(key(v), rep)]})
+        # the vertices the class passed; only the first has its rep yet
+        arcs.append({"lower_vid": vid, "lower_val": values[v],
+                     "upper_vid": None, "upper_val": None, "segments": [v],
+                     "rep": pick_rep(tracker.members[cid], values[v])})
         arc_of[cid] = len(arcs) - 1
 
     def close_arc(cid: int, vid: str, v: int) -> None:
         arc = arcs[arc_of.pop(cid)]
         arc["upper_vid"] = vid
-        arc["upper_val"] = field.values[v]
+        arc["upper_val"] = values[v]
 
     for v in order:
-        star = surface.stars[v]
-        kv = key(v)
-        low = [key(u) < kv for u in surface.links[v]]
-        lower = _run_starts(low)
-        upper = _run_starts([not x for x in low])
-        dead = {e for e, x in zip(star, low) if x}
-        born = {e for e, x in zip(star, low) if not x}
+        rv, star = rank[v], stars[v]
+        low = [rank[u] < rv for u in links[v]]
+        turns = _turns(low)
+        if turns == 2:
+            dead = list(compress(star, low))
+            cid = owner[dead[0]]
+            if any(owner[e] != cid for e in dead):
+                raise ContourSweepFailed("torn contour at regular vertex %d" % v)
+            tracker.splice(cid, dead, [e for e, x in zip(star, low) if not x])
+            arcs[arc_of[cid]]["segments"].append(v)
+            continue
 
-        if not lower or not upper:
-            vid = "v%d" % v
-            vertices.append(ReebVertex(vid, field.values[v], VertexKind.CENTER))
-            if not lower:
-                open_arc(tracker.new(born), vid, v)
+        vid = "v%d" % v
+        if turns == 0:
+            vertices.append(ReebVertex(vid, values[v], VertexKind.CENTER))
+            if not low[0]:
+                open_arc(tracker.new(star), vid, v)
                 continue
-            cid = tracker.owner[next(iter(dead))]
-            if tracker.members[cid] != dead:
+            cid = owner[star[0]]
+            if tracker.members[cid] != set(star):
                 raise ContourSweepFailed("contour at maximum %d is not its star" % v)
             close_arc(cid, vid, v)
             tracker.drop(cid)
             continue
-        if len(lower) == 1 and len(upper) == 1:
-            cid = tracker.owner[next(iter(dead))]
-            if any(tracker.owner[e] != cid for e in dead):
-                raise ContourSweepFailed("torn contour at regular vertex %d" % v)
-            tracker.splice(cid, dead, born)
-            arcs[arc_of[cid]]["segments"].append(
-                (kv, pick_rep(born, field.values[v])))
-            continue
-        if len(lower) != 2 or len(upper) != 2:
+        if turns != 4:
             raise DegenerateField(
                 "monkey saddle at vertex %d (%d descending sectors); "
-                "subdivide the mesh around it" % (v, len(lower)))
+                "subdivide the mesh around it" % (v, turns // 2))
 
-        vid = "v%d" % v
-        vertices.append(ReebVertex(vid, field.values[v], VertexKind.SADDLE))
-        c1 = tracker.owner[star[lower[0]]]
-        c2 = tracker.owner[star[lower[1]]]
+        vertices.append(ReebVertex(vid, values[v], VertexKind.SADDLE))
+        lower = _run_starts(low)
+        upper = _run_starts([not x for x in low])
+        dead = list(compress(star, low))
+        born = [e for e, x in zip(star, low) if not x]
+        c1 = owner[star[lower[0]]]
+        c2 = owner[star[lower[1]]]
         if c1 != c2:
             close_arc(c1, vid, v)
             close_arc(c2, vid, v)
@@ -487,12 +503,10 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             close_arc(c1, vid, v)
             tracker.splice(c1, dead, born)
 
-            def crossed_above(eid: int, _kv=kv) -> bool:
+            def crossed_above(eid: int, _rv=rv) -> bool:
                 a, b = surface.edges[eid]
-                ka, kb = key(a), key(b)
-                if kb < ka:
-                    ka, kb = kb, ka
-                return ka <= _kv < kb
+                ra, rb = rank[a], rank[b]
+                return ra <= _rv < rb if ra < rb else rb <= _rv < ra
 
             rep1 = star[upper[0]]
             rep2 = star[upper[1]]
@@ -510,13 +524,13 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 
     if tracker.members:
         raise ContourSweepFailed("sweep finished with live contours")
-    crit_values = sorted(rv.level for rv in vertices)
+    crit_values = sorted(x.level for x in vertices)
     for x, y in zip(crit_values, crit_values[1:]):
         if x == y:
             raise DegenerateField(
                 "two critical vertices share the value %r; perturb the field" % x)
 
-    sorted_values = sorted(set(field.values))
+    sorted_values = sorted(set(values))
     lo_val, hi_val = sorted_values[0], sorted_values[-1]
     big = sys.float_info.max
     if lo_val == -big or hi_val == big:
@@ -531,17 +545,17 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     for i, arc in enumerate(arcs):
         a, b = arc["lower_val"], arc["upper_val"]
         t = _pick_witness_level(a, b, witness_fraction, sorted_values)
-        rep = None
-        for seg_key, seg_rep in reversed(arc["segments"]):
-            if seg_key[0] < t:
-                rep = seg_rep
-                break
-        if rep is None:
-            raise ContourSweepFailed("no witness segment below level %r" % t)
+        # the last segment below t; the first, at a < t, always qualifies
+        segments = arc["segments"]
+        k = bisect_left(segments, t, key=values.__getitem__) - 1
+        w = segments[k]
+        rep = arc["rep"] if k == 0 else pick_rep(
+            [e for u, e in zip(links[w], stars[w]) if rank[u] > rank[w]],
+            values[w])
 
         def crossed(eid: int, _t=t) -> bool:
             x, y = surface.edges[eid]
-            vx, vy = field.values[x], field.values[y]
+            vx, vy = values[x], values[y]
             return min(vx, vy) < _t < max(vx, vy)
 
         witness = _cycle_from_crossings(surface, t,

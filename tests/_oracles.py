@@ -1,7 +1,8 @@
 """Independent test oracles, deliberately written with different machinery
 than the production code: explicit named cells and BFS for cutting a
 surface, direct level-set component counting, the lower-link rule and
-contour tracing applied on their own, an assignment sweep that rescans
+contour tracing applied on their own, the witness level picked from
+the full list of gaps, an assignment sweep that rescans
 everything every round, the consistency checker that rescans every edge
 at every gap, the sweep as separate steps over frozen assignments,
 which rescans the graph in each of them, and the validator as one pass
@@ -9,9 +10,11 @@ per rule group through the graph's lookup methods."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import pairwise
+from math import nextafter
 from typing import Iterable
 
 from reebound.assign import (
@@ -197,6 +200,40 @@ def _lower_arcs(ring, low) -> list[list[int]]:
             arcs.append(cur)
             cur = []
     return arcs
+
+
+def naive_pick_witness_level(a: float, b: float, fraction: float,
+                             sorted_values: list[float]) -> float:
+    """A level strictly inside (a, b) avoiding every vertex value.
+
+    Copies the values inside (a, b) into the full list of gap bounds, then
+    lists every gap in spiral order from the one holding the requested
+    fraction, and returns the first gap's midpoint (or the float just above
+    its lower end) that lies strictly inside it.
+    """
+    inside = sorted_values[bisect_right(sorted_values, a):
+                           bisect_left(sorted_values, b)]
+    bounds = [a] + inside + [b]
+    t0 = a + (b - a) * fraction
+    if not a < t0 < b:
+        t0 = (a + b) / 2.0
+    k = min(max(bisect_right(bounds, t0) - 1, 0), len(bounds) - 2)
+    order = [k]
+    for d in range(1, len(bounds) - 1):
+        if k + d <= len(bounds) - 2:
+            order.append(k + d)
+        if k - d >= 0:
+            order.append(k - d)
+    for idx in order:
+        lo, hi = bounds[idx], bounds[idx + 1]
+        mid = (lo + hi) / 2.0
+        if lo < mid < hi:
+            return mid
+        step = nextafter(lo, hi)
+        if lo < step < hi:
+            return step
+    raise DegenerateField("no representable level strictly inside (%r, %r)"
+                          % (a, b))
 
 
 def level_cycles(surface: TriangulatedSurface, field: ScalarField,

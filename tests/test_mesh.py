@@ -5,9 +5,11 @@ import hashlib
 import itertools
 import random
 import sys
-from math import nextafter
+from math import inf, isinf, nextafter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reebound import (
     EdgeLabel,
@@ -32,7 +34,8 @@ from reebound.errors import (
     ReebTopologyMismatch,
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex
-from reebound.mesh import LevelCycle, _run_starts
+from reebound.mesh import (LevelCycle, _pick_witness_level, _run_starts,
+                            _turns)
 
 from _fixtures import (
     ISOLATED_VERTEX_OFF,
@@ -50,7 +53,13 @@ from _fixtures import (
     vertical_torus,
 )
 from _oracles import (_lower_arcs, count_level_components, level_cycles,
-                      naive_is_inessential, pl_criticality)
+                      naive_is_inessential, naive_pick_witness_level,
+                      pl_criticality)
+
+#: deterministic Hypothesis runs, like the CLI contract fuzzers
+FUZZ = settings(derandomize=True, deadline=None, database=None,
+                max_examples=400,
+                suppress_health_check=[HealthCheck.too_slow])
 
 
 def _random_gap_levels(field, rng, count):
@@ -123,11 +132,13 @@ class TestLoading:
             build_reeb(s, ScalarField((1.0, 2.0)))
 
 
-ORIENTABLE = pytest.mark.parametrize("fixture", [
-    octa_sphere, vertical_torus, lambda: chained_tori(2),
-    lambda: chained_tori(3), noisy_torus, pillow, monkey_bipyramid],
-    ids=["sphere", "torus", "genus2", "genus3", "noisy-torus", "pillow",
-         "monkey"])
+_GENERIC = [octa_sphere, vertical_torus, lambda: chained_tori(2),
+            lambda: chained_tori(3), noisy_torus, pillow]
+_GENERIC_IDS = ["sphere", "torus", "genus2", "genus3", "noisy-torus", "pillow"]
+ORIENTABLE = pytest.mark.parametrize(
+    "fixture", _GENERIC + [monkey_bipyramid], ids=_GENERIC_IDS + ["monkey"])
+#: the orientable fixtures without a monkey saddle
+GENERIC = pytest.mark.parametrize("fixture", _GENERIC, ids=_GENERIC_IDS)
 
 
 class TestSurfaceTables:
@@ -139,6 +150,24 @@ class TestSurfaceTables:
                 for flags in (list(bits), [not x for x in bits]):
                     assert _run_starts(flags) == [
                         arc[0] for arc in _lower_arcs(flags, flags)], flags
+
+    def test_turns_classify_like_arc_oracle(self):
+        # every boolean ring of length 1..12: no turn is an extremum
+        # (a minimum iff no flag is set), 2 turns a regular vertex, 4 a
+        # saddle, and 2k turns k descending sectors
+        for n in range(1, 13):
+            for bits in itertools.product((False, True), repeat=n):
+                flags = list(bits)
+                lower = _lower_arcs(flags, flags)
+                upper = _lower_arcs([not x for x in flags],
+                                    [not x for x in flags])
+                turns = _turns(flags)
+                assert turns % 2 == 0, flags
+                if turns == 0:
+                    assert not lower or not upper, flags
+                    assert (not lower) == (not flags[0]), flags
+                else:
+                    assert len(lower) == len(upper) == turns // 2, flags
 
     @ORIENTABLE
     def test_star_edges_join_vertex_to_link(self, fixture):
@@ -189,10 +218,21 @@ class TestCriticality:
 
     def test_monkey_saddle_rejected(self):
         s, f = monkey_bipyramid()
-        with pytest.raises(DegenerateField):
+        with pytest.raises(DegenerateField) as oracle:
             pl_criticality(s, f)
-        with pytest.raises(DegenerateField):
+        with pytest.raises(DegenerateField) as sweep:
             build_reeb(s, f)
+        assert str(sweep.value) == str(oracle.value)   # sector count too
+
+    @GENERIC
+    def test_sweep_criticality_matches_oracle(self, fixture):
+        s, f = fixture()
+        mins, saddles, maxes = pl_criticality(s, f)
+        by_kind = {VertexKind.CENTER: set(), VertexKind.SADDLE: set()}
+        for rv in build_reeb(s, f).vertices:
+            by_kind[rv.kind].add(int(rv.id[1:]))
+        assert by_kind[VertexKind.CENTER] == set(mins) | set(maxes)
+        assert by_kind[VertexKind.SADDLE] == set(saddles)
 
     def test_euler_counting_all_fixtures(self):
         for surface, field in (octa_sphere(), vertical_torus(),
@@ -322,6 +362,82 @@ class TestBuildReeb:
         assert [e.label for e in relabeled.edges] == [e.label for e in g.edges]
 
 
+def _float_run(x: float, n: int, toward: float) -> list[float]:
+    """``x`` and up to ``n`` adjacent floats past it toward ``toward``."""
+    out = [x]
+    for _ in range(n):
+        x = nextafter(x, toward)
+        if isinf(x):
+            break
+        out.append(x)
+    return out
+
+
+_BIG = sys.float_info.max
+_TINY = 5e-324   # the smallest subnormal
+_WITNESS_SEEDS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, _TINY, -_TINY, 1e-310, -1e-310,
+     sys.float_info.min, -sys.float_info.min, _BIG, -_BIG, 1e308, -1e308]) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+_FRACTIONS = st.sampled_from(
+    [_TINY, 1e-300, 2.0 ** -53, 1e-9, 0.01, 0.5, 0.99, 1 - 1e-9,
+     1 - 2.0 ** -53, nextafter(1.0, 0.0)]) \
+    | st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                exclude_max=True)
+
+
+@st.composite
+def witness_cases(draw):
+    """(a, b, fraction, sorted_values): a <= b are drawn from a pool of
+    runs of adjacent floats and loose floats, and the values are a subset
+    of that pool, so they may equal a or b, crowd them or miss (a, b)."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool += _float_run(draw(_WITNESS_SEEDS), draw(st.integers(0, 12)),
+                           draw(st.sampled_from([inf, -inf])))
+    pool += draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          max_size=4))
+    pool = sorted(set(pool))
+    i = draw(st.integers(0, len(pool) - 1))
+    j = draw(st.integers(i + 1, len(pool) - 1)) if i + 1 < len(pool) else i
+    a, b = pool[i], pool[j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pool),
+                         max_size=len(pool)))
+    values = sorted({x for x, k in zip(pool, keep) if k})
+    return a, b, draw(_FRACTIONS), values
+
+
+def _witness_outcome(pick, a, b, fraction, values):
+    try:
+        return pick(a, b, fraction, values).hex()   # the bits, sign included
+    except DegenerateField as exc:
+        return "DegenerateField: %s" % exc
+
+
+class TestWitnessLevel:
+    @FUZZ
+    @given(witness_cases())
+    def test_lazy_pick_matches_oracle(self, case):
+        assert _witness_outcome(_pick_witness_level, *case) \
+            == _witness_outcome(naive_pick_witness_level, *case)
+
+    @pytest.mark.parametrize("a, b, values", [
+        (1.0, nextafter(1.0, 2.0), [1.0]),              # no float inside
+        (1.0, 2.0, _float_run(1.5, 40, 2.0) + [2.0]),   # crowded gaps
+        (-_BIG, _BIG, [-_BIG, 0.0, _BIG]),              # b - a overflows
+        (_float_run(_BIG, 3, 0.0)[-1], _BIG, []),       # a + b overflows
+        (-_TINY, _TINY, [-_TINY, 0.0, _TINY]),          # subnormal gaps
+        (0.0, 1.0, []),                                 # nothing inside
+        (2.0, 1.0, [1.0, 1.5, 2.0]),                    # reversed span
+    ], ids=["adjacent", "crowded", "huge-span", "near-max", "subnormal",
+            "empty-span", "reversed"])
+    @pytest.mark.parametrize("fraction", [_TINY, 0.3, 1 - 2.0 ** -53])
+    def test_edge_spans(self, a, b, values, fraction):
+        assert _witness_outcome(_pick_witness_level, a, b, fraction, values) \
+            == _witness_outcome(naive_pick_witness_level, a, b, fraction,
+                                values)
+
+
 class TestLabelsFromTopology:
     @pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("fixture", [
@@ -418,32 +534,67 @@ PINNED_MESHES = {
 #: SHA-256 of graph_dumps(label_reeb(build_reeb(...))) per (mesh, witness
 #: fraction), recorded while build_reeb still keyed every vertex's star
 #: edges itself and label_reeb indexed the graph again: reading the
-#: surface's and the graph's own tables must keep every output byte.
+#: surface's and the graph's own tables must keep every output byte.  The
+#: fractions 0.01, 0.3, 0.7 and 0.99 were recorded while the sweep still
+#: classified vertices by their run lists and picked every representative
+#: and witness level eagerly.
 MESH_SHA256 = {
+    ("sphere", 0.01): "dc9a1e27a2cb8f22bc15150443fce2797d9bd8e0ef004daba270dbe7b3ef4ddb",
     ("sphere", 0.1): "249a2f7b472a76a811f28184bc1f6f2430a01000e25ab2119cc7a0645da31008",
+    ("sphere", 0.3): "a27f6304e3ddaaf8be536f3ea1fb0221b4df40bc88de88c3325c47e58f6f0aa6",
     ("sphere", 0.5): "0ffc22e027ccfd312f467da775544d123d8ba1831f2975445ac96ea3949e22db",
+    ("sphere", 0.7): "6f319f037d74ce5101bcade04906b36f043dd60c146ba04c7c45488e8b5a8687",
     ("sphere", 0.9): "7b1c8544ab0da14ea9b07d4bda74305c2564a88a583c32eea66bfa13c2c3c037",
+    ("sphere", 0.99): "079abeac23418d522ef640d96e052b20107bd2401949985d5588bd1fa3b0353e",
+    ("torus", 0.01): "c8d552340edb5f5bf2bebd503759167e522471846cdf84fbcdcafb05962cbf03",
     ("torus", 0.1): "a94922331154449695d596c6952c23bb3d6ba0e4dfc54c5bd97b74dbb407cb36",
+    ("torus", 0.3): "d76503cf8fe84dc787e4937e7c6dfb74f122bfd23f1596e27197a3d24c8d0270",
     ("torus", 0.5): "3244d43026ad8060a5b174ceb588396998f3e91047c9445207a062a4c83da684",
+    ("torus", 0.7): "3254bf34745994fed84c73cdac79b47a0eca540e22abdb479471b8bf0c75fcaf",
     ("torus", 0.9): "346ec387427cff6614b1fd50b5de9ecafe0150cb1b62a14103ffa127c32a40dd",
+    ("torus", 0.99): "0b3b7b5c5eeef43477ec70a7d74c158b942eaf487524bf71e8759f1f42110cc7",
+    ("genus1", 0.01): "ed8d71b4409ec489c70a831fa563495bb52cbcf2447e02d24742cac3f34e74e7",
     ("genus1", 0.1): "7fd01c2263d4cd23c330be03abbd3c8c30d3302f1d893911f49ef00103552c30",
+    ("genus1", 0.3): "ece37712848a0f56bc197381562752cf010db06c7d76ac9616cc28896597575c",
     ("genus1", 0.5): "618068a1145b8ef3945001b27c9f7e680b861097dfbfc6a876140f4cb9fdef53",
+    ("genus1", 0.7): "04ca90db3ab0e8b4ebf4f99ca8bb032ece82765b44e409f64b68c3c388502343",
     ("genus1", 0.9): "9e8f8277252f1a8aeab7ce049e6dc1f7fcb745f6409874aa5e59b4f13d57b314",
+    ("genus1", 0.99): "74868bf5bca5acee91ecc17ec7dbdd53088c3fe021a414e6cbbacde6943c6746",
+    ("genus2", 0.01): "9394550a6771a789259b0a46581b6cc89ae9f99f47ac4e7badd2ed9e4c4776a6",
     ("genus2", 0.1): "edd1f3c650ec44c9ce1286a479417758be0cc8e55a82daed72f17a46ba7ebcc5",
+    ("genus2", 0.3): "e7ef3923a32c8522090e16bacf77d994ed62580e67cd3b92cf7b6dbbbe0a7667",
     ("genus2", 0.5): "f0f0044c627599785a2d38298079216c101e096211913c92e616da9de2a439ed",
+    ("genus2", 0.7): "2966ad05ec49e78663a60931dc9d6ab721e358474e73a0d5e4af15ce231be6e0",
     ("genus2", 0.9): "520dab2d02081ce249de318e0c191cade95c49df0c93eadba2624023a5a2831d",
+    ("genus2", 0.99): "27418850cb8c809b321d725421f64990b899676c2e4c4a0d4eda54b420ba5e24",
+    ("genus3", 0.01): "7a1d69ebc6b65bb142d5cca01bbf852885804319a5d115dff5b9b6abacc244f2",
     ("genus3", 0.1): "c48dacd7d73ac485a98c7127f699ed41730eabc35345f0f6bdef6cecc79acca6",
+    ("genus3", 0.3): "4a91da5aaca1765c878839231a97f5c391c0570c24a5c3f57edf5e16a8fc2c93",
     ("genus3", 0.5): "48c46fbf2b30e9845e4db41fd194e60d63ae3c70f4e1810b1159d46c45a7c35e",
+    ("genus3", 0.7): "74941a8118f1dfba9e31f60c57e5f6de9c446249e5252f1f88921c2aeaab8475",
     ("genus3", 0.9): "daa4ec8826e95e96105cb867f9a970198e2f31e920af1094dac4dfffbf23264d",
+    ("genus3", 0.99): "7cc3164d9ffeb5e5ac4c356f2f48f1da387e2eaffb81390c008727fb4febeccf",
+    ("genus4", 0.01): "d43259ccf8e7ff00237a96f151d554241f92747407a29ea6ce623aeee0b59478",
     ("genus4", 0.1): "1bf10ae32b448e9b5f2640939f900898e151b19d65f8670fa52426ffbeeee40b",
+    ("genus4", 0.3): "1f6b8d8e7b4a3b1edbfd8605f8f7853d6f3fafacc86ba228b52ff7fb17442604",
     ("genus4", 0.5): "1a7e035a2508bf6f8cc979dae9f3ebf46ca242a3d2dec46de9fa692b5ac78446",
+    ("genus4", 0.7): "bfd0dc6ec7faa327d7aeae3a0f0388b3ae3fbf4b64f847ba63ebd26790762d74",
     ("genus4", 0.9): "9a9a0f2d922f40625c9d5c19dfda2393131d7b2fcc9950cd3e1b8df83d50ac15",
+    ("genus4", 0.99): "7052634add6c289d05f1d73b60ca6eabd52fb2a77983f225dd8b632e59d7fae2",
+    ("noisy-torus", 0.01): "dde9bc783f42b8c6f87a15511559e329f4ef90c3c1685efaa1268a33550124e9",
     ("noisy-torus", 0.1): "2a5f7e84f1b5e3b62528dafd03d4e337fcc04fdb56e9b6384583a1ffd6f7c86b",
+    ("noisy-torus", 0.3): "ec88f99eb13abe04ef56e01a0c2b2b89fbf05892add003d1ec59a1cb3724a875",
     ("noisy-torus", 0.5): "1c4e553d762c280b1fa72836fa0ae39042a8be3e954c92932b2c445dab6a5402",
+    ("noisy-torus", 0.7): "efadde2b32a355d2721f202815e41eb88b8fe481e3ea50acdbef7d0abbcda51b",
     ("noisy-torus", 0.9): "f289672c12311eecaf03c1b35ef3a6fc0a2770bdbd4fbfcb2599fbdc24e48972",
+    ("noisy-torus", 0.99): "a0f8795298299cff5618a768c4cb2313b6e18dbbcf6ba7239e0a72497f1f2f6c",
+    ("pillow", 0.01): "cc0dbe43187d9b48d486ba2f1af161fbbc02a0aa01702db9537f5edfad358851",
     ("pillow", 0.1): "26e52fe50c02423a045c1f43f86f25bd258f47cd53baf508f7923b81c9b96001",
+    ("pillow", 0.3): "312eef922b818bf4084ad31c77f6e2474282d5ba6b90c9a002d70445bdd5fad8",
     ("pillow", 0.5): "643e752f68de0c668c8b668503d236f9a2ea561fe6269496d62c9738e4d5f010",
+    ("pillow", 0.7): "5f63a1a10bcae0b1072306bb6ba008ce7bc9cb3debf7ec64759781551ca6f768",
     ("pillow", 0.9): "b7a64c9c999c7c64f5eacfe114ea7fea4fdd9794bd2e6ef8654e29e12bee9c4a",
+    ("pillow", 0.99): "e10c47d05225f4fcb75ad10124ba4b7eb26876a3957d4bfbbec1e542082b6c84",
 }
 
 
@@ -452,7 +603,7 @@ class TestPinnedOutput:
         got = {}
         for name, make in PINNED_MESHES.items():
             s, f = make()
-            for frac in (0.1, 0.5, 0.9):
+            for frac in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
                 text = graph_dumps(label_reeb(s, f, build_reeb(s, f, frac)))
                 got[name, frac] = hashlib.sha256(text.encode()).hexdigest()
         assert got == MESH_SHA256
@@ -493,12 +644,54 @@ class TestPinnedOutput:
          ParseError, "bad OFF token: could not convert string to float: 'x'"),
         (lambda: ScalarField.from_text("0.5\nnot-a-number\n"),
          ParseError, "bad scalar value 'not-a-number'"),
+        (lambda: TriangulatedSurface.from_off_text("OFF\n3 1\n"),
+         ParseError, "OFF data ends early, expected edge count"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"),
+         ParseError, "OFF data ends early, expected face size"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n"),
+         ParseError, "OFF data ends early, expected vertex index"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1\n"),
+         ParseError, "OFF data ends early, expected coordinate"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 x\n"),
+         ParseError, "bad OFF token: could not convert string to float: 'x'"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3.0 0 1 2\n"),
+         ParseError, "bad OFF token: invalid literal for int() with base 10: '3.0'"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 2.0\n"),
+         ParseError, "bad OFF token: invalid literal for int() with base 10: '2.0'"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n-1 1 0\n3 0 1 2\n"),
+         MalformedMesh, "triangle (0, 1, 2) references missing vertex"),
+        (lambda: TriangulatedSurface.from_off_text(
+            "OFF\n%d 1 0\n0 0 0\n" % 10 ** 20),
+         ParseError, "OFF data ends early, expected coordinate"),
+        (lambda: ScalarField.from_text("0.5\ninf\n"),
+         DegenerateField, "non-finite value inf at vertex 1"),
+        (lambda: ScalarField.from_text("nan 0.5\n"),
+         DegenerateField, "non-finite value nan at vertex 0"),
+        (lambda: ScalarField.from_text("inf\n0.5 x\n"),
+         ParseError, "bad scalar value 'x'"),
     ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
             "witness-not-crossed", "degenerate", "missing-vertex",
             "no-triangles", "three-owners", "bad-header", "ends-early",
-            "quad-face", "bad-token", "bad-scalar"])
+            "quad-face", "bad-token", "bad-scalar", "ends-early-edge-count",
+            "ends-early-face-size", "ends-early-vertex-index",
+            "ends-early-mid-line", "bad-token-before-end", "float-face-size",
+            "float-vertex-index", "negative-vertex-count",
+            "huge-vertex-count", "infinite-scalar", "nan-scalar",
+            "bad-scalar-after-infinite"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
             make()
         assert type(info.value) is error
         assert str(info.value) == message
+
+    def test_tokens_after_last_face_ignored(self):
+        s, _ = chained_tori(2)
+        s2 = TriangulatedSurface.from_off_text(off_text(s) + "3 x 1.5\nOFF\n")
+        assert (s2.n_vertices, s2.triangles) == (s.n_vertices, s.triangles)
