@@ -46,7 +46,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     BrokenUniqueness,
@@ -72,11 +73,10 @@ RULE_BAND = "downstream-band"
 RULE_PLATEAU_VALUE = "plateau-uniform"
 RULE_PLATEAU_PATH = "plateau-connected"
 
-_ends = attrgetter("lower", "upper")
+_ends = itemgetter(1, 2)     # (lower, upper) of an edge record
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step: str
     vertex: str | None
     edges: tuple[str, ...]

@@ -11,7 +11,8 @@ event level below it, and an edge [a, b] spans a gap (x, y) exactly when
 a <= x and y <= b.
 
 Everything here is a pure function over values that are immutable after
-construction.
+construction.  Vertices and edges are immutable named tuples; an edge's
+``witness`` takes no part in its equality or hash.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from math import isfinite
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
-from operator import attrgetter
-from typing import Any
+from operator import itemgetter
+from typing import Any, NamedTuple
 
 from .errors import (BadWindow, EmptyWindow, InvalidGraph, MalformedGraph,
                      NonGenericCut)
@@ -51,22 +52,32 @@ EXPECTED_VALENCY = {_MINUS: 1, _PLUS: 1, _CENTER: 1, _SADDLE: 3, _REGULAR: 2}
 BOUNDARY_KINDS = (_MINUS, _PLUS)
 
 
-@dataclass(frozen=True)
-class ReebVertex:
+class ReebVertex(NamedTuple):
     id: str
     level: float
     kind: VertexKind
 
 
-@dataclass(frozen=True)
-class ReebEdge:
+class ReebEdge(NamedTuple):
+    """An immutable edge record, equal to and hashed like another edge
+    with the same id, ends and label, whatever their witnesses."""
+
     id: str
     lower: str
     upper: str
     label: EdgeLabel
     #: Optional mesh provenance (a level cycle, or its JSON payload).
-    #: Not part of structural equality.
-    witness: Any = field(default=None, compare=False)
+    #: Not part of equality or hashing.
+    witness: Any = None
+
+    def __eq__(self, other):
+        return self[:4] == other[:4] if isinstance(other, ReebEdge) else NotImplemented
+
+    def __ne__(self, other):
+        return self[:4] != other[:4] if isinstance(other, ReebEdge) else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
 # Validation rule identifiers, stable across releases.
@@ -148,38 +159,41 @@ class ReebGraph:
         _check_finite(self.hi, "hi")
         if not self.lo < self.hi:
             raise MalformedGraph("window lo must be below hi")
-        self.vertices = tuple(sorted(self.vertices, key=attrgetter("level", "id")))
-        self.edges = tuple(sorted(self.edges, key=attrgetter("id")))
+        self.vertices = tuple(sorted(self.vertices, key=itemgetter(1, 0)))  # level, id
+        self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
         self._by_id = by_id = {}
         bounds, interior = {_MINUS: [], _PLUS: []}, []
         for v in self.vertices:
-            if type(v.level) is not float or not isfinite(v.level):
-                _check_finite(v.level, "level of vertex %s", v.id)
-            if v.id in by_id:
-                raise MalformedGraph("duplicate vertex id %r" % v.id)
-            by_id[v.id] = v
-            bounds.get(v.kind, interior).append(v.id)
+            vid, level, kind = v
+            if type(level) is not float or not isfinite(level):
+                _check_finite(level, "level of vertex %s", vid)
+            if vid in by_id:
+                raise MalformedGraph("duplicate vertex id %r" % vid)
+            by_id[vid] = v
+            bounds.get(kind, interior).append(vid)
         self.boundary_minus = frozenset(bounds[_MINUS])
         self.boundary_plus = frozenset(bounds[_PLUS])
         self.interior = tuple(interior)
         self._events = sorted({v.level for v in self.vertices} | {self.lo, self.hi})
         index = {level: k for k, level in enumerate(self._events)}
-        self._event_index = event_index = {v.id: index[v.level]
-                                           for v in self.vertices}
+        self._event_index = event_index = {vid: index[level]
+                                           for vid, level, _ in self.vertices}
         incident: dict[str, list[str]] = {vid: [] for vid in by_id}
         self._edge_by_id = edge_by_id = {}
         self._gaps = gaps = {}
         for e in self.edges:
-            if e.id in edge_by_id:
-                raise MalformedGraph("duplicate edge id %r" % e.id)
-            for end in (e.lower, e.upper):
-                if end not in by_id:
-                    raise MalformedGraph(
-                        "edge %r references missing vertex %r" % (e.id, end))
-                incident[end].append(e.id)
-            edge_by_id[e.id] = e
+            eid, lower, upper, _, _ = e
+            if eid in edge_by_id:
+                raise MalformedGraph("duplicate edge id %r" % eid)
+            try:
+                incident[lower].append(eid)
+                incident[upper].append(eid)
+            except KeyError as missing:
+                raise MalformedGraph("edge %r references missing vertex %r"
+                                     % (eid, missing.args[0])) from None
+            edge_by_id[eid] = e
             # [a, b] spans (x, y) iff a <= x and y <= b
-            gaps[e.id] = range(event_index[e.lower], event_index[e.upper])
+            gaps[eid] = range(event_index[lower], event_index[upper])
         self._incident = {k: tuple(v) for k, v in incident.items()}
 
     # -- lookups ------------------------------------------------------------
@@ -248,15 +262,15 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     # essential ends per vertex, and essential edges opening minus closing per event
     ess: dict[str, int] = {}
     delta = [0] * len(g._events)
-    for e in g.edges:
-        gaps = g._gaps[e.id]
+    for eid, lower, upper, label, _ in g.edges:
+        gaps = g._gaps[eid]
         if not gaps:
-            out.append(Violation(RULE_EDGE_MONOTONE, (e.id,),
+            out.append(Violation(RULE_EDGE_MONOTONE, (eid,),
                                  "edge levels %r -> %r are not increasing"
-                                 % g.span(e.id)))
-        if e.label is _ESSENTIAL:
-            ess[e.lower] = ess.get(e.lower, 0) + 1
-            ess[e.upper] = ess.get(e.upper, 0) + 1
+                                 % g.span(eid)))
+        if label is _ESSENTIAL:
+            ess[lower] = ess.get(lower, 0) + 1
+            ess[upper] = ess.get(upper, 0) + 1
             delta[gaps.start] += 1
             delta[gaps.stop] -= 1
     monotone_ok = not out
@@ -265,31 +279,31 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     # and the parity and center rules, reported after genericity
     crit_levels: dict[float, list[str]] = {}
     ends: list[Violation] = []
-    for v in g.vertices:
-        kind, deg, want = v.kind, len(g._incident[v.id]), EXPECTED_VALENCY[v.kind]
+    for vid, level, kind in g.vertices:
+        deg, want = len(g._incident[vid]), EXPECTED_VALENCY[kind]
         if kind is _REGULAR and not allow_regular:
-            out.append(Violation(RULE_REGULAR, (v.id,),
+            out.append(Violation(RULE_REGULAR, (vid,),
                                  "valency-two subdivision vertex present"))
         if deg != want:
-            out.append(Violation(RULE_VERTEX_VALENCY, (v.id,),
+            out.append(Violation(RULE_VERTEX_VALENCY, (vid,),
                                  "%s vertex has valency %d, expected %d"
                                  % (kind.value, deg, want)))
-        if kind is _MINUS and v.level != g.lo:
-            out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
+        if kind is _MINUS and level != g.lo:
+            out.append(Violation(RULE_BOUNDARY_LEVEL, (vid,),
                                  "lower-boundary vertex not at lo"))
-        elif kind is _PLUS and v.level != g.hi:
-            out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
+        elif kind is _PLUS and level != g.hi:
+            out.append(Violation(RULE_BOUNDARY_LEVEL, (vid,),
                                  "upper-boundary vertex not at hi"))
-        elif kind not in BOUNDARY_KINDS and not g.lo < v.level < g.hi:
-            out.append(Violation(RULE_BOUNDARY_LEVEL, (v.id,),
+        elif kind not in BOUNDARY_KINDS and not g.lo < level < g.hi:
+            out.append(Violation(RULE_BOUNDARY_LEVEL, (vid,),
                                  "interior vertex not strictly inside the window"))
         if kind is _SADDLE or kind is _CENTER:
-            crit_levels.setdefault(v.level, []).append(v.id)
-            if kind is _SADDLE and ess.get(v.id) == 1:
-                ends.append(Violation(RULE_SADDLE_PARITY, (v.id,),
+            crit_levels.setdefault(level, []).append(vid)
+            if kind is _SADDLE and ess.get(vid) == 1:
+                ends.append(Violation(RULE_SADDLE_PARITY, (vid,),
                                       "saddle meets exactly one essential edge-end"))
-            elif kind is _CENTER and v.id in ess:
-                ends.append(Violation(RULE_CENTER, (v.id,),
+            elif kind is _CENTER and vid in ess:
+                ends.append(Violation(RULE_CENTER, (vid,),
                                       "center meets an essential edge"))
     for level, vids in crit_levels.items():
         if len(vids) > 1:
@@ -352,8 +366,7 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
                                  VertexKind.BOUNDARY_PLUS)
         new_vertices[lower_v.id] = lower_v
         new_vertices[upper_v.id] = upper_v
-        new_edges.append(ReebEdge(e.id, lower_v.id, upper_v.id, e.label,
-                                  witness=e.witness))
+        new_edges.append(e._replace(lower=lower_v.id, upper=upper_v.id))
     if not new_edges:
         raise EmptyWindow("no edge meets (%r, %r)" % (lo_eff, hi_eff))
     return ReebGraph(tuple(new_vertices.values()), tuple(new_edges),
@@ -414,26 +427,27 @@ def graph_to_dict(g: ReebGraph) -> dict:
     return out
 
 
-_MEMBERS = {enum: {m.value: m for m in enum} for enum in (VertexKind, EdgeLabel)}
+_KINDS = {m.value: m for m in VertexKind}.__getitem__
+_LABELS = {m.value: m for m in EdgeLabel}.__getitem__
 
 
-def _member(enum: type[Enum], value: Any) -> Any:
-    """``enum(value)`` read off a table; a miss raises the enum's ValueError."""
-    try:
-        return _MEMBERS[enum][value]
-    except (KeyError, TypeError):
-        return enum(value)
+def _records(data: dict, kind, label) -> tuple[list, list]:
+    """The payload's vertices and edges, ``kind`` and ``label`` mapping
+    each string to its member."""
+    return ([ReebVertex(str(v["id"]), float(v["level"]), kind(v["kind"]))
+             for v in data["vertices"]],
+            [ReebEdge(str(e["id"]), str(e["lower"]), str(e["upper"]),
+                      label(e["label"]), e.get("witness"))
+             for e in data["edges"]])
 
 
 def graph_from_dict(data: dict) -> ReebGraph:
     try:
-        vertices = tuple(
-            ReebVertex(str(v["id"]), float(v["level"]), _member(VertexKind, v["kind"]))
-            for v in data["vertices"])
-        edges = tuple(
-            ReebEdge(str(e["id"]), str(e["lower"]), str(e["upper"]),
-                     _member(EdgeLabel, e["label"]), e.get("witness"))
-            for e in data["edges"])
+        try:
+            vertices, edges = _records(data, _KINDS, _LABELS)
+        except (KeyError, TypeError):
+            # a string off its table: the enum calls name the first fault
+            vertices, edges = _records(data, VertexKind, EdgeLabel)
         lo, hi = float(data["lo"]), float(data["hi"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedGraph("bad graph payload: %s" % exc) from None

@@ -677,8 +677,7 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
             % (rank, (2 - chi) // 2))
     disk = _disk_edges(g, rank)
     edges = tuple(
-        ReebEdge(e.id, e.lower, e.upper,
-                 EdgeLabel.INESSENTIAL if e.id in disk else EdgeLabel.ESSENTIAL,
-                 witness=w)
+        e._replace(label=EdgeLabel.INESSENTIAL if e.id in disk else EdgeLabel.ESSENTIAL,
+                   witness=w)
         for e, w in zip(g.edges, witnesses))
     return ReebGraph(g.vertices, edges, g.lo, g.hi, meta=g.meta)

@@ -66,6 +66,7 @@ def to_dot(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
 def _strand_layout(g: ReebGraph) -> dict[str, float]:
     """y coordinate per vertex from a left-to-right strand sweep."""
     slots: list[str] = []          # open edge ids, bottom to top
+    is_open: set[str] = set()      # the ids in ``slots``
     y: dict[str, float] = {}
     starts: dict[str, list[str]] = {}
     for v in g.vertices:
@@ -73,21 +74,21 @@ def _strand_layout(g: ReebGraph) -> dict[str, float]:
             if g.edge(eid).lower == v.id:
                 starts.setdefault(v.id, []).append(eid)
     for v in g.vertices:
-        # a self-loop is not in ``slots`` yet when it reaches its own end
-        ins = [eid for eid in g.incident(v.id)
-               if g.edge(eid).upper == v.id and eid in slots]
+        # a self-loop is not open yet when it reaches its own end
+        positions = sorted(slots.index(eid) for eid in g.incident(v.id)
+                           if eid in is_open and g.edge(eid).upper == v.id)
         outs = sorted(starts.get(v.id, ()))
-        positions = sorted(slots.index(eid) for eid in ins)
         if positions:
             y[v.id] = sum(positions) / len(positions)
             anchor = positions[0]
-            for eid in sorted(ins, key=slots.index, reverse=True):
-                slots.remove(eid)
+            for k in reversed(positions):
+                is_open.discard(slots.pop(k))
             for k, eid in enumerate(outs):
                 slots.insert(min(anchor + k, len(slots)), eid)
         else:
             y[v.id] = float(len(slots))
             slots.extend(outs)
+        is_open.update(outs)
     return y
 
 

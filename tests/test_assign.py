@@ -724,6 +724,26 @@ class TestIncrementalChecker:
         assert calls == []
 
 
+class TestTraceEntry:
+    def test_immutable(self):
+        entry = TraceEntry("step1", "v1", ("e1",), 2)
+        for field, value in (("integer", 3), ("edges", ()), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(entry, field, value)
+
+    def test_repr_pinned(self):
+        assert repr(TraceEntry("step1", "v1", ("e1",), 2)) == (
+            "TraceEntry(step='step1', vertex='v1', edges=('e1',), integer=2)")
+        assert repr(TraceEntry("step0", None, ("e1", "e2"), 1)) == (
+            "TraceEntry(step='step0', vertex=None, edges=('e1', 'e2'), "
+            "integer=1)")
+
+    def test_fields_by_name(self):
+        entry = assign_all(_sub(theta_graph())).trace[0]
+        assert (entry.step, entry.vertex) == ("step0", None)
+        assert entry == TraceEntry("step0", None, entry.edges, 1)
+
+
 class TestDistanceBound:
     def test_single_edge(self):
         sub = _sub(single_edge_graph())

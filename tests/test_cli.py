@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, pipeline composition."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from reebound import graph_dumps, graph_loads
+from reebound import GenParams, graph_dumps, graph_loads, random_reeb
 from reebound.cli import main
 
 from _fixtures import (
@@ -144,6 +145,76 @@ class TestBound:
         data = json.loads(out)
         assert data == {"per_boundary_edge": {"e_a": 1, "e_e": 2},
                         "n_min": 1, "bound": 2}
+
+
+#: SHA-256 of what ``assign --trace`` and ``bound`` print per generator
+#: graph (seed, saddles, parallel bias, inessential bias, window), recorded
+#: while vertices, edges and trace entries were frozen dataclasses: building
+#: them as tuples must keep every output byte.
+PIPELINE_SHA256 = {
+    (0, 0, 0.25, 0.35, None): (
+        "37929f1c5f49ba6504f3225e0eaf1abc84e83a62f121abb88faeac214e6f7ddf",
+        "061e12feaf50dd214277a2b4058462a7b801668a877cacf0c93fbfea15df3d26"),
+    (1, 3, 0.0, 0.0, None): (
+        "55e46c2f79392b7fd43fd8e38e6e23bbb55c4c06f1cc032021b1e0345b85218d",
+        "f13a5c71879477982b9ccb6f4f9f8f88d7e3e75a3876975499f2ee219f92a6ee"),
+    (2, 12, 1.0, 0.5, None): (
+        "8d9aeb401a2551de0f19d533b8897d1b63b10f12f69debe543372e932293ed03",
+        "84d663a632e952b13eb8807d3156ab58266503677e2131e9455269c7f554d062"),
+    (3, 12, 0.5, 1.0, None): (
+        "9d52d7d30898cca4af3b7d13843954b847ec88d80d210c062e627a878573123f",
+        "6fa35e587b0d51f2a7e0173581552bb6e8ce859f4d6f642af92bcc6d1751c7bd"),
+    (4, 40, 0.25, 0.35, None): (
+        "54fc3527ef10816920c8cb394724e4f4b574b57e144ed958ece1ce6a62e1e353",
+        "19c47873eae050a9164e5159239ddb1043bb15298c37713dd3e92f47d0aa0680"),
+    (5, 40, 0.0, 0.9, None): (
+        "278e73e4a4e3e449122dae8883282e657b6853ee6decadc82eb2039bb4d7b5ee",
+        "ff4df69c17be25c22964afc25cea5595bd8ed71bf6a1f22c2d6d477abd34c003"),
+    (6, 100, 0.25, 0.35, None): (
+        "1494e7d8eb06575bb9ab528861ee129b9112ee4e274dec0a68abece85eaceae4",
+        "b1a14d00ef13ee490529be26a4b1f66994c1ece94d234f1c2b05039f8c8b35a7"),
+    (7, 100, 1.0, 0.0, None): (
+        "9e92b761697caba431bd9437167ccfa6e8ee52648491a21e9e4854a03bb0ca3f",
+        "e8d735b607e85de581c31e948184c2692ba1d64fb693d985ea889d899b78a01f"),
+    (8, 200, 0.5, 0.5, None): (
+        "758217b5d5ac9181767c2d25b4b07e1c420adc3826525232b3c28493e3185306",
+        "08b719f617f08d2eef539458e0ac4236fb4526c88555c766f2332ec5937a24df"),
+    (9, 400, 0.25, 0.35, None): (
+        "1985b8680adf1d51231b9125ba82ea98e791854f00556765ee9d12e66a9ea9f4",
+        "72580451714c1f3739ef2c12a605fa5b2c0ef4d9c8f4bb0c67a9ff31d09d18b6"),
+    (10, 400, 0.0, 0.0, None): (
+        "7c0acb291ce4dfa8e69e25fd2ebfa7b05e84b5ab829310b08ae239e032263fa1",
+        "110d84cd688a454e84fb0a4d2bcafd5f1c17bf46b9a526854cfa63d67e447988"),
+    (11, 400, 1.0, 1.0, None): (
+        "7d2a6bce60b6f262c781952d853f0940b140a5476050a356f395af87afd337aa",
+        "859d7d77b20b3ff75029a61934aebaa74d48d24764c100cf73112bff2f3eb6f5"),
+    (4, 40, 0.25, 0.35, (0.3, 0.7)): (
+        "6375a2ad4b35517261fa973d8487a42fc40e754d867ede547d4b479776a506ae",
+        "52872cfce4efdd2757eab3ee5a5f9e34d635fe0991b8c7109a05792ab91f6547"),
+    (9, 400, 0.25, 0.35, (0.25, 0.6)): (
+        "cd8a192f34c740680f48f3edfbff47a6dde6d489c596c9423efda5d4472a5345",
+        "76e0e7c1032f24bf291aa27659ab8a8646e0f4cff25fc1b506184f399f99402b"),
+}
+
+
+class TestPipelinePinned:
+    def test_assign_and_bound_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        got = {}
+        for seed, saddles, pbias, ibias, window in PIPELINE_SHA256:
+            path.write_text(graph_dumps(random_reeb(GenParams(
+                seed=seed, saddle_count=saddles, parallel_edge_bias=pbias,
+                inessential_bias=ibias))))
+            argv = [str(path)]
+            if window:
+                argv += ["--window", repr(window[0]), repr(window[1])]
+            digests = []
+            for command, *flags in (("assign", "--trace"), ("bound",)):
+                code, out, err = run_main(capsys, command, *argv, *flags)
+                assert (code, err) == (0, "")
+                digests.append(hashlib.sha256(out.encode()).hexdigest())
+            got[seed, saddles, pbias, ibias, window] = tuple(digests)
+        assert got == PIPELINE_SHA256
 
 
 class TestFromMesh:

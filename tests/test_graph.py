@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,7 @@ from reebound import (
     validate,
 )
 from reebound.graph import graph_to_dict
+from reebound.mesh import LevelCycle
 from reebound.errors import (
     BadWindow,
     EmptyWindow,
@@ -301,6 +301,32 @@ class TestJson:
         assert str(info.value) == ("bad graph payload: %s is not a valid %s"
                                    % (shown, enum))
 
+    @pytest.mark.parametrize("faults, shown", [
+        ([("vertices", 0, "kind", "foo"), ("vertices", 1, "level", "x")],
+         "'foo' is not a valid VertexKind"),
+        ([("vertices", 0, "level", "x"), ("vertices", 1, "kind", "foo")],
+         "could not convert string to float: 'x'"),
+        ([("vertices", 0, "kind", []), ("vertices", 1, "id", None)],
+         "[] is not a valid VertexKind"),
+        ([("vertices", 0, "id", None), ("vertices", 1, "kind", "foo")], "'id'"),
+        ([("vertices", 1, "kind", "foo"), ("edges", 0, "label", "bar")],
+         "'foo' is not a valid VertexKind"),
+        ([("edges", 0, "label", "bar"), ("edges", 1, "lower", None)],
+         "'bar' is not a valid EdgeLabel"),
+        ([("edges", 0, "lower", None), ("edges", 1, "label", "bar")], "'lower'"),
+    ])
+    def test_first_fault_named(self, faults, shown):
+        # None deletes the key
+        data = graph_to_dict(theta_graph())
+        for where, i, key, value in faults:
+            if value is None:
+                del data[where][i][key]
+            else:
+                data[where][i][key] = value
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == "bad graph payload: %s" % shown
+
     @pytest.mark.parametrize("level, shown", [
         (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
     def test_nonfinite_level_message_pinned(self, level, shown):
@@ -318,6 +344,70 @@ class TestJson:
         text = graph_dumps(g)
         assert graph_loads(text) == g
         assert graph_dumps(graph_loads(text)) == text
+
+
+class TestRecords:
+    """Vertices and edges are immutable records; an edge's witness is
+    provenance and takes no part in equality or hashing."""
+
+    WITNESSES = [
+        None,
+        {"level": 0.5, "crossings": [[0, [0, 1], [1, 2]]]},
+        LevelCycle(0.5, ((0, (0, 1), (1, 2)),)),
+    ]
+
+    @pytest.mark.parametrize("witness", WITNESSES, ids=["none", "dict", "cycle"])
+    def test_edge_equality_and_hash_ignore_witness(self, witness):
+        bare = ReebEdge("e1", "a", "b", EdgeLabel.ESSENTIAL)
+        dressed = ReebEdge("e1", "a", "b", EdgeLabel.ESSENTIAL, witness)
+        assert dressed == bare and bare == dressed
+        assert not dressed != bare
+        assert hash(dressed) == hash(bare)
+        assert len({bare, dressed}) == 1
+        for other in (ReebEdge("e2", "a", "b", EdgeLabel.ESSENTIAL, witness),
+                      ReebEdge("e1", "x", "b", EdgeLabel.ESSENTIAL, witness),
+                      ReebEdge("e1", "a", "x", EdgeLabel.ESSENTIAL, witness),
+                      ReebEdge("e1", "a", "b", EdgeLabel.INESSENTIAL, witness)):
+            assert dressed != other and not dressed == other
+
+    def test_edge_is_unequal_to_other_types(self):
+        e = ReebEdge("e1", "a", "b", EdgeLabel.ESSENTIAL)
+        assert e != "e1"
+        assert e != ReebVertex("e1", 0.5, VertexKind.SADDLE)
+        assert ReebEdge.__eq__(e, object()) is NotImplemented
+
+    @pytest.mark.parametrize("record, field, value", [
+        (ReebVertex("v1", 0.5, VertexKind.SADDLE), "level", 0.25),
+        (ReebVertex("v1", 0.5, VertexKind.SADDLE), "extra", 1),
+        (ReebEdge("e1", "a", "b", EdgeLabel.ESSENTIAL), "witness", {}),
+        (ReebEdge("e1", "a", "b", EdgeLabel.ESSENTIAL), "label",
+         EdgeLabel.INESSENTIAL),
+    ])
+    def test_records_are_immutable(self, record, field, value):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+
+    def test_repr_pinned(self):
+        assert repr(ReebVertex("v1", 0.5, VertexKind.SADDLE)) == (
+            "ReebVertex(id='v1', level=0.5, kind=<VertexKind.SADDLE: 'saddle'>)")
+        assert repr(ReebEdge("e1", "a", "b", EdgeLabel.ESSENTIAL)) == (
+            "ReebEdge(id='e1', lower='a', upper='b', "
+            "label=<EdgeLabel.ESSENTIAL: 'essential'>, witness=None)")
+        assert repr(ReebEdge("e1", "a", "b", EdgeLabel.INESSENTIAL,
+                             witness={"level": 0.5})) == (
+            "ReebEdge(id='e1', lower='a', upper='b', "
+            "label=<EdgeLabel.INESSENTIAL: 'inessential'>, "
+            "witness={'level': 0.5})")
+
+    def test_graph_equality_ignores_meta_and_witnesses(self):
+        g = theta_graph()
+        dressed = ReebGraph(
+            g.vertices,
+            tuple(ReebEdge(e.id, e.lower, e.upper, e.label, witness)
+                  for e, witness in zip(g.edges, self.WITNESSES * len(g.edges))),
+            g.lo, g.hi, meta={"seed": 1})
+        assert dressed == g
+        assert dressed != ReebGraph(g.vertices, g.edges[1:], g.lo, g.hi)
 
 
 # -- validate against the reference validator ---------------------------------
@@ -339,19 +429,19 @@ def mutate(g: ReebGraph, choose, count: int) -> ReebGraph:
             del edges[eid]
         elif move == "retarget" and eid:
             end = choose(("lower", "upper"))
-            edges[eid] = replace(edges[eid], **{end: vid})
+            edges[eid] = edges[eid]._replace(**{end: vid})
         elif move == "kind":
-            vertices[vid] = replace(vertices[vid], kind=choose(list(VertexKind)))
+            vertices[vid] = vertices[vid]._replace(kind=choose(list(VertexKind)))
         elif move == "label" and eid:
             flipped = (EdgeLabel.INESSENTIAL if edges[eid].label is EdgeLabel.ESSENTIAL
                        else EdgeLabel.ESSENTIAL)
-            edges[eid] = replace(edges[eid], label=flipped)
+            edges[eid] = edges[eid]._replace(label=flipped)
         elif move == "level":
             levels = sorted({g.lo, g.hi} | {v.level for v in vertices.values()})
-            vertices[vid] = replace(vertices[vid], level=choose(levels))
+            vertices[vid] = vertices[vid]._replace(level=choose(levels))
         elif move == "horizontal":
             other = vertices[choose(sorted(vertices))]
-            vertices[vid] = replace(vertices[vid], level=other.level)
+            vertices[vid] = vertices[vid]._replace(level=other.level)
             edges["h%d" % n] = ReebEdge("h%d" % n, vid, other.id,
                                         choose(list(EdgeLabel)))
     return ReebGraph(tuple(vertices.values()), tuple(edges.values()),
