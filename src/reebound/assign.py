@@ -16,11 +16,10 @@ rules drive it, each recorded in the trace under its name:
   n+1 respectively n onto the unassigned edges there.
 
 assign_all runs them in one pass over the interior vertices in level
-order, reading the graph's incidence and gap index where it stands and
-keeping its own state between rounds: step1 is a worklist seeded by the
-edges the round wrote, the next step2 vertex comes from a pointer that
-only moves up, and the frontier is the set of edges spanning the current
-gap, with a count per integer on it.  A run costs O((V + E) log V).
+order, keeping its state between rounds: step1 is a worklist seeded by
+the edges the round wrote, the next step2 vertex comes from a pointer
+that only moves up, and the frontier is a ``_Frontier``, the module's
+one walk over the gaps.  A run costs O((V + E) log V).
 
 The final report takes the minimum m over edges adjacent to the upper
 boundary; m+1 bounds the distance between the compressing systems of the
@@ -32,18 +31,19 @@ downstream band {n-1, n}, and the plateau conditions: wherever all
 assigned edges spanning an inter-event gap share one value, everything
 assigned to the right shares it too and connects back through edges of
 that value).  It reads only the assignment, its trace and the graph's
-index, in one sweep over the gaps and one union-find over the edges, so
-a call costs O(E + G + T) for E edges, G gaps and T trace entries.
-The checked run decides each round from state a private checker keeps
-between rounds, at O(log E) per write plus, per round, a comparison of
-the gap ranges two integers cover.  Unless the graph has a loop, flat or
-backward edge, it certifies exactly the rounds check_invariants passes,
-which thus runs only to report a violation.
+index, in one frontier walk and one union-find over the edges, so a
+call costs O(E + G + T) for E edges, G gaps and T trace entries.  The
+checked run decides each round from state a private checker keeps
+between rounds, its own frontier walk included (never the sweep's), at
+O(log E) per write plus, per round, a comparison of the gap ranges two
+integers cover.  Unless the graph has a loop, flat or backward edge, it
+certifies exactly the rounds check_invariants passes, which thus runs
+only to report a violation.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -117,6 +117,59 @@ def _find(parent: dict, x):
     return x
 
 
+def _consecutive(values: list[int]) -> bool:
+    """The frontier rule: sorted integers are n alone or n - 1 and n."""
+    return bool(values) and values[-1] - values[0] <= 1
+
+
+class _Frontier:
+    """The edges spanning gap ``gap``, walked up from below the lowest gap:
+    ``width`` of them, ``open`` with no integer in ``values`` (edge id ->
+    integer) and ``counts[n]`` carrying n.  Later integers go in through
+    ``write``, counted at once if their edge spans the gap.  A loop, flat
+    or backward edge spans no gap and never enters.
+    """
+
+    def __init__(self, g: ReebGraph, values: dict[str, int]):
+        self.values, self.gaps = values, g._gaps
+        self.enter: list[list[str]] = [[] for _ in g._events]
+        self.leave: list[list[str]] = [[] for _ in g._events]
+        for eid, gaps in self.gaps.items():
+            if gaps:
+                self.enter[gaps.start].append(eid)
+                self.leave[gaps.stop].append(eid)
+        self.gap, self.width, self.open = -1, 0, 0
+        self.counts: dict[int, int] = {}
+
+    def write(self, eid: str, value: int) -> None:
+        self.values[eid] = value
+        if self.gap in self.gaps[eid]:
+            self.open -= 1
+            self.counts[value] = self.counts.get(value, 0) + 1
+
+    def advance(self, gap: int) -> None:
+        """Move up to ``gap``; a lower one leaves the walk where it is."""
+        values, counts = self.values, self.counts
+        while self.gap < gap:
+            self.gap += 1
+            leave, enter = self.leave[self.gap], self.enter[self.gap]
+            self.width += len(enter) - len(leave)
+            for eid in leave:
+                value = values.get(eid)
+                if value is None:
+                    self.open -= 1
+                elif counts[value] > 1:
+                    counts[value] -= 1
+                else:
+                    del counts[value]
+            for eid in enter:
+                value = values.get(eid)
+                if value is None:
+                    self.open += 1
+                else:
+                    counts[value] = counts.get(value, 0) + 1
+
+
 def check_invariants(g: ReebGraph, p: PartialAssignment,
                      vid: str | None) -> ValidationReport:
     """Re-verify the sweep's consistency conditions by direct recomputation.
@@ -141,11 +194,8 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
     """
     out: list[Violation] = []
 
-    counts: dict[str, int] = {}
-    for entry in p.trace:
-        for eid in entry.edges:
-            counts[eid] = counts.get(eid, 0) + 1
-    for eid, n in sorted(counts.items()):
+    writes = Counter(eid for entry in p.trace for eid in entry.edges)
+    for eid, n in sorted(writes.items()):
         if n > 1:
             out.append(Violation(RULE_SINGLE, (eid,),
                                  "edge written %d times" % n))
@@ -154,27 +204,24 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
 
     assigned = p.assigned
     gap0 = g.gap_below(vid)
-    frontier = g.spanning(gap0)
-    top = None
-    missing = [e for e in frontier if e not in assigned]
-    if missing:
-        out.append(Violation(RULE_FRONTIER, tuple(sorted(missing)),
+    front = _Frontier(g, assigned)
+    front.advance(gap0)
+    values = sorted(front.counts)
+    if front.open:
+        missing = [e for e in g.spanning(gap0) if e not in assigned]
+        out.append(Violation(RULE_FRONTIER, tuple(missing),
                              "unassigned frontier edges at %s" % vid))
-    values = sorted({assigned[e] for e in frontier if e in assigned})
-    if values:
-        top = values[-1]
-    if not frontier:
+    if not front.width:
         out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
-    elif not missing:
-        pair = len(values) == 2 and values[1] - values[0] == 1
-        if not (len(values) == 1 or pair):
-            out.append(Violation(RULE_FRONTIER, (vid,),
-                                 "frontier carries %r" % values))
+    elif not front.open and not _consecutive(values):
+        out.append(Violation(RULE_FRONTIER, (vid,),
+                             "frontier carries %r" % values))
 
     # the assigned edges in id order, each with its value and gap range
     valued = [(e, assigned[e.id], g.gaps(e.id))
               for e in g.edges if e.id in assigned]
-    if top is not None:
+    if values:
+        top = values[-1]
         for e, val, gaps in valued:
             # upper level above level(vid), which is event gap0 + 1
             if gaps.stop > gap0 + 1 and val not in (top - 1, top):
@@ -184,25 +231,13 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
                     % (vid, val, top - 1, top)))
 
     # plateaus: the gaps from gap0 on whose assigned spanning edges carry
-    # one value, found by a sweep that counts the values live at each gap
+    # one value, read off the same walk
     events = g.event_levels()
-    enter: list[list[int]] = [[] for _ in events]
-    leave: list[list[int]] = [[] for _ in events]
-    for _, val, gaps in valued:
-        if gaps:
-            enter[gaps.start].append(val)
-            leave[gaps.stop].append(val)
-    live: dict[int, int] = {}
     plateaus: list[tuple[int, int]] = []
-    for gap in range(len(events) - 1):
-        for val in leave[gap]:
-            live[val] -= 1
-            if not live[val]:
-                del live[val]
-        for val in enter[gap]:
-            live[val] = live.get(val, 0) + 1
-        if gap >= gap0 and len(live) == 1:
-            plateaus.append((gap, next(iter(live))))
+    for gap in range(max(gap0, 0), len(events) - 1):
+        front.advance(gap)
+        if len(front.counts) == 1:
+            plateaus.append((gap, next(iter(front.counts))))
     if not plateaus:
         return ValidationReport.from_violations(out)
 
@@ -264,10 +299,10 @@ class _Checker:
     integers, the next target and the graph's index, never the sweep's
     state.  Integers are never rewritten and the target's gap never
     decreases, so its state only grows or moves up: ``value`` per edge
-    written; the frontier; ``band``, the integers on edges reaching past
-    the gap after the frontier's; ``spans``, the disjoint gap ranges each
-    integer's edges cover; a union-find over (vertex, integer) with each
-    root's lowest gap, in a lazily cleaned max-heap per integer.
+    written; its own frontier; ``band``, the integers on edges reaching
+    past the gap after the frontier's; ``spans``, the disjoint gap ranges
+    each integer's edges cover; a union-find over (vertex, integer) with
+    each root's lowest gap, in a lazily cleaned max-heap per integer.
 
     Once the frontier carries b, or b - 1 and b, and the band only those,
     a gap from the frontier's on is a plateau iff exactly one of the two
@@ -282,13 +317,8 @@ class _Checker:
         self.g, self.gaps, self.edges = g, g._gaps, g._edge_by_id
         self.sound = all(self.gaps.values())
         self.value: dict[str, int] = {}
-        self.enter: list[list[str]] = [[] for _ in g._events]
-        self.leave: list[list[str]] = [[] for _ in g._events]
-        for eid, gaps in self.gaps.items():     # read only if none is empty
-            self.enter[gaps.start].append(eid)
-            self.leave[gaps.stop].append(eid)
-        self.seen, self.gap, self.open, self.cut = 0, -1, 0, 0
-        self.counts: dict[int, int] = {}
+        self.front = _Frontier(g, self.value)
+        self.seen, self.cut = 0, 0
         self.band: dict[int, int] = {}
         self.by_stop: list[list[int]] = [[] for _ in g._events]
         self.spans: dict[int, tuple[list[int], list[int]]] = {}
@@ -297,21 +327,19 @@ class _Checker:
         self.lows: dict[int, list[tuple[int, tuple[str, int]]]] = {}
 
     def clean(self, assigned: dict[str, int], trace, vid: str | None) -> bool:
-        for entry in trace[self.seen:]:
-            for eid in entry.edges:
-                if eid in self.value or eid not in assigned:
-                    self.sound = False
-                elif self.sound:
-                    self._add(eid, assigned[eid])
-        self.seen = len(trace)
-        self.sound = self.sound and len(self.value) == len(assigned)
+        self._read(assigned, trace)
         if not self.sound or vid is None:
             return self.sound
-        gap0 = self.g.gap_below(vid)
-        self._advance(gap0)
-        values = sorted(self.counts)
-        if (self.gap != gap0 or self.open or not values
-                or values[-1] - values[0] > 1):
+        gap0, front = self.g.gap_below(vid), self.front
+        front.advance(gap0)
+        while self.cut < gap0 + 1:
+            self.cut += 1
+            for value in self.by_stop[self.cut]:
+                self.band[value] -= 1
+                if not self.band[value]:
+                    del self.band[value]
+        values = sorted(front.counts)
+        if front.gap != gap0 or front.open or not _consecutive(values):
             return False
         a, b = values[-1] - 1, values[-1]
         if any(v != a and v != b for v in self.band):
@@ -336,46 +364,34 @@ class _Checker:
             heappop(heap)
         return -heap[0][0] <= plateau
 
-    def _add(self, eid: str, value: int) -> None:
-        self.value[eid] = value
-        gaps = self.gaps[eid]
-        start, stop = gaps.start, gaps.stop
-        if self.gap in gaps:
-            self.open -= 1
-            self.counts[value] = self.counts.get(value, 0) + 1
-        if stop > self.cut:
-            self.band[value] = self.band.get(value, 0) + 1
-            self.by_stop[stop].append(value)
-        # merge [start, stop) with the ranges it overlaps or touches
-        starts, stops = self.spans.setdefault(value, ([], []))
-        i, j = bisect_left(stops, start), bisect_right(starts, stop)
-        if i < j:
-            start, stop = min(start, starts[i]), max(stop, stops[j - 1])
-        starts[i:j], stops[i:j] = [start], [stop]
-        e, low = self.edges[eid], self.low
-        r1 = _find(self.parent, (e.lower, value))
-        r2 = self.parent[r1] = _find(self.parent, (e.upper, value))
-        low[r2] = min(low.get(r1, gaps.start), low.get(r2, gaps.start), gaps.start)
-        heappush(self.lows.setdefault(value, []), (-low[r2], r2))
-
-    def _advance(self, gap0: int) -> None:
-        while self.gap < gap0:
-            self.gap += 1
-            for sign, eids in ((-1, self.leave[self.gap]), (1, self.enter[self.gap])):
-                for eid in eids:
-                    value = self.value.get(eid)
-                    if value is None:
-                        self.open += sign
-                    elif self.counts.get(value, 0) + sign:
-                        self.counts[value] = self.counts.get(value, 0) + sign
-                    else:
-                        del self.counts[value]
-        while self.cut < gap0 + 1:
-            self.cut += 1
-            for value in self.by_stop[self.cut]:
-                self.band[value] -= 1
-                if not self.band[value]:
-                    del self.band[value]
+    def _read(self, assigned: dict[str, int], trace) -> None:
+        """Take in the integers of the trace entries not read yet."""
+        write, parent, low = self.front.write, self.parent, self.low
+        for entry in trace[self.seen:]:
+            for eid in entry.edges:
+                if not self.sound or eid in self.value or eid not in assigned:
+                    self.sound = False
+                    continue
+                value = assigned[eid]
+                write(eid, value)
+                gaps = self.gaps[eid]
+                start, stop = gaps.start, gaps.stop
+                if stop > self.cut:
+                    self.band[value] = self.band.get(value, 0) + 1
+                    self.by_stop[stop].append(value)
+                # merge [start, stop) with the ranges it overlaps or touches
+                starts, stops = self.spans.setdefault(value, ([], []))
+                i, j = bisect_left(stops, start), bisect_right(starts, stop)
+                if i < j:
+                    start, stop = min(start, starts[i]), max(stop, stops[j - 1])
+                starts[i:j], stops[i:j] = [start], [stop]
+                e = self.edges[eid]
+                r1 = _find(parent, (e.lower, value))
+                r2 = parent[r1] = _find(parent, (e.upper, value))
+                low[r2] = min(low.get(r1, gaps.start), low.get(r2, gaps.start), gaps.start)
+                heappush(self.lows.setdefault(value, []), (-low[r2], r2))
+        self.seen = len(trace)
+        self.sound = self.sound and len(self.value) == len(assigned)
 
 
 class _Sweep:
@@ -384,8 +400,8 @@ class _Sweep:
     Rounds only ever add integers, so every structure moves one way:
     ``next`` indexes the lowest interior vertex that may still have an
     unassigned edge, ``passed`` counts the edges (by lower end) already
-    known to be assigned left of the sweep, and ``gap`` is the gap whose
-    spanning edges form the frontier.
+    known to be assigned left of the sweep, and ``frontier``, which
+    writes every integer, walks up to the gap left of each target.
     """
 
     def __init__(self, g: ReebGraph):
@@ -399,17 +415,7 @@ class _Sweep:
         self.next = 0
         self.by_lower = sorted(self.gaps, key=lambda eid: self.gaps[eid].start)
         self.passed = 0
-        # frontier: the edges entering and leaving it at each gap, its
-        # width, its integers with their multiplicities, and the number
-        # of its unassigned edges
-        self.enter: list[list[str]] = [[] for _ in g._events]
-        self.leave: list[list[str]] = [[] for _ in g._events]
-        for eid, gaps in self.gaps.items():
-            if gaps:
-                self.enter[gaps.start].append(eid)
-                self.leave[gaps.stop].append(eid)
-        self.gap, self.width, self.open = -1, 0, 0
-        self.counts: dict[int, int] = {}
+        self.frontier = _Frontier(g, self.assigned)
 
     def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
                   value: int) -> None:
@@ -418,15 +424,9 @@ class _Sweep:
         written = []
         for eid in eids:
             if eid not in self.assigned:    # a loop is listed twice
-                self._write(eid, value)
+                self.frontier.write(eid, value)
                 written.append(eid)
         self._saturate(written)
-
-    def _write(self, eid: str, value: int) -> None:
-        self.assigned[eid] = value
-        if self.gap in self.gaps[eid]:
-            self.open -= 1
-            self.counts[value] = self.counts.get(value, 0) + 1
 
     def _saturate(self, written: list[str]) -> None:
         """Copy integers across valency-two vertices until a fixpoint.
@@ -458,7 +458,7 @@ class _Sweep:
             src, dst = (e1, e2) if e1 in assigned else (e2, e1)
             value = assigned[src]
             self.trace.append(TraceEntry(STEP1, vid, (dst,), value))
-            self._write(dst, value)
+            self.frontier.write(dst, value)
             written.append(dst)
             for end in _ends(edges[dst]):
                 if end != vid and end in rank:
@@ -512,42 +512,22 @@ class _Sweep:
         and NonConsecutiveFrontier if the frontier is empty or its values
         are neither; valid inputs never do either.
         """
-        gap = self.g.gap_below(target)
-        while self.gap < gap:
-            self.gap += 1
-            for eid in self.leave[self.gap]:
-                self._count(eid, -1)
-            for eid in self.enter[self.gap]:
-                self._count(eid, 1)
-        if not self.width:
+        gap, front = self.g.gap_below(target), self.frontier
+        front.advance(gap)
+        if not front.width:
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
-        if self.open:
+        if front.open:
             missing = [eid for eid in self.g.spanning(gap)
                        if eid not in self.assigned]
             raise UnassignedFrontier(
                 "frontier of %s has unassigned edges: %s"
                 % (target, ", ".join(missing)))
-        values = sorted(self.counts)
-        if len(values) == 1:
-            return values[0] + 1
-        if len(values) == 2 and values[1] - values[0] == 1:
-            return values[1]
-        raise NonConsecutiveFrontier(
-            "frontier of %s carries %r" % (target, values))
-
-    def _count(self, eid: str, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) a frontier edge."""
-        self.width += sign
-        value = self.assigned.get(eid)
-        if value is None:
-            self.open += sign
-            return
-        n = self.counts.get(value, 0) + sign
-        if n:
-            self.counts[value] = n
-        else:
-            del self.counts[value]
+        values = sorted(front.counts)
+        if not _consecutive(values):
+            raise NonConsecutiveFrontier(
+                "frontier of %s carries %r" % (target, values))
+        return values[0] + 1
 
 
 def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:

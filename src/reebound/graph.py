@@ -326,8 +326,9 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
     """Cut the graph down to the level window [lo, hi].
 
     Every edge is clipped to the window; cut points become boundary
-    vertices (ids ``cut:<edge id>:lo`` / ``:hi``), original vertices
-    inside the window are kept, and everything outside is discarded.
+    vertices (ids ``cut:<edge id>:lo`` / ``:hi``, primed until no vertex
+    inside the window has that id), original vertices inside the window
+    are kept, and everything outside is discarded.
     Labels and witnesses are inherited.  Windows reaching past the graph's
     own window are clamped to it, so restriction always means
     intersection.
@@ -348,22 +349,25 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
             raise NonGenericCut("interior vertex %s sits exactly at level %r"
                                 % (v.id, v.level))
 
+    kept = {v.id for v in g.vertices if lo_eff <= v.level <= hi_eff}
+
+    def cut(eid: str, end: str, level: float, kind: VertexKind) -> ReebVertex:
+        vid = "cut:%s:%s" % (eid, end)
+        while vid in kept:
+            vid += "'"
+        return ReebVertex(vid, level, kind)
+
     new_vertices: dict[str, ReebVertex] = {}
     new_edges: list[ReebEdge] = []
     for e in g.edges:
         a, b = g.span(e.id)
         if not max(a, lo_eff) < min(b, hi_eff):
             continue
-        if a >= lo_eff:
-            lower_v = g.vertex(e.lower)
-        else:
-            lower_v = ReebVertex("cut:%s:lo" % e.id, lo_eff,
-                                 VertexKind.BOUNDARY_MINUS)
-        if b <= hi_eff:
-            upper_v = g.vertex(e.upper)
-        else:
-            upper_v = ReebVertex("cut:%s:hi" % e.id, hi_eff,
-                                 VertexKind.BOUNDARY_PLUS)
+        lower_v, upper_v = g.vertex(e.lower), g.vertex(e.upper)
+        if a < lo_eff:
+            lower_v = cut(e.id, "lo", lo_eff, VertexKind.BOUNDARY_MINUS)
+        if b > hi_eff:
+            upper_v = cut(e.id, "hi", hi_eff, VertexKind.BOUNDARY_PLUS)
         new_vertices[lower_v.id] = lower_v
         new_vertices[upper_v.id] = upper_v
         new_edges.append(e._replace(lower=lower_v.id, upper=upper_v.id))

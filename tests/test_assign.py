@@ -9,6 +9,7 @@ frozen value.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -453,6 +454,57 @@ class TestTrickyShapes:
         assert distance_bound(sub, p).bound == 4
 
 
+def _assert_frontier(front, sub, k):
+    """The walk at gap k against the edges ``spanning`` names there."""
+    spanning = sub.spanning(k)
+    valued = [front.values[e] for e in spanning if e in front.values]
+    assert (front.gap, front.width, front.open) == (
+        k, len(spanning), len(spanning) - len(valued))
+    assert front.counts == Counter(valued)
+
+
+class TestFrontier:
+    """The one gap walk against a rescan of the spanning edges at every
+    gap, with integers both there from the start and written on the way."""
+
+    @pytest.mark.parametrize("seed", range(41))
+    def test_generator_graphs(self, seed):
+        sub = _round_graph(seed, seed * 3 % 61)
+        assigned = assign_all(sub).assigned
+        rng = random.Random(seed)
+        later = sorted(rng.sample(sorted(assigned), len(assigned) // 2))
+        values = {e: n for e, n in assigned.items() if e not in later}
+        front = assign_mod._Frontier(sub, values)
+        _assert_frontier(front, sub, -1)
+        for k in range(len(sub.event_levels()) - 1):
+            front.advance(k)
+            _assert_frontier(front, sub, k)
+            n = rng.randint(0, 3)
+            for eid in later[:n]:
+                front.write(eid, assigned[eid])
+            del later[:n]
+            _assert_frontier(front, sub, k)
+
+    def test_edges_spanning_no_gap_never_enter(self):
+        sub = _hand_built(
+            [("b0", 0.0, "-"), ("a", 0.3, "o"), ("c", 0.6, "o"),
+             ("d", 0.6, "o"), ("t0", 1.0, "+")],
+            [("e0", "b0", "a"), ("e1", "a", "c"), ("e2", "c", "t0"),
+             ("loop", "a", "a"), ("flat", "c", "d"), ("back", "c", "a")])
+        front = assign_mod._Frontier(sub, {"loop": 5})
+        for k in range(3):
+            front.advance(k)
+            front.write("e%d" % k, 1)
+            if k == 1:
+                front.write("flat", 7)
+                front.write("back", 7)
+            _assert_frontier(front, sub, k)
+            assert sub.spanning(k) == ["e%d" % k]
+            assert (front.width, front.open, front.counts) == (1, 0, {1: 1})
+        front.advance(0)    # a lower gap leaves the walk where it is
+        _assert_frontier(front, sub, 2)
+
+
 class TestCheckInvariants:
     def _theta_mid(self):
         sub = _sub(theta_graph())
@@ -643,7 +695,7 @@ def _corrupt_sweep(monkeypatch, at, picks, repeat):
             if free:
                 eid = free[k % len(free)]
                 self.trace.append(TraceEntry(step, vid, (eid,), value + d))
-                self._write(eid, value + d)
+                self.frontier.write(eid, value + d)
 
     monkeypatch.setattr(assign_mod._Sweep, "run_round", bad_round)
 

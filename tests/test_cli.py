@@ -146,6 +146,21 @@ class TestBound:
         assert data == {"per_boundary_edge": {"e_a": 1, "e_e": 2},
                         "n_min": 1, "bound": 2}
 
+    def test_vertex_named_like_a_cut_point(self, capsys, tmp_path):
+        # saddle v1 renamed to the id restrict gives e0's lower cut point
+        text = graph_dumps(random_reeb(GenParams(seed=3, saddle_count=4)))
+        outs = []
+        for name, graph in (("orig", text),
+                            ("renamed", text.replace('"v1"', '"cut:e0:lo"'))):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(graph)
+            for window in ((), ("--window", "0.1", "1.0")):
+                code, out, err = run_main(capsys, "bound", str(path), *window)
+                assert (code, err) == (0, "")
+                outs.append(out)
+        assert len(set(outs)) == 1
+        assert json.loads(outs[0])["bound"] == 3
+
 
 #: SHA-256 of what ``assign --trace`` and ``bound`` print per generator
 #: graph (seed, saddles, parallel bias, inessential bias, window), recorded

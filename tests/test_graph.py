@@ -198,6 +198,23 @@ class TestRestrict:
         with pytest.raises(BadWindow):
             restrict(single_edge_graph(), lo, hi)
 
+    def test_cut_point_ids_are_primed_past_kept_vertices(self):
+        # two kept vertices carry e0's lower cut id and its first prime;
+        # the vertex carrying its upper cut id lies outside the window
+        g = single_edge_graph()
+        g = ReebGraph(g.vertices + (
+            ReebVertex("cut:e0:lo", 0.5, VertexKind.SADDLE),
+            ReebVertex("cut:e0:lo'", 0.6, VertexKind.SADDLE),
+            ReebVertex("cut:e0:hi", 0.9, VertexKind.CENTER)), g.edges + (
+            ReebEdge("f", "cut:e0:lo", "cut:e0:lo'", EdgeLabel.ESSENTIAL),
+            ReebEdge("h", "cut:e0:hi", "t0", EdgeLabel.INESSENTIAL)),
+            g.lo, g.hi)
+        r = restrict(g, 0.2, 0.8)
+        assert {(v.id, v.level) for v in r.vertices} == {
+            ("cut:e0:lo''", 0.2), ("cut:e0:hi", 0.8),
+            ("cut:e0:lo", 0.5), ("cut:e0:lo'", 0.6)}
+        assert r.edge("e0")[1:3] == ("cut:e0:lo''", "cut:e0:hi")
+
     def test_boundary_vertex_reuse_at_same_level(self):
         g = single_edge_graph()
         r = restrict(g, 0.0, 0.5)
