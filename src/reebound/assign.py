@@ -58,7 +58,6 @@ from .errors import (
     NonConsecutiveFrontier,
     NothingToAssign,
     NoUpperBoundary,
-    UnassignedFrontier,
 )
 from .graph import ReebGraph, ValidationReport, Violation
 
@@ -508,21 +507,15 @@ class _Sweep:
         """The integer step 2 writes at the target: n+1 if the frontier
         carries one value n, n if it carries n-1 and n.
 
-        Raises UnassignedFrontier if a spanning edge has no integer yet,
-        and NonConsecutiveFrontier if the frontier is empty or its values
-        are neither; valid inputs never do either.
+        Raises NonConsecutiveFrontier if the frontier is empty or its
+        values are neither; valid inputs never do.  Every frontier edge is
+        assigned, as check_left_of has just passed.
         """
-        gap, front = self.g.gap_below(target), self.frontier
-        front.advance(gap)
+        front = self.frontier
+        front.advance(self.g.gap_below(target))
         if not front.width:
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
-        if front.open:
-            missing = [eid for eid in self.g.spanning(gap)
-                       if eid not in self.assigned]
-            raise UnassignedFrontier(
-                "frontier of %s has unassigned edges: %s"
-                % (target, ", ".join(missing)))
         values = sorted(front.counts)
         if not _consecutive(values):
             raise NonConsecutiveFrontier(
@@ -545,16 +538,16 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
     seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
     sweep.run_round(STEP0, None, tuple(seeded), 1)
     while True:
-        if checker is not None:
-            target = sweep.next_target()
-            if not checker.clean(sweep.assigned, sweep.trace, target):
-                report = check_invariants(g, PartialAssignment(
-                    sweep.assigned, tuple(sweep.trace)), target)
-                if not report.ok:
-                    raise InvariantViolation(report)
-        if len(sweep.assigned) == len(g.edges):
+        done = len(sweep.assigned) == len(g.edges)
+        target = None if done else sweep.next_target()
+        if checker is not None and not checker.clean(
+                sweep.assigned, sweep.trace, target):
+            report = check_invariants(g, PartialAssignment(
+                sweep.assigned, tuple(sweep.trace)), target)
+            if not report.ok:
+                raise InvariantViolation(report)
+        if done:
             return PartialAssignment(sweep.assigned, tuple(sweep.trace))
-        target = sweep.next_target()
         if target is None:
             missing = sorted(e.id for e in g.edges if e.id not in sweep.assigned)
             raise NothingToAssign("no interior vertex meets the unassigned edges: %s"

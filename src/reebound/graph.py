@@ -410,6 +410,8 @@ def _witness_payload(witness: Any) -> Any:
 
 
 def graph_to_dict(g: ReebGraph) -> dict:
+    """The JSON form of ``g``.  A dict witness is kept as it is; a
+    LevelCycle witness gives its crossings as the stored tuples."""
     out: dict[str, Any] = {
         "lo": g.lo,
         "hi": g.hi,

@@ -10,7 +10,11 @@ surface the Reeb graph's cycle rank is the genus, so an edge's level
 curve bounds a disk iff the edge is a bridge with a tree on one side.
 The surface builds its edge, link and star tables once on loading; the
 sweep, the contour walks and the witness check only read them, and the
-labelling walks the Reeb graph's own incidence index.
+labelling walks the Reeb graph's own incidence index.  A contour walk
+separates the vertices with ``key[v] <= level`` from the rest: entering
+oriented triangle abc across its edge i, from ``tri[i]`` to ``tri[i+1]``,
+it leaves by edge i - 1 if the opposite vertex ``tri[i-1]`` lies on the
+other side from ``tri[i]``, and by edge i + 1 if not.
 
 Ties between field values are broken symbolically by vertex index, so
 every comparison the sweep makes is decided.  Criticality is the
@@ -59,10 +63,9 @@ class LevelCycle:
     crossings: tuple[tuple[int, Edge, Edge], ...]
 
     def to_payload(self) -> dict:
-        return {
-            "level": self.level,
-            "crossings": [[t, list(a), list(b)] for t, a, b in self.crossings],
-        }
+        """The JSON form; ``crossings`` is the stored tuple, which json
+        writes as nested arrays."""
+        return {"level": self.level, "crossings": self.crossings}
 
     @classmethod
     def from_payload(cls, data: dict) -> "LevelCycle":
@@ -328,28 +331,32 @@ class _ContourTracker:
         self.members[keep] |= self.members.pop(gone)
 
 
-def _trace(surface: TriangulatedSurface, crossed, start_edge: int):
-    """Walk one contour; ``crossed(eid)`` decides which edges it meets.
+def _trace(surface: TriangulatedSurface, key, level, start_edge: int):
+    """Walk one contour of ``key`` at ``level`` by the module's rule.
 
     Returns the crossings as (triangle, entry eid, exit eid), starting at
-    ``start_edge`` through its lower-numbered triangle.
+    ``start_edge`` through its lower-numbered triangle.  Raises OpenCycle
+    if ``start_edge`` is not crossed, naming how many other edges of that
+    triangle are.
     """
-    def other_crossed(tri: int, eid: int) -> int:
-        hits = [x for x in surface._tri_edges[tri] if x != eid and crossed(x)]
-        if len(hits) != 1:
-            raise OpenCycle("triangle %d has %d other crossed edges"
-                            % (tri, len(hits)))
-        return hits[0]
-
-    t0 = min(surface.edge_tris[start_edge])
-    out = []
-    e, t = start_edge, t0
+    triangles, tri_edges, edge_tris = (
+        surface.triangles, surface._tri_edges, surface.edge_tris)
+    t0 = t = min(edge_tris[start_edge])
+    tri, i = triangles[t0], tri_edges[t0].index(start_edge)
+    below = key[tri[i]] <= level
+    if below == (key[tri[i - 2]] <= level):
+        raise OpenCycle("triangle %d has %d other crossed edges"
+                        % (t0, 2 * (below != (key[tri[i - 1]] <= level))))
+    e, out = start_edge, []
     while True:
-        x = other_crossed(t, e)
+        te, tri = tri_edges[t], triangles[t]
+        i = te.index(e)     # edge i - 2 is edge i + 1
+        x = te[i - 2] if ((key[tri[i - 1]] <= level)
+                          == (key[tri[i]] <= level)) else te[i - 1]
         out.append((t, e, x))
-        ta, tb = surface.edge_tris[x]
+        ta, tb = edge_tris[x]
         e, t = x, (tb if ta == t else ta)
-        if (e, t) == (start_edge, t0):
+        if e == start_edge and t == t0:
             return out
 
 
@@ -502,19 +509,9 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         else:
             close_arc(c1, vid, v)
             tracker.splice(c1, dead, born)
-
-            def crossed_above(eid: int, _rv=rv) -> bool:
-                a, b = surface.edges[eid]
-                ra, rb = rank[a], rank[b]
-                return ra <= _rv < rb if ra < rb else rb <= _rv < ra
-
-            rep1 = star[upper[0]]
-            rep2 = star[upper[1]]
-            side_a: set[int] = set()
-            for _, entry, exit_ in _trace(surface, crossed_above, rep1):
-                side_a.add(entry)
-                side_a.add(exit_)
-            if rep2 in side_a or not side_a <= tracker.members[c1]:
+            # the crossings close up, so their exits are every edge crossed
+            side_a = {x for _, _, x in _trace(surface, rank, rv, star[upper[0]])}
+            if star[upper[1]] in side_a or not side_a <= tracker.members[c1]:
                 raise ContourSweepFailed(
                     "level cycle failed to split at vertex %d" % v)
             tracker.members[c1] -= side_a
@@ -552,14 +549,8 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         rep = arc["rep"] if k == 0 else pick_rep(
             [e for u, e in zip(links[w], stars[w]) if rank[u] > rank[w]],
             values[w])
-
-        def crossed(eid: int, _t=t) -> bool:
-            x, y = surface.edges[eid]
-            vx, vy = values[x], values[y]
-            return min(vx, vy) < _t < max(vx, vy)
-
         witness = _cycle_from_crossings(surface, t,
-                                        _trace(surface, crossed, rep))
+                                        _trace(surface, values, t, rep))
         edges.append(ReebEdge("e%d" % i, arc["lower_vid"], arc["upper_vid"],
                               EdgeLabel.INESSENTIAL, witness=witness))
 
@@ -587,6 +578,8 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
             va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):
                 raise BadWitness("edge %r is not crossed at level %r" % (pair, level))
+        if not 0 <= t < surface.n_triangles:
+            raise BadWitness("cycle references missing triangle %r" % t)
         te = set(surface._tri_edges[t])
         if not {surface.edge_index[entry], surface.edge_index[exit_]} <= te:
             raise BadWitness("triangle %d does not contain both crossing edges" % t)

@@ -276,6 +276,20 @@ def noisy_torus(seed: int = 3, amplitude: float = 0.05):
                                       for v in field.values))
 
 
+def quantized_field(field: ScalarField, levels: int) -> ScalarField:
+    """``field`` rounded onto ``levels`` evenly spaced values 0, 1, ...:
+    flat regions and many ties."""
+    lo, hi = min(field.values), max(field.values)
+    step = (hi - lo) / (levels - 1)
+    return ScalarField(tuple(float(round((v - lo) / step)) for v in field.values))
+
+
+def random_level_field(n_vertices: int, levels: int, seed: int) -> ScalarField:
+    """A seeded field whose values are drawn from 0, 1, ..., ``levels - 1``."""
+    rng = random.Random(seed)
+    return ScalarField(tuple(float(rng.randrange(levels)) for _ in range(n_vertices)))
+
+
 def pillow():
     """Two triangles on the same three vertices: a sphere whose vertex
     links have length two."""

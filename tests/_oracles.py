@@ -1,9 +1,9 @@
 """Independent test oracles, deliberately written with different machinery
 than the production code: explicit named cells and BFS for cutting a
 surface, direct level-set component counting, the lower-link rule and
-contour tracing applied on their own, the witness level picked from
-the full list of gaps, an assignment sweep that rescans
-everything every round, the consistency checker that rescans every edge
+contour tracing that lists each triangle's crossed edges, the witness
+level picked from the full list of gaps, an assignment sweep that
+rescans everything every round, the consistency checker that rescans every edge
 at every gap, the sweep as separate steps over frozen assignments,
 which rescans the graph in each of them, and the validator as one pass
 per rule group through the graph's lookup methods."""
@@ -37,6 +37,7 @@ from reebound.errors import (
     NonConsecutiveFrontier,
     NoLowerBoundary,
     NothingToAssign,
+    OpenCycle,
     UnassignedFrontier,
 )
 from reebound.graph import (
@@ -63,7 +64,6 @@ from reebound.mesh import (
     TriangulatedSurface,
     _check_pair,
     _cycle_from_crossings,
-    _trace,
 )
 
 
@@ -236,6 +236,49 @@ def naive_pick_witness_level(a: float, b: float, fraction: float,
                           % (a, b))
 
 
+def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int):
+    """Walk one contour; ``crossed(eid)`` decides which edges it meets.
+
+    Each step lists the other crossed edges of the triangle and demands
+    exactly one, where ``reebound.mesh._trace`` makes one comparison.
+    Returns the crossings as (triangle, entry eid, exit eid), starting at
+    ``start_edge`` through its lower-numbered triangle.
+    """
+    def other_crossed(tri: int, eid: int) -> int:
+        hits = [x for x in surface._tri_edges[tri] if x != eid and crossed(x)]
+        if len(hits) != 1:
+            raise OpenCycle("triangle %d has %d other crossed edges"
+                            % (tri, len(hits)))
+        return hits[0]
+
+    t0 = min(surface.edge_tris[start_edge])
+    out = []
+    e, t = start_edge, t0
+    while True:
+        x = other_crossed(t, e)
+        out.append((t, e, x))
+        ta, tb = surface.edge_tris[x]
+        e, t = x, (tb if ta == t else ta)
+        if (e, t) == (start_edge, t0):
+            return out
+
+
+def value_crossed(surface: TriangulatedSurface, values, level: float):
+    """The witness predicate: ``level`` strictly inside the edge's span."""
+    def crossed(eid: int) -> bool:
+        va, vb = (values[x] for x in surface.edges[eid])
+        return min(va, vb) < level < max(va, vb)
+    return crossed
+
+
+def rank_crossed(surface: TriangulatedSurface, rank, rv: int):
+    """The split predicate: exactly one end of the edge ranked ``<= rv``."""
+    def crossed(eid: int) -> bool:
+        ra, rb = (rank[x] for x in surface.edges[eid])
+        return ra <= rv < rb if ra < rb else rb <= rv < ra
+    return crossed
+
+
 def level_cycles(surface: TriangulatedSurface, field: ScalarField,
                  level: float) -> list[LevelCycle]:
     """All contours of the level set at a non-vertex level."""
@@ -243,18 +286,14 @@ def level_cycles(surface: TriangulatedSurface, field: ScalarField,
     if level in set(field.values):
         raise ValueError("level %r hits a vertex value; pick another" % level)
 
-    def crossed(eid: int) -> bool:
-        a, b = surface.edges[eid]
-        va, vb = field.values[a], field.values[b]
-        return min(va, vb) < level < max(va, vb)
-
+    crossed = value_crossed(surface, field.values, level)
     todo = sorted(eid for eid in range(surface.n_edges) if crossed(eid))
     seen: set[int] = set()
     out: list[LevelCycle] = []
     for eid in todo:
         if eid in seen:
             continue
-        crossings = _trace(surface, crossed, eid)
+        crossings = naive_trace(surface, crossed, eid)
         for _, e1, e2 in crossings:
             seen.add(e1)
             seen.add(e2)

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import sys
+from collections import Counter
 from math import inf, isinf, nextafter
 
 import pytest
@@ -18,6 +19,7 @@ from reebound import (
     VertexKind,
     build_reeb,
     graph_dumps,
+    graph_loads,
     label_reeb,
     restrict,
     validate,
@@ -35,7 +37,7 @@ from reebound.errors import (
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex
 from reebound.mesh import (LevelCycle, _pick_witness_level, _run_starts,
-                            _turns)
+                            _trace, _turns)
 
 from _fixtures import (
     ISOLATED_VERTEX_OFF,
@@ -50,11 +52,13 @@ from _fixtures import (
     off_text,
     pillow,
     pinched_torus,
+    quantized_field,
+    random_level_field,
     vertical_torus,
 )
 from _oracles import (_lower_arcs, count_level_components, level_cycles,
                       naive_is_inessential, naive_pick_witness_level,
-                      pl_criticality)
+                      naive_trace, pl_criticality, rank_crossed, value_crossed)
 
 #: deterministic Hypothesis runs, like the CLI contract fuzzers
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -480,17 +484,30 @@ class TestLabelsFromTopology:
             label_reeb(s, f, g)
 
 
-def torus_with_moved_witness(level):
+def torus_with_edited_witness(edit):
     """The vertical torus, its field, and its Reeb graph with the witness
-    of e1 moved to ``level`` (crossings unchanged)."""
+    of e1 replaced by ``edit(witness)``."""
     s, f = vertical_torus()
     g = build_reeb(s, f)
-    edges = tuple(
-        ReebEdge(e.id, e.lower, e.upper, e.label,
-                 witness=LevelCycle(level, e.witness.crossings))
-        if e.id == "e1" else e
-        for e in g.edges)
+    edges = tuple(e._replace(witness=edit(e.witness)) if e.id == "e1" else e
+                  for e in g.edges)
     return s, f, ReebGraph(g.vertices, edges, g.lo, g.hi)
+
+
+def torus_with_moved_witness(level):
+    """The torus with the witness of e1 moved to ``level`` (crossings
+    unchanged)."""
+    return torus_with_edited_witness(lambda w: LevelCycle(level, w.crossings))
+
+
+def torus_with_shifted_triangles(shift, first_only=False):
+    """The torus with ``shift`` added to the triangle ids of e1's witness,
+    at its first crossing only or at all of them."""
+    def edit(w):
+        return LevelCycle(w.level, tuple(
+            (t + shift, a, b) if i == 0 or not first_only else (t, a, b)
+            for i, (t, a, b) in enumerate(w.crossings)))
+    return torus_with_edited_witness(edit)
 
 
 class TestCutAlong:
@@ -512,6 +529,18 @@ class TestCutAlong:
         with pytest.raises(BadWitness) as info:
             label_reeb(*torus_with_moved_witness(0.99))
         assert isinstance(info.value, ValueError)
+
+    # shifted by -576 every id still indexes the torus's 576 triangles
+    # from the end, and the witness must not pass for that
+    @pytest.mark.parametrize("shift, first_only", [(-576, False), (10 ** 6, True)],
+                             ids=["all-below-zero", "first-past-the-end"])
+    def test_missing_triangle_rejected(self, shift, first_only):
+        s, f, g = torus_with_shifted_triangles(shift, first_only)
+        first = g.edge("e1").witness.crossings[0][0]
+        for graph in (g, graph_loads(graph_dumps(g))):
+            with pytest.raises(BadWitness) as info:
+                label_reeb(s, f, graph)
+            assert str(info.value) == "cycle references missing triangle %d" % first
 
     def test_level_cycles_rejects_vertex_level(self):
         s, f = octa_sphere()
@@ -621,6 +650,8 @@ class TestPinnedOutput:
          NotAManifold, "link of vertex 0 is not a single cycle"),
         (lambda: label_reeb(*torus_with_moved_witness(0.99)),
          BadWitness, "edge (0, 13) is not crossed at level 0.99"),
+        (lambda: label_reeb(*torus_with_shifted_triangles(10 ** 6, True)),
+         BadWitness, "cycle references missing triangle 1000000"),
         (lambda: TriangulatedSurface.from_off_text(
             "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 0\n"),
          MalformedMesh, "degenerate triangle (0, 1, 0)"),
@@ -677,9 +708,9 @@ class TestPinnedOutput:
         (lambda: ScalarField.from_text("inf\n0.5 x\n"),
          ParseError, "bad scalar value 'x'"),
     ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
-            "witness-not-crossed", "degenerate", "missing-vertex",
-            "no-triangles", "three-owners", "bad-header", "ends-early",
-            "quad-face", "bad-token", "bad-scalar", "ends-early-edge-count",
+            "witness-not-crossed", "witness-missing-triangle", "degenerate",
+            "missing-vertex", "no-triangles", "three-owners", "bad-header",
+            "ends-early", "quad-face", "bad-token", "bad-scalar", "ends-early-edge-count",
             "ends-early-face-size", "ends-early-vertex-index",
             "ends-early-mid-line", "bad-token-before-end", "float-face-size",
             "float-vertex-index", "negative-vertex-count",
@@ -695,3 +726,46 @@ class TestPinnedOutput:
         s, _ = chained_tori(2)
         s2 = TriangulatedSurface.from_off_text(off_text(s) + "3 x 1.5\nOFF\n")
         assert (s2.n_vertices, s2.triangles) == (s.n_vertices, s.triangles)
+
+
+def _walk_or_message(walk, *args):
+    try:
+        return walk(*args)
+    except OpenCycle as exc:
+        return str(exc)
+
+
+class TestContourWalk:
+    def test_walk_matches_predicate_oracle(self):
+        # every crossed start edge and a sample of uncrossed ones, at value
+        # gap midpoints and rank thresholds, on each pinned mesh with its
+        # own field, that field quantized to thirds, and random levels
+        rng = random.Random(16)
+        refused = Counter()
+        for make in (*PINNED_MESHES.values(), monkey_bipyramid):
+            s, own = make()
+            for field in (own, quantized_field(own, 4),
+                          random_level_field(s.n_vertices, 3, rng.random())):
+                values = field.values
+                order = sorted(range(s.n_vertices), key=field.key)
+                rank = [0] * s.n_vertices
+                for i, v in enumerate(order):
+                    rank[v] = i
+                # a gap between adjacent floats has no level strictly inside
+                gaps = [(x + y) / 2 for x, y in itertools.pairwise(sorted(set(values)))
+                        if x < (x + y) / 2 < y]
+                cases = [(values, t, value_crossed(s, values, t))
+                         for t in rng.sample(gaps, min(3, len(gaps)))]
+                cases += [(rank, rv, rank_crossed(s, rank, rv))
+                          for rv in rng.sample(range(s.n_vertices - 1),
+                                               min(3, s.n_vertices - 1))]
+                for key, level, crossed in cases:
+                    hit = [e for e in range(s.n_edges) if crossed(e)]
+                    miss = [e for e in range(s.n_edges) if not crossed(e)]
+                    for e in hit + rng.sample(miss, min(len(miss), 40)):
+                        want = _walk_or_message(naive_trace, s, crossed, e)
+                        assert _walk_or_message(_trace, s, key, level, e) == want
+                        if isinstance(want, str):
+                            refused[want.split()[3]] += 1
+        # an uncrossed start edge meets zero or two other crossed edges
+        assert set(refused) == {"0", "2"}
