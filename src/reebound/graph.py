@@ -399,19 +399,14 @@ def essential_subgraph(g: ReebGraph, *,
 # -- JSON wire format ---------------------------------------------------------
 
 def _witness_payload(witness: Any) -> Any:
-    if witness is None:
-        return None
-    if isinstance(witness, dict):
-        return witness
     to_payload = getattr(witness, "to_payload", None)
-    if callable(to_payload):
-        return to_payload()
-    raise TypeError("witness %r is not serializable" % (witness,))
+    return witness if to_payload is None else to_payload()
 
 
 def graph_to_dict(g: ReebGraph) -> dict:
-    """The JSON form of ``g``.  A dict witness is kept as it is; a
-    LevelCycle witness gives its crossings as the stored tuples."""
+    """The JSON form of ``g``.  A LevelCycle witness gives its crossings
+    as the stored tuples; any other witness, such as one read from JSON,
+    is kept as it is."""
     out: dict[str, Any] = {
         "lo": g.lo,
         "hi": g.hi,

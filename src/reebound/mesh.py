@@ -74,7 +74,8 @@ class LevelCycle:
                 (int(t), (int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
                 for t, a, b in data["crossings"])
             return cls(float(data["level"]), crossings)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError,
+                OverflowError) as exc:
             raise ParseError("bad level-cycle payload: %s" % exc) from None
 
 
@@ -296,41 +297,6 @@ def _run_starts(flags: list[bool]) -> list[int]:
             if flags[i % n] and not flags[i % n - 1]]
 
 
-class _ContourTracker:
-    """Level-set components during the sweep, as explicit edge sets."""
-
-    def __init__(self):
-        self.owner: dict[int, int] = {}
-        self.members: dict[int, set[int]] = {}
-        self._next = 0
-
-    def new(self, edges: set[int]) -> int:
-        cid = self._next
-        self._next += 1
-        self.members[cid] = set(edges)
-        for e in edges:
-            self.owner[e] = cid
-        return cid
-
-    def drop(self, cid: int) -> None:
-        for e in self.members.pop(cid):
-            del self.owner[e]
-
-    def splice(self, cid: int, dead: list[int], born: list[int]) -> None:
-        m, owner = self.members[cid], self.owner
-        m.difference_update(dead)
-        m.update(born)
-        for e in dead:
-            del owner[e]
-        for e in born:
-            owner[e] = cid
-
-    def absorb(self, keep: int, gone: int) -> None:
-        for e in self.members[gone]:
-            self.owner[e] = keep
-        self.members[keep] |= self.members.pop(gone)
-
-
 def _trace(surface: TriangulatedSurface, key, level, start_edge: int):
     """Walk one contour of ``key`` at ``level`` by the module's rule.
 
@@ -432,11 +398,13 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     for i, v in enumerate(order):
         rank[v] = i
 
-    tracker = _ContourTracker()
-    owner = tracker.owner
+    # A live contour is [its crossed edges, the arc it grows].  An arc is
+    # [segments, rep, upper]: the vertices its class passed, the lower end
+    # first; the rep picked at that first one; the upper end, None while
+    # the arc grows.
+    owner: dict[int, list] = {}     # crossed edge -> its contour
     vertices: list[ReebVertex] = []
-    arcs: list[dict] = []
-    arc_of: dict[int, int] = {}
+    arcs: list[list] = []
 
     def pick_rep(candidates, event_value: float) -> int:
         # A witness representative must still be crossed at value levels
@@ -449,17 +417,23 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
                          values[surface.edges[e][1]]) > event_value]
         return min(rising) if rising else min(candidates)
 
-    def open_arc(cid: int, vid: str, v: int) -> None:
-        # the vertices the class passed; only the first has its rep yet
-        arcs.append({"lower_vid": vid, "lower_val": values[v],
-                     "upper_vid": None, "upper_val": None, "segments": [v],
-                     "rep": pick_rep(tracker.members[cid], values[v])})
-        arc_of[cid] = len(arcs) - 1
+    def open_arc(contour: list, v: int) -> None:
+        contour[1] = [[v], pick_rep(contour[0], values[v]), None]
+        arcs.append(contour[1])
 
-    def close_arc(cid: int, vid: str, v: int) -> None:
-        arc = arcs[arc_of.pop(cid)]
-        arc["upper_vid"] = vid
-        arc["upper_val"] = values[v]
+    def start(edges: set[int], v: int) -> None:
+        contour = [edges, None]
+        for e in edges:
+            owner[e] = contour
+        open_arc(contour, v)
+
+    def splice(contour: list, dead: list[int], born: list[int]) -> None:
+        contour[0].difference_update(dead)
+        contour[0].update(born)
+        for e in dead:
+            del owner[e]
+        for e in born:
+            owner[e] = contour
 
     for v in order:
         rv, star = rank[v], stars[v]
@@ -467,24 +441,25 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         turns = _turns(low)
         if turns == 2:
             dead = list(compress(star, low))
-            cid = owner[dead[0]]
-            if any(owner[e] != cid for e in dead):
+            c = owner[dead[0]]
+            if any(owner[e] is not c for e in dead):
                 raise ContourSweepFailed("torn contour at regular vertex %d" % v)
-            tracker.splice(cid, dead, [e for e, x in zip(star, low) if not x])
-            arcs[arc_of[cid]]["segments"].append(v)
+            splice(c, dead, [e for e, x in zip(star, low) if not x])
+            c[1][0].append(v)
             continue
 
         vid = "v%d" % v
         if turns == 0:
             vertices.append(ReebVertex(vid, values[v], VertexKind.CENTER))
             if not low[0]:
-                open_arc(tracker.new(star), vid, v)
+                start(set(star), v)
                 continue
-            cid = owner[star[0]]
-            if tracker.members[cid] != set(star):
+            c = owner[star[0]]
+            if c[0] != set(star):
                 raise ContourSweepFailed("contour at maximum %d is not its star" % v)
-            close_arc(cid, vid, v)
-            tracker.drop(cid)
+            c[1][2] = v
+            for e in star:
+                del owner[e]
             continue
         if turns != 4:
             raise DegenerateField(
@@ -498,28 +473,27 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         born = [e for e, x in zip(star, low) if not x]
         c1 = owner[star[lower[0]]]
         c2 = owner[star[lower[1]]]
-        if c1 != c2:
-            close_arc(c1, vid, v)
-            close_arc(c2, vid, v)
-            keep, gone = (c1, c2) if (len(tracker.members[c1])
-                                      >= len(tracker.members[c2])) else (c2, c1)
-            tracker.absorb(keep, gone)
-            tracker.splice(keep, dead, born)
-            open_arc(keep, vid, v)
+        c1[1][2] = c2[1][2] = v     # the arcs below end here
+        if c1 is not c2:
+            keep, gone = (c1, c2) if len(c1[0]) >= len(c2[0]) else (c2, c1)
+            for e in gone[0]:
+                owner[e] = keep
+            keep[0] |= gone[0]
+            splice(keep, dead, born)
+            open_arc(keep, v)
         else:
-            close_arc(c1, vid, v)
-            tracker.splice(c1, dead, born)
+            splice(c1, dead, born)
             # the crossings close up, so their exits are every edge crossed
             side_a = {x for _, _, x in _trace(surface, rank, rv, star[upper[0]])}
-            if star[upper[1]] in side_a or not side_a <= tracker.members[c1]:
+            if star[upper[1]] in side_a or not side_a <= c1[0]:
                 raise ContourSweepFailed(
                     "level cycle failed to split at vertex %d" % v)
-            tracker.members[c1] -= side_a
-            cid_a = tracker.new(side_a)
-            open_arc(cid_a, vid, v)
-            open_arc(c1, vid, v)
+            c1[0] -= side_a
+            start(side_a, v)
+            open_arc(c1, v)
 
-    if tracker.members:
+    # every live contour owns an edge, so none is left when none is owned
+    if owner:
         raise ContourSweepFailed("sweep finished with live contours")
     crit_values = sorted(x.level for x in vertices)
     for x, y in zip(crit_values, crit_values[1:]):
@@ -539,19 +513,19 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     lo = max(min(lo_val - pad, nextafter(lo_val, -inf)), -big)
     hi = min(max(hi_val + pad, nextafter(hi_val, inf)), big)
     edges: list[ReebEdge] = []
-    for i, arc in enumerate(arcs):
-        a, b = arc["lower_val"], arc["upper_val"]
-        t = _pick_witness_level(a, b, witness_fraction, sorted_values)
+    for i, (segments, rep, top) in enumerate(arcs):
+        t = _pick_witness_level(values[segments[0]], values[top],
+                                witness_fraction, sorted_values)
         # the last segment below t; the first, at a < t, always qualifies
-        segments = arc["segments"]
+        # and is the only one whose rep the sweep picked
         k = bisect_left(segments, t, key=values.__getitem__) - 1
-        w = segments[k]
-        rep = arc["rep"] if k == 0 else pick_rep(
-            [e for u, e in zip(links[w], stars[w]) if rank[u] > rank[w]],
-            values[w])
+        if k:
+            w = segments[k]
+            rep = pick_rep([e for u, e in zip(links[w], stars[w])
+                            if rank[u] > rank[w]], values[w])
         witness = _cycle_from_crossings(surface, t,
                                         _trace(surface, values, t, rep))
-        edges.append(ReebEdge("e%d" % i, arc["lower_vid"], arc["upper_vid"],
+        edges.append(ReebEdge("e%d" % i, "v%d" % segments[0], "v%d" % top,
                               EdgeLabel.INESSENTIAL, witness=witness))
 
     meta = {"builder": {"witness_fraction": witness_fraction,
@@ -587,56 +561,44 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
         raise BadWitness("cycle visits a triangle twice")
 
 
-def _disk_edges(g: ReebGraph, genus: int) -> set[str]:
+def _disk_edges(g: ReebGraph) -> set[str]:
     """Ids of the edges whose level curves bound a disk.
 
-    One iterative depth-first search over ``g.incident``, keyed by edge id
-    so that parallel edges are never taken for bridges, computes low-links
-    and, per subtree, its vertex count and the number of edges charged to
-    it (tree edges at their parent end, back edges at their deeper end).
-    A bridge's curve separates the surface; the side below child ``c`` has
-    genus ``rank_c = E_sub(c) - V_sub(c) + 1``, the other ``genus -
-    rank_c``, and a side of genus 0 is a disk.  Non-bridges never
-    separate.  Raises ReebTopologyMismatch if ``g`` is not connected.
+    Such an edge hangs off the rest of ``g`` in a tree: repeatedly
+    removing a vertex of valency one, with its last edge, removes exactly
+    those edges, in O(V + E).  A loop adds 2 to its vertex's valency, so
+    every cycle survives, and a tree is removed whole.  Raises
+    ReebTopologyMismatch if ``g`` has no vertices or is not connected.
     """
     if not g.vertices:
         raise ReebTopologyMismatch("Reeb graph has no vertices")
-    root = g.vertices[0].id
-    disc, low, size, charged = {root: 0}, {root: 0}, {root: 1}, {root: 0}
-    used: set[str] = set()
-    # (vertex, its parent, the tree edge to it, its unexplored incidences)
-    stack = [(root, None, None, iter(g.incident(root)))]
-    out: set[str] = set()
+    seen, stack = {g.vertices[0].id}, [g.vertices[0].id]
     while stack:
-        v, p, up, todo = stack[-1]
-        for k in todo:
-            if k in used:
-                continue
-            used.add(k)
-            charged[v] += 1
+        for k in g.incident(stack.pop()):
             e = g.edge(k)
-            u = e.upper if e.lower == v else e.lower
-            if u not in disc:
-                disc[u] = low[u] = len(disc)
-                size[u], charged[u] = 1, 0
-                stack.append((u, v, k, iter(g.incident(u))))
-                break
-            low[v] = min(low[v], disc[u])
-        else:
-            stack.pop()
-            if p is None:
-                continue
-            low[p] = min(low[p], low[v])
-            size[p] += size[v]
-            charged[p] += charged[v]
-            if low[v] > disc[p]:
-                rank = charged[v] - size[v] + 1
-                if rank == 0 or rank == genus:
-                    out.add(up)
-    if len(disc) != len(g.vertices):
+            for u in (e.lower, e.upper):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    if len(seen) != len(g.vertices):
         raise ReebTopologyMismatch(
             "Reeb graph is not connected: %d of %d vertices reachable"
-            % (len(disc), len(g.vertices)))
+            % (len(seen), len(g.vertices)))
+    valency = {v: len(g.incident(v)) for v in seen}
+    leaves = [v for v, n in valency.items() if n == 1]
+    out: set[str] = set()
+    while leaves:
+        v = leaves.pop()
+        if valency[v] != 1:     # its last edge went from the other end
+            continue
+        k = next(k for k in g.incident(v) if k not in out)
+        out.add(k)
+        e = g.edge(k)
+        u = e.upper if e.lower == v else e.lower
+        valency[v] = 0
+        valency[u] -= 1
+        if valency[u] == 1:
+            leaves.append(u)
     return out
 
 
@@ -648,8 +610,8 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
     parsed, a closed cycle at its level).  Then, because the cycle rank
     of a connected Reeb graph on a closed orientable surface equals the
     genus, an edge is inessential iff it is a bridge and one of its two
-    sides has cycle rank 0; one bridge pass decides every edge in
-    O(V + E).  Raises ReebTopologyMismatch when ``g`` is disconnected or
+    sides has cycle rank 0, that is, iff it hangs off the rest of ``g``
+    in a tree.  Raises ReebTopologyMismatch when ``g`` is disconnected or
     its cycle rank is not the surface's genus.
     """
     _check_pair(surface, field)
@@ -658,7 +620,7 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
         w = e.witness
         if w is None:
             raise MissingWitness("edge %s has no witness cycle" % e.id)
-        if isinstance(w, dict):
+        if not isinstance(w, LevelCycle):
             w = LevelCycle.from_payload(w)
         _check_cycle(surface, field, w)
         witnesses.append(w)
@@ -668,7 +630,7 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
         raise ReebTopologyMismatch(
             "Reeb graph has cycle rank %d but the surface has genus %d"
             % (rank, (2 - chi) // 2))
-    disk = _disk_edges(g, rank)
+    disk = _disk_edges(g)
     edges = tuple(
         e._replace(label=EdgeLabel.INESSENTIAL if e.id in disk else EdgeLabel.ESSENTIAL,
                    witness=w)

@@ -3,7 +3,8 @@ than the production code: explicit named cells and BFS for cutting a
 surface, direct level-set component counting, the lower-link rule and
 contour tracing that lists each triangle's crossed edges, the witness
 level picked from the full list of gaps, an assignment sweep that
-rescans everything every round, the consistency checker that rescans every edge
+rescans everything every round, disk edges found by deleting each edge in
+turn and searching both sides, the consistency checker that rescans every edge
 at every gap, the sweep as separate steps over frozen assignments,
 which rescans the graph in each of them, and the validator as one pass
 per rule group through the graph's lookup methods."""
@@ -38,6 +39,7 @@ from reebound.errors import (
     NoLowerBoundary,
     NothingToAssign,
     OpenCycle,
+    ReebTopologyMismatch,
     UnassignedFrontier,
 )
 from reebound.graph import (
@@ -405,6 +407,49 @@ def _tri_pairs(surface, t):
 
 def naive_is_inessential(surface, field, cycle) -> bool:
     return any(chi == 1 for chi, _ in naive_cut_euler(surface, field, cycle))
+
+
+def _reached(edges, start: str) -> set[str]:
+    """Vertices reached from ``start`` over ``edges``, (lower, upper) pairs."""
+    seen, queue = {start}, deque([start])
+    while queue:
+        v = queue.popleft()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return seen
+
+
+def naive_disk_edges(g: ReebGraph) -> set[str]:
+    """Ids of the edges of ``g`` with a tree on one side, edge by edge.
+
+    Each edge is deleted in turn and its lower end searched from; the
+    edge is a bridge when its upper end is not reached, and a disk edge
+    when one of the two sides has one edge fewer than vertices (cycle
+    rank 0).  Raises ReebTopologyMismatch with the package's texts when
+    ``g`` has no vertices or is not connected from its first vertex.
+    """
+    if not g.vertices:
+        raise ReebTopologyMismatch("Reeb graph has no vertices")
+    pairs = {e.id: (e.lower, e.upper) for e in g.edges}
+    reach = _reached(pairs.values(), g.vertices[0].id)
+    if len(reach) != len(g.vertices):
+        raise ReebTopologyMismatch(
+            "Reeb graph is not connected: %d of %d vertices reachable"
+            % (len(reach), len(g.vertices)))
+    out = set()
+    for eid, (a, b) in pairs.items():
+        rest = [p for k, p in pairs.items() if k != eid]
+        side = _reached(rest, a)
+        if b in side:
+            continue
+        for vs in (side, reach - side):
+            n_edges = sum(x in vs and y in vs for x, y in rest)
+            if n_edges == len(vs) - 1:
+                out.add(eid)
+    return out
 
 
 def count_level_components(surface, field, level) -> int:

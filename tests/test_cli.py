@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -118,6 +119,41 @@ class TestAssign:
         code, _, err = run_main(capsys, "assign", str(path))
         assert code == 3
         assert json.loads(err)["error"] == "MalformedGraph"
+
+
+class TestGraphErrorPaths:
+    """Messages of the graph loader and of restrict, through the CLI."""
+
+    @pytest.mark.parametrize("edit, window, code, error, message", [
+        (lambda d: d.update(lo=1.0, hi=0.0), (), 3, "MalformedGraph",
+         "window lo must be below hi"),
+        (lambda d: d["edges"].append(d["edges"][0]), (), 3, "MalformedGraph",
+         "duplicate edge id 'e0'"),
+        # inside the graph's window, but above its only edge, which the
+        # edit ends at 0.5
+        (lambda d: d["vertices"][1].update(level=0.5), ("0.6", "0.9"), 2,
+         "EmptyWindow", "no edge meets (0.6, 0.9)"),
+    ], ids=["window-order", "duplicate-edge", "window-between-edges"])
+    def test_message_and_exit_code(self, capsys, tmp_path, edit, window,
+                                   code, error, message):
+        data = json.loads(graph_dumps(single_edge_graph()))
+        edit(data)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        argv = ["assign", str(path)] + (["--window", *window] if window else [])
+        got, out, err = run_main(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert json.loads(err) == {"error": error, "message": message}
+
+    def test_stdin_matches_file(self, capsys, monkeypatch, tmp_path):
+        text = graph_dumps(theta_graph())
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        from_file = run_main(capsys, "assign", str(path), "--trace")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run_main(capsys, "assign", "-", "--trace") == from_file
+        assert from_file[0] == 0
 
 
 class TestValidate:

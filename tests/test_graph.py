@@ -185,6 +185,16 @@ class TestRestrict:
         with pytest.raises(NonGenericCut):
             restrict(torus_reeb_by_hand(), 0.4, 0.9)
 
+    def test_window_between_edges_message_pinned(self):
+        # inside the graph's window, but above its only edge
+        g = ReebGraph(
+            (ReebVertex("b0", 0.0, VertexKind.BOUNDARY_MINUS),
+             ReebVertex("t0", 0.5, VertexKind.BOUNDARY_PLUS)),
+            (ReebEdge("e0", "b0", "t0", EdgeLabel.ESSENTIAL),), 0.0, 1.0)
+        with pytest.raises(EmptyWindow) as info:
+            restrict(g, 0.6, 0.9)
+        assert str(info.value) == "no edge meets (0.6, 0.9)"
+
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindow):
             restrict(torus_reeb_by_hand(), 2.0, 3.0)
@@ -353,6 +363,31 @@ class TestJson:
             graph_loads(json.dumps(data))
         assert str(info.value) == ("level of vertex b0 must be a finite "
                                    "number, got %s" % shown)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+    def test_window_order_message_pinned(self, lo, hi):
+        data = graph_to_dict(single_edge_graph())
+        data["lo"], data["hi"] = lo, hi
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == "window lo must be below hi"
+
+    def test_duplicate_edge_message_pinned(self):
+        data = graph_to_dict(theta_graph())
+        data["edges"][1]["id"] = data["edges"][0]["id"]
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == "duplicate edge id 'e_a'"
+
+    @pytest.mark.parametrize("witness", [[1, 2], "x", 3, {"level": 0.5}],
+                             ids=["list", "string", "number", "object"])
+    def test_json_witness_round_trips(self, witness):
+        data = graph_to_dict(theta_graph())
+        data["edges"][2]["witness"] = witness
+        text = json.dumps(data, separators=(",", ":"))
+        g = graph_loads(text)
+        assert g.edges[2].witness == witness
+        assert graph_dumps(g) == text
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), saddles=st.integers(0, 30))

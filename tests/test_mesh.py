@@ -36,8 +36,8 @@ from reebound.errors import (
     ReebTopologyMismatch,
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex
-from reebound.mesh import (LevelCycle, _pick_witness_level, _run_starts,
-                            _trace, _turns)
+from reebound.mesh import (LevelCycle, _disk_edges, _pick_witness_level,
+                            _run_starts, _trace, _turns)
 
 from _fixtures import (
     ISOLATED_VERTEX_OFF,
@@ -57,8 +57,9 @@ from _fixtures import (
     vertical_torus,
 )
 from _oracles import (_lower_arcs, count_level_components, level_cycles,
-                      naive_is_inessential, naive_pick_witness_level,
-                      naive_trace, pl_criticality, rank_crossed, value_crossed)
+                      naive_disk_edges, naive_is_inessential,
+                      naive_pick_witness_level, naive_trace, pl_criticality,
+                      rank_crossed, value_crossed)
 
 #: deterministic Hypothesis runs, like the CLI contract fuzzers
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -442,6 +443,34 @@ class TestWitnessLevel:
                                 values)
 
 
+@st.composite
+def small_multigraphs(draw):
+    """Up to 9 vertices on 5 levels, optionally joined by a random tree,
+    plus up to 12 more edges between any two of them: loops, parallel and
+    backward edges, isolated vertices and disconnected graphs all occur."""
+    n = draw(st.integers(0, 9))
+    levels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pairs = []
+    if n and draw(st.booleans()):
+        pairs += [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    if n:
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=12))
+    return ReebGraph(
+        tuple(ReebVertex("v%d" % i, float(x), VertexKind.SADDLE)
+              for i, x in enumerate(levels)),
+        tuple(ReebEdge("e%d" % j, "v%d" % a, "v%d" % b, EdgeLabel.ESSENTIAL)
+              for j, (a, b) in enumerate(pairs)),
+        -1.0, 5.0)
+
+
+def _disk_outcome(disk_edges, g):
+    try:
+        return disk_edges(g)
+    except ReebTopologyMismatch as exc:
+        return str(exc)
+
+
 class TestLabelsFromTopology:
     @pytest.mark.parametrize("frac", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("fixture", [
@@ -454,6 +483,25 @@ class TestLabelsFromTopology:
         for e in g.edges:
             assert (e.label is EdgeLabel.INESSENTIAL) \
                 == naive_is_inessential(s, f, e.witness), e.id
+
+    @FUZZ
+    @given(small_multigraphs())
+    def test_disk_edges_match_naive(self, g):
+        assert _disk_outcome(_disk_edges, g) \
+            == _disk_outcome(naive_disk_edges, g)
+
+    @pytest.mark.parametrize("witness", [
+        [1, 2], "x", 3,
+        {"level": 0.5, "crossings": [[float("inf"), [0, 13], [0, 12]]]}],
+        ids=["list", "string", "number", "infinite-triangle"])
+    def test_foreign_witness_is_a_parse_error(self, witness):
+        s, f, g = torus_with_edited_witness(lambda w: witness)
+        for graph in (g, graph_loads(graph_dumps(g))):
+            with pytest.raises(ParseError) as info:
+                label_reeb(s, f, graph)
+            assert type(info.value) is ParseError
+            # the rest is the interpreter's own text
+            assert str(info.value).startswith("bad level-cycle payload: ")
 
     def test_rank_below_genus_rejected(self):
         s, f = vertical_torus()
@@ -707,6 +755,28 @@ class TestPinnedOutput:
          DegenerateField, "non-finite value nan at vertex 0"),
         (lambda: ScalarField.from_text("inf\n0.5 x\n"),
          ParseError, "bad scalar value 'x'"),
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: LevelCycle(w.level, ()))),
+         OpenCycle, "empty cycle"),
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: LevelCycle(w.level, ((0, (0, 13), (0, 13)),)
+                                 + w.crossings[1:]))),
+         BadWitness, "crossing 0 enters and exits edge (0, 13)"),
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: LevelCycle(w.level, ((0, (0, 999), (0, 12)),)
+                                 + w.crossings[1:]))),
+         BadWitness, "cycle references missing edge (0, 999)"),
+        (lambda: label_reeb(*torus_with_shifted_triangles(1, True)),
+         BadWitness, "triangle 1 does not contain both crossing edges"),
+        # the loop walked twice closes up but reuses every triangle
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: LevelCycle(w.level, w.crossings * 2))),
+         BadWitness, "cycle visits a triangle twice"),
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: {"level": w.level})),
+         ParseError, "bad level-cycle payload: 'crossings'"),
+        (lambda: label_reeb(*vertical_torus(), ReebGraph((), (), 0.0, 1.0)),
+         ReebTopologyMismatch, "Reeb graph has no vertices"),
     ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
             "witness-not-crossed", "witness-missing-triangle", "degenerate",
             "missing-vertex", "no-triangles", "three-owners", "bad-header",
@@ -715,7 +785,10 @@ class TestPinnedOutput:
             "ends-early-mid-line", "bad-token-before-end", "float-face-size",
             "float-vertex-index", "negative-vertex-count",
             "huge-vertex-count", "infinite-scalar", "nan-scalar",
-            "bad-scalar-after-infinite"])
+            "bad-scalar-after-infinite", "witness-empty",
+            "witness-enters-and-exits", "witness-missing-edge",
+            "witness-wrong-triangle", "witness-triangle-twice",
+            "witness-bad-payload", "graph-without-vertices"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
             make()
