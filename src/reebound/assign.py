@@ -34,15 +34,15 @@ that value).  It reads only the assignment, its trace and the graph's
 index, in one frontier walk and one union-find over the edges, so a
 call costs O(E + G + T) for E edges, G gaps and T trace entries.  The
 checked run decides each round from state a private checker keeps
-between rounds, its own frontier walk included (never the sweep's), at
-O(log E) per write plus, per round, a comparison of the gap ranges two
-integers cover.  Unless the graph has a loop, flat or backward edge, it
-certifies exactly the rounds check_invariants passes, which thus runs
-only to report a violation.
+between rounds, its own frontier walk included (never the sweep's).
+Each write ORs the edge's gaps into a G-bit int kept per integer, at
+O(E G / 30) digit operations over a run at worst, and each round scans
+the integers written and compares two of those ints.  Unless the graph
+has a loop, flat or backward edge, it certifies exactly the rounds
+check_invariants passes, which thus runs only to report a violation.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -283,13 +283,6 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
     return ValidationReport.from_violations(out)
 
 
-def _clip(spans: tuple[list[int], list[int]], lo: int, hi: int) -> list:
-    """The disjoint gap ranges ``spans`` covers, cut to [lo, hi)."""
-    starts, stops = spans
-    i, j = bisect_right(stops, lo), bisect_left(starts, hi)
-    return [(max(s, lo), min(t, hi)) for s, t in zip(starts[i:j], stops[i:j])]
-
-
 class _Checker:
     """Decides each round of a checked run from state kept between rounds:
     ``clean`` is True exactly when check_invariants would find nothing.
@@ -298,18 +291,19 @@ class _Checker:
     integers, the next target and the graph's index, never the sweep's
     state.  Integers are never rewritten and the target's gap never
     decreases, so its state only grows or moves up: ``value`` per edge
-    written; its own frontier; ``band``, the integers on edges reaching
-    past the gap after the frontier's; ``spans``, the disjoint gap ranges
-    each integer's edges cover; a union-find over (vertex, integer) with
-    each root's lowest gap, in a lazily cleaned max-heap per integer.
+    written; its own frontier; ``live``, per integer, the gaps its edges
+    span as the bits of one int (bit k set iff such an edge spans gap
+    k); a union-find over (vertex, integer) with each root's lowest gap,
+    in a lazily cleaned max-heap per integer.
 
-    Once the frontier carries b, or b - 1 and b, and the band only those,
-    a gap from the frontier's on is a plateau iff exactly one of the two
-    is live there: a violation below the smaller reach.  Beyond it only
-    the integer that reaches further is live, and its components must
-    start at or below its first live gap.  The exceptions: a graph with
-    an edge that spans no gap (a loop, a flat or a backward edge), or a
-    trace at odds with the assignment, is never certified.
+    Once the frontier carries b, or b - 1 and b, and no other integer is
+    live at a gap past the frontier's, a gap from the frontier's on is a
+    plateau iff exactly one of the two is live there: a violation below
+    the smaller reach.  Beyond it only the integer that reaches further
+    is live, and its components must start at or below its first live
+    gap.  The exceptions: a graph with an edge that spans no gap (a loop,
+    a flat or a backward edge), or a trace at odds with the assignment,
+    is never certified.
     """
 
     def __init__(self, g: ReebGraph):
@@ -317,10 +311,8 @@ class _Checker:
         self.sound = all(self.gaps.values())
         self.value: dict[str, int] = {}
         self.front = _Frontier(g, self.value)
-        self.seen, self.cut = 0, 0
-        self.band: dict[int, int] = {}
-        self.by_stop: list[list[int]] = [[] for _ in g._events]
-        self.spans: dict[int, tuple[list[int], list[int]]] = {}
+        self.seen = 0
+        self.live: dict[int, int] = {}
         self.parent: dict[tuple[str, int], tuple[str, int]] = {}
         self.low: dict[tuple[str, int], int] = {}
         self.lows: dict[int, list[tuple[int, tuple[str, int]]]] = {}
@@ -329,33 +321,25 @@ class _Checker:
         self._read(assigned, trace)
         if not self.sound or vid is None:
             return self.sound
-        gap0, front = self.g.gap_below(vid), self.front
+        gap0, front, live = self.g.gap_below(vid), self.front, self.live
         front.advance(gap0)
-        while self.cut < gap0 + 1:
-            self.cut += 1
-            for value in self.by_stop[self.cut]:
-                self.band[value] -= 1
-                if not self.band[value]:
-                    del self.band[value]
         values = sorted(front.counts)
         if front.gap != gap0 or front.open or not _consecutive(values):
             return False
         a, b = values[-1] - 1, values[-1]
-        if any(v != a and v != b for v in self.band):
+        if any(bits.bit_length() > gap0 + 1
+               for v, bits in live.items() if v != a and v != b):
             return False
-        reach_a = self.spans[a][1][-1] if a in self.spans else 0
-        reach_b = self.spans[b][1][-1]
-        if reach_a <= gap0:
-            m, plateau = b, gap0
-        else:
-            first = min(reach_a, reach_b)
-            if _clip(self.spans[a], gap0, first) != _clip(self.spans[b], gap0, first):
-                return False
-            if reach_a == reach_b:
-                return True
-            m = a if reach_a > reach_b else b
-            starts, stops = self.spans[m]
-            plateau = max(first, starts[bisect_right(stops, first)])
+        # the gaps from gap0 on where a and b are live, as bits from 0
+        la, lb = live.get(a, 0) >> gap0, live[b] >> gap0
+        if la.bit_length() == lb.bit_length():
+            return la == lb
+        m, far, near = (a, la, lb) if la.bit_length() > lb.bit_length() else (b, lb, la)
+        first = near.bit_length()
+        if far & ((1 << first) - 1) != near:
+            return False
+        rest = far >> first     # m's first live gap from there on is a plateau
+        plateau = gap0 + first + (rest & -rest).bit_length() - 1
         # the highest lowest gap over the components of m's edges
         heap = self.lows[m]
         while (self.parent[heap[0][1]] != heap[0][1]
@@ -365,7 +349,7 @@ class _Checker:
 
     def _read(self, assigned: dict[str, int], trace) -> None:
         """Take in the integers of the trace entries not read yet."""
-        write, parent, low = self.front.write, self.parent, self.low
+        write, parent, low, live = self.front.write, self.parent, self.low, self.live
         for entry in trace[self.seen:]:
             for eid in entry.edges:
                 if not self.sound or eid in self.value or eid not in assigned:
@@ -374,16 +358,7 @@ class _Checker:
                 value = assigned[eid]
                 write(eid, value)
                 gaps = self.gaps[eid]
-                start, stop = gaps.start, gaps.stop
-                if stop > self.cut:
-                    self.band[value] = self.band.get(value, 0) + 1
-                    self.by_stop[stop].append(value)
-                # merge [start, stop) with the ranges it overlaps or touches
-                starts, stops = self.spans.setdefault(value, ([], []))
-                i, j = bisect_left(stops, start), bisect_right(starts, stop)
-                if i < j:
-                    start, stop = min(start, starts[i]), max(stop, stops[j - 1])
-                starts[i:j], stops[i:j] = [start], [stop]
+                live[value] = live.get(value, 0) | ((1 << gaps.stop) - (1 << gaps.start))
                 e = self.edges[eid]
                 r1 = _find(parent, (e.lower, value))
                 r2 = parent[r1] = _find(parent, (e.upper, value))

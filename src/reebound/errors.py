@@ -71,12 +71,16 @@ class NoUpperBoundary(ReeboundError):
 
 class ConflictingPropagation(ReeboundError):
     """Copying across a valency-two vertex would contradict an integer that
-    is already in place; the input graph is not in the supported class."""
+    is already in place.  assign_all checks each saturation for it, though
+    a full run, writing each round's one integer onto unassigned edges
+    only, cannot produce it."""
 
 
 class UnassignedFrontier(ReeboundError):
     """An edge spanning the gap just left of the active vertex has no
-    integer yet, so the frontier cannot be classified."""
+    integer yet.  assign_all never raises it: such an edge starts below
+    the step-2 vertex, so BrokenUniqueness fires first.  Only a sweep run
+    one step at a time, such as the tests' reference, does."""
 
 
 class NonConsecutiveFrontier(ReeboundError):

@@ -406,7 +406,8 @@ def _witness_payload(witness: Any) -> Any:
 def graph_to_dict(g: ReebGraph) -> dict:
     """The JSON form of ``g``.  A LevelCycle witness gives its crossings
     as the stored tuples; any other witness, such as one read from JSON,
-    is kept as it is."""
+    is kept as it is.  A JSON null reads as no witness, and no witness
+    writes no ``witness`` key."""
     out: dict[str, Any] = {
         "lo": g.lo,
         "hi": g.hi,

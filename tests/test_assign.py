@@ -39,7 +39,7 @@ from reebound.errors import (
     UnassignedFrontier,
 )
 from reebound.graph import (EdgeLabel, ReebEdge, ReebGraph, ReebVertex,
-                            VertexKind)
+                            VertexKind, Violation)
 
 from _fixtures import (
     adjacent_saddles_graph,
@@ -593,14 +593,24 @@ def _round_graph(seed, saddles):
     return essential_subgraph(g, prevalidated=True)
 
 
+def _forward(sub):
+    """``sub`` with each backward edge turned round and each loop or flat
+    edge dropped, so that every edge spans a gap."""
+    level = {v.id: v.level for v in sub.vertices}
+    return ReebGraph(sub.vertices, tuple(
+        e._replace(lower=min(e.lower, e.upper, key=level.get),
+                   upper=max(e.lower, e.upper, key=level.get))
+        for e in sub.edges if level[e.lower] != level[e.upper]), sub.lo, sub.hi)
+
+
 @st.composite
-def _any_assignment(draw, sub):
-    """Values from a narrow range on any subset of the edges, and a trace
+def _any_assignment(draw, sub, top=4):
+    """Values from 1 to ``top`` on any subset of the edges, and a trace
     that may write an edge twice or not at all."""
     if not sub.edges:
         return PartialAssignment({}, ())
     edge = st.sampled_from([e.id for e in sub.edges])
-    assigned = draw(st.dictionaries(edge, st.integers(1, 4)))
+    assigned = draw(st.dictionaries(edge, st.integers(1, top)))
     writes = draw(st.lists(st.lists(edge, max_size=3), max_size=4))
     return PartialAssignment(assigned, tuple(
         TraceEntry("step2", None, tuple(w), 1) for w in writes))
@@ -657,11 +667,26 @@ class TestCheckAgainstNaive:
     @given(data=st.data(), sub=_any_subgraph())
     def test_arbitrary_subgraphs(self, data, sub):
         # shared levels, loops, backward edges, and interior vertices at
-        # lo, whose frontier gap is -1
-        p = data.draw(_any_assignment(sub))
-        for vid in sub.interior + (None,):
-            assert (check_invariants(sub, p, vid)
-                    == naive_check_invariants(sub, p, vid))
+        # lo, whose frontier gap is -1; then the same graph turned
+        # forward, with values 1 and 2.  The incremental checker
+        # certifies only rounds check_invariants passes, and exactly
+        # those when every edge spans a gap and the trace writes each
+        # assigned edge once, as the second trace does
+        for g, top in ((sub, 4), (_forward(sub), 2)):
+            p = data.draw(_any_assignment(g, top))
+            order = data.draw(st.permutations(sorted(p.assigned)))
+            once = PartialAssignment(p.assigned, (
+                TraceEntry("step0", None, tuple(order), 1),))
+            spans = all(g.gaps(e.id) for e in g.edges)
+            for q in (p, once):
+                exact = spans and (Counter(e for t in q.trace for e in t.edges)
+                                   == Counter(q.assigned))
+                for vid in g.interior + (None,):
+                    report = check_invariants(g, q, vid)
+                    assert report == naive_check_invariants(g, q, vid)
+                    verdict = assign_mod._Checker(g).clean(q.assigned,
+                                                           q.trace, vid)
+                    assert report.ok if verdict else not (exact and report.ok)
 
 
 def _checked_outcome(sub):
@@ -774,6 +799,24 @@ class TestIncrementalChecker:
                             lambda *args: calls.append(args))
         assert assign_all(sub, check=True).assigned == assign_all(sub).assigned
         assert calls == []
+
+    def test_plateau_starts_where_the_longer_reach_resumes(self):
+        # 1 and 2 cover gaps 0-1 alike; past 1's reach 2 is live from
+        # gap 2 on, where ec's component of 2-edges starts one gap late
+        sub = _hand_built(
+            [("b0", 0.0, "-"), ("b1", 0.0, "-"), ("v", 0.1, "o"),
+             ("x", 0.2, "o"), ("y", 0.3, "o"), ("p", 0.4, "o"),
+             ("q", 0.5, "o"), ("t0", 1.0, "+"), ("t1", 1.0, "+")],
+            [("ea", "b0", "x"), ("eb", "b1", "p"), ("ec", "y", "t0"),
+             ("ev", "v", "t1")])
+        p = PartialAssignment({"ea": 1, "eb": 2, "ec": 2},
+                              (TraceEntry("step0", None, ("ea", "eb", "ec"), 1),))
+        report = check_invariants(sub, p, "v")
+        assert report == naive_check_invariants(sub, p, "v")
+        assert report.violations == (Violation(
+            "plateau-connected", ("ec",),
+            "no path through 2-edges from ec down to level 0.2"),)
+        assert not assign_mod._Checker(sub).clean(p.assigned, p.trace, "v")
 
 
 class TestTraceEntry:

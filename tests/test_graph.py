@@ -389,6 +389,18 @@ class TestJson:
         assert g.edges[2].witness == witness
         assert graph_dumps(g) == text
 
+    def test_null_witness_is_no_witness(self):
+        # ReebEdge cannot tell a JSON null from no witness, so the key is
+        # not written back
+        plain = graph_to_dict(theta_graph())
+        data = graph_to_dict(theta_graph())
+        data["edges"][2]["witness"] = None
+        g = graph_loads(json.dumps(data))
+        assert g.edges[2].witness is None
+        assert g == graph_loads(json.dumps(plain))
+        assert graph_dumps(g) == json.dumps(plain, separators=(",", ":"))
+        assert "witness" not in json.loads(graph_dumps(g))["edges"][2]
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), saddles=st.integers(0, 30))
     def test_round_trip_property(self, seed, saddles):
