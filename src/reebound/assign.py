@@ -123,8 +123,8 @@ def _consecutive(values: list[int]) -> bool:
 
 class _Frontier:
     """The edges spanning gap ``gap``, walked up from below the lowest gap:
-    ``width`` of them, ``open`` with no integer in ``values`` (edge id ->
-    integer) and ``counts[n]`` carrying n.  Later integers go in through
+    ``open`` of them with no integer in ``values`` (edge id -> integer)
+    and ``counts[n]`` carrying n.  Later integers go in through
     ``write``, counted at once if their edge spans the gap.  A loop, flat
     or backward edge spans no gap and never enters.
     """
@@ -137,7 +137,7 @@ class _Frontier:
             if gaps:
                 self.enter[gaps.start].append(eid)
                 self.leave[gaps.stop].append(eid)
-        self.gap, self.width, self.open = -1, 0, 0
+        self.gap, self.open = -1, 0
         self.counts: dict[int, int] = {}
 
     def write(self, eid: str, value: int) -> None:
@@ -152,7 +152,6 @@ class _Frontier:
         while self.gap < gap:
             self.gap += 1
             leave, enter = self.leave[self.gap], self.enter[self.gap]
-            self.width += len(enter) - len(leave)
             for eid in leave:
                 value = values.get(eid)
                 if value is None:
@@ -173,8 +172,9 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
                      vid: str | None) -> ValidationReport:
     """Re-verify the sweep's consistency conditions by direct recomputation.
 
-    ``vid`` is the next sweep target, or None when the assignment is
-    complete (then only single-assignment is checkable).  Checks:
+    ``vid`` is the next sweep target, or at the end of a checked run the
+    top vertex if it sits at hi, else None (then only single-assignment
+    is checkable).  Checks:
 
     * single-assignment: the trace never writes an edge twice;
     * frontier-class: the frontier at ``vid`` is one value or a
@@ -210,7 +210,7 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
         missing = [e for e in g.spanning(gap0) if e not in assigned]
         out.append(Violation(RULE_FRONTIER, tuple(missing),
                              "unassigned frontier edges at %s" % vid))
-    if not front.width:
+    if not (front.open or front.counts):
         out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
     elif not front.open and not _consecutive(values):
         out.append(Violation(RULE_FRONTIER, (vid,),
@@ -373,9 +373,9 @@ class _Sweep:
 
     Rounds only ever add integers, so every structure moves one way:
     ``next`` indexes the lowest interior vertex that may still have an
-    unassigned edge, ``passed`` counts the edges (by lower end) already
-    known to be assigned left of the sweep, and ``frontier``, which
-    writes every integer, walks up to the gap left of each target.
+    unassigned edge, and ``frontier``, which writes every integer, walks
+    up to the gap left of each target.  ``stray`` lists, in id order, the
+    edges whose lower end is an upper-boundary vertex.
     """
 
     def __init__(self, g: ReebGraph):
@@ -387,8 +387,13 @@ class _Sweep:
         self.valency2 = [v for v, eids in self.incident.items() if len(eids) == 2]
         self.rank = {vid: k for k, vid in enumerate(self.valency2)}
         self.next = 0
-        self.by_lower = sorted(self.gaps, key=lambda eid: self.gaps[eid].start)
-        self.passed = 0
+        # Step 0 writes every edge at a lower-boundary vertex, and
+        # next_target moves past an interior vertex, in (level, id) order,
+        # only once all its edges carry integers.  So an edge still
+        # unassigned whose lower end is below the target, or an edge left
+        # unassigned when no target is left, hangs off the upper boundary.
+        self.stray = [eid for eid, e in self.edges.items()
+                      if e.lower in g.boundary_plus]
         self.frontier = _Frontier(g, self.assigned)
 
     def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
@@ -466,17 +471,12 @@ class _Sweep:
     def check_left_of(self, target: str) -> None:
         """BrokenUniqueness unless every edge whose lower end is strictly
         below the target is assigned."""
-        index = self.g.gap_below(target) + 1
-        by_lower, assigned = self.by_lower, self.assigned
-        while (self.passed < len(by_lower)
-               and self.gaps[by_lower[self.passed]].start < index):
-            if by_lower[self.passed] not in assigned:
-                stragglers = [eid for eid in by_lower if eid not in assigned
-                              and self.gaps[eid].start < index]
-                raise BrokenUniqueness(
-                    "unassigned edges strictly left of %s: %s"
-                    % (target, ", ".join(sorted(stragglers))))
-            self.passed += 1
+        index, assigned = self.g.gap_below(target) + 1, self.assigned
+        stragglers = [eid for eid in self.stray
+                      if eid not in assigned and self.gaps[eid].start < index]
+        if stragglers:
+            raise BrokenUniqueness("unassigned edges strictly left of %s: %s"
+                                   % (target, ", ".join(stragglers)))
 
     def frontier_value(self, target: str) -> int:
         """The integer step 2 writes at the target: n+1 if the frontier
@@ -488,7 +488,7 @@ class _Sweep:
         """
         front = self.frontier
         front.advance(self.g.gap_below(target))
-        if not front.width:
+        if not (front.open or front.counts):
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
         values = sorted(front.counts)
@@ -502,7 +502,8 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
     """Run the full sweep until every edge carries an integer.
 
     With ``check=True`` the consistency conditions are verified after
-    every saturation: the incremental checker certifies the round clean,
+    every saturation, at the next target (at the end, at the top vertex
+    if it sits at hi): the incremental checker certifies the round clean,
     or check_invariants derives the report from scratch, and a report
     with violations aborts the run with InvariantViolation carrying it.
     """
@@ -512,9 +513,11 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
     checker = _Checker(g) if check else None
     seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
     sweep.run_round(STEP0, None, tuple(seeded), 1)
+    top = g.vertices[-1]    # the last round is checked at the gap below hi
+    last = top.id if top.level == g.hi else None
     while True:
         done = len(sweep.assigned) == len(g.edges)
-        target = None if done else sweep.next_target()
+        target = last if done else sweep.next_target()
         if checker is not None and not checker.clean(
                 sweep.assigned, sweep.trace, target):
             report = check_invariants(g, PartialAssignment(
@@ -524,7 +527,7 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
         if done:
             return PartialAssignment(sweep.assigned, tuple(sweep.trace))
         if target is None:
-            missing = sorted(e.id for e in g.edges if e.id not in sweep.assigned)
+            missing = [eid for eid in sweep.stray if eid not in sweep.assigned]
             raise NothingToAssign("no interior vertex meets the unassigned edges: %s"
                                   % ", ".join(missing))
         sweep.check_left_of(target)

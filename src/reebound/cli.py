@@ -47,14 +47,15 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph(path: str) -> ReebGraph:
-    return graph_loads(_read_text(path))
-
-
 def _windowed(g: ReebGraph, window) -> ReebGraph:
     if window is None:
         return g
     return restrict(g, window[0], window[1])
+
+
+def _graph(args) -> ReebGraph:
+    """The graph argument, read and restricted to --window."""
+    return _windowed(graph_loads(_read_text(args.graph)), args.window)
 
 
 def _dumps(payload: dict) -> str:
@@ -62,18 +63,18 @@ def _dumps(payload: dict) -> str:
 
 
 def _prepare(args) -> tuple:
-    """Load, window, validate, and reduce a graph for assignment."""
-    g = _windowed(_load_graph(args.graph), args.window)
+    """Load, window, validate and reduce a graph, then assign and bound."""
+    g = _graph(args)
     report = validate(g, allow_regular=args.allow_regular)
     if not report.ok:
         raise InvalidGraph(report)
     sub = essential_subgraph(g, prevalidated=True)
     p = assign_mod.assign_all(sub, check=args.check_invariants)
-    return sub, p
+    return p, assign_mod.distance_bound(sub, p)
 
 
 def _cmd_validate(args) -> int:
-    g = _windowed(_load_graph(args.graph), args.window)
+    g = _graph(args)
     report = validate(g, allow_regular=args.allow_regular,
                       check_coverage=not args.no_coverage)
     _emit(_dumps(report.to_dict()), args.output)
@@ -81,16 +82,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_assign(args) -> int:
-    sub, p = _prepare(args)
-    bound = assign_mod.distance_bound(sub, p)
+    p, bound = _prepare(args)
     payload = assign_mod.assignment_to_dict(p, bound, include_trace=args.trace)
     _emit(_dumps(payload), args.output)
     return EXIT_OK
 
 
 def _cmd_bound(args) -> int:
-    sub, p = _prepare(args)
-    bound = assign_mod.distance_bound(sub, p)
+    _, bound = _prepare(args)
     _emit(_dumps(bound.to_dict()), args.output)
     return EXIT_OK
 
@@ -115,7 +114,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    g = _windowed(_load_graph(args.graph), args.window)
+    g = _graph(args)
     assignment = None
     if args.assignment:
         try:   # the decoder raises RecursionError on too deep a nesting

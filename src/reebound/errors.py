@@ -90,12 +90,13 @@ class NonConsecutiveFrontier(ReeboundError):
 
 class NothingToAssign(ReeboundError):
     """The sweep has no step-2 target: no interior vertex meets an
-    unassigned edge."""
+    unassigned edge, so each joins two upper-boundary vertices."""
 
 
 class BrokenUniqueness(ReeboundError):
-    """An unassigned edge exists strictly left of the sweep target, which
-    valid inputs cannot produce."""
+    """An unassigned edge starts strictly left of the sweep target, at an
+    upper-boundary vertex, as the sweep has passed every interior vertex
+    below the target; valid inputs cannot produce this."""
 
 
 class IncompleteAssignment(ReeboundError):

@@ -119,13 +119,10 @@ def random_reeb(params: GenParams) -> ReebGraph:
 
     vertices: list[ReebVertex] = []
     edges: list[ReebEdge] = []
-    vertex_n = 0
     edge_n = 0
 
     def new_vertex(level: float, kind: VertexKind) -> str:
-        nonlocal vertex_n
-        vid = "v%d" % vertex_n
-        vertex_n += 1
+        vid = "v%d" % len(vertices)
         vertices.append(ReebVertex(vid, level, kind))
         return vid
 

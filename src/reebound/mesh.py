@@ -326,15 +326,11 @@ def _trace(surface: TriangulatedSurface, key, level, start_edge: int):
             return out
 
 
-def _normalize_crossings(crossings):
-    k = min(range(len(crossings)), key=lambda i: crossings[i])
-    return crossings[k:] + crossings[:k]
-
-
 def _cycle_from_crossings(surface: TriangulatedSurface, level: float,
                           crossings) -> LevelCycle:
+    k = crossings.index(min(crossings))     # start at the least crossing
     pairs = tuple((t, surface.edges[a], surface.edges[b])
-                  for t, a, b in _normalize_crossings(crossings))
+                  for t, a, b in crossings[k:] + crossings[:k])
     return LevelCycle(level, pairs)
 
 

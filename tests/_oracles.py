@@ -599,8 +599,9 @@ def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
                            vid: str | None) -> ValidationReport:
     """Re-verify the sweep's consistency conditions by direct recomputation.
 
-    ``vid`` is the next sweep target, or None when the assignment is
-    complete (then only single-assignment is checkable).  Checks:
+    ``vid`` is the next sweep target, or at the end of a checked run the
+    top vertex if it sits at hi, else None (then only single-assignment
+    is checkable).  Checks:
 
     * single-assignment: the trace never writes an edge twice;
     * frontier-class: the frontier at ``vid`` is one value or a
@@ -828,8 +829,16 @@ def step2(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
     return _extend(p, TraceEntry(STEP2, target, todo, value))
 
 
+def _final_target(g: ReebGraph) -> str | None:
+    """Where a complete assignment is checked: the last vertex, if it
+    sits at hi (the gap below it is the last one), else nowhere."""
+    top = g.vertices[-1]
+    return top.id if top.level == g.hi else None
+
+
 def _checked(g: ReebGraph, p: PartialAssignment) -> None:
-    report = naive_check_invariants(g, p, _next_target(g, p))
+    vid = _final_target(g) if p.is_complete(g) else _next_target(g, p)
+    report = naive_check_invariants(g, p, vid)
     if not report.ok:
         raise InvariantViolation(report)
 

@@ -54,6 +54,7 @@ from _fixtures import (
 from _oracles import (
     AllEqual,
     Consecutive,
+    _final_target,
     classify_frontier,
     naive_assign,
     naive_check_invariants,
@@ -243,6 +244,14 @@ FAULTY_SUBGRAPHS = {
          ("f", "s2", "s3"), ("m", "bm", "t1"), ("g", "s3", "t0"),
          ("h", "s3", "t2")],
         ("NonConsecutiveFrontier", "frontier of s3 carries [1, 3]")),
+    # two upper-boundary vertices below v, their edge ids against their
+    # levels: the message lists the edges in id order
+    "stragglers-in-id-order": (
+        [("b0", 0.0, "-"), ("c1", 0.2, "+"), ("c2", 0.3, "+"),
+         ("v", 0.5, "o"), ("t0", 1.0, "+")],
+        [("e0", "b0", "v"), ("ez", "c1", "v"), ("ea", "c2", "v"),
+         ("e1", "v", "t0")],
+        ("BrokenUniqueness", "unassigned edges strictly left of v: ea, ez")),
     # the stray edge touches no interior vertex
     "no-target": (
         [("b0", 0.0, "-"), ("t0", 1.0, "+"), ("t1", 1.0, "+"),
@@ -250,6 +259,14 @@ FAULTY_SUBGRAPHS = {
         [("e0", "b0", "t0"), ("x", "t1", "t2")],
         ("NothingToAssign",
          "no interior vertex meets the unassigned edges: x")),
+    # two edges between upper-boundary vertices, created against their
+    # id order
+    "no-target-in-id-order": (
+        [("b0", 0.0, "-"), ("t0", 1.0, "+"), ("t1", 1.0, "+"),
+         ("t2", 1.0, "+"), ("t3", 1.0, "+")],
+        [("e0", "b0", "t0"), ("z", "t1", "t2"), ("a", "t3", "t1")],
+        ("NothingToAssign",
+         "no interior vertex meets the unassigned edges: a, z")),
 }
 
 
@@ -359,6 +376,20 @@ class TestOnePass:
                                                "u1", "u2"]
         assert _outcome(assign_all, sub) == _outcome(stepwise_assign, sub)
 
+    def test_copy_off_the_upper_boundary_before_its_level(self):
+        # step 1 copies 1 across w onto c's edge in the first round, before
+        # any target passes level 0.3, so no straggler is left there
+        sub = _hand_built(
+            [("b0", 0.0, "-"), ("b1", 0.0, "-"), ("c", 0.3, "+"),
+             ("w", 0.5, "o"), ("s", 0.6, "o"), ("t0", 1.0, "+"),
+             ("t1", 1.0, "+")],
+            [("e0", "b0", "w"), ("e1", "c", "w"), ("e2", "b1", "s"),
+             ("e3", "s", "t0"), ("e4", "s", "t1")])
+        p = assign_all(sub)
+        assert p.trace[1] == TraceEntry("step1", "w", ("e1",), 1)
+        assert p.is_complete(sub)
+        assert _outcome(assign_all, sub) == _outcome(stepwise_assign, sub)
+
     @pytest.mark.parametrize("name", sorted(FAULTY_SUBGRAPHS))
     def test_faulty_subgraphs(self, name):
         *parts, expected = FAULTY_SUBGRAPHS[name]
@@ -458,8 +489,7 @@ def _assert_frontier(front, sub, k):
     """The walk at gap k against the edges ``spanning`` names there."""
     spanning = sub.spanning(k)
     valued = [front.values[e] for e in spanning if e in front.values]
-    assert (front.gap, front.width, front.open) == (
-        k, len(spanning), len(spanning) - len(valued))
+    assert (front.gap, front.open) == (k, len(spanning) - len(valued))
     assert front.counts == Counter(valued)
 
 
@@ -500,7 +530,7 @@ class TestFrontier:
                 front.write("back", 7)
             _assert_frontier(front, sub, k)
             assert sub.spanning(k) == ["e%d" % k]
-            assert (front.width, front.open, front.counts) == (1, 0, {1: 1})
+            assert (front.open, front.counts) == (0, {1: 1})
         front.advance(0)    # a lower gap leaves the walk where it is
         _assert_frontier(front, sub, 2)
 
@@ -558,7 +588,7 @@ class TestCheckInvariants:
 def _checked_rounds(monkeypatch, sub):
     """The (assignment, target) of every round a checked run decides,
     rebuilt from its trace: a round ends before each step-2 entry, and a
-    last one, with no target, after the final entry."""
+    last one, at the final target, after the final entry."""
     targets = []
     clean = assign_mod._Checker.clean
 
@@ -574,7 +604,7 @@ def _checked_rounds(monkeypatch, sub):
     for start, end in zip([0] + ends, ends + [len(p.trace)]):
         assigned.update((eid, p.assigned[eid])
                         for t in p.trace[start:end] for eid in t.edges)
-        vid = p.trace[end].vertex if end < len(p.trace) else None
+        vid = p.trace[end].vertex if end < len(p.trace) else _final_target(sub)
         rounds.append((PartialAssignment(dict(assigned), p.trace[:end]), vid))
     assert len(rounds) == 1 + len(ends)
     assert [vid for _, vid in rounds] == targets
@@ -668,25 +698,45 @@ class TestCheckAgainstNaive:
     def test_arbitrary_subgraphs(self, data, sub):
         # shared levels, loops, backward edges, and interior vertices at
         # lo, whose frontier gap is -1; then the same graph turned
-        # forward, with values 1 and 2.  The incremental checker
-        # certifies only rounds check_invariants passes, and exactly
-        # those when every edge spans a gap and the trace writes each
-        # assigned edge once, as the second trace does
+        # forward, with values 1 and 2.  The second trace writes each
+        # assigned edge once.  Where the sweep runs through, each of its
+        # own rounds, with up to two integers moved by 1, is checked too,
+        # at its target and at every other interior vertex
         for g, top in ((sub, 4), (_forward(sub), 2)):
             p = data.draw(_any_assignment(g, top))
             order = data.draw(st.permutations(sorted(p.assigned)))
             once = PartialAssignment(p.assigned, (
                 TraceEntry("step0", None, tuple(order), 1),))
-            spans = all(g.gaps(e.id) for e in g.edges)
             for q in (p, once):
-                exact = spans and (Counter(e for t in q.trace for e in t.edges)
-                                   == Counter(q.assigned))
                 for vid in g.interior + (None,):
-                    report = check_invariants(g, q, vid)
-                    assert report == naive_check_invariants(g, q, vid)
-                    verdict = assign_mod._Checker(g).clean(q.assigned,
-                                                           q.trace, vid)
-                    assert report.ok if verdict else not (exact and report.ok)
+                    _check_agrees(g, q, vid)
+            try:
+                run = assign_all(g)
+            except ReeboundError:
+                continue
+            ends = [k for k, t in enumerate(run.trace) if t.step == "step2"]
+            for end in ends + [len(run.trace)]:
+                vid = run.trace[end].vertex if end in ends else _final_target(g)
+                assigned = {e: run.assigned[e]
+                            for t in run.trace[:end] for e in t.edges}
+                moved = data.draw(st.permutations(sorted(assigned)))
+                for eid in moved[:data.draw(st.integers(0, 2))]:
+                    assigned[eid] += data.draw(st.sampled_from((-1, 1)))
+                q = PartialAssignment(assigned, run.trace[:end])
+                for other in dict.fromkeys((vid,) + g.interior):
+                    _check_agrees(g, q, other)
+
+
+def _check_agrees(g, q, vid):
+    """check_invariants equals the naive report, and the incremental
+    checker certifies only rounds it passes, and exactly those when every
+    edge spans a gap and the trace writes each assigned edge once."""
+    report = check_invariants(g, q, vid)
+    assert report == naive_check_invariants(g, q, vid)
+    verdict = assign_mod._Checker(g).clean(q.assigned, q.trace, vid)
+    exact = (all(g.gaps(e.id) for e in g.edges)
+             and Counter(e for t in q.trace for e in t.edges) == Counter(q.assigned))
+    assert report.ok if verdict else not (exact and report.ok)
 
 
 def _checked_outcome(sub):
@@ -788,6 +838,23 @@ class TestIncrementalChecker:
         assert rules == {"single-assignment", "frontier-class",
                          "downstream-band", "plateau-uniform",
                          "plateau-connected"}
+
+    def test_corrupted_last_round(self, monkeypatch):
+        # the last round, at v17, writes 1 instead of 3 onto two
+        # upper-boundary edges: the check below hi sees the frontier
+        # carry 1, 2 and 3, where an unchecked run would lower the bound
+        # from 3 to 2
+        g = random_reeb(GenParams(seed=4, saddle_count=12))
+        sub = essential_subgraph(g, prevalidated=True)
+        frontier_value = assign_mod._Sweep.frontier_value
+        monkeypatch.setattr(
+            assign_mod._Sweep, "frontier_value",
+            lambda self, vid: 1 if vid == "v17" else frontier_value(self, vid))
+        assert distance_bound(sub, assign_all(sub)).bound == 2
+        with pytest.raises(InvariantViolation) as info:
+            assign_all(sub, check=True)
+        assert info.value.report.violations == (
+            Violation("frontier-class", ("v27",), "frontier carries [1, 2, 3]"),)
 
     def test_no_fallback_on_generator_graph(self, monkeypatch):
         g = random_reeb(GenParams(seed=3, saddle_count=200,

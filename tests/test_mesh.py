@@ -532,6 +532,57 @@ class TestLabelsFromTopology:
             label_reeb(s, f, g)
 
 
+def random_closed_surface(rng, genus):
+    """``chained_tori(genus)`` with its vertex ids permuted, about half
+    its triangles reversed and the triangle order shuffled; the height
+    field either moved by up to 1e-3 per vertex or quantized to 8, 40 or
+    200 levels.  Returns the surface, the field and the field's kind."""
+    s, f = chained_tori(genus)
+    n = s.n_vertices
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tris = [tuple(perm[x] for x in (t[::-1] if rng.random() < 0.5 else t))
+            for t in s.triangles]
+    rng.shuffle(tris)
+    if rng.random() < 0.5:
+        kind, values = "perturbed", [v + rng.uniform(-1e-3, 1e-3) for v in f.values]
+    else:
+        levels = rng.choice((8, 40, 200))
+        kind, values = "quantized-%d" % levels, quantized_field(f, levels).values
+    moved = [0.0] * n
+    for v, value in zip(perm, values):
+        moved[v] = value
+    return TriangulatedSurface(n, tris), ScalarField(tuple(moved)), kind
+
+
+class TestRandomSurfaces:
+    def test_labels_match_naive_cut(self):
+        # every outcome is counted: DegenerateField is an expected answer
+        # on a tie-heavy field, never a reason to skip a case
+        rng = random.Random(19)
+        outcomes = Counter()
+        for k in range(21):
+            genus = 1 + k % 3
+            s, f, kind = random_closed_surface(rng, genus)
+            try:
+                # label_reeb checks that the cycle rank is the genus
+                g = label_reeb(s, f, build_reeb(s, f, rng.uniform(0.05, 0.95)))
+            except DegenerateField:
+                outcomes[genus, kind, "degenerate"] += 1
+                continue
+            assert len(g.edges) - len(g.vertices) + 1 == genus
+            for e in rng.sample(g.edges, min(6, len(g.edges))):
+                assert (e.label is EdgeLabel.INESSENTIAL) \
+                    == naive_is_inessential(s, f, e.witness), (k, e.id)
+            outcomes[genus, kind, "labelled"] += 1
+        assert sum(outcomes.values()) == 21
+        for genus in (1, 2, 3):
+            assert any(key[0] == genus and key[2] == "labelled"
+                       for key in outcomes), outcomes
+        assert all(kind.startswith("quantized")
+                   for _, kind, end in outcomes if end == "degenerate"), outcomes
+
+
 def torus_with_edited_witness(edit):
     """The vertical torus, its field, and its Reeb graph with the witness
     of e1 replaced by ``edit(witness)``."""
