@@ -59,7 +59,7 @@ from .errors import (
     NothingToAssign,
     NoUpperBoundary,
 )
-from .graph import ReebGraph, ValidationReport, Violation
+from .graph import ReebGraph, ValidationReport, Violation, _new
 
 STEP0 = "step0"
 STEP1 = "step1"
@@ -375,7 +375,7 @@ class _Sweep:
     ``next`` indexes the lowest interior vertex that may still have an
     unassigned edge, and ``frontier``, which writes every integer, walks
     up to the gap left of each target.  ``stray`` lists, in id order, the
-    edges whose lower end is an upper-boundary vertex.
+    edges whose lower end is an upper-boundary vertex, off its incidence list.
     """
 
     def __init__(self, g: ReebGraph):
@@ -387,19 +387,19 @@ class _Sweep:
         self.valency2 = [v for v, eids in self.incident.items() if len(eids) == 2]
         self.rank = {vid: k for k, vid in enumerate(self.valency2)}
         self.next = 0
-        # Step 0 writes every edge at a lower-boundary vertex, and
-        # next_target moves past an interior vertex, in (level, id) order,
-        # only once all its edges carry integers.  So an edge still
-        # unassigned whose lower end is below the target, or an edge left
-        # unassigned when no target is left, hangs off the upper boundary.
-        self.stray = [eid for eid, e in self.edges.items()
-                      if e.lower in g.boundary_plus]
+        # Step 0 writes every edge at a lower-boundary vertex, and next_target
+        # moves past an interior vertex, in (level, id) order, only once all
+        # its edges carry integers.  So an edge still unassigned whose lower
+        # end is below the target, or left unassigned when no target is left,
+        # hangs off the upper boundary, where a loop is listed twice.
+        self.stray = sorted({eid for vid in g.boundary_plus for eid in self.incident[vid]
+                             if self.edges[eid][1] == vid})
         self.frontier = _Frontier(g, self.assigned)
 
     def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
                   value: int) -> None:
         """Write ``value`` onto ``eids``, then saturate step 1."""
-        self.trace.append(TraceEntry(step, vid, eids, value))
+        self.trace.append(_new(TraceEntry, (step, vid, eids, value)))
         written = []
         for eid in eids:
             if eid not in self.assigned:    # a loop is listed twice
@@ -415,12 +415,14 @@ class _Sweep:
         behind each copy.  Before the round every such vertex had both or
         neither edge assigned, so the pass can only copy at the ends of
         edges written since: the heap ``ahead`` holds those still in
-        front of the pass, by rank.  Then checks the vertices whose edges
-        were written this round for ConflictingPropagation.
+        front of the pass, by rank.  Then raises ConflictingPropagation if
+        two integers meet at a valency-two end of an edge written.
         """
         rank, assigned, edges = self.rank, self.assigned, self.edges
         ahead = [rank[end] for eid in written for end in _ends(edges[eid])
                  if end in rank]
+        if not ahead:   # nothing to copy, and no valency-two vertex to clash
+            return
         heapify(ahead)
         behind: deque[str] = deque()
         cursor = -1
@@ -436,7 +438,7 @@ class _Sweep:
                 continue
             src, dst = (e1, e2) if e1 in assigned else (e2, e1)
             value = assigned[src]
-            self.trace.append(TraceEntry(STEP1, vid, (dst,), value))
+            self.trace.append(_new(TraceEntry, (STEP1, vid, (dst,), value)))
             self.frontier.write(dst, value)
             written.append(dst)
             for end in _ends(edges[dst]):
@@ -444,8 +446,8 @@ class _Sweep:
                     behind.append(end)
                     if rank[end] > cursor:
                         heappush(ahead, rank[end])
-        clashes = [rank[end] for eid in written for end in _ends(edges[eid])
-                   if end in rank and self._clash(end)]
+        clashes = [rank[end] for eid in written for end in _ends(edges[eid]) if end in rank
+                   and len({*map(assigned.get, self.incident[end])} - {None}) == 2]
         if clashes:
             vid = self.valency2[min(clashes)]
             e1, e2 = self.incident[vid]
@@ -453,17 +455,12 @@ class _Sweep:
                 "vertex %s joins edges assigned %d and %d"
                 % (vid, assigned[e1], assigned[e2]))
 
-    def _clash(self, vid: str) -> bool:
-        e1, e2 = self.incident[vid]
-        v1, v2 = self.assigned.get(e1), self.assigned.get(e2)
-        return v1 is not None and v2 is not None and v1 != v2
-
     def next_target(self) -> str | None:
         """Lowest-level interior vertex with an unassigned incident edge."""
         interior, assigned = self.g.interior, self.assigned
         while self.next < len(interior):
             vid = interior[self.next]
-            if any(eid not in assigned for eid in self.incident[vid]):
+            if not all(map(assigned.__contains__, self.incident[vid])):
                 return vid
             self.next += 1
         return None
@@ -471,6 +468,8 @@ class _Sweep:
     def check_left_of(self, target: str) -> None:
         """BrokenUniqueness unless every edge whose lower end is strictly
         below the target is assigned."""
+        if not self.stray:
+            return
         index, assigned = self.g.gap_below(target) + 1, self.assigned
         stragglers = [eid for eid in self.stray
                       if eid not in assigned and self.gaps[eid].start < index]

@@ -146,6 +146,8 @@ class ReebGraph:
     The same pass reads the vertex kinds into ``boundary_minus`` and
     ``boundary_plus`` (frozensets of ids) and ``interior`` (every other id
     in (level, id) order: on a full graph, centers and regular vertices too).
+    The constructor sorts the records, ``_trusted`` (for essential_subgraph)
+    takes them sorted, and indexing checks their levels, ids and edge ends.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -161,6 +163,16 @@ class ReebGraph:
             raise MalformedGraph("window lo must be below hi")
         self.vertices = tuple(sorted(self.vertices, key=itemgetter(1, 0)))  # level, id
         self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
+        self._index()
+
+    @classmethod
+    def _trusted(cls, vertices, edges, lo, hi) -> "ReebGraph":
+        g = object.__new__(cls)
+        g.vertices, g.edges, g.lo, g.hi, g.meta = vertices, edges, lo, hi, None
+        g._index()
+        return g
+
+    def _index(self) -> None:
         self._by_id = by_id = {}
         bounds, interior = {_MINUS: [], _PLUS: []}, []
         for v in self.vertices:
@@ -174,7 +186,7 @@ class ReebGraph:
         self.boundary_minus = frozenset(bounds[_MINUS])
         self.boundary_plus = frozenset(bounds[_PLUS])
         self.interior = tuple(interior)
-        self._events = sorted({v.level for v in self.vertices} | {self.lo, self.hi})
+        self._events = sorted({*map(itemgetter(1), self.vertices), self.lo, self.hi})
         index = {level: k for k, level in enumerate(self._events)}
         self._event_index = event_index = {vid: index[level]
                                            for vid, level, _ in self.vertices}
@@ -385,15 +397,18 @@ def essential_subgraph(g: ReebGraph, *,
     pass ``prevalidated=True`` to skip the re-check when the caller just
     validated.  Vertices that lose all their edges are dropped, and a
     saddle that loses an inessential branch has valency two in the result.
+    The result is indexed from ``g``'s records without sorting them again.
     """
     if not prevalidated:
         report = validate(g)
         if not report.ok:
             raise InvalidGraph(report)
-    edges = tuple(e for e in g.edges if e.label is _ESSENTIAL)
-    keep = {e.lower for e in edges} | {e.upper for e in edges}
-    vertices = tuple(v for v in g.vertices if v.id in keep)
-    return ReebGraph(vertices, edges, g.lo, g.hi)
+    # Subsets of g's records are sorted, unique and finite like them, and
+    # keep holds every edge end, so the index's checks pass on any g.
+    edges = tuple(e for e in g.edges if e[3] is _ESSENTIAL)
+    keep = {*map(itemgetter(1), edges), *map(itemgetter(2), edges)}
+    vertices = tuple(v for v in g.vertices if v[0] in keep)
+    return ReebGraph._trusted(vertices, edges, g.lo, g.hi)
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -431,15 +446,16 @@ def graph_to_dict(g: ReebGraph) -> dict:
 
 _KINDS = {m.value: m for m in VertexKind}.__getitem__
 _LABELS = {m.value: m for m in EdgeLabel}.__getitem__
+_new = tuple.__new__    # a record without the named tuple's Python-level __new__
 
 
 def _records(data: dict, kind, label) -> tuple[list, list]:
     """The payload's vertices and edges, ``kind`` and ``label`` mapping
     each string to its member."""
-    return ([ReebVertex(str(v["id"]), float(v["level"]), kind(v["kind"]))
+    return ([_new(ReebVertex, (str(v["id"]), float(v["level"]), kind(v["kind"])))
              for v in data["vertices"]],
-            [ReebEdge(str(e["id"]), str(e["lower"]), str(e["upper"]),
-                      label(e["label"]), e.get("witness"))
+            [_new(ReebEdge, (str(e["id"]), str(e["lower"]), str(e["upper"]),
+                             label(e["label"]), e.get("witness")))
              for e in data["edges"]])
 
 

@@ -252,6 +252,14 @@ FAULTY_SUBGRAPHS = {
         [("e0", "b0", "v"), ("ez", "c1", "v"), ("ea", "c2", "v"),
          ("e1", "v", "t0")],
         ("BrokenUniqueness", "unassigned edges strictly left of v: ea, ez")),
+    # a loop at the upper-boundary vertex c is listed twice at c, and
+    # named once
+    "loop-straggler": (
+        [("b0", 0.0, "-"), ("c", 0.3, "+"), ("v", 0.5, "o"),
+         ("t0", 1.0, "+"), ("t1", 1.0, "+")],
+        [("e0", "b0", "v"), ("e1", "c", "c"), ("e2", "v", "t0"),
+         ("e3", "v", "t1")],
+        ("BrokenUniqueness", "unassigned edges strictly left of v: e1")),
     # the stray edge touches no interior vertex
     "no-target": (
         [("b0", 0.0, "-"), ("t0", 1.0, "+"), ("t1", 1.0, "+"),

@@ -44,6 +44,7 @@ from _fixtures import (
     y_graph,
 )
 from _oracles import naive_validate
+from test_assign import _any_subgraph
 
 
 class TestValidate:
@@ -592,6 +593,27 @@ def assert_index_consistent(g: ReebGraph) -> None:
         key=lambda vid: (level[vid], vid)))
 
 
+def _typed(x):
+    """x with the type of every part and the order of every container."""
+    if isinstance(x, dict):
+        return dict, [(_typed(k), _typed(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return type(x), [_typed(y) for y in x]
+    return type(x), x
+
+
+def assert_built_alike(sub: ReebGraph) -> None:
+    """The subgraph essential_subgraph indexes from its parent's records
+    equals the one the checked constructor builds from the same records,
+    field by field, in order and in type."""
+    built = ReebGraph(sub.vertices, sub.edges, sub.lo, sub.hi)
+    assert sub == built
+    for name in ("vertices", "edges", "lo", "hi", "meta", "_by_id",
+                 "boundary_minus", "boundary_plus", "interior", "_events",
+                 "_event_index", "_incident", "_edge_by_id", "_gaps"):
+        assert _typed(getattr(sub, name)) == _typed(getattr(built, name)), name
+
+
 def test_index_matches_tuples(corpus):
     rng = random.Random(1)
     for g, sub in corpus:
@@ -599,5 +621,24 @@ def test_index_matches_tuples(corpus):
         i = rng.randrange(len(mids))
         j = rng.randrange(i, len(mids))
         window = restrict(g, mids[i], mids[j] if j > i else g.hi)
-        for h in (g, sub, window, essential_subgraph(window, prevalidated=True)):
+        window_sub = essential_subgraph(window, prevalidated=True)
+        for h in (g, sub, window, window_sub):
             assert_index_consistent(h)
+        assert_built_alike(sub)
+        assert_built_alike(window_sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_any_subgraph(), data=st.data())
+def test_subgraph_of_invalid_parent_matches_constructor(drawn, data):
+    # loops, backward edges and shared levels pass prevalidated=True
+    dropped = data.draw(st.sets(st.sampled_from([e.id for e in drawn.edges]))
+                        if drawn.edges else st.just(set()))
+    parent = ReebGraph(drawn.vertices, tuple(
+        e._replace(label=EdgeLabel.INESSENTIAL) if e.id in dropped else e
+        for e in drawn.edges), drawn.lo, drawn.hi)
+    sub = essential_subgraph(parent, prevalidated=True)
+    assert [e.id for e in sub.edges] == [e.id for e in drawn.edges
+                                         if e.id not in dropped]
+    assert_index_consistent(sub)
+    assert_built_alike(sub)
