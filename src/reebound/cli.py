@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ReeboundError as exc:
         return _fail(exc, exc.exit_code)
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeError) as exc:    # reading or writing a file
         return _fail(exc, EXIT_IO)
 
 

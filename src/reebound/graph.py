@@ -125,9 +125,30 @@ def _check_finite(value: float, what: str, *args,
                   error: type[Exception] = MalformedGraph) -> None:
     """Raise ``error`` unless value is a finite number; ``what % args``
     names it, formatted only on failure."""
-    if not isinstance(value, (int, float)) or not isfinite(value):
+    try:
+        ok = isinstance(value, (int, float)) and isfinite(value)
+    except OverflowError:   # an int too large for a float
+        ok = False
+    if not ok:
         raise error("%s must be a finite number, got %r"
                     % (what % args, value))
+
+
+def _unsortable(vertices, edges) -> MalformedGraph | None:
+    """The error for records a sort cannot order, naming the first one in
+    input order: a vertex whose level is not a finite number, else a
+    vertex or an edge whose id is not a string."""
+    for vid, level, _ in vertices:
+        try:
+            _check_finite(level, "level of vertex %s", vid)
+        except MalformedGraph as exc:
+            return exc
+    for what, records in (("vertex", vertices), ("edge", edges)):
+        for record in records:
+            if not isinstance(record[0], str):
+                return MalformedGraph("%s id must be a string, got %r"
+                                      % (what, record[0]))
+    return None
 
 
 @dataclass(eq=True)
@@ -148,6 +169,7 @@ class ReebGraph:
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph)
     takes them sorted, and indexing checks their levels, ids and edge ends.
+    Records the sort cannot order raise ``MalformedGraph`` too.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -161,8 +183,12 @@ class ReebGraph:
         _check_finite(self.hi, "hi")
         if not self.lo < self.hi:
             raise MalformedGraph("window lo must be below hi")
-        self.vertices = tuple(sorted(self.vertices, key=itemgetter(1, 0)))  # level, id
-        self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
+        try:
+            vertices = tuple(sorted(self.vertices, key=itemgetter(1, 0)))  # level, id
+            self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
+        except TypeError as exc:    # a level or id that does not compare
+            raise _unsortable(self.vertices, self.edges) or exc from None
+        self.vertices = vertices
         self._index()
 
     @classmethod

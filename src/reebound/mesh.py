@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import inf, isfinite, nextafter
 from operator import ne
 
@@ -79,14 +80,68 @@ class LevelCycle:
             raise ParseError("bad level-cycle payload: %s" % exc) from None
 
 
-def _edge_key(a: int, b: int) -> Edge:
-    return (a, b) if a < b else (b, a)
+def _tokens(text: str) -> list[str]:
+    """The whitespace-separated tokens of ``text``, each line cut at ``#``.
+
+    Text without a ``#`` is split once: every break ``str.splitlines``
+    makes is whitespace to ``str.split``, so the tokens are the same.
+    """
+    if "#" not in text:
+        return text.split()
+    return [tok for line in text.splitlines()
+            for tok in line.partition("#")[0].split()]
 
 
-def _tokens(text: str):
-    """The whitespace-separated tokens of ``text``, each line cut at ``#``."""
-    return chain.from_iterable(
-        line.partition("#")[0].split() for line in text.splitlines())
+def _bulk_off(tokens: list[str]):
+    """(vertex count, faces) of OFF tokens converted slice by slice, or
+    None if any check fails (a face size written other than ``3`` too);
+    ``_walk_off`` then names the first fault."""
+    try:
+        header, nv, nf, ne = tokens[:4]
+        nv, nf = int(nv), int(nf)
+        int(ne)
+        start = 4 + 3 * max(nv, 0)
+        stop = start + 4 * max(nf, 0)
+        if (header != "OFF" or len(tokens) < stop
+                or tokens[start:stop:4].count("3") != max(nf, 0)):
+            return None
+        deque(map(float, tokens[4:start]), maxlen=0)
+        corners = [list(map(int, tokens[i:stop:4]))
+                   for i in range(start + 1, start + 4)]
+    except ValueError:
+        return None
+    return nv, zip(*corners)
+
+
+def _walk_off(it):
+    """(vertex count, faces) read token by token from ``it``, raising
+    ParseError at the first fault."""
+
+    def take(what, convert=str, count=1):
+        # tokens convert as read: a bad one wins over an early end
+        got = tuple(map(convert, islice(it, min(max(count, 0), sys.maxsize))))
+        if len(got) < count:
+            raise ParseError("OFF data ends early, expected %s" % what)
+        return got
+
+    (header,) = take("header")
+    if header != "OFF":
+        raise ParseError("not an OFF file (header %r)" % header)
+    try:
+        (nv,), (nf,) = take("vertex count", int), take("face count", int)
+        take("edge count", int)
+        take("coordinate", float, 3 * nv)
+        faces = []
+        for _ in range(nf):
+            # a short read leaves ``it`` spent, so ``take`` then raises
+            k = int(next(it, None) or take("face size")[0])
+            if k != 3:
+                raise ParseError("face with %d sides; only triangles supported" % k)
+            face = tuple(map(int, islice(it, 3)))
+            faces.append(face if len(face) == 3 else take("vertex index", int, 3))
+    except ValueError as exc:
+        raise ParseError("bad OFF token: %s" % exc) from None
+    return nv, faces
 
 
 class TriangulatedSurface:
@@ -106,6 +161,10 @@ class TriangulatedSurface:
     vertex's neighbours in rotation order, from the smallest) and
     ``stars`` (``stars[v][i]`` is the id of the edge from v to
     ``links[v][i]``, so the sweep never looks an edge up by its pair).
+    While building them it keys an edge lo-hi by the int ``lo * n + hi``,
+    which sorts like the pair, so ids come from the sorted keys.
+    ``from_off_text`` reads the OFF tokens from one split of the text
+    (see ``_tokens``) and converts them slice by slice.
     """
 
     def __init__(self, n_vertices: int, triangles):
@@ -122,30 +181,38 @@ class TriangulatedSurface:
         if not tris:
             raise NotAManifold("no triangles")
 
-        # owners[e] = [t1, up1, t2, up2]: the triangles bordering e in
-        # first-seen order, each with whether it runs e from its smaller vertex
-        owners: dict[Edge, list] = {}
+        # owners[key] = [t1, up1, t2, up2]: the triangles bordering the edge
+        # lo-hi, keyed lo * n + hi, in first-seen order, each with whether
+        # it runs the edge from lo
+        owners: dict[int, list] = {}
         for ti, (a, b, c) in enumerate(tris):
             for u, v in ((a, b), (b, c), (c, a)):
-                owners.setdefault(_edge_key(u, v), []).extend((ti, u < v))
-        for e, owned in owners.items():
+                key = u * n + v if u < v else v * n + u
+                owners.setdefault(key, []).extend((ti, u < v))
+        for key, owned in owners.items():
             if len(owned) != 4:
                 raise NotAManifold("edge %r borders %d triangles, expected 2"
-                                   % (e, len(owned) // 2))
+                                   % (divmod(key, n), len(owned) // 2))
 
         flips = self._orient(owners, len(tris))
         self.triangles = tuple((t[0], t[2], t[1]) if f else t
                                for t, f in zip(tris, flips))
-        self.edges: list[Edge] = sorted(owners)
+        # packed keys sort like the pairs, so an edge's id is its position
+        # in sorted pair order; owners then maps each key to that id
+        keys = sorted(owners)
+        self.edges: list[Edge] = [(ids[k // n], ids[k % n]) for k in keys]
         self.edge_index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
         self.edge_tris: list[tuple[int, int]] = [
-            (owners[e][0], owners[e][2]) for e in self.edges]
-        del tris, owners
+            (owned[0], owned[2]) for owned in map(owners.__getitem__, keys)]
+        owners.update(zip(keys, self.edge_index.values()))
+        del tris, keys
 
-        ix = self.edge_index
         self._tri_edges: list[tuple[int, int, int]] = [
-            (ix[_edge_key(a, b)], ix[_edge_key(b, c)], ix[_edge_key(c, a)])
+            (owners[a * n + b if a < b else b * n + a],
+             owners[b * n + c if b < c else c * n + b],
+             owners[c * n + a if c < a else a * n + c])
             for a, b, c in self.triangles]
+        del owners
 
         # fan[v][x] = (y, id of edge vx) for the oriented triangle v -> x -> y;
         # the orientation makes each fan[v] a permutation of v's neighbours
@@ -209,33 +276,14 @@ class TriangulatedSurface:
 
     @classmethod
     def from_off_text(cls, text: str) -> "TriangulatedSurface":
-        """Parse OFF; every coordinate must be a float but none is kept."""
-        it = _tokens(text)
+        """Parse OFF; every coordinate must be a float but none is kept.
 
-        def take(what, convert=str, count=1):
-            # tokens convert as read: a bad one wins over an early end
-            got = tuple(map(convert, islice(it, min(max(count, 0), sys.maxsize))))
-            if len(got) < count:
-                raise ParseError("OFF data ends early, expected %s" % what)
-            return got
-
-        (header,) = take("header")
-        if header != "OFF":
-            raise ParseError("not an OFF file (header %r)" % header)
-        try:
-            (nv,), (nf,) = take("vertex count", int), take("face count", int)
-            take("edge count", int)
-            take("coordinate", float, 3 * nv)
-            faces = []
-            for _ in range(nf):
-                # a short read leaves ``it`` spent, so ``take`` then raises
-                k = int(next(it, None) or take("face size")[0])
-                if k != 3:
-                    raise ParseError("face with %d sides; only triangles supported" % k)
-                face = tuple(map(int, islice(it, 3)))
-                faces.append(face if len(face) == 3 else take("vertex index", int, 3))
-        except ValueError as exc:
-            raise ParseError("bad OFF token: %s" % exc) from None
+        The counts, coordinates and faces are converted in bulk; only
+        when that fails are the tokens walked again, one by one.
+        """
+        tokens = _tokens(text)
+        nv, faces = _bulk_off(tokens) or _walk_off(iter(tokens))
+        del tokens      # not held while the tables are built
         return cls(nv, faces)
 
     @classmethod
@@ -260,10 +308,11 @@ class ScalarField:
 
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
+        tokens = _tokens(text)
         try:
-            values = tuple(map(float, _tokens(text)))
+            values = tuple(map(float, tokens))
         except ValueError:
-            for tok in _tokens(text):   # again, one by one, to name the bad one
+            for tok in tokens:   # again, one by one, to name the bad one
                 try:
                     float(tok)
                 except ValueError:

@@ -11,10 +11,11 @@ per rule group through the graph's lookup methods."""
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, islice, pairwise
 from math import nextafter
 from typing import Iterable
 
@@ -39,6 +40,7 @@ from reebound.errors import (
     NoLowerBoundary,
     NothingToAssign,
     OpenCycle,
+    ParseError,
     ReebTopologyMismatch,
     UnassignedFrontier,
 )
@@ -158,6 +160,40 @@ def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
 
 
 # -- the mesh front-end's rules, applied on their own -------------------------
+
+def naive_from_off_text(text: str) -> TriangulatedSurface:
+    """OFF parsed token by token: each line cut at ``#`` and split, every
+    token converted as it is read, so the first fault met is the one
+    named."""
+    it = chain.from_iterable(
+        line.partition("#")[0].split() for line in text.splitlines())
+
+    def take(what, convert=str, count=1):
+        # tokens convert as read: a bad one wins over an early end
+        got = tuple(map(convert, islice(it, min(max(count, 0), sys.maxsize))))
+        if len(got) < count:
+            raise ParseError("OFF data ends early, expected %s" % what)
+        return got
+
+    (header,) = take("header")
+    if header != "OFF":
+        raise ParseError("not an OFF file (header %r)" % header)
+    try:
+        (nv,), (nf,) = take("vertex count", int), take("face count", int)
+        take("edge count", int)
+        take("coordinate", float, 3 * nv)
+        faces = []
+        for _ in range(nf):
+            # a short read leaves ``it`` spent, so ``take`` then raises
+            k = int(next(it, None) or take("face size")[0])
+            if k != 3:
+                raise ParseError("face with %d sides; only triangles supported" % k)
+            face = tuple(map(int, islice(it, 3)))
+            faces.append(face if len(face) == 3 else take("vertex index", int, 3))
+    except ValueError as exc:
+        raise ParseError("bad OFF token: %s" % exc) from None
+    return TriangulatedSurface(nv, faces)
+
 
 def pl_criticality(surface: TriangulatedSurface,
                    field: ScalarField) -> tuple[list[int], list[int], list[int]]:

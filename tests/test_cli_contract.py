@@ -114,6 +114,32 @@ def test_error_type_exit_code(cls, monkeypatch):
     assert ("violations" in payload) == (name in REPORTING)
 
 
+@pytest.mark.parametrize("argv", [
+    ["from-mesh", "{bad}", "{good}"],
+    ["from-mesh", "{good_off}", "{bad}"],
+    ["assign", "{bad}"],
+], ids=["mesh", "field", "graph"])
+def test_non_utf8_file_exits_3(tmp_path, argv):
+    paths = {"bad": tmp_path / "bad", "good": tmp_path / "t.fld",
+             "good_off": tmp_path / "t.off"}
+    paths["bad"].write_bytes(b"OFF\n\xff\xfe\n")
+    paths["good"].write_text("0 1 2 3\n", encoding="utf-8")
+    paths["good_off"].write_text(TETRA_OFF, encoding="utf-8")
+    code, out, err = run([a.format(**paths) for a in argv])
+    assert (code, out) == (3, "")
+    assert one_json_object(err)["error"] == "UnicodeDecodeError"
+
+
+def test_value_error_inside_a_command_propagates(monkeypatch):
+    # a ValueError that is not a ReeboundError is a defect, not bad input
+    def raiser(args):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(cli, "_cmd_gen", raiser)
+    with pytest.raises(ValueError, match="defect"):
+        run(["gen", "--seed", "0", "--saddles", "1"])
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 FUZZ = settings(derandomize=True, deadline=None, database=None,

@@ -475,6 +475,51 @@ class TestRecords:
         assert dressed != ReebGraph(g.vertices, g.edges[1:], g.lo, g.hi)
 
 
+# ids, levels, kinds and labels of the right type and of wrong ones
+_IDS = st.one_of(st.sampled_from("abc"), st.integers(-1, 1), st.none())
+_LEVELS = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(),
+                    st.integers(), st.none(), st.text(max_size=2))
+_KINDS = st.one_of(st.sampled_from(list(VertexKind)), st.none())
+_LABELS = st.one_of(st.sampled_from(list(EdgeLabel)), st.none())
+
+
+class TestDirectConstruction:
+    """A graph built from records directly is a graph or a MalformedGraph,
+    whatever types its fields hold."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.builds(ReebVertex, _IDS, _LEVELS, _KINDS), max_size=6),
+           st.lists(st.builds(ReebEdge, _IDS, _IDS, _IDS, _LABELS, st.none()),
+                    max_size=6),
+           _LEVELS, _LEVELS)
+    def test_graph_or_malformed(self, vertices, edges, lo, hi):
+        try:
+            g = ReebGraph(tuple(vertices), tuple(edges), lo, hi)
+        except MalformedGraph:
+            return
+        assert sorted(g.vertices, key=lambda v: (v.level, v.id)) == list(g.vertices)
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ((("a", None), ("b", 0.5)), (),
+         "level of vertex a must be a finite number, got None"),
+        # the first bad record in input order, not in sorted order
+        ((("b", 0.5), ("a", "0.2"), ("c", None)), (),
+         "level of vertex a must be a finite number, got '0.2'"),
+        ((("a", 0.5), (1, 0.5)), (), "vertex id must be a string, got 1"),
+        ((("a", 0.5),), ("e1", None), "edge id must be a string, got None"),
+        ((("a", 10 ** 400),), (),
+         "level of vertex a must be a finite number, got %d" % 10 ** 400),
+    ], ids=["none-level", "input-order", "int-vertex-id", "none-edge-id",
+            "huge-int-level"])
+    def test_message_names_first_bad_record(self, vertices, edges, message):
+        vs = tuple(ReebVertex(vid, level, VertexKind.SADDLE)
+                   for vid, level in vertices)
+        es = tuple(ReebEdge(eid, "a", "a", EdgeLabel.ESSENTIAL) for eid in edges)
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, es, 0.0, 1.0)
+        assert str(info.value) == message
+
+
 # -- validate against the reference validator ---------------------------------
 
 MUTATIONS = ("drop", "retarget", "kind", "label", "level", "horizontal")

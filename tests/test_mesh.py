@@ -43,6 +43,7 @@ from _fixtures import (
     ISOLATED_VERTEX_OFF,
     NON_MANIFOLD_OFF,
     OPEN_SURFACE_OFF,
+    TETRA_OFF,
     chained_tori,
     disconnected_off,
     klein_grid,
@@ -57,7 +58,8 @@ from _fixtures import (
     vertical_torus,
 )
 from _oracles import (_lower_arcs, count_level_components, level_cycles,
-                      naive_disk_edges, naive_is_inessential,
+                      naive_disk_edges, naive_from_off_text,
+                      naive_is_inessential,
                       naive_pick_witness_level, naive_trace, pl_criticality,
                       rank_crossed, value_crossed)
 
@@ -137,6 +139,123 @@ class TestLoading:
             build_reeb(s, ScalarField((1.0, 2.0)))
 
 
+#: whitespace to ``str.split``; all but the first four and the last two
+#: are line breaks to ``str.splitlines`` too
+_SEPARATORS = (" ", "\t", "\xa0", "\x1f", "\n", "\r\n", "\r", "\x0b", "\x0c",
+               "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "  \n\n",
+               "\u3000", " \t ")
+_LINE_BREAKS = ("\n", "\r", "\x0b", "\x1c", "\x85", "\u2028")
+_BAD_TOKENS = ("x", "1.5", "3.0", "-", "nan", "1e999", "\u0663", "+2", "03",
+               "0x1", "1_0", "OFF", "#")
+_COUNTS = ("0", "-1", "-4", "1", "2", "3", "5", "99", str(10 ** 20))
+_OFF_BASES = [TETRA_OFF.split(), off_text(octa_sphere()[0]).split(),
+              NON_MANIFOLD_OFF.split(), OPEN_SURFACE_OFF.split()]
+
+
+@st.composite
+def mutated_off_texts(draw):
+    """An OFF text with up to three faults or oddities planted: a bad
+    token, a cut, a dropped token, a changed count or face size, or
+    trailing tokens; joined by assorted whitespace, with ``#`` comments
+    between tokens."""
+    toks = list(draw(st.sampled_from(_OFF_BASES)))
+    nv = int(toks[1])
+    # vertex ids relabelled, so a faulty edge need not be the lowest pair
+    perm = draw(st.permutations(range(nv)))
+    for k in range(4 + 3 * nv, len(toks), 4):
+        toks[k + 1:k + 4] = [str(perm[int(v)]) for v in toks[k + 1:k + 4]]
+    for _ in range(draw(st.integers(0, 3))):
+        move = draw(st.sampled_from(
+            ("bad", "cut", "drop", "count", "face", "trail")))
+        i = draw(st.integers(0, max(len(toks) - 1, 0)))
+        if move == "bad" and toks:
+            toks[i] = draw(st.sampled_from(_BAD_TOKENS))
+        elif move == "cut":
+            del toks[i:]
+        elif move == "drop" and toks:
+            del toks[i]
+        elif move == "count" and len(toks) > 3:
+            toks[draw(st.integers(1, 3))] = draw(st.sampled_from(_COUNTS
+                                                                 + _BAD_TOKENS))
+        elif move == "face":
+            k = 4 + 3 * nv + 4 * draw(st.integers(0, 3))
+            if k < len(toks):
+                toks[k] = draw(st.sampled_from(("4", "2", "03", "+3", "3.0")))
+        elif move == "trail":
+            toks += draw(st.lists(st.sampled_from(_BAD_TOKENS + _COUNTS),
+                                  min_size=1, max_size=4))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=6))
+    comments = set(draw(st.lists(st.integers(0, len(toks)), max_size=3)))
+    parts = [draw(st.sampled_from(("", "\n", " ", "# head\n")))]
+    for i, tok in enumerate(toks):
+        if i in comments:
+            parts += ["#", draw(st.sampled_from(("", " x", " 3 0 1 2", "#"))),
+                      draw(st.sampled_from(_LINE_BREAKS))]
+        parts += [tok, seps[i % len(seps)]]
+    if len(toks) in comments:
+        parts.append("# tail")
+    return "".join(parts)
+
+
+def _load_outcome(parse, text):
+    """The surface's tables, or the error's type and message."""
+    try:
+        s = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (s.n_vertices, s.triangles, s.edges, s.edge_index, s.edge_tris,
+            s._tri_edges, s.links, s.stars)
+
+
+class TestOffParse:
+    """The bulk OFF parse against the token walk it replaced."""
+
+    @FUZZ
+    @given(mutated_off_texts())
+    def test_matches_token_walk(self, text):
+        assert (_load_outcome(TriangulatedSurface.from_off_text, text)
+                == _load_outcome(naive_from_off_text, text))
+
+    @pytest.mark.parametrize("text", [
+        "OFF\n0 -2 0\n0 1 2 0 1 2 0 1 2 9\n",
+        "OFF\n-2 1 0\n3 0 1 2\n",
+        "OFF\n-1 0 0\n3 0 1 2\n",
+        "OFF\n1 -3 0\n0 0 0\n3 0 1 2 3 0 1 2\n",
+        TETRA_OFF.replace("4 4 0", "4 4 x"),
+        TETRA_OFF.replace("4 4 0", "4 4 1e3"),
+        TETRA_OFF.replace("4 4 0", "4 %d 0" % 10 ** 20),
+        TETRA_OFF + "3",
+        TETRA_OFF[:-2],
+    ], ids=["negative-faces-then-tokens", "negative-vertices",
+            "negative-vertex-face", "negative-faces-after-coordinate",
+            "bad-edge-count", "float-edge-count", "huge-face-count",
+            "trailing-token", "short-last-face"])
+    def test_counts_match_token_walk(self, text):
+        assert (_load_outcome(TriangulatedSurface.from_off_text, text)
+                == _load_outcome(naive_from_off_text, text))
+
+    @pytest.mark.parametrize("faces, message", [
+        ("3 4 3 2\n3 3 4 1\n3 0 4 3\n",
+         "edge (3, 4) borders 3 triangles, expected 2"),
+        ("3 2 1 0\n", "edge (1, 2) borders 1 triangles, expected 2"),
+    ], ids=["three-owners", "one-owner"])
+    def test_bad_edge_named_as_sorted_pair(self, faces, message):
+        # the first edge seen that has not two triangles, low end first
+        nf = faces.count("\n")
+        with pytest.raises(NotAManifold) as info:
+            TriangulatedSurface.from_off_text(
+                "OFF\n5 %d 0\n%s%s" % (nf, "0 0 0\n" * 5, faces))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("sep", _SEPARATORS)
+    def test_separator_splits_like_lines(self, sep):
+        s, _ = octa_sphere()
+        text = sep.join(off_text(s).split())
+        assert (_load_outcome(TriangulatedSurface.from_off_text, text)
+                == _load_outcome(naive_from_off_text, text)
+                == _load_outcome(TriangulatedSurface.from_off_text, off_text(s)))
+
+
 _GENERIC = [octa_sphere, vertical_torus, lambda: chained_tori(2),
             lambda: chained_tori(3), noisy_torus, pillow]
 _GENERIC_IDS = ["sphere", "torus", "genus2", "genus3", "noisy-torus", "pillow"]
@@ -173,6 +292,15 @@ class TestSurfaceTables:
                     assert (not lower) == (not flags[0]), flags
                 else:
                     assert len(lower) == len(upper) == turns // 2, flags
+
+    @ORIENTABLE
+    def test_edge_ids_in_sorted_pair_order(self, fixture):
+        s, _ = fixture()
+        sides = [tuple(sorted(p)) for a, b, c in s.triangles
+                 for p in ((a, b), (b, c), (c, a))]
+        assert s.edges == sorted(set(sides))
+        assert s.edge_index == {e: i for i, e in enumerate(s.edges)}
+        assert [s.edges[e] for te in s._tri_edges for e in te] == sides
 
     @ORIENTABLE
     def test_star_edges_join_vertex_to_link(self, fixture):
