@@ -130,14 +130,18 @@ def _check_finite(value: float, what: str, *args,
     except OverflowError:   # an int too large for a float
         ok = False
     if not ok:
-        raise error("%s must be a finite number, got %r"
-                    % (what % args, value))
+        try:
+            got = repr(value)
+        except ValueError:  # an int with more digits than str() may print
+            got = "an int of %d bits" % value.bit_length()
+        raise error("%s must be a finite number, got %s" % (what % args, got))
 
 
 def _unsortable(vertices, edges) -> MalformedGraph | None:
-    """The error for records a sort cannot order, naming the first one in
-    input order: a vertex whose level is not a finite number, else a
-    vertex or an edge whose id is not a string."""
+    """The error for records a sort cannot order or the index cannot
+    hash, naming the first one in input order: a vertex whose level is
+    not a finite number, else a vertex or an edge whose id is not a
+    string, else an edge end that is not."""
     for vid, level, _ in vertices:
         try:
             _check_finite(level, "level of vertex %s", vid)
@@ -148,6 +152,11 @@ def _unsortable(vertices, edges) -> MalformedGraph | None:
             if not isinstance(record[0], str):
                 return MalformedGraph("%s id must be a string, got %r"
                                       % (what, record[0]))
+    for eid, lower, upper, _, _ in edges:
+        for end in (lower, upper):
+            if not isinstance(end, str):
+                return MalformedGraph("edge %r references missing vertex %r"
+                                      % (eid, end))
     return None
 
 
@@ -169,7 +178,8 @@ class ReebGraph:
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph)
     takes them sorted, and indexing checks their levels, ids and edge ends.
-    Records the sort cannot order raise ``MalformedGraph`` too.
+    Records the sort cannot order, or the index cannot hash, raise
+    ``MalformedGraph`` too.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -189,7 +199,10 @@ class ReebGraph:
         except TypeError as exc:    # a level or id that does not compare
             raise _unsortable(self.vertices, self.edges) or exc from None
         self.vertices = vertices
-        self._index()
+        try:
+            self._index()
+        except TypeError as exc:    # an id or edge end that does not hash
+            raise _unsortable(self.vertices, self.edges) or exc from None
 
     @classmethod
     def _trusted(cls, vertices, edges, lo, hi) -> "ReebGraph":

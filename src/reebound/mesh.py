@@ -165,6 +165,12 @@ class TriangulatedSurface:
     which sorts like the pair, so ids come from the sorted keys.
     ``from_off_text`` reads the OFF tokens from one split of the text
     (see ``_tokens``) and converts them slice by slice.
+
+    Fast checks pass every good input, and slow walks run only to flip or
+    to name a fault: ``_orient`` runs only when some edge's two triangles
+    disagree (else the links show connectivity), and ``_check_cycle``
+    walks a witness only when the one pass ``_cycle_ok`` fails.  Oracles:
+    ``naive_surface`` and ``naive_check_cycle`` in ``tests/_oracles.py``.
     """
 
     def __init__(self, n_vertices: int, triangles):
@@ -194,9 +200,15 @@ class TriangulatedSurface:
                 raise NotAManifold("edge %r borders %d triangles, expected 2"
                                    % (divmod(key, n), len(owned) // 2))
 
-        flips = self._orient(owners, len(tris))
-        self.triangles = tuple((t[0], t[2], t[1]) if f else t
-                               for t, f in zip(tris, flips))
+        # two triangles agree on an edge when they run it opposite ways;
+        # when every edge's two do, no triangle flips and the walk is skipped
+        agree = all(owned[1] is not owned[3] for owned in owners.values())
+        if agree:
+            self.triangles = tuple(tris)
+        else:
+            flips = self._orient(owners.values(), len(tris))
+            self.triangles = tuple((t[0], t[2], t[1]) if f else t
+                                   for t, f in zip(tris, flips))
         # packed keys sort like the pairs, so an edge's id is its position
         # in sorted pair order; owners then maps each key to that id
         keys = sorted(owners)
@@ -221,29 +233,48 @@ class TriangulatedSurface:
             fan[a][b] = (c, ab)
             fan[b][c] = (a, bc)
             fan[c][a] = (b, ca)
-        if not all(fan):
-            raise NotAManifold("isolated vertex present")
         self.links: list[tuple[int, ...]] = []
         self.stars: list[tuple[int, ...]] = []
-        for v, out in enumerate(fan):
-            x = start = min(out)
-            ring, star = [], []
-            while x != start or not ring:
-                ring.append(x)
-                x, e = out[x]
-                star.append(e)
-            if len(ring) != len(out):
-                raise NotAManifold("link of vertex %d is not a single cycle" % v)
-            self.links.append(tuple(ring))
-            self.stars.append(tuple(star))
+        try:
+            if not all(fan):
+                raise NotAManifold("isolated vertex present")
+            for v, out in enumerate(fan):
+                x = start = min(out)
+                ring, star = [], []
+                while x != start or not ring:
+                    ring.append(x)
+                    x, e = out[x]
+                    star.append(e)
+                if len(ring) != len(out):
+                    raise NotAManifold("link of vertex %d is not a single cycle" % v)
+                self.links.append(tuple(ring))
+                self.stars.append(tuple(star))
+        except NotAManifold:
+            # the walk, skipped, must still name a split surface first
+            if agree:
+                self._orient(((ta, True, tb, False) for ta, tb in self.edge_tris),
+                             len(self.triangles))
+            raise
+        if agree:
+            # every link is one cycle, so every star is a disk, and the
+            # triangles are connected iff the vertices are
+            seen, reached = [True] + [False] * (n - 1), [0]
+            for v in reached:
+                for u in self.links[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        reached.append(u)
+            if len(reached) != n:
+                raise NotAManifold("surface is not connected")
 
     @staticmethod
-    def _orient(owners, n_triangles: int) -> list[int]:
+    def _orient(owned, n_triangles: int) -> list[int]:
         """One flip bit per triangle; triangle 0 keeps its orientation."""
+        # ``owned`` holds each edge's [t1, up1, t2, up2]
         # each triangle's neighbours, in first-seen order of the shared
         # edges, with True where the two run that edge the same way
         nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(n_triangles)]
-        for t1, up1, t2, up2 in owners.values():
+        for t1, up1, t2, up2 in owned:
             nbrs[t1].append((t2, up1 == up2))
             nbrs[t2].append((t1, up1 == up2))
         flips: list[int | None] = [None] * n_triangles
@@ -438,7 +469,8 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             "witness_fraction %r must be inside (0, 1)" % witness_fraction)
 
     values, links, stars = field.values, surface.links, surface.stars
-    order = sorted(range(surface.n_vertices), key=field.key)
+    # a stable sort: ties break by index, as in ``field.key``
+    order = sorted(range(surface.n_vertices), key=values.__getitem__)
     rank = [0] * surface.n_vertices     # position in the (value, index) order
     for i, v in enumerate(order):
         rank[v] = i
@@ -578,9 +610,34 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     return ReebGraph(tuple(vertices), tuple(edges), lo, hi, meta=meta)
 
 
+def _cycle_ok(surface: TriangulatedSurface, values, cycle: LevelCycle) -> bool:
+    """True iff ``_check_cycle``'s walk would pass the cycle."""
+    # each entry must be the exit before it, so only the exits are looked
+    # up and tested at the level; anything malformed is False
+    try:
+        tris, entries, exits = zip(*cycle.crossings)
+        if (exits != entries[1:] + entries[:1] or len(set(tris)) != len(tris)
+                or not 0 <= min(tris) <= max(tris) < surface.n_triangles):
+            return False
+        tri_edges, level = surface._tri_edges, cycle.level
+        ids = list(map(surface.edge_index.get, exits))
+        prev = ids[-1]
+        for t, e, (a, b) in zip(tris, ids, exits):
+            te, va, vb = tri_edges[t], values[a], values[b]
+            if (e == prev or e not in te or prev not in te
+                    or not (va < level < vb or vb < level < va)):
+                return False
+            prev = e
+    except (TypeError, ValueError, IndexError):  # the walk names the fault
+        return False
+    return True
+
+
 def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
                  cycle: LevelCycle) -> None:
     """Raise unless the cycle is a closed loop of crossings at its level."""
+    if _cycle_ok(surface, field.values, cycle):
+        return      # the walk below only names the fault
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
     level, n = cycle.level, len(cycle.crossings)

@@ -4,10 +4,12 @@ surface, direct level-set component counting, the lower-link rule and
 contour tracing that lists each triangle's crossed edges, the witness
 level picked from the full list of gaps, an assignment sweep that
 rescans everything every round, disk edges found by deleting each edge in
-turn and searching both sides, the consistency checker that rescans every edge
-at every gap, the sweep as separate steps over frozen assignments,
-which rescans the graph in each of them, and the validator as one pass
-per rule group through the graph's lookup methods."""
+turn and searching both sides, the surface tables built with the
+orientation walk always run, the witness check crossing by crossing,
+the consistency checker that rescans every edge at every gap, the sweep
+as separate steps over frozen assignments, which rescans the graph in
+each of them, and the validator as one pass per rule group through the
+graph's lookup methods."""
 from __future__ import annotations
 
 import random
@@ -32,13 +34,17 @@ from reebound.assign import (
     TraceEntry,
 )
 from reebound.errors import (
+    BadWitness,
     BrokenUniqueness,
     ConflictingPropagation,
     DegenerateField,
     InvariantViolation,
+    MalformedMesh,
     NonConsecutiveFrontier,
     NoLowerBoundary,
+    NotAManifold,
     NothingToAssign,
+    NotOrientable,
     OpenCycle,
     ParseError,
     ReebTopologyMismatch,
@@ -195,6 +201,89 @@ def naive_from_off_text(text: str) -> TriangulatedSurface:
     return TriangulatedSurface(nv, faces)
 
 
+def naive_surface(n_vertices: int, triangles) -> TriangulatedSurface:
+    """A surface whose tables are built as the constructor built them
+    before it learned to skip the orientation walk: every input is
+    walked triangle by triangle, and connectivity is decided by that
+    walk alone, before any vertex is looked at."""
+    self = object.__new__(TriangulatedSurface)
+    self.n_vertices = n = n_vertices
+    ids = list(range(n))
+    tris: list[tuple[int, int, int]] = []
+    for t in triangles:
+        a, b, c = t
+        if a == b or b == c or c == a:
+            raise MalformedMesh("degenerate triangle %r" % (t,))
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            raise MalformedMesh("triangle %r references missing vertex" % (t,))
+        tris.append((ids[a], ids[b], ids[c]))
+    if not tris:
+        raise NotAManifold("no triangles")
+
+    owners: dict[int, list] = {}
+    for ti, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = u * n + v if u < v else v * n + u
+            owners.setdefault(key, []).extend((ti, u < v))
+    for key, owned in owners.items():
+        if len(owned) != 4:
+            raise NotAManifold("edge %r borders %d triangles, expected 2"
+                               % (divmod(key, n), len(owned) // 2))
+
+    nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(len(tris))]
+    for t1, up1, t2, up2 in owners.values():
+        nbrs[t1].append((t2, up1 == up2))
+        nbrs[t2].append((t1, up1 == up2))
+    flips: list[int | None] = [None] * len(tris)
+    flips[0] = 0
+    stack = [0]
+    while stack:
+        ti = stack.pop()
+        for tj, same in nbrs[ti]:
+            want = flips[ti] ^ same
+            if flips[tj] is None:
+                flips[tj] = want
+                stack.append(tj)
+            elif flips[tj] != want:
+                raise NotOrientable("triangles %d and %d disagree" % (ti, tj))
+    if None in flips:
+        raise NotAManifold("surface is not connected")
+
+    self.triangles = tuple((t[0], t[2], t[1]) if f else t
+                           for t, f in zip(tris, flips))
+    keys = sorted(owners)
+    self.edges = [(ids[k // n], ids[k % n]) for k in keys]
+    self.edge_index = {e: i for i, e in enumerate(self.edges)}
+    self.edge_tris = [(owned[0], owned[2]) for owned in map(owners.__getitem__, keys)]
+    owners.update(zip(keys, self.edge_index.values()))
+    self._tri_edges = [
+        (owners[a * n + b if a < b else b * n + a],
+         owners[b * n + c if b < c else c * n + b],
+         owners[c * n + a if c < a else a * n + c])
+        for a, b, c in self.triangles]
+
+    fan: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+    for (a, b, c), (ab, bc, ca) in zip(self.triangles, self._tri_edges):
+        fan[a][b] = (c, ab)
+        fan[b][c] = (a, bc)
+        fan[c][a] = (b, ca)
+    if not all(fan):
+        raise NotAManifold("isolated vertex present")
+    self.links, self.stars = [], []
+    for v, out in enumerate(fan):
+        x = start = min(out)
+        ring, star = [], []
+        while x != start or not ring:
+            ring.append(x)
+            x, e = out[x]
+            star.append(e)
+        if len(ring) != len(out):
+            raise NotAManifold("link of vertex %d is not a single cycle" % v)
+        self.links.append(tuple(ring))
+        self.stars.append(tuple(star))
+    return self
+
+
 def pl_criticality(surface: TriangulatedSurface,
                    field: ScalarField) -> tuple[list[int], list[int], list[int]]:
     """(minima, saddles, maxima) vertex indices by the lower-link rule.
@@ -299,6 +388,37 @@ def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int):
         e, t = x, (tb if ta == t else ta)
         if (e, t) == (start_edge, t0):
             return out
+
+
+def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
+                      cycle: LevelCycle) -> None:
+    """Raise unless the cycle is a closed loop of crossings at its level,
+    checking each crossing in turn: its two edges differ, its exit is the
+    next entry, both edges exist and are crossed at the level, and its
+    triangle exists and holds both; then no triangle is visited twice."""
+    if not cycle.crossings:
+        raise OpenCycle("empty cycle")
+    level, n = cycle.level, len(cycle.crossings)
+    for i, (t, entry, exit_) in enumerate(cycle.crossings):
+        nxt = cycle.crossings[(i + 1) % n]
+        if entry == exit_:
+            raise BadWitness("crossing %d enters and exits edge %r" % (i, entry))
+        if exit_ != nxt[1]:
+            raise OpenCycle("crossing %d exits %r but the next enters %r"
+                            % (i, exit_, nxt[1]))
+        for pair in (entry, exit_):
+            if pair not in surface.edge_index:
+                raise BadWitness("cycle references missing edge %r" % (pair,))
+            va, vb = field.values[pair[0]], field.values[pair[1]]
+            if not min(va, vb) < level < max(va, vb):
+                raise BadWitness("edge %r is not crossed at level %r" % (pair, level))
+        if not 0 <= t < surface.n_triangles:
+            raise BadWitness("cycle references missing triangle %r" % t)
+        te = set(surface._tri_edges[t])
+        if not {surface.edge_index[entry], surface.edge_index[exit_]} <= te:
+            raise BadWitness("triangle %d does not contain both crossing edges" % t)
+    if len({t for t, _, _ in cycle.crossings}) != n:
+        raise BadWitness("cycle visits a triangle twice")
 
 
 def value_crossed(surface: TriangulatedSurface, values, level: float):

@@ -209,6 +209,15 @@ class TestRestrict:
         with pytest.raises(BadWindow):
             restrict(single_edge_graph(), lo, hi)
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        (10 ** 5000, 0.8, "window lo must be a finite number, got an int of 16610 bits"),
+        (0.2, -10 ** 5000, "window hi must be a finite number, got an int of 16610 bits"),
+    ], ids=["huge-lo", "huge-hi"])
+    def test_unprintable_int_window_is_a_bad_window(self, lo, hi, message):
+        with pytest.raises(BadWindow) as info:
+            restrict(single_edge_graph(), lo, hi)
+        assert str(info.value) == message
+
     def test_cut_point_ids_are_primed_past_kept_vertices(self):
         # two kept vertices carry e0's lower cut id and its first prime;
         # the vertex carrying its upper cut id lies outside the window
@@ -475,8 +484,10 @@ class TestRecords:
         assert dressed != ReebGraph(g.vertices, g.edges[1:], g.lo, g.hi)
 
 
-# ids, levels, kinds and labels of the right type and of wrong ones
-_IDS = st.one_of(st.sampled_from("abc"), st.integers(-1, 1), st.none())
+# ids, levels, kinds and labels of the right type and of wrong ones; a
+# list id does not hash
+_IDS = st.one_of(st.sampled_from("abc"), st.integers(-1, 1), st.none(),
+                 st.lists(st.sampled_from("ab"), max_size=2))
 _LEVELS = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(),
                     st.integers(), st.none(), st.text(max_size=2))
 _KINDS = st.one_of(st.sampled_from(list(VertexKind)), st.none())
@@ -509,14 +520,43 @@ class TestDirectConstruction:
         ((("a", 0.5),), ("e1", None), "edge id must be a string, got None"),
         ((("a", 10 ** 400),), (),
          "level of vertex a must be a finite number, got %d" % 10 ** 400),
+        # too many digits to print, so the message gives its size
+        ((("a", 10 ** 5000),), (),
+         "level of vertex a must be a finite number, got an int of 16610 bits"),
+        # a single record sorts, but a list does not hash
+        (((["a"], 0.5),), (), "vertex id must be a string, got ['a']"),
+        ((("a", 0.5),), (["e1"],), "edge id must be a string, got ['e1']"),
+        ((("b", 0.5), (["a"], 0.2)), (), "vertex id must be a string, got ['a']"),
     ], ids=["none-level", "input-order", "int-vertex-id", "none-edge-id",
-            "huge-int-level"])
+            "huge-int-level", "unprintable-int-level", "list-vertex-id",
+            "list-edge-id", "list-id-among-levels"])
     def test_message_names_first_bad_record(self, vertices, edges, message):
         vs = tuple(ReebVertex(vid, level, VertexKind.SADDLE)
                    for vid, level in vertices)
         es = tuple(ReebEdge(eid, "a", "a", EdgeLabel.ESSENTIAL) for eid in edges)
         with pytest.raises(MalformedGraph) as info:
             ReebGraph(vs, es, 0.0, 1.0)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        (["a"], "a", "edge 'e1' references missing vertex ['a']"),
+        ("a", ["b"], "edge 'e1' references missing vertex ['b']"),
+    ], ids=["list-lower", "list-upper"])
+    def test_unhashable_edge_end_named(self, lower, upper, message):
+        vs = (ReebVertex("a", 0.2, VertexKind.SADDLE),
+              ReebVertex("b", 0.5, VertexKind.SADDLE))
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, (ReebEdge("e1", lower, upper, EdgeLabel.ESSENTIAL),),
+                      0.0, 1.0)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (10 ** 5000, 1.0, "lo must be a finite number, got an int of 16610 bits"),
+        (0.0, -10 ** 5000, "hi must be a finite number, got an int of 16610 bits"),
+    ], ids=["huge-lo", "huge-negative-hi"])
+    def test_unprintable_int_window_named_by_size(self, lo, hi, message):
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph((), (), lo, hi)
         assert str(info.value) == message
 
 

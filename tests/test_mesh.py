@@ -1,6 +1,7 @@
 """Mesh front-end: loading, validation, the sweep, and classification."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -36,8 +37,8 @@ from reebound.errors import (
     ReebTopologyMismatch,
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex
-from reebound.mesh import (LevelCycle, _disk_edges, _pick_witness_level,
-                            _run_starts, _trace, _turns)
+from reebound.mesh import (LevelCycle, _check_cycle, _cycle_ok, _disk_edges,
+                            _pick_witness_level, _run_starts, _trace, _turns)
 
 from _fixtures import (
     ISOLATED_VERTEX_OFF,
@@ -58,10 +59,10 @@ from _fixtures import (
     vertical_torus,
 )
 from _oracles import (_lower_arcs, count_level_components, level_cycles,
-                      naive_disk_edges, naive_from_off_text,
+                      naive_check_cycle, naive_disk_edges, naive_from_off_text,
                       naive_is_inessential,
-                      naive_pick_witness_level, naive_trace, pl_criticality,
-                      rank_crossed, value_crossed)
+                      naive_pick_witness_level, naive_surface, naive_trace,
+                      pl_criticality, rank_crossed, value_crossed)
 
 #: deterministic Hypothesis runs, like the CLI contract fuzzers
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -335,6 +336,134 @@ class TestSurfaceTables:
     def test_pillow_links_have_length_two(self):
         s, _ = pillow()
         assert s.links == [(1, 2), (0, 2), (0, 1)]
+
+
+@functools.cache
+def _surface_base(name):
+    """(vertex count, triangles) of a small closed surface, or of one
+    that fails a check: the Klein bottle, the pinched torus."""
+    if name == "klein":
+        return klein_grid(4, 4)
+    if name == "pinched":
+        return pinched_torus()
+    s = {"tetra": lambda: TriangulatedSurface.from_off_text(TETRA_OFF),
+         "sphere": lambda: octa_sphere()[0], "pillow": lambda: pillow()[0],
+         "torus": lambda: vertical_torus(8, 6)[0]}[name]()
+    return s.n_vertices, s.triangles
+
+
+_SURFACE_BASES = ("tetra", "sphere", "pillow", "torus", "klein", "pinched")
+
+
+@st.composite
+def mutated_triangle_lists(draw):
+    """(vertex count, triangles) of a base surface with up to three
+    changes: triangles flipped, dropped or duplicated, a disjoint copy of
+    a base added, an isolated vertex put in, two vertices glued into a
+    pinch, the vertices relabelled or the triangles shuffled."""
+    n, tris = _surface_base(draw(st.sampled_from(_SURFACE_BASES)))
+    tris = list(tris)
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 3))):
+        move = draw(st.sampled_from(("flip", "flip-some", "drop", "duplicate",
+                                     "union", "isolated", "pinch", "relabel",
+                                     "shuffle")))
+        i = draw(st.integers(0, max(len(tris) - 1, 0)))
+        if move == "flip" and tris:
+            a, b, c = tris[i]
+            tris[i] = (a, c, b)
+        elif move == "flip-some":
+            tris = [(a, c, b) if rnd.random() < 0.5 else (a, b, c)
+                    for a, b, c in tris]
+        elif move == "drop" and tris:
+            del tris[i]
+        elif move == "duplicate" and tris:
+            a, b, c = tris[i]
+            tris.insert(draw(st.integers(0, len(tris))),
+                        draw(st.sampled_from(((a, b, c), (a, c, b)))))
+        elif move == "union":
+            m, more = _surface_base(draw(st.sampled_from(_SURFACE_BASES)))
+            more = [(a + n, b + n, c + n) for a, b, c in more]
+            tris = tris + more if draw(st.booleans()) else more + tris
+            n += m
+        elif move == "isolated":
+            x = draw(st.integers(0, n))
+            tris = [tuple(v + (v >= x) for v in t) for t in tris]
+            n += 1
+        elif move == "pinch" and n > 1:
+            x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            tris = [tuple((y if v == x else v) - ((y if v == x else v) > x)
+                          for v in t) for t in tris]
+            n -= 1
+        elif move == "relabel":
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            tris = [tuple(perm[v] for v in t) for t in tris]
+        elif move == "shuffle":
+            rnd.shuffle(tris)
+    return n, tris
+
+
+def _surface_outcome(build, n, tris):
+    """The surface's tables, or the error's type and message."""
+    try:
+        s = build(n, tris)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (s.n_vertices, s.triangles, s.edges, s.edge_index, s.edge_tris,
+            s._tri_edges, s.links, s.stars)
+
+
+def _disjoint(*parts):
+    """(vertex count, triangles) of the parts side by side."""
+    n, tris = 0, []
+    for m, more in parts:
+        tris += [(a + n, b + n, c + n) for a, b, c in more]
+        n += m
+    return n, tris
+
+
+class TestSurfaceOracle:
+    """The constructor, which skips the orientation walk when every edge's
+    two triangles already agree, against the one that always walks."""
+
+    @FUZZ
+    @given(mutated_triangle_lists())
+    def test_matches_walking_constructor(self, case):
+        n, tris = case
+        assert (_surface_outcome(TriangulatedSurface, n, tris)
+                == _surface_outcome(naive_surface, n, tris))
+
+    @ORIENTABLE
+    def test_fixtures_match_walking_constructor(self, fixture):
+        s, _ = fixture()
+        rng = random.Random(5)
+        flipped = [(a, c, b) if rng.random() < 0.5 else (a, b, c)
+                   for a, b, c in s.triangles]
+        for tris in (s.triangles, flipped):
+            assert (_surface_outcome(TriangulatedSurface, s.n_vertices, tris)
+                    == _surface_outcome(naive_surface, s.n_vertices, tris))
+
+    @pytest.mark.parametrize("n, tris", [
+        # two spheres and a vertex no triangle uses
+        (13, _disjoint(_surface_base("sphere"), _surface_base("sphere"))[1]),
+        # a sphere beside a pinched torus
+        _disjoint(_surface_base("sphere"), _surface_base("pinched")),
+        # two spheres glued at a vertex: the vertices are connected, the
+        # triangles are not
+        (11, [tuple(0 if v == 6 else v - (v > 6) for v in t) for t in
+              _disjoint(_surface_base("sphere"), _surface_base("sphere"))[1]]),
+    ], ids=["isolated-vertex", "pinched", "spheres-glued-at-a-vertex"])
+    def test_split_named_before_vertex_faults(self, n, tris):
+        # every edge's two triangles agree, so the walk is skipped until
+        # the vertex fault shows, and must still run before it is named
+        sides = {(u, v) for a, b, c in tris for u, v in ((a, b), (b, c), (c, a))}
+        assert len(sides) == 3 * len(tris)
+        for build in (TriangulatedSurface, naive_surface):
+            with pytest.raises(NotAManifold) as info:
+                build(n, tris)
+            assert str(info.value) == "surface is not connected"
 
 
 class TestCriticality:
@@ -692,6 +821,16 @@ class TestRandomSurfaces:
         for k in range(21):
             genus = 1 + k % 3
             s, f, kind = random_closed_surface(rng, genus)
+            # the walks against their oracles, drawn apart so that the
+            # surfaces and fractions stay those of the seed above
+            side = random.Random(k)
+            for t in _random_gap_levels(f, side, 2):
+                crossed = value_crossed(s, f.values, t)
+                hit = [e for e in range(s.n_edges) if crossed(e)]
+                for e in side.sample(hit, min(len(hit), 8)) + side.sample(
+                        range(s.n_edges), 8):
+                    assert (_walk_or_message(_trace, s, f.values, t, e)
+                            == _walk_or_message(naive_trace, s, crossed, e)), (k, t, e)
             try:
                 # label_reeb checks that the cycle rank is the genus
                 g = label_reeb(s, f, build_reeb(s, f, rng.uniform(0.05, 0.95)))
@@ -699,6 +838,12 @@ class TestRandomSurfaces:
                 outcomes[genus, kind, "degenerate"] += 1
                 continue
             assert len(g.edges) - len(g.vertices) + 1 == genus
+            for e in g.edges:
+                assert naive_check_cycle(s, f, e.witness) is None
+                assert _cycle_ok(s, f.values, e.witness), (k, e.id)
+                bad = mutated_witness(s, f, e.witness, side.choice)
+                assert (_check_outcome(_check_cycle, s, f, bad)
+                        == _check_outcome(naive_check_cycle, s, f, bad)), (k, e.id)
             for e in rng.sample(g.edges, min(6, len(g.edges))):
                 assert (e.label is EdgeLabel.INESSENTIAL) \
                     == naive_is_inessential(s, f, e.witness), (k, e.id)
@@ -786,6 +931,94 @@ PINNED_MESHES = {
     "noisy-torus": noisy_torus,
     "pillow": pillow,
 }
+
+def mutated_witness(s, f, w, pick):
+    """``w`` with one field of one crossing replaced, its level moved,
+    one crossing dropped or repeated, one edge between two crossings
+    replaced at both ends, its triangles turned one step against its
+    edges, or the cycle collapsed to one crossing that enters and exits
+    by the same edge; ``pick`` chooses each part of the change from a
+    sequence."""
+    crossings = list(w.crossings)
+    i = pick(range(len(crossings)))
+    t, entry, exit_ = crossings[i]
+    other = crossings[pick(range(len(crossings)))]
+    move = pick(("triangle", "entry", "exit", "edge", "level", "drop",
+                 "repeat", "turn", "collapse"))
+    if move == "triangle":
+        crossings[i] = (pick((t + 1, t - 1, -1, -s.n_triangles + t,
+                              s.n_triangles, other[0],
+                              pick(range(s.n_triangles)))), entry, exit_)
+    elif move in ("entry", "exit", "edge"):
+        pair = entry if move == "entry" else exit_
+        third = [s.edges[e] for e in s._tri_edges[t]
+                 if s.edges[e] not in (entry, exit_)]
+        pair = pick((pair[::-1], [*pair], (pair[0], 999), (*pair, 0), entry,
+                     exit_, other[1], other[2], *third,
+                     s.edges[pick(range(s.n_edges))]))
+        if move == "entry":
+            crossings[i] = (t, pair, exit_)
+        else:
+            crossings[i] = (t, entry, pair)
+        if move == "edge":  # the next crossing enters where this one exits
+            k = (i + 1) % len(crossings)
+            crossings[k] = (crossings[k][0], pair, crossings[k][2])
+    elif move == "level":
+        return LevelCycle(pick((f.values[entry[0]], f.values[exit_[1]],
+                                nextafter(w.level, inf), -w.level)), w.crossings)
+    elif move == "drop":
+        del crossings[i]
+    elif move == "repeat":
+        crossings.insert(pick(range(len(crossings) + 1)), crossings[i])
+    elif move == "turn":
+        step = pick((1, -1))
+        crossings = [(crossings[(k + step) % len(crossings)][0], a, b)
+                     for k, (_, a, b) in enumerate(crossings)]
+    else:
+        pair = pick((entry, exit_))
+        crossings = [(t, pair, pair)]
+    return LevelCycle(w.level, tuple(crossings))
+
+
+def _check_outcome(check, s, f, w):
+    """None if the witness passes, else the error's type and message."""
+    try:
+        check(s, f, w)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@functools.cache
+def _witness_base(name):
+    """A fixture's surface, field and the witnesses of its Reeb graph."""
+    s, f = PINNED_MESHES[name]()
+    return s, f, [e.witness for e in build_reeb(s, f).edges]
+
+
+class TestWitnessCheck:
+    """The one-pass witness check against the crossing-by-crossing walk."""
+
+    @FUZZ
+    @given(st.sampled_from(("sphere", "torus", "genus2", "noisy-torus",
+                            "pillow")), st.data())
+    def test_mutated_crossing_matches_walk(self, name, data):
+        s, f, witnesses = _witness_base(name)
+        w = data.draw(st.sampled_from(witnesses))
+        bad = mutated_witness(s, f, w,
+                              lambda seq: data.draw(st.sampled_from(seq)))
+        want = _check_outcome(naive_check_cycle, s, f, bad)
+        assert _check_outcome(_check_cycle, s, f, bad) == want
+        if want is not None:
+            assert not _cycle_ok(s, f.values, bad)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
+    def test_every_witness_passes_in_one_pass(self, name):
+        s, f, witnesses = _witness_base(name)
+        for w in witnesses:
+            assert naive_check_cycle(s, f, w) is None
+            assert _cycle_ok(s, f.values, w)
+
 
 #: SHA-256 of graph_dumps(label_reeb(build_reeb(...))) per (mesh, witness
 #: fraction), recorded while build_reeb still keyed every vertex's star
