@@ -33,13 +33,12 @@ assigned to the right shares it too and connects back through edges of
 that value).  It reads only the assignment, its trace and the graph's
 index, in one frontier walk and one union-find over the edges, so a
 call costs O(E + G + T) for E edges, G gaps and T trace entries.  The
-checked run decides each round from state a private checker keeps
-between rounds, its own frontier walk included (never the sweep's).
-Each write ORs the edge's gaps into a G-bit int kept per integer, at
-O(E G / 30) digit operations over a run at worst, and each round scans
-the integers written and compares two of those ints.  Unless the graph
-has a loop, flat or backward edge, it certifies exactly the rounds
-check_invariants passes, which thus runs only to report a violation.
+checked run decides each round in one call to a private checker with
+its own state, frontier walk included (never the sweep's): a write
+costs a few dict operations and an OR of G bits, a round its walk and
+O(1) compares and shifts of G-bit ints.  Unless the graph has a loop,
+flat or backward edge, it certifies exactly the rounds check_invariants
+passes, which thus runs only to report a violation.
 """
 from __future__ import annotations
 
@@ -109,16 +108,9 @@ class DistanceBoundReport:
 
 def _find(parent: dict, x):
     """The root of x in a union-find forest, halving the path to it."""
-    parent.setdefault(x, x)
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
+    while (p := parent.setdefault(x, x)) != x:
+        parent[x] = x = parent[p]
     return x
-
-
-def _consecutive(values: list[int]) -> bool:
-    """The frontier rule: sorted integers are n alone or n - 1 and n."""
-    return bool(values) and values[-1] - values[0] <= 1
 
 
 class _Frontier:
@@ -201,8 +193,7 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
     if vid is None:
         return ValidationReport.from_violations(out)
 
-    assigned = p.assigned
-    gap0 = g.gap_below(vid)
+    assigned, gap0 = p.assigned, g.gap_below(vid)
     front = _Frontier(g, assigned)
     front.advance(gap0)
     values = sorted(front.counts)
@@ -212,7 +203,7 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
                              "unassigned frontier edges at %s" % vid))
     if not (front.open or front.counts):
         out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
-    elif not front.open and not _consecutive(values):
+    elif not front.open and values[-1] - values[0] > 1:
         out.append(Violation(RULE_FRONTIER, (vid,),
                              "frontier carries %r" % values))
 
@@ -245,9 +236,7 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
     # the first plateau of another value; it fails plateau-connected at
     # the first plateau of value v if its component within the v-edges
     # starts above that gap
-    first_of: dict[int, int] = {}
-    for gap, m in plateaus:
-        first_of.setdefault(m, gap)
+    first_of = {m: gap for gap, m in reversed(plateaus)}
     first = plateaus[0]
     other = next((pm for pm in plateaus if pm[1] != first[1]),
                  (None, None))
@@ -284,17 +273,20 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
 
 
 class _Checker:
-    """Decides each round of a checked run from state kept between rounds:
-    ``clean`` is True exactly when check_invariants would find nothing.
+    """Decides each round of a checked run in one call, from state kept
+    between rounds: ``clean`` is True exactly when check_invariants would
+    find nothing.
 
-    It reads the trace entries appended since its last call, their edges'
-    integers, the next target and the graph's index, never the sweep's
-    state.  Integers are never rewritten and the target's gap never
-    decreases, so its state only grows or moves up: ``value`` per edge
-    written; its own frontier; ``live``, per integer, the gaps its edges
-    span as the bits of one int (bit k set iff such an edge spans gap
-    k); a union-find over (vertex, integer) with each root's lowest gap,
-    in a lazily cleaned max-heap per integer.
+    A call reads the trace entries appended since the last, their edges'
+    integers in the assignment, the target and the graph's index, never
+    the sweep's state, and only adds to or moves up: ``value`` per edge
+    written and its own frontier; ``live``, the gaps each integer's edges
+    span as the bits of one int; ``top``, the three integers reaching
+    furthest, as (reach, integer) largest first; ``uf``, per integer, a
+    union-find over vertex ids with each root's lowest gap, in a max-heap
+    pushed when that gap is new or lowered.  A write costs a few dict
+    operations and one OR of G bits for G gaps; a round, its frontier
+    walk and O(1) compares and shifts of G-bit ints.
 
     Once the frontier carries b, or b - 1 and b, and no other integer is
     live at a gap past the frontier's, a gap from the frontier's on is a
@@ -307,65 +299,77 @@ class _Checker:
     """
 
     def __init__(self, g: ReebGraph):
-        self.g, self.gaps, self.edges = g, g._gaps, g._edge_by_id
-        self.sound = all(self.gaps.values())
-        self.value: dict[str, int] = {}
-        self.front = _Frontier(g, self.value)
-        self.seen = 0
-        self.live: dict[int, int] = {}
-        self.parent: dict[tuple[str, int], tuple[str, int]] = {}
-        self.low: dict[tuple[str, int], int] = {}
-        self.lows: dict[int, list[tuple[int, tuple[str, int]]]] = {}
+        self.gaps, self.edges, self.index = g._gaps, g._edge_by_id, g._event_index
+        self.sound, self.value = all(self.gaps.values()), {}
+        self.front, self.seen, self.live, self.uf = _Frontier(g, self.value), 0, {}, {}
+        self.top: list[tuple[int, int | None]] = [(0, None)] * 3
 
     def clean(self, assigned: dict[str, int], trace, vid: str | None) -> bool:
-        self._read(assigned, trace)
-        if not self.sound or vid is None:
-            return self.sound
-        gap0, front, live = self.g.gap_below(vid), self.front, self.live
+        if not self.sound:
+            return False
+        value, gaps, edges, live, uf = self.value, self.gaps, self.edges, self.live, self.uf
+        write, top = self.front.write, self.top
+        for entry in trace[self.seen:]:
+            for eid in entry.edges:
+                n = assigned.get(eid)
+                if n is None or eid in value:
+                    self.sound = False
+                    return False
+                write(eid, n)
+                span = gaps[eid]
+                start, stop = span.start, span.stop
+                bits = live.get(n, 0)
+                live[n] = bits | ((1 << stop) - (1 << start))
+                if stop > top[2][0] and stop > bits.bit_length():
+                    top.pop(0 if top[0][1] == n else 1 if top[1][1] == n else 2)
+                    top.insert((top[0][0] >= stop) + (top[1][0] >= stop), (stop, n))
+                parent, low, heap = uf.get(n) or uf.setdefault(n, ({}, {}, []))
+                x, y = _ends(edges[eid])
+                # path halving; a vertex seen first is its own root
+                while (p := parent.setdefault(x, x)) != x:
+                    parent[x] = x = parent[p]
+                while (p := parent.setdefault(y, y)) != y:
+                    parent[y] = y = parent[p]
+                # the root with the lower gap stays one (a new vertex has none)
+                if low.get(x, stop) > low.get(y, stop):
+                    x, y = y, x
+                parent[y] = x
+                if start < low.get(x, stop):
+                    low[x] = start
+                    heappush(heap, (-start, x))
+        self.seen = len(trace)
+        if len(value) != len(assigned):
+            self.sound = False
+            return False
+        if vid is None:
+            return True
+        gap0, front = self.index[vid] - 1, self.front
         front.advance(gap0)
-        values = sorted(front.counts)
-        if front.gap != gap0 or front.open or not _consecutive(values):
+        counts = front.counts
+        if front.gap != gap0 or front.open or not counts:
             return False
-        a, b = values[-1] - 1, values[-1]
-        if any(bits.bit_length() > gap0 + 1
-               for v, bits in live.items() if v != a and v != b):
+        b = max(counts)
+        a = b - 1
+        if len(counts) > 2 or (len(counts) == 2 and a not in counts):
             return False
+        (r0, n0), (r1, n1), (r2, _) = top
+        if (r0 if n0 != a and n0 != b else r1 if n1 != a and n1 != b else r2) > gap0 + 1:
+            return False    # the furthest-reaching integer but a and b is live past gap0
         # the gaps from gap0 on where a and b are live, as bits from 0
         la, lb = live.get(a, 0) >> gap0, live[b] >> gap0
-        if la.bit_length() == lb.bit_length():
+        ra, rb = la.bit_length(), lb.bit_length()
+        if ra == rb:
             return la == lb
-        m, far, near = (a, la, lb) if la.bit_length() > lb.bit_length() else (b, lb, la)
-        first = near.bit_length()
+        m, far, near, first = (a, la, lb, rb) if ra > rb else (b, lb, la, ra)
         if far & ((1 << first) - 1) != near:
             return False
         rest = far >> first     # m's first live gap from there on is a plateau
         plateau = gap0 + first + (rest & -rest).bit_length() - 1
         # the highest lowest gap over the components of m's edges
-        heap = self.lows[m]
-        while (self.parent[heap[0][1]] != heap[0][1]
-               or self.low[heap[0][1]] != -heap[0][0]):
+        parent, low, heap = uf[m]
+        while parent[heap[0][1]] != heap[0][1] or low[heap[0][1]] != -heap[0][0]:
             heappop(heap)
         return -heap[0][0] <= plateau
-
-    def _read(self, assigned: dict[str, int], trace) -> None:
-        """Take in the integers of the trace entries not read yet."""
-        write, parent, low, live = self.front.write, self.parent, self.low, self.live
-        for entry in trace[self.seen:]:
-            for eid in entry.edges:
-                if not self.sound or eid in self.value or eid not in assigned:
-                    self.sound = False
-                    continue
-                value = assigned[eid]
-                write(eid, value)
-                gaps = self.gaps[eid]
-                live[value] = live.get(value, 0) | ((1 << gaps.stop) - (1 << gaps.start))
-                e = self.edges[eid]
-                r1 = _find(parent, (e.lower, value))
-                r2 = parent[r1] = _find(parent, (e.upper, value))
-                low[r2] = min(low.get(r1, gaps.start), low.get(r2, gaps.start), gaps.start)
-                heappush(self.lows.setdefault(value, []), (-low[r2], r2))
-        self.seen = len(trace)
-        self.sound = self.sound and len(self.value) == len(assigned)
 
 
 class _Sweep:
@@ -491,7 +495,7 @@ class _Sweep:
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
         values = sorted(front.counts)
-        if not _consecutive(values):
+        if not values or values[-1] - values[0] > 1:
             raise NonConsecutiveFrontier(
                 "frontier of %s carries %r" % (target, values))
         return values[0] + 1

@@ -141,7 +141,7 @@ def _unsortable(vertices, edges) -> MalformedGraph | None:
     """The error for records a sort cannot order or the index cannot
     hash, naming the first one in input order: a vertex whose level is
     not a finite number, else a vertex or an edge whose id is not a
-    string, else an edge end that is not."""
+    string, else an edge end that is not, else a kind that does not hash."""
     for vid, level, _ in vertices:
         try:
             _check_finite(level, "level of vertex %s", vid)
@@ -157,6 +157,12 @@ def _unsortable(vertices, edges) -> MalformedGraph | None:
             if not isinstance(end, str):
                 return MalformedGraph("edge %r references missing vertex %r"
                                       % (eid, end))
+    for vid, _, kind in vertices:
+        try:
+            hash(kind)
+        except TypeError:
+            return MalformedGraph("kind of vertex %s must be hashable, got a %s"
+                                  % (vid, type(kind).__name__))
     return None
 
 
@@ -178,8 +184,8 @@ class ReebGraph:
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph)
     takes them sorted, and indexing checks their levels, ids and edge ends.
-    Records the sort cannot order, or the index cannot hash, raise
-    ``MalformedGraph`` too.
+    Records the sort cannot order or the index cannot hash, kinds too, raise
+    ``MalformedGraph``; a hashable non-member kind such as None is interior.
     """
 
     vertices: tuple[ReebVertex, ...]

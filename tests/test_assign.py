@@ -12,7 +12,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reebound.assign as assign_mod
@@ -25,14 +25,18 @@ from reebound import (
     distance_bound,
     essential_subgraph,
     random_reeb,
+    restrict,
+    validate,
 )
 from reebound.errors import (
     BrokenUniqueness,
     ConflictingPropagation,
+    EmptyWindow,
     IncompleteAssignment,
     InvariantViolation,
     NoLowerBoundary,
     NonConsecutiveFrontier,
+    NonGenericCut,
     NothingToAssign,
     NoUpperBoundary,
     ReeboundError,
@@ -412,6 +416,62 @@ class TestOnePass:
     def test_arbitrary_subgraphs(self, sub, check):
         assert (_outcome(assign_all, sub, check)
                 == _outcome(stepwise_assign, sub, check))
+
+
+def _rounds(trace):
+    """The trace cut into rounds: each its opening step-0 or step-2 entry
+    and the (edges, integer) of its step-1 copies, sorted.  The naive
+    rescans copy in a random order, and an edge between two valency-two
+    vertices whose other edges the round wrote is copied through either."""
+    rounds = []
+    for t in trace:
+        if t.step == "step1":
+            rounds[-1][1].append((t.edges, t.integer))
+        else:
+            rounds.append((t, []))
+    return [(head, sorted(copies)) for head, copies in rounds]
+
+
+class TestWindows:
+    """Generator graphs cut to windows inside (0, 1).  Wherever the cut
+    passes validate, the checked sweep on its essential subgraph gives
+    naive_assign's map, trace rounds and bound, and the step-at-a-time
+    reference's trace entry for entry.  A window that raises
+    NonGenericCut or EmptyWindow, or whose cut fails validate, is counted
+    as a Hypothesis event and kept, never filtered out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 100_000), saddles=st.integers(0, 40),
+           pbias=st.floats(0, 1), ibias=st.floats(0, 1), data=st.data())
+    def test_checked_sweep_matches_naive(self, seed, saddles, pbias, ibias,
+                                         data):
+        g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                  parallel_edge_bias=pbias,
+                                  inessential_bias=ibias))
+        # ends anywhere inside (0, 1), or exactly at an interior level,
+        # in order or in either order
+        levels = [v.level for v in g.vertices if 0.0 < v.level < 1.0]
+        end = st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                        *([st.sampled_from(levels)] if levels else []))
+        window = st.one_of(st.tuples(end, end).map(sorted), st.tuples(end, end))
+        for lo, hi in data.draw(st.lists(window, min_size=1, max_size=6)):
+            try:
+                cut = restrict(g, lo, hi)
+            except (NonGenericCut, EmptyWindow) as exc:
+                event(type(exc).__name__)
+                continue
+            report = validate(cut)
+            if not report.ok:
+                event("invalid: %s" % sorted(report.rules()))
+                continue
+            event("checked")
+            sub = essential_subgraph(cut, prevalidated=True)
+            p = assign_all(sub, check=True)
+            q = naive_assign(sub, random.Random(seed))
+            assert p.assigned == q.assigned
+            assert _rounds(p.trace) == _rounds(q.trace)
+            assert distance_bound(sub, p) == distance_bound(sub, q)
+            assert p.trace == stepwise_assign(sub, check=True).trace
 
 
 class TestTrickyShapes:
@@ -873,6 +933,23 @@ class TestIncrementalChecker:
         monkeypatch.setattr(assign_mod, "check_invariants",
                             lambda *args: calls.append(args))
         assert assign_all(sub, check=True).assigned == assign_all(sub).assigned
+        assert calls == []
+
+    def test_no_fallback_on_corpus(self, monkeypatch, corpus):
+        # every round of a checked run over the acceptance corpus and the
+        # round graphs is certified, so check_invariants never runs
+        calls = []
+        check = assign_mod.check_invariants
+
+        def spy(g, p, vid):
+            calls.append(vid)
+            return check(g, p, vid)
+
+        monkeypatch.setattr(assign_mod, "check_invariants", spy)
+        subs = [sub for _, sub in corpus] + [_round_graph(*sg) for sg in ROUND_GRAPHS]
+        assert len(subs) == 1022
+        for sub in subs:
+            assign_all(sub, check=True)
         assert calls == []
 
     def test_plateau_starts_where_the_longer_reach_resumes(self):

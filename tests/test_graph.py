@@ -485,12 +485,13 @@ class TestRecords:
 
 
 # ids, levels, kinds and labels of the right type and of wrong ones; a
-# list id does not hash
+# list id or kind does not hash
 _IDS = st.one_of(st.sampled_from("abc"), st.integers(-1, 1), st.none(),
                  st.lists(st.sampled_from("ab"), max_size=2))
 _LEVELS = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(),
                     st.integers(), st.none(), st.text(max_size=2))
-_KINDS = st.one_of(st.sampled_from(list(VertexKind)), st.none())
+_KINDS = st.one_of(st.sampled_from(list(VertexKind)), st.none(),
+                   st.lists(st.sampled_from(list(VertexKind)), max_size=1))
 _LABELS = st.one_of(st.sampled_from(list(EdgeLabel)), st.none())
 
 
@@ -549,6 +550,32 @@ class TestDirectConstruction:
             ReebGraph(vs, (ReebEdge("e1", lower, upper, EdgeLabel.ESSENTIAL),),
                       0.0, 1.0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ((("a", 0.5, ["x"]),), (), "kind of vertex a must be hashable, got a list"),
+        # a tuple type hashes, but not this tuple
+        ((("b", 0.2, VertexKind.SADDLE), ("a", 0.5, ([],))), (),
+         "kind of vertex a must be hashable, got a tuple"),
+        # a bad level, id or edge end is named first, whatever the order
+        ((("a", 0.5, ["x"]), ("b", None, VertexKind.SADDLE)), (),
+         "level of vertex b must be a finite number, got None"),
+        ((("a", 0.5, ["x"]), (["b"], 0.2, VertexKind.SADDLE)), (),
+         "vertex id must be a string, got ['b']"),
+        ((("a", 0.5, ["x"]),), (("e1", "a", ["a"]),),
+         "edge 'e1' references missing vertex ['a']"),
+    ], ids=["list-kind", "unhashable-tuple-kind", "level-first", "id-first",
+            "end-first"])
+    def test_unhashable_kind_named_last(self, vertices, edges, message):
+        vs = tuple(ReebVertex(*v) for v in vertices)
+        es = tuple(ReebEdge(eid, lower, upper, EdgeLabel.ESSENTIAL)
+                   for eid, lower, upper in edges)
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, es, 0.0, 1.0)
+        assert str(info.value) == message
+
+    def test_hashable_non_member_kind_is_interior(self):
+        g = ReebGraph((ReebVertex("a", 0.5, None),), (), 0.0, 1.0)
+        assert (g.interior, g.boundary_minus, g.boundary_plus) == (("a",), set(), set())
 
     @pytest.mark.parametrize("lo, hi, message", [
         (10 ** 5000, 1.0, "lo must be a finite number, got an int of 16610 bits"),
