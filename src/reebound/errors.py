@@ -19,8 +19,9 @@ class ReeboundError(Exception):
 
 
 class MalformedGraph(ReeboundError):
-    """Edge endpoints reference missing vertices, duplicate ids, or
-    non-finite levels: the payload is not a graph at all."""
+    """Edge endpoints reference missing vertices, duplicate ids,
+    non-finite levels, or a vertex kind that is not a ``VertexKind``: the
+    payload is not a graph at all."""
 
     exit_code = 3
 
@@ -112,8 +113,9 @@ class InvariantViolation(_ReportError):
 # -- mesh front-end ----------------------------------------------------------
 
 class MalformedMesh(ReeboundError, ValueError):
-    """A triangle is degenerate or names a missing vertex, or the scalar
-    field's length differs from the mesh's vertex count."""
+    """A triangle is degenerate, names a missing vertex or is not three
+    vertex indices, the vertex count is not an int, or the scalar field's
+    length differs from the mesh's vertex count."""
 
     exit_code = 1
 
@@ -131,9 +133,9 @@ class NotOrientable(ReeboundError):
 
 
 class DegenerateField(ReeboundError):
-    """The scalar field is unusable: non-finite values or a value of the
-    largest finite magnitude, a monkey saddle (subdivide the mesh around
-    it), or coinciding critical values."""
+    """The scalar field is unusable: a value that is not a finite number
+    or one of the largest finite magnitude, a monkey saddle (subdivide the
+    mesh around it), or coinciding critical values."""
 
     exit_code = 1
 

@@ -44,7 +44,8 @@ class EdgeLabel(str, Enum):
 # plain names and values for hot loops: Enum attribute reads are slow on CPython 3.11
 _MINUS, _PLUS, _CENTER, _SADDLE, _REGULAR = VertexKind
 _ESSENTIAL = EdgeLabel.ESSENTIAL
-_VALUES = {m: m.value for enum in (VertexKind, EdgeLabel) for m in enum}
+_KIND_VALUES = {m: m.value for m in VertexKind}
+_LABEL_VALUES = {m: m.value for m in EdgeLabel}
 
 #: Valency each vertex kind must have in the full graph.
 EXPECTED_VALENCY = {_MINUS: 1, _PLUS: 1, _CENTER: 1, _SADDLE: 3, _REGULAR: 2}
@@ -130,11 +131,28 @@ def _check_finite(value: float, what: str, *args,
     except OverflowError:   # an int too large for a float
         ok = False
     if not ok:
-        try:
-            got = repr(value)
-        except ValueError:  # an int with more digits than str() may print
-            got = "an int of %d bits" % value.bit_length()
-        raise error("%s must be a finite number, got %s" % (what % args, got))
+        raise error("%s must be a finite number, got %s"
+                    % (what % args, _shown(value)))
+
+
+def _shown(value) -> str:
+    """``repr(value)``; an int too long for ``str`` is shown by its size,
+    also inside a tuple or a list."""
+    try:
+        return repr(value)
+    except ValueError:  # an int with more digits than str() may print
+        if isinstance(value, int):
+            return "an int of %d bits" % value.bit_length()
+        return "(%s)" % ", ".join(map(_shown, value))
+
+
+def _unknown_kind(vertices) -> MalformedGraph:
+    """The error naming the first vertex, in the order given, whose kind
+    is not a ``VertexKind``."""
+    vid, kind = next((vid, kind) for vid, _, kind in vertices
+                     if kind not in EXPECTED_VALENCY)
+    return MalformedGraph("kind of vertex %s must be a vertex kind, got %s"
+                          % (vid, _shown(kind)))
 
 
 def _unsortable(vertices, edges) -> MalformedGraph | None:
@@ -337,7 +355,11 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     crit_levels: dict[float, list[str]] = {}
     ends: list[Violation] = []
     for vid, level, kind in g.vertices:
-        deg, want = len(g._incident[vid]), EXPECTED_VALENCY[kind]
+        try:
+            want = EXPECTED_VALENCY[kind]
+        except KeyError:
+            raise _unknown_kind(g.vertices) from None
+        deg = len(g._incident[vid])
         if kind is _REGULAR and not allow_regular:
             out.append(Violation(RULE_REGULAR, (vid,),
                                  "valency-two subdivision vertex present"))
@@ -468,18 +490,16 @@ def graph_to_dict(g: ReebGraph) -> dict:
     as the stored tuples; any other witness, such as one read from JSON,
     is kept as it is.  A JSON null reads as no witness, and no witness
     writes no ``witness`` key."""
-    out: dict[str, Any] = {
-        "lo": g.lo,
-        "hi": g.hi,
-        "vertices": [
-            {"id": v.id, "level": v.level, "kind": _VALUES[v.kind]}
-            for v in g.vertices
-        ],
-        "edges": [],
-    }
+    try:
+        vertices = [{"id": v.id, "level": v.level, "kind": _KIND_VALUES[v.kind]}
+                    for v in g.vertices]
+    except KeyError:
+        raise _unknown_kind(g.vertices) from None
+    out: dict[str, Any] = {"lo": g.lo, "hi": g.hi, "vertices": vertices,
+                           "edges": []}
     for e in g.edges:
         entry: dict[str, Any] = {"id": e.id, "lower": e.lower,
-                                 "upper": e.upper, "label": _VALUES[e.label]}
+                                 "upper": e.upper, "label": _LABEL_VALUES[e.label]}
         payload = _witness_payload(e.witness)
         if payload is not None:
             entry["witness"] = payload

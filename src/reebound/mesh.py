@@ -10,11 +10,14 @@ surface the Reeb graph's cycle rank is the genus, so an edge's level
 curve bounds a disk iff the edge is a bridge with a tree on one side.
 The surface builds its edge, link and star tables once on loading; the
 sweep, the contour walks and the witness check only read them, and the
-labelling walks the Reeb graph's own incidence index.  A contour walk
-separates the vertices with ``key[v] <= level`` from the rest: entering
-oriented triangle abc across its edge i, from ``tri[i]`` to ``tri[i+1]``,
-it leaves by edge i - 1 if the opposite vertex ``tri[i-1]`` lies on the
-other side from ``tri[i]``, and by edge i + 1 if not.
+labelling walks the Reeb graph's own incidence index.  No vertex pair ->
+edge id table is built: the witness check finds each edge among its own
+triangle's three, and ``edge_index`` derives the map on each access.  A
+contour walk separates the vertices with ``key[v] <= level`` from the
+rest: entering oriented triangle abc across its edge i, from ``tri[i]``
+to ``tri[i+1]``, it leaves by edge i - 1 if the opposite vertex
+``tri[i-1]`` lies on the other side from ``tri[i]``, and by edge i + 1
+if not.
 
 Ties between field values are broken symbolically by vertex index, so
 every comparison the sweep makes is decided.  Criticality is the
@@ -29,7 +32,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import inf, isfinite, nextafter
 from operator import ne
 
@@ -46,7 +49,8 @@ from .errors import (
     ParseError,
     ReebTopologyMismatch,
 )
-from .graph import EdgeLabel, ReebEdge, ReebGraph, ReebVertex, VertexKind
+from .graph import (EdgeLabel, ReebEdge, ReebGraph, ReebVertex, VertexKind,
+                    _check_finite, _shown)
 
 Edge = tuple[int, int]
 
@@ -155,14 +159,15 @@ class TriangulatedSurface:
 
     It also builds, once, every table the sweep and the contour walks
     read: ``edges`` (sorted vertex pairs; an edge's id is its position),
-    ``edge_index`` (pair -> id), ``edge_tris`` (each edge's two
-    triangles), ``_tri_edges`` (the ids of edges ab, bc, ca of each
-    oriented triangle abc, to step a contour across it), ``links`` (each
-    vertex's neighbours in rotation order, from the smallest) and
-    ``stars`` (``stars[v][i]`` is the id of the edge from v to
-    ``links[v][i]``, so the sweep never looks an edge up by its pair).
+    ``edge_tris`` (each edge's two triangles), ``_tri_edges`` (the ids of
+    edges ab, bc, ca of each oriented triangle abc, to step a contour
+    across it), ``links`` (each vertex's neighbours in rotation order,
+    from the smallest) and ``stars`` (``stars[v][i]`` is the id of the
+    edge from v to ``links[v][i]``, so the sweep never looks an edge up by
+    its pair).
     While building them it keys an edge lo-hi by the int ``lo * n + hi``,
-    which sorts like the pair, so ids come from the sorted keys.
+    which sorts like the pair, so ids come from the sorted keys; no
+    pair -> id table is kept, and ``edge_index`` builds one on each access.
     ``from_off_text`` reads the OFF tokens from one split of the text
     (see ``_tokens``) and converts them slice by slice.
 
@@ -175,15 +180,25 @@ class TriangulatedSurface:
 
     def __init__(self, n_vertices: int, triangles):
         self.n_vertices = n = n_vertices
-        ids = list(range(n))    # one int per vertex id, shared by every table
+        try:
+            ids = list(range(n))    # one int per vertex id, shared by every table
+        except TypeError:
+            raise MalformedMesh("vertex count must be an int, got %s"
+                                % _shown(n)) from None
         tris: list[tuple[int, int, int]] = []
         for t in triangles:
-            a, b, c = t
-            if a == b or b == c or c == a:
-                raise MalformedMesh("degenerate triangle %r" % (t,))
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                raise MalformedMesh("triangle %r references missing vertex" % (t,))
-            tris.append((ids[a], ids[b], ids[c]))
+            try:
+                a, b, c = t
+                if a == b or b == c or c == a:
+                    fault = "degenerate triangle %s"
+                elif not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+                    fault = "triangle %s references missing vertex"
+                else:
+                    tris.append((ids[a], ids[b], ids[c]))
+                    continue
+            except (TypeError, ValueError):     # not three comparable indices
+                fault = "triangle %s is not three vertex indices"
+            raise MalformedMesh(fault % _shown(t))
         if not tris:
             raise NotAManifold("no triangles")
 
@@ -213,10 +228,9 @@ class TriangulatedSurface:
         # in sorted pair order; owners then maps each key to that id
         keys = sorted(owners)
         self.edges: list[Edge] = [(ids[k // n], ids[k % n]) for k in keys]
-        self.edge_index: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
         self.edge_tris: list[tuple[int, int]] = [
             (owned[0], owned[2]) for owned in map(owners.__getitem__, keys)]
-        owners.update(zip(keys, self.edge_index.values()))
+        owners.update(zip(keys, range(len(keys))))
         del tris, keys
 
         self._tri_edges: list[tuple[int, int, int]] = [
@@ -295,6 +309,12 @@ class TriangulatedSurface:
         return flips
 
     @property
+    def edge_index(self) -> dict[Edge, int]:
+        """Each edge's id by its vertex pair, derived from ``edges`` anew
+        on each access, which costs O(E)."""
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @property
     def n_edges(self) -> int:
         return len(self.edges)
 
@@ -330,9 +350,18 @@ class ScalarField:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        for i, v in enumerate(self.values):
-            if not isfinite(v):
-                raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
+        try:
+            if all(map(isfinite, self.values)):
+                return
+        except (TypeError, OverflowError):
+            pass
+        for i, v in enumerate(self.values):     # again, to name the fault
+            try:
+                if isfinite(v):
+                    continue
+            except (TypeError, OverflowError):  # not a number, or too large
+                _check_finite(v, "value at vertex %d", i, error=DegenerateField)
+            raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
 
     def key(self, i: int) -> tuple[float, int]:
         return (self.values[i], i)
@@ -360,11 +389,6 @@ def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:
     if len(field.values) != surface.n_vertices:
         raise MalformedMesh("field has %d values for %d vertices"
                          % (len(field.values), surface.n_vertices))
-
-
-def _turns(flags: list[bool]) -> int:
-    """Positions around the ring where a flag differs from the one before."""
-    return sum(map(ne, flags, flags[1:])) + (flags[0] != flags[-1])
 
 
 def _run_starts(flags: list[bool]) -> list[int]:
@@ -515,13 +539,24 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     for v in order:
         rv, star = rank[v], stars[v]
         low = [rank[u] < rv for u in links[v]]
-        turns = _turns(low)
+        # the turns around the link where "below" flips
+        turns = sum(map(ne, low, low[1:])) + (low[0] != low[-1])
         if turns == 2:
-            dead = list(compress(star, low))
+            # the contour crossing the lower star moves to the upper star
+            dead, born = [], []
+            for e, x in zip(star, low):
+                if x:
+                    dead.append(e)
+                else:
+                    born.append(e)
             c = owner[dead[0]]
-            if any(owner[e] is not c for e in dead):
-                raise ContourSweepFailed("torn contour at regular vertex %d" % v)
-            splice(c, dead, [e for e, x in zip(star, low) if not x])
+            for e in dead:
+                if owner.pop(e) is not c:
+                    raise ContourSweepFailed("torn contour at regular vertex %d" % v)
+            c[0].difference_update(dead)
+            c[0].update(born)
+            for e in born:
+                owner[e] = c
             c[1][0].append(v)
             continue
 
@@ -613,18 +648,26 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 def _cycle_ok(surface: TriangulatedSurface, values, cycle: LevelCycle) -> bool:
     """True iff ``_check_cycle``'s walk would pass the cycle."""
     # each entry must be the exit before it, so only the exits are looked
-    # up and tested at the level; anything malformed is False
+    # up, each among its own triangle's three edges, and tested at the
+    # level; anything malformed is False
     try:
         tris, entries, exits = zip(*cycle.crossings)
         if (exits != entries[1:] + entries[:1] or len(set(tris)) != len(tris)
                 or not 0 <= min(tris) <= max(tris) < surface.n_triangles):
             return False
-        tri_edges, level = surface._tri_edges, cycle.level
-        ids = list(map(surface.edge_index.get, exits))
+        tri_edges, edges, level = surface._tri_edges, surface.edges, cycle.level
+        ids = []
+        for t, pair in zip(tris, exits):
+            x, y, z = tri_edges[t]
+            ids.append(x if edges[x] == pair else y if edges[y] == pair
+                       else z if edges[z] == pair else None)
+        # an entry equals the exit before it, but the walk reads its ends
+        # too, and an end such as 0.0 compares equal yet indexes nothing
+        deque(map(values.__getitem__, chain.from_iterable(entries)), maxlen=0)
         prev = ids[-1]
         for t, e, (a, b) in zip(tris, ids, exits):
-            te, va, vb = tri_edges[t], values[a], values[b]
-            if (e == prev or e not in te or prev not in te
+            va, vb = values[a], values[b]
+            if (e is None or e == prev or prev not in tri_edges[t]
                     or not (va < level < vb or vb < level < va)):
                 return False
             prev = e
@@ -640,7 +683,7 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
         return      # the walk below only names the fault
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
-    level, n = cycle.level, len(cycle.crossings)
+    level, n, index = cycle.level, len(cycle.crossings), surface.edge_index
     for i, (t, entry, exit_) in enumerate(cycle.crossings):
         nxt = cycle.crossings[(i + 1) % n]
         if entry == exit_:
@@ -649,7 +692,7 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
             raise OpenCycle("crossing %d exits %r but the next enters %r"
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
-            if pair not in surface.edge_index:
+            if pair not in index:
                 raise BadWitness("cycle references missing edge %r" % (pair,))
             va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):
@@ -657,7 +700,7 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
         if not 0 <= t < surface.n_triangles:
             raise BadWitness("cycle references missing triangle %r" % t)
         te = set(surface._tri_edges[t])
-        if not {surface.edge_index[entry], surface.edge_index[exit_]} <= te:
+        if not {index[entry], index[exit_]} <= te:
             raise BadWitness("triangle %d does not contain both crossing edges" % t)
     if len({t for t, _, _ in cycle.crossings}) != n:
         raise BadWitness("cycle visits a triangle twice")

@@ -253,9 +253,9 @@ def naive_surface(n_vertices: int, triangles) -> TriangulatedSurface:
                            for t, f in zip(tris, flips))
     keys = sorted(owners)
     self.edges = [(ids[k // n], ids[k % n]) for k in keys]
-    self.edge_index = {e: i for i, e in enumerate(self.edges)}
+    edge_index = {e: i for i, e in enumerate(self.edges)}
     self.edge_tris = [(owned[0], owned[2]) for owned in map(owners.__getitem__, keys)]
-    owners.update(zip(keys, self.edge_index.values()))
+    owners.update(zip(keys, edge_index.values()))
     self._tri_edges = [
         (owners[a * n + b if a < b else b * n + a],
          owners[b * n + c if b < c else c * n + b],
@@ -399,6 +399,7 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
     level, n = cycle.level, len(cycle.crossings)
+    edge_index = surface.edge_index     # derived anew on each access
     for i, (t, entry, exit_) in enumerate(cycle.crossings):
         nxt = cycle.crossings[(i + 1) % n]
         if entry == exit_:
@@ -407,7 +408,7 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
             raise OpenCycle("crossing %d exits %r but the next enters %r"
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
-            if pair not in surface.edge_index:
+            if pair not in edge_index:
                 raise BadWitness("cycle references missing edge %r" % (pair,))
             va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):
@@ -415,7 +416,7 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
         if not 0 <= t < surface.n_triangles:
             raise BadWitness("cycle references missing triangle %r" % t)
         te = set(surface._tri_edges[t])
-        if not {surface.edge_index[entry], surface.edge_index[exit_]} <= te:
+        if not {edge_index[entry], edge_index[exit_]} <= te:
             raise BadWitness("triangle %d does not contain both crossing edges" % t)
     if len({t for t, _, _ in cycle.crossings}) != n:
         raise BadWitness("cycle visits a triangle twice")

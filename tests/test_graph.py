@@ -577,6 +577,24 @@ class TestDirectConstruction:
         g = ReebGraph((ReebVertex("a", 0.5, None),), (), 0.0, 1.0)
         assert (g.interior, g.boundary_minus, g.boundary_plus) == (("a",), set(), set())
 
+    @pytest.mark.parametrize("call", [validate, essential_subgraph, graph_dumps],
+                             ids=["validate", "essential_subgraph", "graph_dumps"])
+    @pytest.mark.parametrize("kinds, message", [
+        ((None,), "kind of vertex a must be a vertex kind, got None"),
+        # the first in (level, id) order: b sits below a
+        (("x", EdgeLabel.ESSENTIAL), "kind of vertex b must be a vertex kind, "
+         "got <EdgeLabel.ESSENTIAL: 'essential'>"),
+        ((VertexKind.SADDLE, 10 ** 5000),
+         "kind of vertex b must be a vertex kind, got an int of 16610 bits"),
+    ], ids=["none", "label-below-str", "unprintable-int"])
+    def test_non_member_kind_named_after_construction(self, call, kinds, message):
+        vs = tuple(ReebVertex(vid, level, kind)
+                   for vid, level, kind in zip("ab", (0.5, 0.2), kinds))
+        g = ReebGraph(vs, (), 0.0, 1.0)
+        with pytest.raises(MalformedGraph) as info:
+            call(g)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("lo, hi, message", [
         (10 ** 5000, 1.0, "lo must be a finite number, got an int of 16610 bits"),
         (0.0, -10 ** 5000, "hi must be a finite number, got an int of 16610 bits"),

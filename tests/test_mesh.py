@@ -7,7 +7,7 @@ import itertools
 import random
 import sys
 from collections import Counter
-from math import inf, isinf, nextafter
+from math import inf, isfinite, isinf, nan, nextafter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +27,7 @@ from reebound import (
 )
 from reebound.errors import (
     BadWitness,
+    ContourSweepFailed,
     DegenerateField,
     MalformedMesh,
     MissingWitness,
@@ -35,10 +36,11 @@ from reebound.errors import (
     OpenCycle,
     ParseError,
     ReebTopologyMismatch,
+    ReeboundError,
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex
 from reebound.mesh import (LevelCycle, _check_cycle, _cycle_ok, _disk_edges,
-                            _pick_witness_level, _run_starts, _trace, _turns)
+                            _pick_witness_level, _run_starts, _trace)
 
 from _fixtures import (
     ISOLATED_VERTEX_OFF,
@@ -138,6 +140,55 @@ class TestLoading:
         s, _ = octa_sphere()
         with pytest.raises(ValueError):
             build_reeb(s, ScalarField((1.0, 2.0)))
+
+
+#: the tetrahedron's faces, as ``TETRA_OFF`` lists them
+_TETRA_FACES = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
+#: anything a caller might pass for a corner or a field value
+_ODD = st.one_of(st.integers(-1, 5), st.integers(), st.just(10 ** 5000),
+                 st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+                 st.complex_numbers())
+
+
+@st.composite
+def direct_triangle_lists(draw):
+    """The tetrahedron's faces with up to three of them, or of their
+    corners, replaced by odd values or tuples of the wrong length."""
+    faces = [list(t) for t in _TETRA_FACES]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 3))
+        if isinstance(faces[i], list) and faces[i] and draw(st.booleans()):
+            faces[i][draw(st.integers(0, len(faces[i]) - 1))] = draw(_ODD)
+        else:
+            faces[i] = draw(st.one_of(_ODD, st.lists(_ODD, max_size=4)))
+    return [tuple(t) if isinstance(t, list) else t for t in faces]
+
+
+class TestDirectConstruction:
+    """A surface or a field built directly is one or a ReeboundError,
+    whatever its arguments hold."""
+
+    # vertex counts are drawn small: the constructor builds list(range(n))
+    # before it reads a triangle, so a huge n allocates that much (CHANGES.md)
+    @FUZZ
+    @given(st.one_of(st.integers(-1, 6), st.floats(), st.text(max_size=1),
+                     st.none()), direct_triangle_lists())
+    def test_surface_or_error(self, n, triangles):
+        try:
+            s = TriangulatedSurface(n, triangles)
+        except ReeboundError:
+            return
+        assert (s.n_vertices, s.n_triangles) == (4, 4)
+
+    @FUZZ
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              _ODD), max_size=6))
+    def test_field_or_error(self, values):
+        try:
+            f = ScalarField(tuple(values))
+        except ReeboundError:
+            return
+        assert all(map(isfinite, f.values))
 
 
 #: whitespace to ``str.split``; all but the first four and the last two
@@ -277,22 +328,36 @@ class TestSurfaceTables:
                         arc[0] for arc in _lower_arcs(flags, flags)], flags
 
     def test_turns_classify_like_arc_oracle(self):
-        # every boolean ring of length 1..12: no turn is an extremum
-        # (a minimum iff no flag is set), 2 turns a regular vertex, 4 a
-        # saddle, and 2k turns k descending sectors
-        for n in range(1, 13):
+        # the apex of an n-gon bipyramid, for every below/above pattern of
+        # its link of length 3..10: the sweep makes it a center when one
+        # side of the link is empty, skips it as regular with one arc of
+        # each side, makes it a saddle with two, and refuses k >= 3 arcs
+        # as a monkey saddle of k sectors
+        for n in range(3, 11):
+            ring = [2 + k for k in range(n)]
+            s = TriangulatedSurface(n + 2, [
+                tri for k in range(n)
+                for tri in ((0, ring[k], ring[k - 1]), (1, ring[k - 1], ring[k]))])
             for bits in itertools.product((False, True), repeat=n):
-                flags = list(bits)
+                # the other apex lies below everything; values are distinct
+                f = ScalarField((0.5, -2.0) + tuple(
+                    -1.0 - 0.01 * k if low else 1.0 + 0.01 * k
+                    for k, low in enumerate(bits)))
+                flags = [bits[u - 2] for u in s.links[0]]
                 lower = _lower_arcs(flags, flags)
                 upper = _lower_arcs([not x for x in flags],
                                     [not x for x in flags])
-                turns = _turns(flags)
-                assert turns % 2 == 0, flags
-                if turns == 0:
-                    assert not lower or not upper, flags
-                    assert (not lower) == (not flags[0]), flags
-                else:
-                    assert len(lower) == len(upper) == turns // 2, flags
+                if lower and upper and len(lower) > 2:
+                    with pytest.raises(DegenerateField) as info:
+                        build_reeb(s, f)
+                    assert str(info.value).startswith(
+                        "monkey saddle at vertex 0 (%d descending sectors)"
+                        % len(lower)), bits
+                    continue
+                kinds = {v.id: v.kind for v in build_reeb(s, f).vertices}
+                want = (VertexKind.CENTER if not lower or not upper else
+                        VertexKind.SADDLE if len(lower) == 2 else None)
+                assert kinds.get("v0") is want, bits
 
     @ORIENTABLE
     def test_edge_ids_in_sorted_pair_order(self, fixture):
@@ -572,6 +637,34 @@ class TestBuildReeb:
                 assert spanning == components
                 assert len(level_cycles(surface, field, level)) == components
 
+    def test_torn_contour_detected(self):
+        # tables that contradict each other: a regular vertex between the
+        # torus's saddles, where its level has two contours, gets one
+        # lower-star edge swapped for an edge of the other contour
+        s, f = vertical_torus()
+        order = sorted(range(s.n_vertices), key=f.key)
+        rank = [0] * s.n_vertices
+        for i, v in enumerate(order):
+            rank[v] = i
+        critical = {int(x.id[1:]) for x in build_reeb(s, f).vertices}
+        for v in order:
+            rv = rank[v]
+            lower = [e for u, e in zip(s.links[v], s.stars[v]) if rank[u] < rv]
+            if v in critical or len(lower) < 2:
+                continue
+            # the contour just below v, whole: the exits of its walk
+            mine = {x for _, _, x in _trace(s, rank, rv - 1, lower[0])}
+            others = [e for e, (a, b) in enumerate(s.edges) if e not in mine
+                      and min(rank[a], rank[b]) < rv <= max(rank[a], rank[b])]
+            if others:
+                break
+        else:
+            pytest.fail("no regular vertex meets two contours at its level")
+        s.stars[v] = tuple(others[0] if e == lower[-1] else e for e in s.stars[v])
+        with pytest.raises(ContourSweepFailed) as info:
+            build_reeb(s, f)
+        assert str(info.value) == "torn contour at regular vertex %d" % v
+
     def test_huge_field_window_clamped(self):
         # (hi - lo) / 16 overflows, so the window ends clamp to the
         # largest finite floats
@@ -838,6 +931,15 @@ class TestRandomSurfaces:
                 outcomes[genus, kind, "degenerate"] += 1
                 continue
             assert len(g.edges) - len(g.vertices) + 1 == genus
+            # one level inside each gap between consecutive Reeb-vertex
+            # levels: the edges spanning it count the level set's contours
+            sorted_values = sorted(set(f.values))
+            levels = sorted(v.level for v in g.vertices)
+            for x, y in itertools.pairwise(levels):
+                t = naive_pick_witness_level(x, y, 0.5, sorted_values)
+                spanning = sum(g.span(e.id)[0] < t < g.span(e.id)[1]
+                               for e in g.edges)
+                assert spanning == count_level_components(s, f, t), (k, t)
             for e in g.edges:
                 assert naive_check_cycle(s, f, e.witness) is None
                 assert _cycle_ok(s, f.values, e.witness), (k, e.id)
@@ -933,7 +1035,9 @@ PINNED_MESHES = {
 }
 
 def mutated_witness(s, f, w, pick):
-    """``w`` with one field of one crossing replaced, its level moved,
+    """``w`` with one field of one crossing replaced (an edge by one of
+    another triangle, by its reverse, or by a pair with an end off the mesh
+    or of another type, among others), its level moved,
     one crossing dropped or repeated, one edge between two crossings
     replaced at both ends, its triangles turned one step against its
     edges, or the cycle collapsed to one crossing that enters and exits
@@ -953,8 +1057,14 @@ def mutated_witness(s, f, w, pick):
         pair = entry if move == "entry" else exit_
         third = [s.edges[e] for e in s._tri_edges[t]
                  if s.edges[e] not in (entry, exit_)]
+        # an edge of the next triangle, or ends that are off the mesh, or
+        # that compare equal to an edge's but are a float or a bool
+        beside = [s.edges[e] for e in s._tri_edges[(t + 1) % s.n_triangles]]
         pair = pick((pair[::-1], [*pair], (pair[0], 999), (*pair, 0), entry,
-                     exit_, other[1], other[2], *third,
+                     exit_, other[1], other[2], *third, *beside,
+                     (pair[0], s.n_vertices), (-1, pair[1]),
+                     (float(pair[0]), pair[1]), (pair[0], float(pair[1])),
+                     (True, pair[1]), (False, pair[1]),
                      s.edges[pick(range(s.n_edges))]))
         if move == "entry":
             crossings[i] = (t, pair, exit_)
@@ -1189,6 +1299,34 @@ class TestPinnedOutput:
          ParseError, "bad level-cycle payload: 'crossings'"),
         (lambda: label_reeb(*vertical_torus(), ReebGraph((), (), 0.0, 1.0)),
          ReebTopologyMismatch, "Reeb graph has no vertices"),
+        (lambda: ScalarField((0.5, "a")), DegenerateField,
+         "value at vertex 1 must be a finite number, got 'a'"),
+        (lambda: ScalarField((10 ** 400,)), DegenerateField,
+         "value at vertex 0 must be a finite number, got %d" % 10 ** 400),
+        (lambda: ScalarField((10 ** 5000,)), DegenerateField,
+         "value at vertex 0 must be a finite number, got an int of 16610 bits"),
+        # the first fault wins, whichever kind it is
+        (lambda: ScalarField((None, nan)), DegenerateField,
+         "value at vertex 0 must be a finite number, got None"),
+        (lambda: ScalarField((nan, None)), DegenerateField,
+         "non-finite value nan at vertex 0"),
+        (lambda: TriangulatedSurface(3, [(0, 1, "x")]), MalformedMesh,
+         "triangle (0, 1, 'x') is not three vertex indices"),
+        (lambda: TriangulatedSurface(3, [(0, 1, 2.5)]), MalformedMesh,
+         "triangle (0, 1, 2.5) is not three vertex indices"),
+        (lambda: TriangulatedSurface(3, [(0, 1)]), MalformedMesh,
+         "triangle (0, 1) is not three vertex indices"),
+        (lambda: TriangulatedSurface(3, [(0, 1, 2), 7]), MalformedMesh,
+         "triangle 7 is not three vertex indices"),
+        (lambda: TriangulatedSurface("3", [(0, 1, 2)]), MalformedMesh,
+         "vertex count must be an int, got '3'"),
+        (lambda: TriangulatedSurface(3, [(0, 1, 10 ** 5000)]), MalformedMesh,
+         "triangle (0, 1, an int of 16610 bits) references missing vertex"),
+        # a fault in an earlier triangle wins
+        (lambda: TriangulatedSurface(3, [(0, 1, 1), (0, 1, "x")]), MalformedMesh,
+         "degenerate triangle (0, 1, 1)"),
+        (lambda: TriangulatedSurface(3, [(0, 1, "x"), (0, 1, 1)]), MalformedMesh,
+         "triangle (0, 1, 'x') is not three vertex indices"),
     ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
             "witness-not-crossed", "witness-missing-triangle", "degenerate",
             "missing-vertex", "no-triangles", "three-owners", "bad-header",
@@ -1200,7 +1338,11 @@ class TestPinnedOutput:
             "bad-scalar-after-infinite", "witness-empty",
             "witness-enters-and-exits", "witness-missing-edge",
             "witness-wrong-triangle", "witness-triangle-twice",
-            "witness-bad-payload", "graph-without-vertices"])
+            "witness-bad-payload", "graph-without-vertices",
+            "str-value", "huge-int-value", "unprintable-int-value",
+            "none-before-nan", "nan-before-none", "str-corner", "float-corner",
+            "two-corners", "int-triangle", "str-vertex-count",
+            "unprintable-int-corner", "degenerate-first", "str-corner-first"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
             make()
