@@ -19,9 +19,10 @@ class ReeboundError(Exception):
 
 
 class MalformedGraph(ReeboundError):
-    """Edge endpoints reference missing vertices, duplicate ids,
-    non-finite levels, or a vertex kind that is not a ``VertexKind``: the
-    payload is not a graph at all."""
+    """An id that is not a ``str`` or repeats, an edge end that names no
+    vertex, a level that is not a finite number, a kind that is not a
+    ``VertexKind`` or a label that is not an ``EdgeLabel``: the payload is
+    not a graph at all."""
 
     exit_code = 3
 

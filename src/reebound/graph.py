@@ -122,15 +122,19 @@ class ValidationReport:
         }
 
 
+def _finite(value) -> bool:
+    """True iff value is a finite int or float."""
+    try:
+        return isinstance(value, (int, float)) and isfinite(value)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
 def _check_finite(value: float, what: str, *args,
                   error: type[Exception] = MalformedGraph) -> None:
     """Raise ``error`` unless value is a finite number; ``what % args``
     names it, formatted only on failure."""
-    try:
-        ok = isinstance(value, (int, float)) and isfinite(value)
-    except OverflowError:   # an int too large for a float
-        ok = False
-    if not ok:
+    if not _finite(value):
         raise error("%s must be a finite number, got %s"
                     % (what % args, _shown(value)))
 
@@ -146,20 +150,12 @@ def _shown(value) -> str:
         return "(%s)" % ", ".join(map(_shown, value))
 
 
-def _unknown_kind(vertices) -> MalformedGraph:
-    """The error naming the first vertex, in the order given, whose kind
-    is not a ``VertexKind``."""
-    vid, kind = next((vid, kind) for vid, _, kind in vertices
-                     if kind not in EXPECTED_VALENCY)
-    return MalformedGraph("kind of vertex %s must be a vertex kind, got %s"
-                          % (vid, _shown(kind)))
-
-
-def _unsortable(vertices, edges) -> MalformedGraph | None:
-    """The error for records a sort cannot order or the index cannot
-    hash, naming the first one in input order: a vertex whose level is
-    not a finite number, else a vertex or an edge whose id is not a
-    string, else an edge end that is not, else a kind that does not hash."""
+def _malformed(vertices, edges) -> MalformedGraph | None:
+    """The error naming the first bad record in the order given: a vertex
+    whose level is not a finite number, else a vertex or an edge whose id
+    is not a ``str``, else an edge end that is not a string, else a vertex
+    whose kind is not a ``VertexKind``, else an edge whose label is not an
+    ``EdgeLabel``."""
     for vid, level, _ in vertices:
         try:
             _check_finite(level, "level of vertex %s", vid)
@@ -167,7 +163,7 @@ def _unsortable(vertices, edges) -> MalformedGraph | None:
             return exc
     for what, records in (("vertex", vertices), ("edge", edges)):
         for record in records:
-            if not isinstance(record[0], str):
+            if type(record[0]) is not str:
                 return MalformedGraph("%s id must be a string, got %r"
                                       % (what, record[0]))
     for eid, lower, upper, _, _ in edges:
@@ -176,11 +172,13 @@ def _unsortable(vertices, edges) -> MalformedGraph | None:
                 return MalformedGraph("edge %r references missing vertex %r"
                                       % (eid, end))
     for vid, _, kind in vertices:
-        try:
-            hash(kind)
-        except TypeError:
-            return MalformedGraph("kind of vertex %s must be hashable, got a %s"
-                                  % (vid, type(kind).__name__))
+        if type(kind) is not VertexKind:
+            return MalformedGraph("kind of vertex %s must be a vertex kind, got %s"
+                                  % (vid, _shown(kind)))
+    for eid, _, _, label, _ in edges:
+        if type(label) is not EdgeLabel:
+            return MalformedGraph("label of edge %s must be an edge label, got %s"
+                                  % (eid, _shown(label)))
     return None
 
 
@@ -201,9 +199,11 @@ class ReebGraph:
     ``boundary_plus`` (frozensets of ids) and ``interior`` (every other id
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph)
-    takes them sorted, and indexing checks their levels, ids and edge ends.
-    Records the sort cannot order or the index cannot hash, kinds too, raise
-    ``MalformedGraph``; a hashable non-member kind such as None is interior.
+    takes them sorted, and indexing decides the whole record contract: every
+    id is a ``str``, every level a finite number, every kind a ``VertexKind``,
+    every label an ``EdgeLabel``, no id repeats and every edge end is a vertex
+    id.  Any breach raises ``MalformedGraph`` naming the first bad record (see
+    ``_malformed``), so no code past construction checks a record's types.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -220,13 +220,10 @@ class ReebGraph:
         try:
             vertices = tuple(sorted(self.vertices, key=itemgetter(1, 0)))  # level, id
             self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
-        except TypeError as exc:    # a level or id that does not compare
-            raise _unsortable(self.vertices, self.edges) or exc from None
-        self.vertices = vertices
-        try:
+            self.vertices = vertices
             self._index()
-        except TypeError as exc:    # an id or edge end that does not hash
-            raise _unsortable(self.vertices, self.edges) or exc from None
+        except TypeError as exc:    # an unordered level or id, an unhashable end
+            raise _malformed(self.vertices, self.edges) or exc from None
 
     @classmethod
     def _trusted(cls, vertices, edges, lo, hi) -> "ReebGraph":
@@ -240,8 +237,9 @@ class ReebGraph:
         bounds, interior = {_MINUS: [], _PLUS: []}, []
         for v in self.vertices:
             vid, level, kind = v
-            if type(level) is not float or not isfinite(level):
-                _check_finite(level, "level of vertex %s", vid)
+            if not (type(vid) is str and type(kind) is VertexKind
+                    and (type(level) is float and isfinite(level) or _finite(level))):
+                raise _malformed(self.vertices, self.edges)
             if vid in by_id:
                 raise MalformedGraph("duplicate vertex id %r" % vid)
             by_id[vid] = v
@@ -257,7 +255,9 @@ class ReebGraph:
         self._edge_by_id = edge_by_id = {}
         self._gaps = gaps = {}
         for e in self.edges:
-            eid, lower, upper, _, _ = e
+            eid, lower, upper, label, _ = e
+            if type(eid) is not str or type(label) is not EdgeLabel:
+                raise _malformed(self.vertices, self.edges)
             if eid in edge_by_id:
                 raise MalformedGraph("duplicate edge id %r" % eid)
             try:
@@ -355,10 +355,7 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     crit_levels: dict[float, list[str]] = {}
     ends: list[Violation] = []
     for vid, level, kind in g.vertices:
-        try:
-            want = EXPECTED_VALENCY[kind]
-        except KeyError:
-            raise _unknown_kind(g.vertices) from None
+        want = EXPECTED_VALENCY[kind]
         deg = len(g._incident[vid])
         if kind is _REGULAR and not allow_regular:
             out.append(Violation(RULE_REGULAR, (vid,),
@@ -490,11 +487,8 @@ def graph_to_dict(g: ReebGraph) -> dict:
     as the stored tuples; any other witness, such as one read from JSON,
     is kept as it is.  A JSON null reads as no witness, and no witness
     writes no ``witness`` key."""
-    try:
-        vertices = [{"id": v.id, "level": v.level, "kind": _KIND_VALUES[v.kind]}
-                    for v in g.vertices]
-    except KeyError:
-        raise _unknown_kind(g.vertices) from None
+    vertices = [{"id": v.id, "level": v.level, "kind": _KIND_VALUES[v.kind]}
+                for v in g.vertices]
     out: dict[str, Any] = {"lo": g.lo, "hi": g.hi, "vertices": vertices,
                            "edges": []}
     for e in g.edges:

@@ -32,9 +32,10 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from functools import partial
+from itertools import chain, compress
 from math import inf, isfinite, nextafter
-from operator import ne
+from operator import index, ne
 
 from .errors import (
     BadWitness,
@@ -96,53 +97,42 @@ def _tokens(text: str) -> list[str]:
             for tok in line.partition("#")[0].split()]
 
 
-def _bulk_off(tokens: list[str]):
-    """(vertex count, faces) of OFF tokens converted slice by slice, or
-    None if any check fails (a face size written other than ``3`` too);
-    ``_walk_off`` then names the first fault."""
-    try:
-        header, nv, nf, ne = tokens[:4]
-        nv, nf = int(nv), int(nf)
-        int(ne)
-        start = 4 + 3 * max(nv, 0)
-        stop = start + 4 * max(nf, 0)
-        if (header != "OFF" or len(tokens) < stop
-                or tokens[start:stop:4].count("3") != max(nf, 0)):
-            return None
-        deque(map(float, tokens[4:start]), maxlen=0)
-        corners = [list(map(int, tokens[i:stop:4]))
-                   for i in range(start + 1, start + 4)]
-    except ValueError:
-        return None
-    return nv, zip(*corners)
+def _read_off(tokens: list[str]):
+    """(vertex count, faces) of OFF tokens, raising ParseError at the first
+    fault in token order, as a read token by token would; the coordinates
+    are checked and dropped."""
+    at = 0
 
-
-def _walk_off(it):
-    """(vertex count, faces) read token by token from ``it``, raising
-    ParseError at the first fault."""
-
-    def take(what, convert=str, count=1):
-        # tokens convert as read: a bad one wins over an early end
-        got = tuple(map(convert, islice(it, min(max(count, 0), sys.maxsize))))
-        if len(got) < count:
+    def take(what, count=1, convert=int, into=tuple):
+        # a run converts in one map, which stops at its first bad token, and
+        # a bad token wins over an early end
+        nonlocal at
+        run = tokens[at:at + max(count, 0)]
+        at += len(run)
+        got = into(map(convert, run))
+        if len(run) < count:
             raise ParseError("OFF data ends early, expected %s" % what)
         return got
 
-    (header,) = take("header")
+    (header,) = take("header", convert=str)
     if header != "OFF":
         raise ParseError("not an OFF file (header %r)" % header)
     try:
-        (nv,), (nf,) = take("vertex count", int), take("face count", int)
-        take("edge count", int)
-        take("coordinate", float, 3 * nv)
+        (nv,), (nf,), _ = take("vertex count"), take("face count"), take("edge count")
+        take("coordinate", 3 * nv, float, partial(deque, maxlen=0))
+        stop = at + 4 * max(nf, 0)
+        if len(tokens) >= stop and tokens[at:stop:4].count("3") == max(nf, 0):
+            try:    # column by column, when every face size reads 3
+                return nv, zip(*[list(map(int, tokens[i:stop:4]))
+                                 for i in range(at + 1, at + 4)])
+            except ValueError:
+                pass    # face by face below, to name the first bad token
         faces = []
         for _ in range(nf):
-            # a short read leaves ``it`` spent, so ``take`` then raises
-            k = int(next(it, None) or take("face size")[0])
+            (k,) = take("face size")
             if k != 3:
                 raise ParseError("face with %d sides; only triangles supported" % k)
-            face = tuple(map(int, islice(it, 3)))
-            faces.append(face if len(face) == 3 else take("vertex index", int, 3))
+            faces.append(take("vertex index", 3))
     except ValueError as exc:
         raise ParseError("bad OFF token: %s" % exc) from None
     return nv, faces
@@ -169,7 +159,7 @@ class TriangulatedSurface:
     which sorts like the pair, so ids come from the sorted keys; no
     pair -> id table is kept, and ``edge_index`` builds one on each access.
     ``from_off_text`` reads the OFF tokens from one split of the text
-    (see ``_tokens``) and converts them slice by slice.
+    (see ``_tokens``) with one reader, ``_read_off``.
 
     Fast checks pass every good input, and slow walks run only to flip or
     to name a fault: ``_orient`` runs only when some edge's two triangles
@@ -181,7 +171,7 @@ class TriangulatedSurface:
     def __init__(self, n_vertices: int, triangles):
         self.n_vertices = n = n_vertices
         try:
-            ids = list(range(n))    # one int per vertex id, shared by every table
+            index(n)
         except TypeError:
             raise MalformedMesh("vertex count must be an int, got %s"
                                 % _shown(n)) from None
@@ -194,7 +184,7 @@ class TriangulatedSurface:
                 elif not (0 <= a < n and 0 <= b < n and 0 <= c < n):
                     fault = "triangle %s references missing vertex"
                 else:
-                    tris.append((ids[a], ids[b], ids[c]))
+                    tris.append((index(a), index(b), index(c)))
                     continue
             except (TypeError, ValueError):     # not three comparable indices
                 fault = "triangle %s is not three vertex indices"
@@ -214,16 +204,20 @@ class TriangulatedSurface:
             if len(owned) != 4:
                 raise NotAManifold("edge %r borders %d triangles, expected 2"
                                    % (divmod(key, n), len(owned) // 2))
+        if n > 3 * len(tris):
+            # some vertex is in no triangle, and only the walk can name a
+            # fault first; nothing per vertex is built for so large an n
+            self._orient(owners.values(), len(tris))
+            raise NotAManifold("isolated vertex present")
+        ids = list(range(n))    # one int per vertex id, shared by every table
 
         # two triangles agree on an edge when they run it opposite ways;
         # when every edge's two do, no triangle flips and the walk is skipped
         agree = all(owned[1] is not owned[3] for owned in owners.values())
-        if agree:
-            self.triangles = tuple(tris)
-        else:
+        if not agree:
             flips = self._orient(owners.values(), len(tris))
-            self.triangles = tuple((t[0], t[2], t[1]) if f else t
-                                   for t, f in zip(tris, flips))
+            tris = [(a, c, b) if f else (a, b, c) for (a, b, c), f in zip(tris, flips)]
+        self.triangles = tuple([(ids[a], ids[b], ids[c]) for a, b, c in tris])
         # packed keys sort like the pairs, so an edge's id is its position
         # in sorted pair order; owners then maps each key to that id
         keys = sorted(owners)
@@ -327,13 +321,9 @@ class TriangulatedSurface:
 
     @classmethod
     def from_off_text(cls, text: str) -> "TriangulatedSurface":
-        """Parse OFF; every coordinate must be a float but none is kept.
-
-        The counts, coordinates and faces are converted in bulk; only
-        when that fails are the tokens walked again, one by one.
-        """
+        """Parse OFF; every coordinate must be a float but none is kept."""
         tokens = _tokens(text)
-        nv, faces = _bulk_off(tokens) or _walk_off(iter(tokens))
+        nv, faces = _read_off(tokens)
         del tokens      # not held while the tables are built
         return cls(nv, faces)
 
@@ -692,9 +682,12 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
             raise OpenCycle("crossing %d exits %r but the next enters %r"
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
-            if pair not in index:
+            try:    # an end such as 0.0 equals a vertex index but is none
+                va, vb = field.values[pair[0]], field.values[pair[1]]
+            except (TypeError, IndexError):
+                va = None
+            if va is None or pair not in index:
                 raise BadWitness("cycle references missing edge %r" % (pair,))
-            va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):
                 raise BadWitness("edge %r is not crossed at level %r" % (pair, level))
         if not 0 <= t < surface.n_triangles:

@@ -408,7 +408,10 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
             raise OpenCycle("crossing %d exits %r but the next enters %r"
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
-            if pair not in edge_index:
+            # an edge's ends are vertex indices: (0.0, 1) equals (0, 1) but
+            # names no edge
+            if (pair not in edge_index
+                    or not all(isinstance(end, int) for end in pair)):
                 raise BadWitness("cycle references missing edge %r" % (pair,))
             va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):

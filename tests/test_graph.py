@@ -24,12 +24,14 @@ from reebound import (
 )
 from reebound.graph import graph_to_dict
 from reebound.mesh import LevelCycle
+from reebound.render import to_dot, to_svg
 from reebound.errors import (
     BadWindow,
     EmptyWindow,
     InvalidGraph,
     MalformedGraph,
     NonGenericCut,
+    ReeboundError,
 )
 
 from _fixtures import (
@@ -485,19 +487,21 @@ class TestRecords:
 
 
 # ids, levels, kinds and labels of the right type and of wrong ones; a
-# list id or kind does not hash
+# list id or kind does not hash, and a plain string equals its member
 _IDS = st.one_of(st.sampled_from("abc"), st.integers(-1, 1), st.none(),
                  st.lists(st.sampled_from("ab"), max_size=2))
 _LEVELS = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(),
                     st.integers(), st.none(), st.text(max_size=2))
-_KINDS = st.one_of(st.sampled_from(list(VertexKind)), st.none(),
+_NON_MEMBERS = st.one_of(st.none(), st.sampled_from(("saddle", "essential", 0)))
+_KINDS = st.one_of(st.sampled_from(list(VertexKind)), _NON_MEMBERS,
                    st.lists(st.sampled_from(list(VertexKind)), max_size=1))
-_LABELS = st.one_of(st.sampled_from(list(EdgeLabel)), st.none())
+_LABELS = st.one_of(st.sampled_from(list(EdgeLabel)), _NON_MEMBERS)
 
 
 class TestDirectConstruction:
     """A graph built from records directly is a graph or a MalformedGraph,
-    whatever types its fields hold."""
+    whatever types its fields hold, and a graph that is built gets through
+    every later call with nothing but a ReeboundError."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.builds(ReebVertex, _IDS, _LEVELS, _KINDS), max_size=6),
@@ -510,6 +514,12 @@ class TestDirectConstruction:
         except MalformedGraph:
             return
         assert sorted(g.vertices, key=lambda v: (v.level, v.id)) == list(g.vertices)
+        for call in (validate, essential_subgraph, to_dot, to_svg):
+            try:
+                call(g)
+            except ReeboundError:
+                pass
+        assert graph_loads(graph_dumps(g)) == g
 
     @pytest.mark.parametrize("vertices, edges, message", [
         ((("a", None), ("b", 0.5)), (),
@@ -528,9 +538,11 @@ class TestDirectConstruction:
         (((["a"], 0.5),), (), "vertex id must be a string, got ['a']"),
         ((("a", 0.5),), (["e1"],), "edge id must be a string, got ['e1']"),
         ((("b", 0.5), (["a"], 0.2)), (), "vertex id must be a string, got ['a']"),
+        # an id that hashes and, alone at its level, is never compared
+        ((("a", 0.5), (1, 0.2)), (), "vertex id must be a string, got 1"),
     ], ids=["none-level", "input-order", "int-vertex-id", "none-edge-id",
             "huge-int-level", "unprintable-int-level", "list-vertex-id",
-            "list-edge-id", "list-id-among-levels"])
+            "list-edge-id", "list-id-among-levels", "int-vertex-id-own-level"])
     def test_message_names_first_bad_record(self, vertices, edges, message):
         vs = tuple(ReebVertex(vid, level, VertexKind.SADDLE)
                    for vid, level in vertices)
@@ -552,10 +564,10 @@ class TestDirectConstruction:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("vertices, edges, message", [
-        ((("a", 0.5, ["x"]),), (), "kind of vertex a must be hashable, got a list"),
+        ((("a", 0.5, ["x"]),), (), "kind of vertex a must be a vertex kind, got ['x']"),
         # a tuple type hashes, but not this tuple
         ((("b", 0.2, VertexKind.SADDLE), ("a", 0.5, ([],))), (),
-         "kind of vertex a must be hashable, got a tuple"),
+         "kind of vertex a must be a vertex kind, got ([],)"),
         # a bad level, id or edge end is named first, whatever the order
         ((("a", 0.5, ["x"]), ("b", None, VertexKind.SADDLE)), (),
          "level of vertex b must be a finite number, got None"),
@@ -574,8 +586,10 @@ class TestDirectConstruction:
         assert str(info.value) == message
 
     def test_hashable_non_member_kind_is_interior(self):
-        g = ReebGraph((ReebVertex("a", 0.5, None),), (), 0.0, 1.0)
-        assert (g.interior, g.boundary_minus, g.boundary_plus) == (("a",), set(), set())
+        # a kind that hashes but is no VertexKind is refused, not indexed
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph((ReebVertex("a", 0.5, None),), (), 0.0, 1.0)
+        assert str(info.value) == "kind of vertex a must be a vertex kind, got None"
 
     @pytest.mark.parametrize("call", [validate, essential_subgraph, graph_dumps],
                              ids=["validate", "essential_subgraph", "graph_dumps"])
@@ -588,11 +602,27 @@ class TestDirectConstruction:
          "kind of vertex b must be a vertex kind, got an int of 16610 bits"),
     ], ids=["none", "label-below-str", "unprintable-int"])
     def test_non_member_kind_named_after_construction(self, call, kinds, message):
+        # the constructor names it, in (level, id) order, so no later call
+        # meets such a kind
         vs = tuple(ReebVertex(vid, level, kind)
                    for vid, level, kind in zip("ab", (0.5, 0.2), kinds))
-        g = ReebGraph(vs, (), 0.0, 1.0)
         with pytest.raises(MalformedGraph) as info:
-            call(g)
+            call(ReebGraph(vs, (), 0.0, 1.0))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("labels, message", [
+        ((None,), "label of edge e1 must be an edge label, got None"),
+        # a plain string equals its member, but is not one
+        ((EdgeLabel.ESSENTIAL, "essential"),
+         "label of edge e2 must be an edge label, got 'essential'"),
+    ], ids=["none", "plain-string"])
+    def test_non_member_label_named(self, labels, message):
+        vs = (ReebVertex("a", 0.2, VertexKind.CENTER),
+              ReebVertex("b", 0.5, VertexKind.CENTER))
+        es = tuple(ReebEdge("e%d" % i, "a", "b", label)
+                   for i, label in enumerate(labels, 1))
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, es, 0.0, 1.0)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("lo, hi, message", [

@@ -168,11 +168,12 @@ class TestDirectConstruction:
     """A surface or a field built directly is one or a ReeboundError,
     whatever its arguments hold."""
 
-    # vertex counts are drawn small: the constructor builds list(range(n))
-    # before it reads a triangle, so a huge n allocates that much (CHANGES.md)
+    # a count past three per triangle ends in a fault before any table
+    # per vertex is built, so a huge one allocates nothing
     @FUZZ
-    @given(st.one_of(st.integers(-1, 6), st.floats(), st.text(max_size=1),
-                     st.none()), direct_triangle_lists())
+    @given(st.one_of(st.integers(-1, 6), st.sampled_from((13, 10 ** 20)),
+                     st.floats(), st.text(max_size=1), st.none()),
+           direct_triangle_lists())
     def test_surface_or_error(self, n, triangles):
         try:
             s = TriangulatedSurface(n, triangles)
@@ -278,10 +279,12 @@ class TestOffParse:
         TETRA_OFF.replace("4 4 0", "4 %d 0" % 10 ** 20),
         TETRA_OFF + "3",
         TETRA_OFF[:-2],
+        # 'x' comes first in token order, 'y' first in its column
+        "OFF\n4 2 0\n%s3 0 1 x\n3 y 2 3\n" % ("0 0 0\n" * 4),
     ], ids=["negative-faces-then-tokens", "negative-vertices",
             "negative-vertex-face", "negative-faces-after-coordinate",
             "bad-edge-count", "float-edge-count", "huge-face-count",
-            "trailing-token", "short-last-face"])
+            "trailing-token", "short-last-face", "two-bad-corners"])
     def test_counts_match_token_walk(self, text):
         assert (_load_outcome(TriangulatedSurface.from_off_text, text)
                 == _load_outcome(naive_from_off_text, text))
@@ -529,6 +532,20 @@ class TestSurfaceOracle:
             with pytest.raises(NotAManifold) as info:
                 build(n, tris)
             assert str(info.value) == "surface is not connected"
+
+    @pytest.mark.parametrize("tris", [
+        *(_surface_base(name)[1] for name in _SURFACE_BASES),
+        _disjoint(_surface_base("sphere"), _surface_base("sphere"))[1],
+        [(0, 1, 2)],
+    ], ids=[*_SURFACE_BASES, "two-spheres", "one-triangle"])
+    def test_vertex_count_past_three_per_triangle(self, tris):
+        # some vertex is isolated, and a fault named before that one still
+        # wins; 10 ** 20 is named like the smallest such count
+        n = 3 * len(tris) + 1
+        want = _surface_outcome(naive_surface, n, tris)
+        assert want[0] in (NotAManifold, NotOrientable)
+        assert _surface_outcome(TriangulatedSurface, n, tris) == want
+        assert _surface_outcome(TriangulatedSurface, 10 ** 20, tris) == want
 
 
 class TestCriticality:
@@ -1121,6 +1138,19 @@ class TestWitnessCheck:
         assert _check_outcome(_check_cycle, s, f, bad) == want
         if want is not None:
             assert not _cycle_ok(s, f.values, bad)
+
+    def test_float_end_names_missing_edge(self):
+        # (0.0, 13) equals the edge (0, 13) but indexes no vertex
+        s, f = vertical_torus()
+        w = build_reeb(s, f).edge("e1").witness
+        crossings = list(w.crossings)
+        assert crossings[0][1] == crossings[-1][2] == (0, 13)
+        crossings[0] = (crossings[0][0], (0.0, 13), crossings[0][2])
+        crossings[-1] = (crossings[-1][0], crossings[-1][1], (0.0, 13))
+        bad = LevelCycle(w.level, tuple(crossings))
+        want = (BadWitness, "cycle references missing edge (0.0, 13)")
+        assert _check_outcome(naive_check_cycle, s, f, bad) == want
+        assert _check_outcome(_check_cycle, s, f, bad) == want
 
     @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
     def test_every_witness_passes_in_one_pass(self, name):
