@@ -30,15 +30,15 @@ sweep relies on (single assignment per edge, frontier dichotomy, the
 downstream band {n-1, n}, and the plateau conditions: wherever all
 assigned edges spanning an inter-event gap share one value, everything
 assigned to the right shares it too and connects back through edges of
-that value).  It reads only the assignment, its trace and the graph's
-index, in one frontier walk and one union-find over the edges, so a
-call costs O(E + G + T) for E edges, G gaps and T trace entries.  The
-checked run decides each round in one call to a private checker with
-its own state, frontier walk included (never the sweep's): a write
-costs a few dict operations and an OR of G bits, a round its walk and
-O(1) compares and shifts of G-bit ints.  Unless the graph has a loop,
-flat or backward edge, it certifies exactly the rounds check_invariants
-passes, which thus runs only to report a violation.
+that value).  It counts the trace's writes and reads the rest off a
+private checker, the module's one derivation of the conditions, fed the
+whole assignment at once.  The checked run keeps one such checker for
+the run, with its own frontier walk (never the sweep's), and decides
+each round in one call: a write costs a few dict operations and an OR of
+G bits for G gaps, a round its walk and O(1) compares and shifts of
+G-bit ints.  Unless the graph has a loop, flat or backward edge, it
+certifies exactly the rounds check_invariants passes, which thus runs
+only to report a violation.
 """
 from __future__ import annotations
 
@@ -104,13 +104,6 @@ class DistanceBoundReport:
             "n_min": self.n_min,
             "bound": self.bound,
         }
-
-
-def _find(parent: dict, x):
-    """The root of x in a union-find forest, halving the path to it."""
-    while (p := parent.setdefault(x, x)) != x:
-        parent[x] = x = parent[p]
-    return x
 
 
 class _Frontier:
@@ -179,114 +172,40 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
       carries m and its component within the m-edges reaches back down to
       level x.  Each edge is reported at the first such gap only.
 
-    Every level comparison is one on event indices: an edge's upper end
-    lies right of the level of event k iff ``gaps.stop > k``.  A call
-    costs O(E + G + T) for E edges, G gaps and T trace entries.
+    All but the first rule are read off a fresh checker fed the whole
+    assignment as one entry, not the trace, which may be at odds with
+    it.  A call costs one checker write per assigned edge, one walk over
+    the gaps and a sort of the trace's writes.
     """
-    out: list[Violation] = []
-
     writes = Counter(eid for entry in p.trace for eid in entry.edges)
-    for eid, n in sorted(writes.items()):
-        if n > 1:
-            out.append(Violation(RULE_SINGLE, (eid,),
-                                 "edge written %d times" % n))
-    if vid is None:
-        return ValidationReport.from_violations(out)
-
-    assigned, gap0 = p.assigned, g.gap_below(vid)
-    front = _Frontier(g, assigned)
-    front.advance(gap0)
-    values = sorted(front.counts)
-    if front.open:
-        missing = [e for e in g.spanning(gap0) if e not in assigned]
-        out.append(Violation(RULE_FRONTIER, tuple(missing),
-                             "unassigned frontier edges at %s" % vid))
-    if not (front.open or front.counts):
-        out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
-    elif not front.open and values[-1] - values[0] > 1:
-        out.append(Violation(RULE_FRONTIER, (vid,),
-                             "frontier carries %r" % values))
-
-    # the assigned edges in id order, each with its value and gap range
-    valued = [(e, assigned[e.id], g.gaps(e.id))
-              for e in g.edges if e.id in assigned]
-    if values:
-        top = values[-1]
-        for e, val, gaps in valued:
-            # upper level above level(vid), which is event gap0 + 1
-            if gaps.stop > gap0 + 1 and val not in (top - 1, top):
-                out.append(Violation(
-                    RULE_BAND, (e.id,),
-                    "edge right of %s carries %d outside {%d, %d}"
-                    % (vid, val, top - 1, top)))
-
-    # plateaus: the gaps from gap0 on whose assigned spanning edges carry
-    # one value, read off the same walk
-    events = g.event_levels()
-    plateaus: list[tuple[int, int]] = []
-    for gap in range(max(gap0, 0), len(events) - 1):
-        front.advance(gap)
-        if len(front.counts) == 1:
-            plateaus.append((gap, next(iter(front.counts))))
-    if not plateaus:
-        return ValidationReport.from_violations(out)
-
-    # an edge of value v reaching right of the first plateau fails
-    # plateau-uniform there unless that plateau's value is v, and then at
-    # the first plateau of another value; it fails plateau-connected at
-    # the first plateau of value v if its component within the v-edges
-    # starts above that gap
-    first_of = {m: gap for gap, m in reversed(plateaus)}
-    first = plateaus[0]
-    other = next((pm for pm in plateaus if pm[1] != first[1]),
-                 (None, None))
-
-    # components of the plateau-valued edges, joined at shared vertices
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-    for e, val, _ in valued:
-        if val in first_of:
-            parent[_find(parent, (e.lower, val))] = _find(parent, (e.upper, val))
-    low: dict[tuple[str, int], int] = {}
-    for e, val, gaps in valued:
-        if val in first_of:
-            root = _find(parent, (e.lower, val))
-            low[root] = min(low.get(root, gaps.start), gaps.start)
-
-    # (gap, edge position, violation): emitted by gap, then in edge order
-    hits: list[tuple[int, int, Violation]] = []
-    for k, (e, val, gaps) in enumerate(valued):
-        gap, m = other if first[1] == val else first
-        if gap is not None and gap < gaps.stop:
-            hits.append((gap, k, Violation(
-                RULE_PLATEAU_VALUE, (e.id,),
-                "edge above plateau level %r carries %d, not %d"
-                % (events[gap], val, m))))
-        gap = first_of.get(val)
-        if (gap is not None and gap < gaps.stop
-                and gap < low[_find(parent, (e.lower, val))]):
-            hits.append((gap, k, Violation(
-                RULE_PLATEAU_PATH, (e.id,),
-                "no path through %d-edges from %s down to level %r"
-                % (val, e.id, events[gap]))))
-    out.extend(v for _, _, v in sorted(hits))
+    out = [Violation(RULE_SINGLE, (eid,), "edge written %d times" % n)
+           for eid, n in sorted(writes.items()) if n > 1]
+    if vid is not None:
+        checker = _Checker(g)
+        checker.take(p.assigned, (TraceEntry(STEP0, None, tuple(p.assigned), 1),))
+        out += checker.report(g, vid)
     return ValidationReport.from_violations(out)
 
 
 class _Checker:
-    """Decides each round of a checked run in one call, from state kept
-    between rounds: ``clean`` is True exactly when check_invariants would
-    find nothing.
+    """The module's one derivation of the consistency conditions, from
+    state that only adds to or moves up: ``take`` reads trace entries
+    into it, ``report`` lists the violations at a target, and ``clean``
+    decides a round of a checked run in one call, True exactly when
+    check_invariants would find nothing (save the exceptions below).
 
-    A call reads the trace entries appended since the last, their edges'
-    integers in the assignment, the target and the graph's index, never
-    the sweep's state, and only adds to or moves up: ``value`` per edge
-    written and its own frontier; ``live``, the gaps each integer's edges
-    span as the bits of one int; ``top``, the three integers reaching
-    furthest, as (reach, integer) largest first; ``uf``, per integer, a
-    union-find over vertex ids with each root's lowest gap, in a max-heap
-    pushed when that gap is new or lowered.  A write costs a few dict
-    operations and one OR of G bits for G gaps; a round, its frontier
-    walk and O(1) compares and shifts of G-bit ints.
+    ``take`` reads the entries appended since its last call, their
+    edges' integers in the assignment and the graph's index, never the
+    sweep's state.  It keeps ``value`` per edge written and its own
+    frontier; ``live``, the gaps each integer's edges span as the bits of
+    one int; ``top``, the three integers reaching furthest, as (reach,
+    integer) largest first; ``uf``, per integer, a union-find over vertex
+    ids with each root's lowest gap (an edge's lowest gap is the event
+    index of its lower end, so a loop, a flat or a backward edge counts
+    too), in a max-heap pushed when that gap is new or lowered.  A write
+    costs a few dict operations and one OR of G bits for G gaps; a round
+    of ``clean``, its frontier walk and O(1) compares and shifts of G-bit
+    ints.
 
     Once the frontier carries b, or b - 1 and b, and no other integer is
     live at a gap past the frontier's, a gap from the frontier's on is a
@@ -303,26 +222,27 @@ class _Checker:
         self.sound, self.value = all(self.gaps.values()), {}
         self.front, self.seen, self.live, self.uf = _Frontier(g, self.value), 0, {}, {}
         self.top: list[tuple[int, int | None]] = [(0, None)] * 3
+        self.none = len(g._events)   # above every gap: the lowest gap of a root with none
 
-    def clean(self, assigned: dict[str, int], trace, vid: str | None) -> bool:
-        if not self.sound:
-            return False
+    def take(self, assigned: dict[str, int], trace) -> bool:
+        """Read the trace entries appended since the last call: False if one
+        writes an edge twice or unassigned, or an assigned edge stays unwritten."""
         value, gaps, edges, live, uf = self.value, self.gaps, self.edges, self.live, self.uf
-        write, top = self.front.write, self.top
+        write, top, none = self.front.write, self.top, self.none
         for entry in trace[self.seen:]:
             for eid in entry.edges:
                 n = assigned.get(eid)
                 if n is None or eid in value:
-                    self.sound = False
                     return False
                 write(eid, n)
                 span = gaps[eid]
                 start, stop = span.start, span.stop
-                bits = live.get(n, 0)
-                live[n] = bits | ((1 << stop) - (1 << start))
-                if stop > top[2][0] and stop > bits.bit_length():
-                    top.pop(0 if top[0][1] == n else 1 if top[1][1] == n else 2)
-                    top.insert((top[0][0] >= stop) + (top[1][0] >= stop), (stop, n))
+                if start < stop:
+                    bits = live.get(n, 0)
+                    live[n] = bits | ((1 << stop) - (1 << start))
+                    if stop > top[2][0] and stop > bits.bit_length():
+                        top.pop(0 if top[0][1] == n else 1 if top[1][1] == n else 2)
+                        top.insert((top[0][0] >= stop) + (top[1][0] >= stop), (stop, n))
                 parent, low, heap = uf.get(n) or uf.setdefault(n, ({}, {}, []))
                 x, y = _ends(edges[eid])
                 # path halving; a vertex seen first is its own root
@@ -330,20 +250,23 @@ class _Checker:
                     parent[x] = x = parent[p]
                 while (p := parent.setdefault(y, y)) != y:
                     parent[y] = y = parent[p]
-                # the root with the lower gap stays one (a new vertex has none)
-                if low.get(x, stop) > low.get(y, stop):
+                # the root with the lower gap stays one
+                if low.get(x, none) > low.get(y, none):
                     x, y = y, x
                 parent[y] = x
-                if start < low.get(x, stop):
+                if start < low.get(x, none):
                     low[x] = start
                     heappush(heap, (-start, x))
         self.seen = len(trace)
-        if len(value) != len(assigned):
+        return len(value) == len(assigned)
+
+    def clean(self, assigned: dict[str, int], trace, vid: str | None) -> bool:
+        if not (self.sound and self.take(assigned, trace)):
             self.sound = False
             return False
         if vid is None:
             return True
-        gap0, front = self.index[vid] - 1, self.front
+        gap0, front, live = self.index[vid] - 1, self.front, self.live
         front.advance(gap0)
         counts = front.counts
         if front.gap != gap0 or front.open or not counts:
@@ -352,7 +275,7 @@ class _Checker:
         a = b - 1
         if len(counts) > 2 or (len(counts) == 2 and a not in counts):
             return False
-        (r0, n0), (r1, n1), (r2, _) = top
+        (r0, n0), (r1, n1), (r2, _) = self.top
         if (r0 if n0 != a and n0 != b else r1 if n1 != a and n1 != b else r2) > gap0 + 1:
             return False    # the furthest-reaching integer but a and b is live past gap0
         # the gaps from gap0 on where a and b are live, as bits from 0
@@ -366,10 +289,72 @@ class _Checker:
         rest = far >> first     # m's first live gap from there on is a plateau
         plateau = gap0 + first + (rest & -rest).bit_length() - 1
         # the highest lowest gap over the components of m's edges
-        parent, low, heap = uf[m]
+        parent, low, heap = self.uf[m]
         while parent[heap[0][1]] != heap[0][1] or low[heap[0][1]] != -heap[0][0]:
             heappop(heap)
         return -heap[0][0] <= plateau
+
+    def report(self, g: ReebGraph, vid: str) -> list[Violation]:
+        """The frontier-class, downstream-band and plateau violations at
+        ``vid``, each rule's in edge order, the plateau hits by gap.  The
+        frontier walks on to the top gap, so this is a checker's last call.
+
+        Every level comparison is one on event indices: an edge's upper
+        end lies right of the level of event k iff ``gaps.stop > k``.
+        """
+        out, hits = [], []      # hits: (gap, plateau violation)
+        value, front, gap0 = self.value, self.front, self.index[vid] - 1
+        front.advance(gap0)
+        values = sorted(front.counts)
+        if front.open:
+            missing = [e for e in g.spanning(gap0) if e not in value]
+            out.append(Violation(RULE_FRONTIER, tuple(missing),
+                                 "unassigned frontier edges at %s" % vid))
+        if not (front.open or values):
+            out.append(Violation(RULE_FRONTIER, (vid,), "empty frontier"))
+        elif not front.open and values[-1] - values[0] > 1:
+            out.append(Violation(RULE_FRONTIER, (vid,),
+                                 "frontier carries %r" % values))
+
+        # the first plateau of each value, from gap0 on, read off the walk:
+        # an edge of value v reaching right of the first plateau of
+        # another value fails plateau-uniform there; it fails
+        # plateau-connected at the first plateau of value v if its
+        # component within the v-edges starts above that gap
+        events, first_of = g._events, {}
+        for gap in range(max(gap0, 0), len(events) - 1):
+            front.advance(gap)
+            if len(front.counts) == 1:
+                first_of.setdefault(next(iter(front.counts)), gap)
+        firsts = sorted((gap, m) for m, gap in first_of.items()) + [(self.none, None)]
+
+        # the assigned edges in id order, each with its value and gap range;
+        # the plateau hits follow every band violation, by gap and then, as
+        # the sort is stable, in edge order
+        band = (values[-1] - 1, values[-1]) if values else ()
+        valued = [(e, value[e.id], self.gaps[e.id]) for e in g.edges if e.id in value]
+        for e, val, gaps in valued:
+            # upper level above level(vid), which is event gap0 + 1
+            if band and gaps.stop > gap0 + 1 and val not in band:
+                out.append(Violation(RULE_BAND, (e.id,),
+                                     "edge right of %s carries %d outside {%d, %d}"
+                                     % (vid, val, *band)))
+            gap, m = firsts[firsts[0][1] == val]     # the first plateau not of val
+            if gap < gaps.stop:
+                hits.append((gap, Violation(
+                    RULE_PLATEAU_VALUE, (e.id,),
+                    "edge above plateau level %r carries %d, not %d"
+                    % (events[gap], val, m))))
+            (parent, low, _), x = self.uf[val], e.lower
+            while parent[x] != x:
+                x = parent[x]
+            gap = first_of.get(val, self.none)
+            if gap < gaps.stop and gap < low[x]:
+                hits.append((gap, Violation(
+                    RULE_PLATEAU_PATH, (e.id,),
+                    "no path through %d-edges from %s down to level %r"
+                    % (val, e.id, events[gap]))))
+        return out + [v for _, v in sorted(hits, key=itemgetter(0))]
 
 
 class _Sweep:

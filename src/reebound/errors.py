@@ -19,10 +19,11 @@ class ReeboundError(Exception):
 
 
 class MalformedGraph(ReeboundError):
-    """An id that is not a ``str`` or repeats, an edge end that names no
-    vertex, a level that is not a finite number, a kind that is not a
-    ``VertexKind`` or a label that is not an ``EdgeLabel``: the payload is
-    not a graph at all."""
+    """A record that is not a tuple of its type's length, an id that is
+    not a ``str`` or repeats, an edge end that names no vertex, a level
+    that is not a finite number, a kind that is not a ``VertexKind`` or a
+    label that is not an ``EdgeLabel``: the payload is not a graph at
+    all."""
 
     exit_code = 3
 
@@ -115,8 +116,9 @@ class InvariantViolation(_ReportError):
 
 class MalformedMesh(ReeboundError, ValueError):
     """A triangle is degenerate, names a missing vertex or is not three
-    vertex indices, the vertex count is not an int, or the scalar field's
-    length differs from the mesh's vertex count."""
+    vertex indices, the triangles are not iterable, the vertex count is
+    not an int, or the scalar field's length differs from the mesh's
+    vertex count."""
 
     exit_code = 1
 

@@ -152,10 +152,16 @@ def _shown(value) -> str:
 
 def _malformed(vertices, edges) -> MalformedGraph | None:
     """The error naming the first bad record in the order given: a vertex
-    whose level is not a finite number, else a vertex or an edge whose id
+    or an edge that is not a tuple of 3 or 5 fields, else a vertex whose
+    level is not a finite number, else a vertex or an edge whose id
     is not a ``str``, else an edge end that is not a string, else a vertex
     whose kind is not a ``VertexKind``, else an edge whose label is not an
     ``EdgeLabel``."""
+    for what, records, size in (("vertex", vertices, 3), ("edge", edges, 5)):
+        for record in records:
+            if not (isinstance(record, tuple) and len(record) == size):
+                return MalformedGraph("%s record must be a tuple of %d fields, got %s"
+                                      % (what, size, _shown(record)))
     for vid, level, _ in vertices:
         try:
             _check_finite(level, "level of vertex %s", vid)
@@ -200,10 +206,11 @@ class ReebGraph:
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph)
     takes them sorted, and indexing decides the whole record contract: every
-    id is a ``str``, every level a finite number, every kind a ``VertexKind``,
-    every label an ``EdgeLabel``, no id repeats and every edge end is a vertex
-    id.  Any breach raises ``MalformedGraph`` naming the first bad record (see
-    ``_malformed``), so no code past construction checks a record's types.
+    record is a tuple of its type's length, every id a ``str``, every level a
+    finite number, every kind a ``VertexKind``, every label an ``EdgeLabel``,
+    no id repeats and every edge end is a vertex id.  Any breach raises
+    ``MalformedGraph`` naming the first bad record (see ``_malformed``), so
+    no code past construction checks a record's types.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -222,7 +229,8 @@ class ReebGraph:
             self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
             self.vertices = vertices
             self._index()
-        except TypeError as exc:    # an unordered level or id, an unhashable end
+        except (TypeError, ValueError, IndexError) as exc:
+            # an unordered level or id, an unhashable end, a misshapen record
             raise _malformed(self.vertices, self.edges) or exc from None
 
     @classmethod

@@ -77,7 +77,7 @@ class LevelCycle:
     def from_payload(cls, data: dict) -> "LevelCycle":
         try:
             crossings = tuple(
-                (int(t), (int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
+                (index(t), (index(a[0]), index(a[1])), (index(b[0]), index(b[1])))
                 for t, a, b in data["crossings"])
             return cls(float(data["level"]), crossings)
         except (KeyError, TypeError, ValueError, IndexError,
@@ -175,6 +175,11 @@ class TriangulatedSurface:
         except TypeError:
             raise MalformedMesh("vertex count must be an int, got %s"
                                 % _shown(n)) from None
+        try:
+            triangles = iter(triangles)
+        except TypeError:
+            raise MalformedMesh("triangles must be iterable, got %s"
+                                % _shown(triangles)) from None
         tris: list[tuple[int, int, int]] = []
         for t in triangles:
             try:
@@ -353,9 +358,6 @@ class ScalarField:
                 _check_finite(v, "value at vertex %d", i, error=DegenerateField)
             raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
 
-    def key(self, i: int) -> tuple[float, int]:
-        return (self.values[i], i)
-
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
         tokens = _tokens(text)
@@ -483,7 +485,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             "witness_fraction %r must be inside (0, 1)" % witness_fraction)
 
     values, links, stars = field.values, surface.links, surface.stars
-    # a stable sort: ties break by index, as in ``field.key``
+    # a stable sort: ties break by index, so vertices run in (value, index) order
     order = sorted(range(surface.n_vertices), key=values.__getitem__)
     rank = [0] * surface.n_vertices     # position in the (value, index) order
     for i, v in enumerate(order):
@@ -682,11 +684,13 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
             raise OpenCycle("crossing %d exits %r but the next enters %r"
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
-            try:    # an end such as 0.0 equals a vertex index but is none
+            try:    # an end such as 0.0 equals a vertex index but is none,
+                    # a list of ends does not hash, and a dict may lack key 0
                 va, vb = field.values[pair[0]], field.values[pair[1]]
-            except (TypeError, IndexError):
-                va = None
-            if va is None or pair not in index:
+                known = pair in index
+            except (TypeError, IndexError, KeyError):
+                known = False
+            if not known:
                 raise BadWitness("cycle references missing edge %r" % (pair,))
             if not min(va, vb) < level < max(va, vb):
                 raise BadWitness("edge %r is not crossed at level %r" % (pair, level))

@@ -295,10 +295,10 @@ def pl_criticality(surface: TriangulatedSurface,
     mins: list[int] = []
     saddles: list[int] = []
     maxes: list[int] = []
+    values = field.values
     for v in range(surface.n_vertices):
         ring = surface.links[v]
-        kv = field.key(v)
-        low = [field.key(u) < kv for u in ring]
+        low = [(values[u], u) < (values[v], v) for u in ring]
         arcs = sum(1 for i in range(len(ring)) if low[i] and not low[i - 1])
         if arcs == 0:
             (maxes if all(low) else mins).append(v)
@@ -409,9 +409,13 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
             # an edge's ends are vertex indices: (0.0, 1) equals (0, 1) but
-            # names no edge
-            if (pair not in edge_index
-                    or not all(isinstance(end, int) for end in pair)):
+            # names no edge, and a list of ends does not hash
+            try:
+                known = (pair in edge_index
+                         and all(isinstance(end, int) for end in pair))
+            except TypeError:
+                known = False
+            if not known:
                 raise BadWitness("cycle references missing edge %r" % (pair,))
             va, vb = field.values[pair[0]], field.values[pair[1]]
             if not min(va, vb) < level < max(va, vb):

@@ -16,6 +16,7 @@ from reebound.cli import main
 
 from _fixtures import (
     TETRA_OFF,
+    chained_tori,
     field_text,
     monkey_bipyramid,
     off_text,
@@ -462,3 +463,23 @@ def test_module_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bound"] == 2
+
+
+def test_mesh_window_piped_into_bound(tmp_path):
+    # from-mesh cuts chained_tori(4)'s Reeb graph to a window, and bound
+    # reads it from stdin, checked or not
+    surface, field = chained_tori(4)
+    off, fld = tmp_path / "c4.off", tmp_path / "c4.field"
+    off.write_text(off_text(surface))
+    fld.write_text(field_text(field))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cli = [sys.executable, "-m", "reebound.cli"]
+    mesh = subprocess.run(cli + ["from-mesh", str(off), str(fld), "--window", "0.0", "3.5"],
+                          capture_output=True, text=True, env=env)
+    assert (mesh.returncode, mesh.stderr) == (0, "")
+    for flags in ((), ("--check-invariants",)):
+        proc = subprocess.run(cli + ["bound", "-", *flags], input=mesh.stdout,
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, '{"per_boundary_edge":{"e3":2},"n_min":2,"bound":3}\n', "")

@@ -564,6 +564,20 @@ class TestDirectConstruction:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("vertices, edges, message", [
+        (((1, 2),), (), "vertex record must be a tuple of 3 fields, got (1, 2)"),
+        ((("a",),), (), "vertex record must be a tuple of 3 fields, got ('a',)"),
+        ((5,), (), "vertex record must be a tuple of 3 fields, got 5"),
+        ((ReebVertex("a", 0.5, VertexKind.SADDLE),), (("e1", "a", "a"),),
+         "edge record must be a tuple of 5 fields, got ('e1', 'a', 'a')"),
+        ((), ((),), "edge record must be a tuple of 5 fields, got ()"),
+    ], ids=["short-vertex", "one-field-vertex", "int-vertex", "short-edge",
+            "empty-edge"])
+    def test_misshapen_record_named(self, vertices, edges, message):
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vertices, edges, 0.0, 1.0)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("vertices, edges, message", [
         ((("a", 0.5, ["x"]),), (), "kind of vertex a must be a vertex kind, got ['x']"),
         # a tuple type hashes, but not this tuple
         ((("b", 0.2, VertexKind.SADDLE), ("a", 0.5, ([],))), (),

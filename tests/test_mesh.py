@@ -181,6 +181,11 @@ class TestDirectConstruction:
             return
         assert (s.n_vertices, s.n_triangles) == (4, 4)
 
+    def test_triangles_not_iterable(self):
+        with pytest.raises(MalformedMesh) as info:
+            TriangulatedSurface(4, 5)
+        assert str(info.value) == "triangles must be iterable, got 5"
+
     @FUZZ
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                               _ODD), max_size=6))
@@ -659,7 +664,7 @@ class TestBuildReeb:
         # torus's saddles, where its level has two contours, gets one
         # lower-star edge swapped for an edge of the other contour
         s, f = vertical_torus()
-        order = sorted(range(s.n_vertices), key=f.key)
+        order = sorted(range(s.n_vertices), key=lambda v: (f.values[v], v))
         rank = [0] * s.n_vertices
         for i, v in enumerate(order):
             rank[v] = i
@@ -869,6 +874,28 @@ class TestLabelsFromTopology:
             assert type(info.value) is ParseError
             # the rest is the interpreter's own text
             assert str(info.value).startswith("bad level-cycle payload: ")
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda c: [(336.5, *c[0][1:])] + c[1:],
+         "'float' object cannot be interpreted as an integer"),
+        (lambda c: [(*c[0][:2], ("168", 180)), (c[1][0], ("168", 180), c[1][2])]
+         + c[2:], "'str' object cannot be interpreted as an integer"),
+    ], ids=["float-triangle", "string-end"])
+    def test_payload_refuses_what_int_would_truncate(self, edit, detail):
+        # int() read triangle 336.5 as 336 and the end "168" as 168, so
+        # both witnesses passed as e0's own
+        s, f = chained_tori(1)
+        g = build_reeb(s, f)
+        w = g.edge("e0").witness
+        assert w.crossings[0][0] == 336 and w.crossings[0][2] == (168, 180)
+        payload = {"level": w.level, "crossings": edit(list(w.crossings))}
+        edges = tuple(e._replace(witness=payload) if e.id == "e0" else e
+                      for e in g.edges)
+        for call in (lambda: LevelCycle.from_payload(payload),
+                     lambda: label_reeb(s, f, ReebGraph(g.vertices, edges, g.lo, g.hi))):
+            with pytest.raises(ParseError) as info:
+                call()
+            assert str(info.value) == "bad level-cycle payload: " + detail
 
     def test_rank_below_genus_rejected(self):
         s, f = vertical_torus()
@@ -1108,10 +1135,11 @@ def mutated_witness(s, f, w, pick):
 
 
 def _check_outcome(check, s, f, w):
-    """None if the witness passes, else the error's type and message."""
+    """None if the witness passes, else the package error's type and
+    message; any other exception escapes, so two equal ones never agree."""
     try:
         check(s, f, w)
-    except Exception as exc:
+    except ReeboundError as exc:
         return type(exc), str(exc)
     return None
 
@@ -1151,6 +1179,21 @@ class TestWitnessCheck:
         want = (BadWitness, "cycle references missing edge (0.0, 13)")
         assert _check_outcome(naive_check_cycle, s, f, bad) == want
         assert _check_outcome(_check_cycle, s, f, bad) == want
+
+    @pytest.mark.parametrize("end", [[0, 13], {}], ids=["list", "dict"])
+    def test_unhashable_end_names_missing_edge(self, end):
+        # in place of (0, 13): [0, 13] reads two values but does not hash,
+        # and {} has no item 0
+        s, f, g = torus_with_edited_witness(lambda w: LevelCycle(w.level, (
+            (w.crossings[0][0], end, w.crossings[0][2]),
+            *w.crossings[1:-1], (*w.crossings[-1][:2], end))))
+        bad = g.edge("e1").witness
+        want = (BadWitness, "cycle references missing edge %r" % (end,))
+        assert _check_outcome(naive_check_cycle, s, f, bad) == want
+        assert _check_outcome(_check_cycle, s, f, bad) == want
+        with pytest.raises(BadWitness) as info:
+            label_reeb(s, f, g)
+        assert str(info.value) == want[1]
 
     @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
     def test_every_witness_passes_in_one_pass(self, name):
@@ -1404,7 +1447,7 @@ class TestContourWalk:
             for field in (own, quantized_field(own, 4),
                           random_level_field(s.n_vertices, 3, rng.random())):
                 values = field.values
-                order = sorted(range(s.n_vertices), key=field.key)
+                order = sorted(range(s.n_vertices), key=lambda v: (values[v], v))
                 rank = [0] * s.n_vertices
                 for i, v in enumerate(order):
                     rank[v] = i
