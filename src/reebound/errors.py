@@ -19,11 +19,12 @@ class ReeboundError(Exception):
 
 
 class MalformedGraph(ReeboundError):
-    """A record that is not a tuple of its type's length, an id that is
-    not a ``str`` or repeats, an edge end that names no vertex, a level
-    that is not a finite number, a kind that is not a ``VertexKind`` or a
-    label that is not an ``EdgeLabel``: the payload is not a graph at
-    all."""
+    """Vertices or edges that are not iterable, a record that is not a
+    tuple of its type's length, an id that is not a ``str`` or repeats, an
+    edge end that names no vertex, a level, lo or hi that is not a finite
+    float or an int that a float holds exactly, a kind that is not a
+    ``VertexKind`` or a label that is not an ``EdgeLabel``: the payload is
+    not a graph at all."""
 
     exit_code = 3
 
@@ -58,7 +59,8 @@ class EmptyWindow(ReeboundError):
 
 
 class BadWindow(ReeboundError, ValueError):
-    """A restriction window end is not a finite number."""
+    """A restriction window end is not a finite float or an int that a
+    float holds exactly."""
 
 
 # -- integer-assignment sweep ------------------------------------------------

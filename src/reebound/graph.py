@@ -122,21 +122,25 @@ class ValidationReport:
         }
 
 
-def _finite(value) -> bool:
-    """True iff value is a finite int or float."""
+def _level_rule(value) -> str | None:
+    """None if value is a finite float or an int that a float holds
+    exactly (JSON reads every level back as a float), else the rule that
+    value breaks."""
     try:
-        return isinstance(value, (int, float)) and isfinite(value)
+        if isinstance(value, (int, float)) and isfinite(value):
+            return None if float(value) == value else "an int that a float holds exactly"
     except OverflowError:   # an int too large for a float
-        return False
+        pass
+    return "a finite number"
 
 
 def _check_finite(value: float, what: str, *args,
                   error: type[Exception] = MalformedGraph) -> None:
-    """Raise ``error`` unless value is a finite number; ``what % args``
+    """Raise ``error`` unless value keeps the level rule; ``what % args``
     names it, formatted only on failure."""
-    if not _finite(value):
-        raise error("%s must be a finite number, got %s"
-                    % (what % args, _shown(value)))
+    rule = _level_rule(value)
+    if rule:
+        raise error("%s must be %s, got %s" % (what % args, rule, _shown(value)))
 
 
 def _shown(value) -> str:
@@ -151,12 +155,18 @@ def _shown(value) -> str:
 
 
 def _malformed(vertices, edges) -> MalformedGraph | None:
-    """The error naming the first bad record in the order given: a vertex
-    or an edge that is not a tuple of 3 or 5 fields, else a vertex whose
-    level is not a finite number, else a vertex or an edge whose id
-    is not a ``str``, else an edge end that is not a string, else a vertex
-    whose kind is not a ``VertexKind``, else an edge whose label is not an
+    """The error naming vertices or edges that are not iterable, else the
+    first bad record in the order given: a vertex or an edge that is not a
+    tuple of 3 or 5 fields, else a vertex whose level breaks the level
+    rule (see ``_level_rule``), else a vertex or an edge whose id is not a
+    ``str``, else an edge end that is not a string, else a vertex whose
+    kind is not a ``VertexKind``, else an edge whose label is not an
     ``EdgeLabel``."""
+    for what, records in (("vertices", vertices), ("edges", edges)):
+        try:
+            iter(records)
+        except TypeError:
+            return MalformedGraph("%s must be iterable, got %s" % (what, _shown(records)))
     for what, records, size in (("vertex", vertices, 3), ("edge", edges, 5)):
         for record in records:
             if not (isinstance(record, tuple) and len(record) == size):
@@ -201,16 +211,24 @@ class ReebGraph:
     read the index in place: the sorted event levels (``_events``), each
     edge's range of spanned gaps (``_gaps``; gap k is the open interval
     between event levels k and k + 1), ``_incident`` and ``_edge_by_id``.
+    The event levels and each vertex's event index are read off the vertex
+    loop, as the vertices come in (level, id) order; the first vertex at a
+    level gives its event level, so of levels that compare equal (-0.0 and
+    0.0, 1 and 1.0) the first is kept.  Only when a vertex lies outside
+    [lo, hi], or none sits at lo or at hi, are they derived from the sorted
+    set of the vertex levels with lo and hi, which keeps the same objects.
     The same pass reads the vertex kinds into ``boundary_minus`` and
     ``boundary_plus`` (frozensets of ids) and ``interior`` (every other id
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph)
     takes them sorted, and indexing decides the whole record contract: every
-    record is a tuple of its type's length, every id a ``str``, every level a
-    finite number, every kind a ``VertexKind``, every label an ``EdgeLabel``,
-    no id repeats and every edge end is a vertex id.  Any breach raises
-    ``MalformedGraph`` naming the first bad record (see ``_malformed``), so
-    no code past construction checks a record's types.
+    record is a tuple of its type's length, every id a ``str``, every kind a
+    ``VertexKind``, every label an ``EdgeLabel``, no id repeats and every edge
+    end is a vertex id.  Levels, lo and hi keep the level rule: each is a
+    finite float or an int that a float holds exactly, as JSON reads every
+    level back as a float, so ``graph_loads(graph_dumps(g)) == g``.  Any
+    breach raises ``MalformedGraph`` naming the first bad record (see
+    ``_malformed``), so no code past construction checks a record's types.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -242,24 +260,30 @@ class ReebGraph:
 
     def _index(self) -> None:
         self._by_id = by_id = {}
-        bounds, interior = {_MINUS: [], _PLUS: []}, []
+        self._event_index = event_index = {}
+        self._events = events = []
+        bounds, interior, incident, last = {_MINUS: [], _PLUS: []}, [], {}, None
         for v in self.vertices:
             vid, level, kind = v
             if not (type(vid) is str and type(kind) is VertexKind
-                    and (type(level) is float and isfinite(level) or _finite(level))):
+                    and (type(level) is float and isfinite(level)
+                         or not _level_rule(level))):
                 raise _malformed(self.vertices, self.edges)
             if vid in by_id:
                 raise MalformedGraph("duplicate vertex id %r" % vid)
             by_id[vid] = v
+            incident[vid] = []
+            if level != last:   # the first vertex at its level
+                events.append(last := level)
+            event_index[vid] = len(events) - 1
             bounds.get(kind, interior).append(vid)
-        self.boundary_minus = frozenset(bounds[_MINUS])
-        self.boundary_plus = frozenset(bounds[_PLUS])
+        self.boundary_minus, self.boundary_plus = map(frozenset, bounds.values())
         self.interior = tuple(interior)
-        self._events = sorted({*map(itemgetter(1), self.vertices), self.lo, self.hi})
-        index = {level: k for k, level in enumerate(self._events)}
-        self._event_index = event_index = {vid: index[level]
-                                           for vid, level, _ in self.vertices}
-        incident: dict[str, list[str]] = {vid: [] for vid in by_id}
+        if not (events and events[0] == self.lo and events[-1] == self.hi):
+            # a vertex outside the window, or none at lo or at hi
+            self._events = events = sorted({*events, self.lo, self.hi})
+            index = {level: k for k, level in enumerate(events)}
+            event_index.update((vid, index[level]) for vid, level, _ in self.vertices)
         self._edge_by_id = edge_by_id = {}
         self._gaps = gaps = {}
         for e in self.edges:
@@ -358,10 +382,9 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
             delta[gaps.stop] -= 1
     monotone_ok = not out
 
-    # critical vertices by level (in level order, as the vertices come),
-    # and the parity and center rules, reported after genericity
-    crit_levels: dict[float, list[str]] = {}
-    ends: list[Violation] = []
+    # runs of critical vertices at one level (the vertices come in level
+    # order), and the parity and center rules, reported after genericity
+    runs, ends, crit = [], [], None
     for vid, level, kind in g.vertices:
         want = EXPECTED_VALENCY[kind]
         deg = len(g._incident[vid])
@@ -382,17 +405,18 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
             out.append(Violation(RULE_BOUNDARY_LEVEL, (vid,),
                                  "interior vertex not strictly inside the window"))
         if kind is _SADDLE or kind is _CENTER:
-            crit_levels.setdefault(level, []).append(vid)
+            if level != crit:
+                crit, run = level, []
+                runs.append((level, run))
+            run.append(vid)
             if kind is _SADDLE and ess.get(vid) == 1:
                 ends.append(Violation(RULE_SADDLE_PARITY, (vid,),
                                       "saddle meets exactly one essential edge-end"))
             elif kind is _CENTER and vid in ess:
                 ends.append(Violation(RULE_CENTER, (vid,),
                                       "center meets an essential edge"))
-    for level, vids in crit_levels.items():
-        if len(vids) > 1:
-            out.append(Violation(RULE_GENERICITY, tuple(vids),
-                                 "interior vertices share level %r" % level))
+    out += [Violation(RULE_GENERICITY, tuple(run), "interior vertices share level %r" % level)
+            for level, run in runs if len(run) > 1]
     out += ends
 
     if check_coverage and monotone_ok:
@@ -417,9 +441,9 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
     own window are clamped to it, so restriction always means
     intersection.
 
-    Raises BadWindow unless lo and hi are finite numbers, NonGenericCut
-    if an interior vertex sits exactly on a window boundary, and
-    EmptyWindow if nothing survives.
+    Raises BadWindow unless lo and hi keep the level rule (see
+    ``ReebGraph``), NonGenericCut if an interior vertex sits exactly on a
+    window boundary, and EmptyWindow if nothing survives.
     """
     _check_finite(lo, "window lo", error=BadWindow)
     _check_finite(hi, "window hi", error=BadWindow)

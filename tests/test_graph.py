@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import copysign, nextafter
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,17 @@ class TestRestrict:
         (0.2, -10 ** 5000, "window hi must be a finite number, got an int of 16610 bits"),
     ], ids=["huge-lo", "huge-hi"])
     def test_unprintable_int_window_is_a_bad_window(self, lo, hi, message):
+        with pytest.raises(BadWindow) as info:
+            restrict(single_edge_graph(), lo, hi)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-2 ** 60 - 1, 0.8,
+         "window lo must be an int that a float holds exactly, got -1152921504606846977"),
+        (0.2, 2 ** 53 + 1,
+         "window hi must be an int that a float holds exactly, got 9007199254740993"),
+    ], ids=["inexact-lo", "inexact-hi"])
+    def test_inexact_int_window_is_a_bad_window(self, lo, hi, message):
         with pytest.raises(BadWindow) as info:
             restrict(single_edge_graph(), lo, hi)
         assert str(info.value) == message
@@ -490,8 +502,11 @@ class TestRecords:
 # list id or kind does not hash, and a plain string equals its member
 _IDS = st.one_of(st.sampled_from("abc"), st.integers(-1, 1), st.none(),
                  st.lists(st.sampled_from("ab"), max_size=2))
+# ints near +-2**53, where floats stop holding every int
+_NEAR_2_53 = st.builds(lambda sign, d: sign * (2 ** 53 + d),
+                       st.sampled_from((1, -1)), st.integers(-3, 3))
 _LEVELS = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(),
-                    st.integers(), st.none(), st.text(max_size=2))
+                    st.integers(), _NEAR_2_53, st.none(), st.text(max_size=2))
 _NON_MEMBERS = st.one_of(st.none(), st.sampled_from(("saddle", "essential", 0)))
 _KINDS = st.one_of(st.sampled_from(list(VertexKind)), _NON_MEMBERS,
                    st.lists(st.sampled_from(list(VertexKind)), max_size=1))
@@ -638,6 +653,43 @@ class TestDirectConstruction:
         with pytest.raises(MalformedGraph) as info:
             ReebGraph(vs, es, 0.0, 1.0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (5, (), "vertices must be iterable, got 5"),
+        ((ReebVertex("a", 0.5, VertexKind.SADDLE),), None,
+         "edges must be iterable, got None"),
+    ], ids=["vertices", "edges"])
+    def test_records_not_iterable(self, vertices, edges, message):
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vertices, edges, 0.0, 1.0)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("level, lo, hi, message", [
+        (2 ** 60 + 1, 0.0, 2.0 ** 61,
+         "level of vertex a must be an int that a float holds exactly, "
+         "got 1152921504606846977"),
+        (-2 ** 53 - 1, -2.0 ** 54, 0.0,
+         "level of vertex a must be an int that a float holds exactly, "
+         "got -9007199254740993"),
+        (0.5, 0, 2 ** 60 + 1,
+         "hi must be an int that a float holds exactly, got 1152921504606846977"),
+        (0.5, -2 ** 53 - 1, 1,
+         "lo must be an int that a float holds exactly, got -9007199254740993"),
+    ], ids=["level", "negative-level", "hi", "lo"])
+    def test_inexact_int_level_refused(self, level, lo, hi, message):
+        # JSON reads levels back as floats, so such an int could not round-trip
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph((ReebVertex("a", level, VertexKind.SADDLE),), (), lo, hi)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("level, lo, hi", [
+        (2 ** 53, 0, 2 ** 60), (-2 ** 53 - 2, -2 ** 54, 1), (True, 0, 2)],
+        ids=["2**53", "even-past-2**53", "bool"])
+    def test_exact_int_levels_round_trip(self, level, lo, hi):
+        g = ReebGraph((ReebVertex("a", level, VertexKind.SADDLE),), (), lo, hi)
+        back = graph_loads(graph_dumps(g))
+        assert back == g
+        assert [type(x) for x in (back.lo, back.hi, back.vertices[0].level)] == [float] * 3
 
     @pytest.mark.parametrize("lo, hi, message", [
         (10 ** 5000, 1.0, "lo must be a finite number, got an int of 16610 bits"),
@@ -816,3 +868,137 @@ def test_subgraph_of_invalid_parent_matches_constructor(drawn, data):
                                          if e.id not in dropped]
     assert_index_consistent(sub)
     assert_built_alike(sub)
+
+
+# -- the event index against the sorted-set derivation ------------------------
+
+def set_derived_index(g: ReebGraph):
+    """The event levels as the sorted set of the vertex levels with lo and
+    hi, each vertex's event index and each edge's (start, stop) of gaps:
+    empty ranges compare equal whatever their start, and validate reads
+    the start of every essential edge's range."""
+    events = sorted({*(v.level for v in g.vertices), g.lo, g.hi})
+    index = {level: k for k, level in enumerate(events)}
+    event_index = {v.id: index[v.level] for v in g.vertices}
+    gaps = {e.id: (event_index[e.lower], event_index[e.upper]) for e in g.edges}
+    return events, event_index, gaps
+
+
+def _signed(levels):
+    """Each level with its type and sign, so -0.0 and 0.0, 1 and 1.0 differ."""
+    return [(type(x), x, copysign(1.0, x)) for x in levels]
+
+
+def assert_index_set_derived(g: ReebGraph) -> None:
+    events, event_index, gaps = set_derived_index(g)
+    assert _signed(g._events) == _signed(events)
+    assert _typed(g._events) == _typed(events)
+    assert _typed(g._event_index) == _typed(event_index)
+    assert _typed({eid: (r.start, r.stop) for eid, r in g._gaps.items()}) == _typed(gaps)
+
+
+def _graph_at(levels, lo, hi, ids=None) -> ReebGraph:
+    """Regular vertices at the levels (ids a, b, ... unless given), with an
+    edge from each vertex to every later one, whatever their order."""
+    ids = ids or "abcdefgh"[:len(levels)]
+    vs = tuple(ReebVertex(vid, level, VertexKind.REGULAR)
+               for vid, level in zip(ids, levels))
+    es = tuple(ReebEdge("e%s%s" % (a.id, b.id), a.id, b.id, EdgeLabel.ESSENTIAL)
+               for i, a in enumerate(vs) for b in vs[i + 1:])
+    return ReebGraph(vs, es, lo, hi)
+
+
+_UP = nextafter(0.5, 1.0)
+_POOL = (-0.0, 0.0, 0, 1, 1.0, -1.0, 0.5, _UP, nextafter(_UP, 1.0), 2.0,
+         2 ** 53, float(2 ** 53))
+
+
+class TestEventIndex:
+    """ReebGraph reads its event levels off its (level, id) sorted vertex
+    loop, and derives them from a sorted set only when a vertex lies
+    outside [lo, hi] or none sits at lo or at hi; both paths must give the
+    sorted-set derivation's levels, down to the object kept for levels that
+    compare equal, its indices and its gap ranges."""
+
+    @pytest.mark.parametrize("levels, lo, hi, ids", [
+        ((-0.0, 0.0, 1.0), 0.0, 1.0, None),
+        ((-0.0, 0.0, 1.0), 0.0, 1.0, "bac"),
+        ((0.0, 0.5), -0.0, 0.5, None),
+        ((-1.0, 0.0), -1.0, -0.0, None),
+        ((1, 1.0, 0.0), 0.0, 1.0, None),
+        ((1, 1.0, 0.0), 0, 1, "bac"),
+        ((0, 1), 0.0, 1.0, None),
+        ((-1.0, 0.5, 2.0), 0.0, 1.0, None),
+        ((-1.0, 0.5), 0.0, 1.0, None),
+        ((0.5, 2.0), 0.0, 1.0, None),
+        ((0.5, 1.0), 0.0, 1.0, None),
+        ((0.0, 0.5), 0.0, 1.0, None),
+        ((0.5,), 0.0, 1.0, None),
+        ((0.5, _UP, nextafter(_UP, 1.0)), 0.5, nextafter(_UP, 1.0), None),
+        ((_UP, 0.5), 0.5, nextafter(_UP, 1.0), None),
+        ((), 0.0, 1.0, None),
+    ], ids=["signed-zeros", "signed-zeros-by-id", "negative-zero-lo",
+            "negative-zero-hi", "int-and-float", "int-and-float-by-id",
+            "int-levels", "outside-both", "outside-below", "outside-above",
+            "no-vertex-at-lo", "no-vertex-at-hi", "neither-bound",
+            "adjacent-floats", "adjacent-floats-no-hi", "no-vertices"])
+    def test_matches_sorted_set(self, levels, lo, hi, ids):
+        g = _graph_at(levels, lo, hi, ids)
+        assert_index_set_derived(g)
+        assert_index_set_derived(essential_subgraph(g, prevalidated=True))
+
+    def test_first_level_object_is_kept(self):
+        # the vertex at -0.0 comes first by id, so its zero is the event
+        # level, and lo's 0.0 is not
+        g = _graph_at((-0.0, 0.0, 1.0), 0.0, 1.0)
+        assert copysign(1.0, g._events[0]) == -1.0
+        assert type(_graph_at((1, 1.0, 0.0), 0.0, 1.0)._events[-1]) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_POOL), max_size=7),
+           st.sampled_from(_POOL), st.sampled_from(_POOL))
+    def test_drawn_levels_match_sorted_set(self, levels, lo, hi):
+        if not lo < hi:
+            lo, hi = hi, lo
+        if not lo < hi:
+            return
+        g = _graph_at(levels, lo, hi)
+        assert_index_set_derived(g)
+        assert_index_set_derived(essential_subgraph(g, prevalidated=True))
+        assert_index_consistent(g)
+
+
+class TestGenericityRuns:
+    """validate reads genericity off runs of equal levels among the
+    critical vertices; naive_validate groups them in a dict by level."""
+
+    def test_runs_with_other_vertices_between(self):
+        s, c, r = VertexKind.SADDLE, VertexKind.CENTER, VertexKind.REGULAR
+        vs = tuple(ReebVertex(vid, level, kind) for vid, level, kind in (
+            ("a", 0.5, s), ("b", 0.5, r), ("c", 0.5, c), ("d", 0.5, s),
+            ("e", 0.7, r), ("f", 0.7, s), ("g", 0.7, VertexKind.BOUNDARY_PLUS),
+            ("h", 0.7, c), ("i", 0.9, s), ("j", -0.0, s), ("k", 0.0, c)))
+        g = ReebGraph(vs, (), -1.0, 1.0)
+        for kw in SETTINGS:
+            assert validate(g, **kw).to_dict() == naive_validate(g, **kw).to_dict()
+        shared = [(v.subjects, v.note) for v in validate(g).violations
+                  if v.rule == "Genericity"]
+        assert shared == [(("j", "k"), "interior vertices share level -0.0"),
+                          (("a", "c", "d"), "interior vertices share level 0.5"),
+                          (("f", "h"), "interior vertices share level 0.7")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(list(VertexKind))),
+                    max_size=8),
+           st.data())
+    def test_drawn_ties_match_naive_validate(self, records, data):
+        vs = tuple(ReebVertex("v%d" % i, level, kind)
+                   for i, (level, kind) in enumerate(records))
+        ids = [v.id for v in vs]
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                   max_size=6)) if ids else []
+        es = tuple(ReebEdge("e%d" % i, a, b, data.draw(st.sampled_from(list(EdgeLabel))))
+                   for i, (a, b) in enumerate(pairs))
+        g = ReebGraph(vs, es, -1.0, 2.0)
+        for kw in SETTINGS:
+            assert validate(g, **kw).to_dict() == naive_validate(g, **kw).to_dict()
