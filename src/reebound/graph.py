@@ -220,8 +220,8 @@ class ReebGraph:
     The same pass reads the vertex kinds into ``boundary_minus`` and
     ``boundary_plus`` (frozensets of ids) and ``interior`` (every other id
     in (level, id) order: on a full graph, centers and regular vertices too).
-    The constructor sorts the records, ``_trusted`` (for essential_subgraph)
-    takes them sorted, and indexing decides the whole record contract: every
+    The constructor sorts the records, ``_trusted`` (for essential_subgraph
+    and label_reeb) takes them sorted, and indexing decides the whole record contract: every
     record is a tuple of its type's length, every id a ``str``, every kind a
     ``VertexKind``, every label an ``EdgeLabel``, no id repeats and every edge
     end is a vertex id.  Levels, lo and hi keep the level rule: each is a
@@ -252,9 +252,9 @@ class ReebGraph:
             raise _malformed(self.vertices, self.edges) or exc from None
 
     @classmethod
-    def _trusted(cls, vertices, edges, lo, hi) -> "ReebGraph":
+    def _trusted(cls, vertices, edges, lo, hi, meta=None) -> "ReebGraph":
         g = object.__new__(cls)
-        g.vertices, g.edges, g.lo, g.hi, g.meta = vertices, edges, lo, hi, None
+        g.vertices, g.edges, g.lo, g.hi, g.meta = vertices, edges, lo, hi, meta
         g._index()
         return g
 

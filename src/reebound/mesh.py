@@ -10,9 +10,10 @@ surface the Reeb graph's cycle rank is the genus, so an edge's level
 curve bounds a disk iff the edge is a bridge with a tree on one side.
 The surface builds its edge, link and star tables once on loading; the
 sweep, the contour walks and the witness check only read them, and the
-labelling walks the Reeb graph's own incidence index.  No vertex pair ->
-edge id table is built: the witness check finds each edge among its own
-triangle's three, and ``edge_index`` derives the map on each access.  A
+labelling walks the Reeb graph's own incidence index.  An edge's id is
+its packed key ``lo * n + hi``, which sorts like its vertex pair, so the
+pair is ``divmod(id, n)`` and no pair -> id table is built: the witness
+check keys each pair and finds it among its own triangle's three.  A
 contour walk separates the vertices with ``key[v] <= level`` from the
 rest: entering oriented triangle abc across its edge i, from ``tri[i]``
 to ``tri[i+1]``, it leaves by edge i - 1 if the opposite vertex
@@ -33,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import inf, isfinite, nextafter
 from operator import index, ne
 
@@ -147,17 +148,16 @@ class TriangulatedSurface:
     every vertex link is a single cycle.  The topology is combinatorial:
     a vertex is an index below ``n_vertices``, and no coordinates are kept.
 
-    It also builds, once, every table the sweep and the contour walks
-    read: ``edges`` (sorted vertex pairs; an edge's id is its position),
-    ``edge_tris`` (each edge's two triangles), ``_tri_edges`` (the ids of
-    edges ab, bc, ca of each oriented triangle abc, to step a contour
-    across it), ``links`` (each vertex's neighbours in rotation order,
-    from the smallest) and ``stars`` (``stars[v][i]`` is the id of the
-    edge from v to ``links[v][i]``, so the sweep never looks an edge up by
-    its pair).
-    While building them it keys an edge lo-hi by the int ``lo * n + hi``,
-    which sorts like the pair, so ids come from the sorted keys; no
-    pair -> id table is kept, and ``edge_index`` builds one on each access.
+    An edge lo-hi has the id ``lo * n + hi``, its packed key, which sorts
+    like the pair.  Construction builds, once, every table the sweep and
+    the contour walks read, with one int per edge and no tuple per corner:
+    ``_table`` (each id's two triangles and directions, see ``__init__``),
+    ``_tri_edges`` (the ids of edges ab, bc, ca of each oriented triangle
+    abc, to step a contour across it), ``links`` (each vertex's neighbours
+    in rotation order, from the smallest) and ``stars`` (``stars[v][i]``
+    is the id of the edge from v to ``links[v][i]``).  ``edges``,
+    ``edge_tris`` and ``edge_index`` are derived from ``_table`` on each
+    access, and the package reads none of them.
     ``from_off_text`` reads the OFF tokens from one split of the text
     (see ``_tokens``) with one reader, ``_read_off``.
 
@@ -197,55 +197,53 @@ class TriangulatedSurface:
         if not tris:
             raise NotAManifold("no triangles")
 
-        # owners[key] = [t1, up1, t2, up2]: the triangles bordering the edge
-        # lo-hi, keyed lo * n + hi, in first-seen order, each with whether
-        # it runs the edge from lo
-        owners: dict[int, list] = {}
-        for ti, (a, b, c) in enumerate(tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = u * n + v if u < v else v * n + u
-                owners.setdefault(key, []).extend((ti, u < v))
-        for key, owned in owners.items():
-            if len(owned) != 4:
-                raise NotAManifold("edge %r borders %d triangles, expected 2"
-                                   % (divmod(key, n), len(owned) // 2))
+        # table[key] = c1 * m + c2 for the edge lo-hi keyed lo * n + hi: each
+        # c is 2 * triangle + 1, plus 1 where that triangle as given runs the
+        # edge from lo: one nonzero base-m digit per triangle, first seen
+        # first, and a code keeps its last three digits at most
+        m = 2 * len(tris) + 1
+        mm = m * m
+        table: dict[int, int] = {}
+        get, tri_edges = table.get, []
+        for d, (a, b, c) in zip(count(1, 2), tris):
+            ab = a * n + b if a < b else b * n + a
+            bc = b * n + c if b < c else c * n + b
+            ca = c * n + a if c < a else a * n + c
+            table[ab] = get(ab, 0) % mm * m + d + (a < b)
+            table[bc] = get(bc, 0) % mm * m + d + (b < c)
+            table[ca] = get(ca, 0) % mm * m + d + (c < a)
+            tri_edges.append((ab, bc, ca))
+        codes = table.values()
+        if not m <= min(codes) <= max(codes) < mm:     # not two digits each
+            key = next(k for k, code in table.items() if not m <= code < mm)
+            raise NotAManifold("edge %r borders %d triangles, expected 2" % (
+                divmod(key, n), sum(te.count(key) for te in tri_edges)))
         if n > 3 * len(tris):
             # some vertex is in no triangle, and only the walk can name a
             # fault first; nothing per vertex is built for so large an n
-            self._orient(owners.values(), len(tris))
+            self._orient(codes, m)
             raise NotAManifold("isolated vertex present")
         ids = list(range(n))    # one int per vertex id, shared by every table
 
-        # two triangles agree on an edge when they run it opposite ways;
-        # when every edge's two do, no triangle flips and the walk is skipped
-        agree = all(owned[1] is not owned[3] for owned in owners.values())
+        # two triangles agree on an edge when they run it opposite ways, that
+        # is when their digits differ in parity, and m is odd, so when the
+        # code is odd; when every edge's two do, the walk is skipped
+        agree = all(map((1).__and__, codes))
         if not agree:
-            flips = self._orient(owners.values(), len(tris))
-            tris = [(a, c, b) if f else (a, b, c) for (a, b, c), f in zip(tris, flips)]
+            flips = self._orient(codes, m)
+            tris = [(t[0], t[2], t[1]) if f else t for t, f in zip(tris, flips)]
+            tri_edges = [te[::-1] if f else te for te, f in zip(tri_edges, flips)]
         self.triangles = tuple([(ids[a], ids[b], ids[c]) for a, b, c in tris])
-        # packed keys sort like the pairs, so an edge's id is its position
-        # in sorted pair order; owners then maps each key to that id
-        keys = sorted(owners)
-        self.edges: list[Edge] = [(ids[k // n], ids[k % n]) for k in keys]
-        self.edge_tris: list[tuple[int, int]] = [
-            (owned[0], owned[2]) for owned in map(owners.__getitem__, keys)]
-        owners.update(zip(keys, range(len(keys))))
-        del tris, keys
+        self._table, self._tri_edges = table, tri_edges
+        del tris
 
-        self._tri_edges: list[tuple[int, int, int]] = [
-            (owners[a * n + b if a < b else b * n + a],
-             owners[b * n + c if b < c else c * n + b],
-             owners[c * n + a if c < a else a * n + c])
-            for a, b, c in self.triangles]
-        del owners
-
-        # fan[v][x] = (y, id of edge vx) for the oriented triangle v -> x -> y;
+        # fan[v][x] = key of edge vy for the oriented triangle v -> x -> y;
         # the orientation makes each fan[v] a permutation of v's neighbours
-        fan: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
-        for (a, b, c), (ab, bc, ca) in zip(self.triangles, self._tri_edges):
-            fan[a][b] = (c, ab)
-            fan[b][c] = (a, bc)
-            fan[c][a] = (b, ca)
+        fan: list[dict[int, int]] = [{} for _ in range(n)]
+        for (a, b, c), (ab, bc, ca) in zip(self.triangles, tri_edges):
+            fan[a][b] = ca
+            fan[b][c] = ab
+            fan[c][a] = bc
         self.links: list[tuple[int, ...]] = []
         self.stars: list[tuple[int, ...]] = []
         try:
@@ -253,11 +251,13 @@ class TriangulatedSurface:
                 raise NotAManifold("isolated vertex present")
             for v, out in enumerate(fan):
                 x = start = min(out)
+                k = v * n + x if v < x else x * n + v
                 ring, star = [], []
                 while x != start or not ring:
                     ring.append(x)
-                    x, e = out[x]
-                    star.append(e)
+                    star.append(k)
+                    k = out[x]
+                    x = k // n + k % n - v
                 if len(ring) != len(out):
                     raise NotAManifold("link of vertex %d is not a single cycle" % v)
                 self.links.append(tuple(ring))
@@ -265,8 +265,7 @@ class TriangulatedSurface:
         except NotAManifold:
             # the walk, skipped, must still name a split surface first
             if agree:
-                self._orient(((ta, True, tb, False) for ta, tb in self.edge_tris),
-                             len(self.triangles))
+                self._orient(codes, m)
             raise
         if agree:
             # every link is one cycle, so every star is a disk, and the
@@ -281,16 +280,18 @@ class TriangulatedSurface:
                 raise NotAManifold("surface is not connected")
 
     @staticmethod
-    def _orient(owned, n_triangles: int) -> list[int]:
-        """One flip bit per triangle; triangle 0 keeps its orientation."""
-        # ``owned`` holds each edge's [t1, up1, t2, up2]
+    def _orient(codes, m: int) -> list[int]:
+        """One flip bit per triangle, from the edge table's ``codes`` (see
+        ``__init__``); triangle 0 keeps its orientation."""
         # each triangle's neighbours, in first-seen order of the shared
-        # edges, with True where the two run that edge the same way
-        nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(n_triangles)]
-        for t1, up1, t2, up2 in owned:
-            nbrs[t1].append((t2, up1 == up2))
-            nbrs[t2].append((t1, up1 == up2))
-        flips: list[int | None] = [None] * n_triangles
+        # edges, with 1 where the two run that edge the same way
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(m // 2)]
+        for code in codes:
+            c1, c2 = divmod(code, m)
+            t1, t2, same = (c1 - 1) >> 1, (c2 - 1) >> 1, (c1 ^ c2 ^ 1) & 1
+            nbrs[t1].append((t2, same))
+            nbrs[t2].append((t1, same))
+        flips: list[int | None] = [None] * (m // 2)
         flips[0] = 0
         stack = [0]
         while stack:
@@ -308,14 +309,25 @@ class TriangulatedSurface:
         return flips
 
     @property
+    def edges(self) -> dict[int, Edge]:
+        """Each edge's vertex pair by its id, in id order."""
+        return {k: divmod(k, self.n_vertices) for k in sorted(self._table)}
+
+    @property
+    def edge_tris(self) -> dict[int, tuple[int, int]]:
+        """Each edge's two triangles, first listed first, by its id."""
+        m = 2 * len(self.triangles) + 1
+        return {k: ((c // m - 1) >> 1, (c % m - 1) >> 1)
+                for k, c in sorted(self._table.items())}
+
+    @property
     def edge_index(self) -> dict[Edge, int]:
-        """Each edge's id by its vertex pair, derived from ``edges`` anew
-        on each access, which costs O(E)."""
-        return {e: i for i, e in enumerate(self.edges)}
+        """Each edge's id by its vertex pair."""
+        return {e: k for k, e in self.edges.items()}
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self._table)
 
     @property
     def n_triangles(self) -> int:
@@ -340,23 +352,22 @@ class TriangulatedSurface:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One value per surface vertex; ties are broken by vertex index."""
+    """One value per surface vertex, under the graph's level rule (a finite
+    float, or an int that a float holds exactly); ties break by index."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            if all(map(isfinite, self.values)):
-                return
-        except (TypeError, OverflowError):
-            pass
-        for i, v in enumerate(self.values):     # again, to name the fault
+        values = self.values
+        if {*map(type, values)} <= {float} and all(map(isfinite, values)):
+            return
+        for i, v in enumerate(values):      # again, to name the fault
             try:
-                if isfinite(v):
-                    continue
+                if not isfinite(v):
+                    raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
             except (TypeError, OverflowError):  # not a number, or too large
-                _check_finite(v, "value at vertex %d", i, error=DegenerateField)
-            raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
+                pass
+            _check_finite(v, "value at vertex %d", i, error=DegenerateField)
 
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
@@ -401,9 +412,9 @@ def _trace(surface: TriangulatedSurface, key, level, start_edge: int):
     if ``start_edge`` is not crossed, naming how many other edges of that
     triangle are.
     """
-    triangles, tri_edges, edge_tris = (
-        surface.triangles, surface._tri_edges, surface.edge_tris)
-    t0 = t = min(edge_tris[start_edge])
+    triangles, tri_edges, table = surface.triangles, surface._tri_edges, surface._table
+    m = 2 * len(triangles) + 1
+    t0 = t = (min(divmod(table[start_edge], m)) - 1) >> 1
     tri, i = triangles[t0], tri_edges[t0].index(start_edge)
     below = key[tri[i]] <= level
     if below == (key[tri[i - 2]] <= level):
@@ -416,8 +427,8 @@ def _trace(surface: TriangulatedSurface, key, level, start_edge: int):
         x = te[i - 2] if ((key[tri[i - 1]] <= level)
                           == (key[tri[i]] <= level)) else te[i - 1]
         out.append((t, e, x))
-        ta, tb = edge_tris[x]
-        e, t = x, (tb if ta == t else ta)
+        c1, c2 = divmod(table[x], m)    # x's two triangles, t one of them
+        e, t = x, ((c1 - 1) >> 1) + ((c2 - 1) >> 1) - t
         if e == start_edge and t == t0:
             return out
 
@@ -425,7 +436,8 @@ def _trace(surface: TriangulatedSurface, key, level, start_edge: int):
 def _cycle_from_crossings(surface: TriangulatedSurface, level: float,
                           crossings) -> LevelCycle:
     k = crossings.index(min(crossings))     # start at the least crossing
-    pairs = tuple((t, surface.edges[a], surface.edges[b])
+    n = surface.n_vertices
+    pairs = tuple((t, divmod(a, n), divmod(b, n))
                   for t, a, b in crossings[k:] + crossings[:k])
     return LevelCycle(level, pairs)
 
@@ -485,9 +497,10 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
             "witness_fraction %r must be inside (0, 1)" % witness_fraction)
 
     values, links, stars = field.values, surface.links, surface.stars
+    n = surface.n_vertices
     # a stable sort: ties break by index, so vertices run in (value, index) order
-    order = sorted(range(surface.n_vertices), key=values.__getitem__)
-    rank = [0] * surface.n_vertices     # position in the (value, index) order
+    order = sorted(range(n), key=values.__getitem__)
+    rank = [0] * n      # position in the (value, index) order
     for i, v in enumerate(order):
         rank[v] = i
 
@@ -506,8 +519,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
         # every candidate is flat, the segment is value-degenerate and a
         # later segment at the same value will be used instead.
         rising = [e for e in candidates
-                  if max(values[surface.edges[e][0]],
-                         values[surface.edges[e][1]]) > event_value]
+                  if max(values[e // n], values[e % n]) > event_value]
         return min(rising) if rising else min(candidates)
 
     def open_arc(contour: list, v: int) -> None:
@@ -640,19 +652,19 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 def _cycle_ok(surface: TriangulatedSurface, values, cycle: LevelCycle) -> bool:
     """True iff ``_check_cycle``'s walk would pass the cycle."""
     # each entry must be the exit before it, so only the exits are looked
-    # up, each among its own triangle's three edges, and tested at the
-    # level; anything malformed is False
+    # up, each keyed and found among its own triangle's three edges, and
+    # tested at the level; anything malformed is False
     try:
         tris, entries, exits = zip(*cycle.crossings)
         if (exits != entries[1:] + entries[:1] or len(set(tris)) != len(tris)
                 or not 0 <= min(tris) <= max(tris) < surface.n_triangles):
             return False
-        tri_edges, edges, level = surface._tri_edges, surface.edges, cycle.level
+        tri_edges, n, level = surface._tri_edges, surface.n_vertices, cycle.level
         ids = []
         for t, pair in zip(tris, exits):
-            x, y, z = tri_edges[t]
-            ids.append(x if edges[x] == pair else y if edges[y] == pair
-                       else z if edges[z] == pair else None)
+            a, b = pair
+            k = a * n + b   # the edge only if its pair is the one given
+            ids.append(k if k in tri_edges[t] and divmod(k, n) == pair else None)
         # an entry equals the exit before it, but the walk reads its ends
         # too, and an end such as 0.0 compares equal yet indexes nothing
         deque(map(values.__getitem__, chain.from_iterable(entries)), maxlen=0)
@@ -675,7 +687,7 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
         return      # the walk below only names the fault
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
-    level, n, index = cycle.level, len(cycle.crossings), surface.edge_index
+    level, n, nv = cycle.level, len(cycle.crossings), surface.n_vertices
     for i, (t, entry, exit_) in enumerate(cycle.crossings):
         nxt = cycle.crossings[(i + 1) % n]
         if entry == exit_:
@@ -685,9 +697,10 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
                             % (i, exit_, nxt[1]))
         for pair in (entry, exit_):
             try:    # an end such as 0.0 equals a vertex index but is none,
-                    # a list of ends does not hash, and a dict may lack key 0
+                    # a list of ends is no pair, and a dict may lack key 0
                 va, vb = field.values[pair[0]], field.values[pair[1]]
-                known = pair in index
+                k = pair[0] * nv + pair[1]
+                known = k in surface._table and divmod(k, nv) == pair
             except (TypeError, IndexError, KeyError):
                 known = False
             if not known:
@@ -696,8 +709,8 @@ def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
                 raise BadWitness("edge %r is not crossed at level %r" % (pair, level))
         if not 0 <= t < surface.n_triangles:
             raise BadWitness("cycle references missing triangle %r" % t)
-        te = set(surface._tri_edges[t])
-        if not {index[entry], index[exit_]} <= te:
+        if not {entry[0] * nv + entry[1], exit_[0] * nv + exit_[1]} <= set(
+                surface._tri_edges[t]):
             raise BadWitness("triangle %d does not contain both crossing edges" % t)
     if len({t for t, _, _ in cycle.crossings}) != n:
         raise BadWitness("cycle visits a triangle twice")
@@ -777,4 +790,5 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
         e._replace(label=EdgeLabel.INESSENTIAL if e.id in disk else EdgeLabel.ESSENTIAL,
                    witness=w)
         for e, w in zip(g.edges, witnesses))
-    return ReebGraph(g.vertices, edges, g.lo, g.hi, meta=g.meta)
+    # the records keep g's sorted order and ids, so nothing is sorted again
+    return ReebGraph._trusted(g.vertices, edges, g.lo, g.hi, meta=g.meta)

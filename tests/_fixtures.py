@@ -276,6 +276,20 @@ def noisy_torus(seed: int = 3, amplitude: float = 0.05):
                                       for v in field.values))
 
 
+def smooth_torus(seed: int, nu: int = 24, nv: int = 12):
+    """Upright torus, field = height plus a seeded smooth wave of up to
+    three periods around the axis and two around the tube."""
+    surface, field = vertical_torus(nu, nv)
+    rng = random.Random(seed)
+    k, l = rng.randint(1, 3), rng.randint(1, 2)
+    amplitude = rng.uniform(0.05, 0.25)
+    p, q = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
+    return surface, ScalarField(tuple(
+        x + amplitude * math.sin(2 * math.pi * k * (v // nv) / nu + p)
+        * math.cos(2 * math.pi * l * (v % nv) / nv + q)
+        for v, x in enumerate(field.values)))
+
+
 def quantized_field(field: ScalarField, levels: int) -> ScalarField:
     """``field`` rounded onto ``levels`` evenly spaced values 0, 1, ...:
     flat regions and many ties."""

@@ -202,10 +202,11 @@ def naive_from_off_text(text: str) -> TriangulatedSurface:
 
 
 def naive_surface(n_vertices: int, triangles) -> TriangulatedSurface:
-    """A surface whose tables are built as the constructor built them
-    before it learned to skip the orientation walk: every input is
-    walked triangle by triangle, and connectivity is decided by that
-    walk alone, before any vertex is looked at."""
+    """A surface built without the constructor's shortcuts: every input
+    is walked triangle by triangle, connectivity is decided by that walk
+    alone, before any vertex is looked at, the edge table is encoded from
+    per-edge owner lists and the links and stars come from fans of
+    (next neighbour, edge key) tuples."""
     self = object.__new__(TriangulatedSurface)
     self.n_vertices = n = n_vertices
     ids = list(range(n))
@@ -251,16 +252,18 @@ def naive_surface(n_vertices: int, triangles) -> TriangulatedSurface:
 
     self.triangles = tuple((t[0], t[2], t[1]) if f else t
                            for t, f in zip(tris, flips))
-    keys = sorted(owners)
-    self.edges = [(ids[k // n], ids[k % n]) for k in keys]
-    edge_index = {e: i for i, e in enumerate(self.edges)}
-    self.edge_tris = [(owned[0], owned[2]) for owned in map(owners.__getitem__, keys)]
-    owners.update(zip(keys, edge_index.values()))
-    self._tri_edges = [
-        (owners[a * n + b if a < b else b * n + a],
-         owners[b * n + c if b < c else c * n + b],
-         owners[c * n + a if c < a else a * n + c])
-        for a, b, c in self.triangles]
+    # an edge's id is its key; its code holds one digit per triangle in
+    # first-seen order, 2 * triangle + 1, plus 1 where the triangle as
+    # given runs the edge from its lower end
+    m = 2 * len(tris) + 1
+    self._table = {key: (2 * t1 + 1 + up1) * m + 2 * t2 + 1 + up2
+                   for key, (t1, up1, t2, up2) in owners.items()}
+
+    def key(u, v):
+        return min(u, v) * n + max(u, v)
+
+    self._tri_edges = [(key(a, b), key(b, c), key(c, a))
+                       for a, b, c in self.triangles]
 
     fan: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     for (a, b, c), (ab, bc, ca) in zip(self.triangles, self._tri_edges):
@@ -363,13 +366,16 @@ def naive_pick_witness_level(a: float, b: float, fraction: float,
                           % (a, b))
 
 
-def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int):
+def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int,
+                edge_tris=None):
     """Walk one contour; ``crossed(eid)`` decides which edges it meets.
 
     Each step lists the other crossed edges of the triangle and demands
     exactly one, where ``reebound.mesh._trace`` makes one comparison.
     Returns the crossings as (triangle, entry eid, exit eid), starting at
-    ``start_edge`` through its lower-numbered triangle.
+    ``start_edge`` through its lower-numbered triangle.  ``edge_tris`` is
+    ``surface.edge_tris``, which a caller that walks many times derives
+    once.
     """
     def other_crossed(tri: int, eid: int) -> int:
         hits = [x for x in surface._tri_edges[tri] if x != eid and crossed(x)]
@@ -378,13 +384,15 @@ def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int):
                             % (tri, len(hits)))
         return hits[0]
 
-    t0 = min(surface.edge_tris[start_edge])
+    if edge_tris is None:
+        edge_tris = surface.edge_tris   # derived anew on each access
+    t0 = min(edge_tris[start_edge])
     out = []
     e, t = start_edge, t0
     while True:
         x = other_crossed(t, e)
         out.append((t, e, x))
-        ta, tb = surface.edge_tris[x]
+        ta, tb = edge_tris[x]
         e, t = x, (tb if ta == t else ta)
         if (e, t) == (start_edge, t0):
             return out
@@ -431,16 +439,20 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
 
 def value_crossed(surface: TriangulatedSurface, values, level: float):
     """The witness predicate: ``level`` strictly inside the edge's span."""
+    edges = surface.edges
+
     def crossed(eid: int) -> bool:
-        va, vb = (values[x] for x in surface.edges[eid])
+        va, vb = (values[x] for x in edges[eid])
         return min(va, vb) < level < max(va, vb)
     return crossed
 
 
 def rank_crossed(surface: TriangulatedSurface, rank, rv: int):
     """The split predicate: exactly one end of the edge ranked ``<= rv``."""
+    edges = surface.edges
+
     def crossed(eid: int) -> bool:
-        ra, rb = (rank[x] for x in surface.edges[eid])
+        ra, rb = (rank[x] for x in edges[eid])
         return ra <= rv < rb if ra < rb else rb <= rv < ra
     return crossed
 
@@ -453,13 +465,14 @@ def level_cycles(surface: TriangulatedSurface, field: ScalarField,
         raise ValueError("level %r hits a vertex value; pick another" % level)
 
     crossed = value_crossed(surface, field.values, level)
-    todo = sorted(eid for eid in range(surface.n_edges) if crossed(eid))
+    todo = [eid for eid in surface.edges if crossed(eid)]    # in id order
+    edge_tris = surface.edge_tris
     seen: set[int] = set()
     out: list[LevelCycle] = []
     for eid in todo:
         if eid in seen:
             continue
-        crossings = naive_trace(surface, crossed, eid)
+        crossings = naive_trace(surface, crossed, eid, edge_tris)
         for _, e1, e2 in crossings:
             seen.add(e1)
             seen.add(e2)
@@ -620,7 +633,7 @@ def count_level_components(surface, field, level) -> int:
     """Components of the level set, from scratch via edge adjacency."""
     vals = field.values
     crossed = set()
-    for eid, (a, b) in enumerate(surface.edges):
+    for eid, (a, b) in surface.edges.items():
         if min(vals[a], vals[b]) < level < max(vals[a], vals[b]):
             crossed.add(eid)
     adjacency: dict[int, set[int]] = {e: set() for e in crossed}

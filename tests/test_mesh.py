@@ -6,11 +6,12 @@ import hashlib
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 from math import inf, isfinite, isinf, nan, nextafter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from reebound import (
@@ -18,7 +19,10 @@ from reebound import (
     ScalarField,
     TriangulatedSurface,
     VertexKind,
+    assign_all,
     build_reeb,
+    distance_bound,
+    essential_subgraph,
     graph_dumps,
     graph_loads,
     label_reeb,
@@ -38,7 +42,7 @@ from reebound.errors import (
     ReebTopologyMismatch,
     ReeboundError,
 )
-from reebound.graph import ReebEdge, ReebGraph, ReebVertex
+from reebound.graph import ReebEdge, ReebGraph, ReebVertex, _level_rule
 from reebound.mesh import (LevelCycle, _check_cycle, _cycle_ok, _disk_edges,
                             _pick_witness_level, _run_starts, _trace)
 
@@ -58,10 +62,12 @@ from _fixtures import (
     pinched_torus,
     quantized_field,
     random_level_field,
+    smooth_torus,
     vertical_torus,
 )
 from _oracles import (_lower_arcs, count_level_components, level_cycles,
-                      naive_check_cycle, naive_disk_edges, naive_from_off_text,
+                      naive_assign, naive_check_cycle, naive_disk_edges,
+                      naive_from_off_text,
                       naive_is_inessential,
                       naive_pick_witness_level, naive_surface, naive_trace,
                       pl_criticality, rank_crossed, value_crossed)
@@ -195,6 +201,23 @@ class TestDirectConstruction:
         except ReeboundError:
             return
         assert all(map(isfinite, f.values))
+        assert not any(map(_level_rule, f.values))
+
+    def test_inexact_int_value_is_a_field_error(self):
+        # a value keeps the graph's level rule, so the field names it before
+        # build_reeb makes it a vertex level
+        s, f = chained_tori(2)
+        top = max(range(s.n_vertices), key=f.values.__getitem__)
+        values = list(f.values)
+        values[top] = 2 ** 60 + 1
+        with pytest.raises(DegenerateField) as info:
+            ScalarField(tuple(values))
+        assert str(info.value) == (
+            "value at vertex %d must be an int that a float holds exactly, "
+            "got 1152921504606846977" % top)
+        values[top] = 2 ** 53
+        g = build_reeb(s, ScalarField(tuple(values)))
+        assert g.vertices[-1].level == 2 ** 53
 
 
 #: whitespace to ``str.split``; all but the first four and the last two
@@ -261,8 +284,8 @@ def _load_outcome(parse, text):
         s = parse(text)
     except Exception as exc:
         return type(exc), str(exc)
-    return (s.n_vertices, s.triangles, s.edges, s.edge_index, s.edge_tris,
-            s._tri_edges, s.links, s.stars)
+    return (s.n_vertices, s.triangles, list(s._table.items()), s.edges,
+            s.edge_index, s.edge_tris, s._tri_edges, s.links, s.stars)
 
 
 class TestOffParse:
@@ -306,6 +329,27 @@ class TestOffParse:
             TriangulatedSurface.from_off_text(
                 "OFF\n5 %d 0\n%s%s" % (nf, "0 0 0\n" * 5, faces))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_edge_named_with_its_triangle_count(self, k):
+        # the hub edge (k, k + 1) is seen first and borders k triangles; every
+        # edge from a hub end to a third corner has a lower key and borders 1
+        tris = [(k, k + 1, i) for i in range(k)]
+        want = (NotAManifold,
+                "edge (%d, %d) borders %d triangles, expected 2" % (k, k + 1, k))
+        assert _surface_outcome(TriangulatedSurface, k + 2, tris) == want
+        assert _surface_outcome(naive_surface, k + 2, tris) == want
+
+    def test_book_edge_named_in_linear_time(self):
+        # 50 000 triangles share the edge (0, 1); its code keeps three
+        # digits, so neither the table nor the count grows with the book
+        tris = [(0, 1, i) for i in range(2, 50_002)]
+        t0 = time.process_time()
+        with pytest.raises(NotAManifold) as info:
+            TriangulatedSurface(50_002, tris)
+        elapsed = time.process_time() - t0
+        assert str(info.value) == "edge (0, 1) borders 50000 triangles, expected 2"
+        assert elapsed < 2.0, "took %.2f s" % elapsed
 
     @pytest.mark.parametrize("sep", _SEPARATORS)
     def test_separator_splits_like_lines(self, sep):
@@ -369,21 +413,27 @@ class TestSurfaceTables:
 
     @ORIENTABLE
     def test_edge_ids_in_sorted_pair_order(self, fixture):
+        # an edge's id is its packed key lo * n + hi, so ids sort like pairs
         s, _ = fixture()
+        n = s.n_vertices
         sides = [tuple(sorted(p)) for a, b, c in s.triangles
                  for p in ((a, b), (b, c), (c, a))]
-        assert s.edges == sorted(set(sides))
-        assert s.edge_index == {e: i for i, e in enumerate(s.edges)}
-        assert [s.edges[e] for te in s._tri_edges for e in te] == sides
+        assert list(s.edges.values()) == sorted(set(sides))
+        assert list(s.edges) == [a * n + b for a, b in sorted(set(sides))]
+        assert s.edge_index == {e: k for k, e in s.edges.items()}
+        edges = s.edges     # derived anew on each access
+        assert [edges[e] for te in s._tri_edges for e in te] == sides
+        assert s.n_edges == len(edges) == len(s.edge_tris)
 
     @ORIENTABLE
     def test_star_edges_join_vertex_to_link(self, fixture):
         s, _ = fixture()
         assert len(s.stars) == len(s.links) == s.n_vertices
+        edges = s.edges
         for v, (ring, star) in enumerate(zip(s.links, s.stars)):
             assert len(star) == len(ring)
             for u, eid in zip(ring, star):
-                assert s.edges[eid] == tuple(sorted((v, u)))
+                assert edges[eid] == tuple(sorted((v, u)))
 
     @ORIENTABLE
     def test_flipped_triangles_oriented_back(self, fixture):
@@ -484,8 +534,8 @@ def _surface_outcome(build, n, tris):
         s = build(n, tris)
     except Exception as exc:
         return type(exc), str(exc)
-    return (s.n_vertices, s.triangles, s.edges, s.edge_index, s.edge_tris,
-            s._tri_edges, s.links, s.stars)
+    return (s.n_vertices, s.triangles, list(s._table.items()), s.edges,
+            s.edge_index, s.edge_tris, s._tri_edges, s.links, s.stars)
 
 
 def _disjoint(*parts):
@@ -676,7 +726,7 @@ class TestBuildReeb:
                 continue
             # the contour just below v, whole: the exits of its walk
             mine = {x for _, _, x in _trace(s, rank, rv - 1, lower[0])}
-            others = [e for e, (a, b) in enumerate(s.edges) if e not in mine
+            others = [e for e, (a, b) in s.edges.items() if e not in mine
                       and min(rank[a], rank[b]) < rv <= max(rank[a], rank[b])]
             if others:
                 break
@@ -958,16 +1008,18 @@ class TestRandomSurfaces:
         for k in range(21):
             genus = 1 + k % 3
             s, f, kind = random_closed_surface(rng, genus)
+            edge_tris = s.edge_tris     # derived anew on each access
             # the walks against their oracles, drawn apart so that the
             # surfaces and fractions stay those of the seed above
             side = random.Random(k)
             for t in _random_gap_levels(f, side, 2):
                 crossed = value_crossed(s, f.values, t)
-                hit = [e for e in range(s.n_edges) if crossed(e)]
+                hit = [e for e in s.edges if crossed(e)]
                 for e in side.sample(hit, min(len(hit), 8)) + side.sample(
-                        range(s.n_edges), 8):
+                        list(s.edges), 8):
                     assert (_walk_or_message(_trace, s, f.values, t, e)
-                            == _walk_or_message(naive_trace, s, crossed, e)), (k, t, e)
+                            == _walk_or_message(naive_trace, s, crossed, e,
+                                                edge_tris)), (k, t, e)
             try:
                 # label_reeb checks that the cycle rank is the genus
                 g = label_reeb(s, f, build_reeb(s, f, rng.uniform(0.05, 0.95)))
@@ -1000,6 +1052,62 @@ class TestRandomSurfaces:
                        for key in outcomes), outcomes
         assert all(kind.startswith("quantized")
                    for _, kind, end in outcomes if end == "degenerate"), outcomes
+
+
+@functools.cache
+def _mesh_graph(source, seed):
+    """The labelled Reeb graph of a random closed surface of genus 1, 2 or
+    3 (``source`` "random") or of a seeded smooth torus ("smooth"), or the
+    DegenerateField its field raises."""
+    if source == "random":
+        s, f, _ = random_closed_surface(random.Random(seed), 1 + seed % 3)
+    else:
+        s, f = smooth_torus(seed)
+    try:
+        return label_reeb(s, f, build_reeb(s, f))
+    except DegenerateField as exc:
+        return exc
+
+
+def _gap_points(g):
+    """Levels strictly between consecutive Reeb-vertex levels of ``g``,
+    at a third and two thirds of each gap where a float lies there."""
+    levels = sorted(v.level for v in g.vertices)
+    out = []
+    for x, y in itertools.pairwise(levels):
+        out += sorted({t for t in (x + (y - x) / 3, y - (y - x) / 3) if x < t < y})
+    return out
+
+
+class TestMeshWindows:
+    """Mesh-built graphs cut to windows, through the bound."""
+
+    @FUZZ
+    @given(st.sampled_from(("random", "smooth")), st.integers(0, 11), st.data())
+    def test_window_reaches_bound_or_package_error(self, source, seed, data):
+        g = _mesh_graph(source, seed)
+        if isinstance(g, DegenerateField):
+            event("DegenerateField")
+            return
+        points = _gap_points(g)
+        assert len(points) >= 2
+        for _ in range(3):
+            i = data.draw(st.integers(0, len(points) - 2))
+            lo, hi = points[i], points[data.draw(st.integers(i + 1, len(points) - 1))]
+            r = restrict(g, lo, hi)
+            report = validate(r)
+            if not report.ok:
+                # the pipeline refuses it, as `bound` does, with a package error
+                for rule in sorted({v.rule for v in report.violations}):
+                    event("invalid: %s" % rule)
+                with pytest.raises(ReeboundError):
+                    essential_subgraph(r)
+                continue
+            sub = essential_subgraph(r, prevalidated=True)
+            p = assign_all(sub, check=True)
+            bound = distance_bound(sub, p)
+            assert naive_assign(sub).assigned == p.assigned, (source, seed, lo, hi)
+            event("bound %d" % bound.bound)
 
 
 def torus_with_edited_witness(edit):
@@ -1099,17 +1207,18 @@ def mutated_witness(s, f, w, pick):
                               pick(range(s.n_triangles)))), entry, exit_)
     elif move in ("entry", "exit", "edge"):
         pair = entry if move == "entry" else exit_
-        third = [s.edges[e] for e in s._tri_edges[t]
-                 if s.edges[e] not in (entry, exit_)]
+        edges = s.edges
+        third = [edges[e] for e in s._tri_edges[t]
+                 if edges[e] not in (entry, exit_)]
         # an edge of the next triangle, or ends that are off the mesh, or
         # that compare equal to an edge's but are a float or a bool
-        beside = [s.edges[e] for e in s._tri_edges[(t + 1) % s.n_triangles]]
+        beside = [edges[e] for e in s._tri_edges[(t + 1) % s.n_triangles]]
         pair = pick((pair[::-1], [*pair], (pair[0], 999), (*pair, 0), entry,
                      exit_, other[1], other[2], *third, *beside,
                      (pair[0], s.n_vertices), (-1, pair[1]),
                      (float(pair[0]), pair[1]), (pair[0], float(pair[1])),
                      (True, pair[1]), (False, pair[1]),
-                     s.edges[pick(range(s.n_edges))]))
+                     pick(list(edges.values()))))
         if move == "entry":
             crossings[i] = (t, pair, exit_)
         else:
@@ -1194,6 +1303,28 @@ class TestWitnessCheck:
         with pytest.raises(BadWitness) as info:
             label_reeb(s, f, g)
         assert str(info.value) == want[1]
+
+    @pytest.mark.parametrize("end, want", [
+        ((False, 13), None),
+        # 288 + 13 and 288 - 275 pack to the keys of (1, 13) and (0, 13)
+        ((0, 301), "cycle references missing edge (0, 301)"),
+        ((1, -275), "cycle references missing edge (1, -275)"),
+    ], ids=["bool", "past-n", "negative-hi"])
+    def test_odd_end_verdicts(self, end, want):
+        # in place of (0, 13) at both its places in e1's witness on the
+        # 288-vertex torus: a bool end is the int it equals, so the one
+        # pass accepts it, and an end past n that packs to another edge's
+        # key still fails the one pass and is named by the walk; float,
+        # list, reversed and off-mesh ends come from mutated_witness
+        s, f, g = torus_with_edited_witness(lambda w: LevelCycle(w.level, (
+            (w.crossings[0][0], end, w.crossings[0][2]),
+            *w.crossings[1:-1], (*w.crossings[-1][:2], end))))
+        assert s.n_vertices == 288
+        bad = g.edge("e1").witness
+        assert _cycle_ok(s, f.values, bad) is (want is None)
+        for check in (_check_cycle, naive_check_cycle):
+            assert _check_outcome(check, s, f, bad) == (
+                want and (BadWitness, want))
 
     @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
     def test_every_witness_passes_in_one_pass(self, name):
@@ -1444,6 +1575,7 @@ class TestContourWalk:
         refused = Counter()
         for make in (*PINNED_MESHES.values(), monkey_bipyramid):
             s, own = make()
+            edge_tris = s.edge_tris     # derived anew on each access
             for field in (own, quantized_field(own, 4),
                           random_level_field(s.n_vertices, 3, rng.random())):
                 values = field.values
@@ -1460,10 +1592,11 @@ class TestContourWalk:
                           for rv in rng.sample(range(s.n_vertices - 1),
                                                min(3, s.n_vertices - 1))]
                 for key, level, crossed in cases:
-                    hit = [e for e in range(s.n_edges) if crossed(e)]
-                    miss = [e for e in range(s.n_edges) if not crossed(e)]
+                    hit = [e for e in s.edges if crossed(e)]
+                    miss = [e for e in s.edges if not crossed(e)]
                     for e in hit + rng.sample(miss, min(len(miss), 40)):
-                        want = _walk_or_message(naive_trace, s, crossed, e)
+                        want = _walk_or_message(naive_trace, s, crossed, e,
+                                                edge_tris)
                         assert _walk_or_message(_trace, s, key, level, e) == want
                         if isinstance(want, str):
                             refused[want.split()[3]] += 1
