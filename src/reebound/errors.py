@@ -118,9 +118,9 @@ class InvariantViolation(_ReportError):
 
 class MalformedMesh(ReeboundError, ValueError):
     """A triangle is degenerate, names a missing vertex or is not three
-    vertex indices, the triangles are not iterable, the vertex count is
-    not an int, or the scalar field's length differs from the mesh's
-    vertex count."""
+    vertex indices, the triangles or the scalar field's values are not
+    iterable, the vertex count is not an int, or the scalar field's length
+    differs from the mesh's vertex count."""
 
     exit_code = 1
 
@@ -164,8 +164,10 @@ class OpenCycle(ReeboundError):
 
 
 class BadWitness(ReeboundError, ValueError):
-    """A witness cycle enters and leaves a triangle by one edge, names a
-    missing or uncrossed edge, or a triangle lacking its edges or met twice."""
+    """A witness cycle is built with a level outside the level rule or a
+    crossing that is not ``(int, (a, b), (x, y))`` of ints rising from 0,
+    or it enters and leaves a triangle by one edge, names a missing or
+    uncrossed edge, or a triangle lacking its edges or met twice."""
 
 
 class MissingWitness(ReeboundError):
@@ -183,6 +185,7 @@ class GenerationFailed(ReeboundError):
 
 
 class ParseError(ReeboundError):
-    """A mesh, field, or JSON payload could not be parsed."""
+    """A mesh, field, or JSON payload could not be parsed, or a witness
+    payload's arrays make no cycle that ``LevelCycle`` accepts."""
 
     exit_code = 3

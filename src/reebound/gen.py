@@ -52,12 +52,16 @@ class GenParams:
     inessential_bias: float = 0.35
 
     def __post_init__(self):
+        # plain ints and floats only: each is written into the graph's meta
+        if not isinstance(self.saddle_count, int):
+            raise GenerationFailed("saddle_count must be an int, got %r"
+                                   % (self.saddle_count,))
         if not 0 <= self.saddle_count <= MAX_SADDLES:
             raise GenerationFailed(
                 "saddle_count %d outside [0, %d]" % (self.saddle_count, MAX_SADDLES))
         for name in ("parallel_edge_bias", "inessential_bias"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
                 raise GenerationFailed("%s %r outside [0, 1]" % (name, p))
 
 

@@ -12,8 +12,8 @@ The surface builds its edge, link and star tables once on loading; the
 sweep, the contour walks and the witness check only read them, and the
 labelling walks the Reeb graph's own incidence index.  An edge's id is
 its packed key ``lo * n + hi``, which sorts like its vertex pair, so the
-pair is ``divmod(id, n)`` and no pair -> id table is built: the witness
-check keys each pair and finds it among its own triangle's three.  A
+pair is ``divmod(id, n)`` and no pair -> id table is built.  A witness
+decides its types when built, and its check keys each int pair.  A
 contour walk separates the vertices with ``key[v] <= level`` from the
 rest: entering oriented triangle abc across its edge i, from ``tri[i]``
 to ``tri[i+1]``, it leaves by edge i - 1 if the opposite vertex
@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import inf, isfinite, nextafter
 from operator import index, ne
 
@@ -63,26 +63,41 @@ class LevelCycle:
 
     ``crossings`` lists (triangle id, entry edge, exit edge) around the
     loop; edges are sorted vertex-index pairs.  The exit of each crossing
-    is the entry of the next, cyclically.
+    is the entry of the next, cyclically.  Construction decides the types:
+    ``level`` keeps the graph's level rule, and ``crossings`` is a tuple of
+    ``(t, (a, b), (x, y))`` tuples of ints, no bools, with ``0 <= a < b``
+    and ``0 <= x < y``; else BadWitness names the level or the first bad
+    crossing.  ``_check_cycle`` decides the rest against a surface.
     """
 
     level: float
     crossings: tuple[tuple[int, Edge, Edge], ...]
 
+    def __post_init__(self):
+        _check_finite(self.level, "witness level", error=BadWitness)
+        if type(self.crossings) is not tuple:
+            raise BadWitness("witness crossings must be a tuple, got %s"
+                             % _shown(self.crossings))
+        for i, c in enumerate(self.crossings):
+            if (type(c) is tuple and len(c) == 3 and type(c[1]) is type(c[2]) is tuple
+                    and len(c[1]) == len(c[2]) == 2):
+                t, (a, b), (x, y) = c
+                if (type(t) is type(a) is type(b) is type(x) is type(y) is int
+                        and 0 <= a < b and 0 <= x < y):
+                    continue
+            raise BadWitness("crossing %d must be (t, (a, b), (x, y)) of ints with "
+                             "0 <= a < b and 0 <= x < y, got %s" % (i, _shown(c)))
+
     def to_payload(self) -> dict:
-        """The JSON form; ``crossings`` is the stored tuple, which json
-        writes as nested arrays."""
+        """The JSON form: json writes the stored crossings as nested arrays."""
         return {"level": self.level, "crossings": self.crossings}
 
     @classmethod
     def from_payload(cls, data: dict) -> "LevelCycle":
         try:
-            crossings = tuple(
-                (index(t), (index(a[0]), index(a[1])), (index(b[0]), index(b[1])))
-                for t, a, b in data["crossings"])
-            return cls(float(data["level"]), crossings)
-        except (KeyError, TypeError, ValueError, IndexError,
-                OverflowError) as exc:
+            crossings = tuple((t, tuple(a), tuple(b)) for t, a, b in data["crossings"])
+            return cls(data["level"], crossings)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("bad level-cycle payload: %s" % exc) from None
 
 
@@ -161,11 +176,9 @@ class TriangulatedSurface:
     ``from_off_text`` reads the OFF tokens from one split of the text
     (see ``_tokens``) with one reader, ``_read_off``.
 
-    Fast checks pass every good input, and slow walks run only to flip or
-    to name a fault: ``_orient`` runs only when some edge's two triangles
-    disagree (else the links show connectivity), and ``_check_cycle``
-    walks a witness only when the one pass ``_cycle_ok`` fails.  Oracles:
-    ``naive_surface`` and ``naive_check_cycle`` in ``tests/_oracles.py``.
+    ``_orient`` walks the triangles only when some edge's two triangles
+    disagree; else the links show connectivity.  Oracles: ``naive_surface``
+    and ``naive_check_cycle`` in ``tests/_oracles.py``.
     """
 
     def __init__(self, n_vertices: int, triangles):
@@ -359,8 +372,12 @@ class ScalarField:
 
     def __post_init__(self):
         values = self.values
-        if {*map(type, values)} <= {float} and all(map(isfinite, values)):
-            return
+        try:
+            if {*map(type, values)} <= {float} and all(map(isfinite, values)):
+                return
+        except TypeError:   # not iterable
+            raise MalformedMesh("values must be iterable, got %s"
+                                % _shown(values)) from None
         for i, v in enumerate(values):      # again, to name the fault
             try:
                 if not isfinite(v):
@@ -492,7 +509,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     finite float in magnitude.
     """
     _check_pair(surface, field)
-    if not 0.0 < witness_fraction < 1.0:
+    if not (isinstance(witness_fraction, (int, float)) and 0.0 < witness_fraction < 1.0):
         raise BadWitnessFraction(
             "witness_fraction %r must be inside (0, 1)" % witness_fraction)
 
@@ -649,70 +666,38 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
     return ReebGraph(tuple(vertices), tuple(edges), lo, hi, meta=meta)
 
 
-def _cycle_ok(surface: TriangulatedSurface, values, cycle: LevelCycle) -> bool:
-    """True iff ``_check_cycle``'s walk would pass the cycle."""
-    # each entry must be the exit before it, so only the exits are looked
-    # up, each keyed and found among its own triangle's three edges, and
-    # tested at the level; anything malformed is False
-    try:
-        tris, entries, exits = zip(*cycle.crossings)
-        if (exits != entries[1:] + entries[:1] or len(set(tris)) != len(tris)
-                or not 0 <= min(tris) <= max(tris) < surface.n_triangles):
-            return False
-        tri_edges, n, level = surface._tri_edges, surface.n_vertices, cycle.level
-        ids = []
-        for t, pair in zip(tris, exits):
-            a, b = pair
-            k = a * n + b   # the edge only if its pair is the one given
-            ids.append(k if k in tri_edges[t] and divmod(k, n) == pair else None)
-        # an entry equals the exit before it, but the walk reads its ends
-        # too, and an end such as 0.0 compares equal yet indexes nothing
-        deque(map(values.__getitem__, chain.from_iterable(entries)), maxlen=0)
-        prev = ids[-1]
-        for t, e, (a, b) in zip(tris, ids, exits):
-            va, vb = values[a], values[b]
-            if (e is None or e == prev or prev not in tri_edges[t]
-                    or not (va < level < vb or vb < level < va)):
-                return False
-            prev = e
-    except (TypeError, ValueError, IndexError):  # the walk names the fault
-        return False
-    return True
-
-
 def _check_cycle(surface: TriangulatedSurface, field: ScalarField,
                  cycle: LevelCycle) -> None:
-    """Raise unless the cycle is a closed loop of crossings at its level."""
-    if _cycle_ok(surface, field.values, cycle):
-        return      # the walk below only names the fault
-    if not cycle.crossings:
+    """Raise unless the cycle is a closed loop of crossings at its level,
+    in one pass.  Only crossing 0's entry is looked up: each later entry
+    equals the exit before it, which passed, and ``LevelCycle`` makes ends
+    ints, so equal pairs are the same edge."""
+    crossings = cycle.crossings
+    if not crossings:
         raise OpenCycle("empty cycle")
-    level, n, nv = cycle.level, len(cycle.crossings), surface.n_vertices
-    for i, (t, entry, exit_) in enumerate(cycle.crossings):
-        nxt = cycle.crossings[(i + 1) % n]
+    level, values, n = cycle.level, field.values, surface.n_vertices
+    table, tri_edges, nt = surface._table, surface._tri_edges, surface.n_triangles
+    m, out = len(crossings), None
+    for i, (t, entry, exit_) in enumerate(crossings):
+        nxt = crossings[(i + 1) % m][1]
         if entry == exit_:
             raise BadWitness("crossing %d enters and exits edge %r" % (i, entry))
-        if exit_ != nxt[1]:
+        if exit_ != nxt:
             raise OpenCycle("crossing %d exits %r but the next enters %r"
-                            % (i, exit_, nxt[1]))
-        for pair in (entry, exit_):
-            try:    # an end such as 0.0 equals a vertex index but is none,
-                    # a list of ends is no pair, and a dict may lack key 0
-                va, vb = field.values[pair[0]], field.values[pair[1]]
-                k = pair[0] * nv + pair[1]
-                known = k in surface._table and divmod(k, nv) == pair
-            except (TypeError, IndexError, KeyError):
-                known = False
-            if not known:
+                            % (i, exit_, nxt))
+        for pair in (exit_,) if i else (entry, exit_):
+            a, b = pair     # ints, 0 <= a < b, so a pair with b < n keys itself
+            into, out = out, a * n + b
+            if b >= n or out not in table:
                 raise BadWitness("cycle references missing edge %r" % (pair,))
-            if not min(va, vb) < level < max(va, vb):
+            va, vb = values[a], values[b]
+            if not (va < level < vb or vb < level < va):
                 raise BadWitness("edge %r is not crossed at level %r" % (pair, level))
-        if not 0 <= t < surface.n_triangles:
+        if not 0 <= t < nt:
             raise BadWitness("cycle references missing triangle %r" % t)
-        if not {entry[0] * nv + entry[1], exit_[0] * nv + exit_[1]} <= set(
-                surface._tri_edges[t]):
+        if into not in tri_edges[t] or out not in tri_edges[t]:
             raise BadWitness("triangle %d does not contain both crossing edges" % t)
-    if len({t for t, _, _ in cycle.crossings}) != n:
+    if len({t for t, _, _ in crossings}) != m:
         raise BadWitness("cycle visits a triangle twice")
 
 

@@ -88,6 +88,21 @@ class TestParams:
         with pytest.raises(GenerationFailed):
             GenParams(seed=1, saddle_count=1, inessential_bias=-0.1)
 
+    @pytest.mark.parametrize("count", ["3", 3.5, None], ids=["string", "float", "none"])
+    def test_non_int_saddle_count_rejected(self, count):
+        # "3" failed the range test with a bare TypeError, and 3.5 passed it
+        # and failed in random_reeb
+        with pytest.raises(GenerationFailed) as info:
+            GenParams(seed=1, saddle_count=count)
+        assert str(info.value) == "saddle_count must be an int, got %r" % (count,)
+
+    @pytest.mark.parametrize("name", ["parallel_edge_bias", "inessential_bias"])
+    @pytest.mark.parametrize("bias", ["x", None], ids=["string", "none"])
+    def test_non_number_bias_rejected(self, name, bias):
+        with pytest.raises(GenerationFailed) as info:
+            GenParams(seed=1, saddle_count=1, **{name: bias})
+        assert str(info.value) == "%s %r outside [0, 1]" % (name, bias)
+
 
 class TestGenerator:
     def test_zero_saddles_gives_single_essential_edge(self):

@@ -31,6 +31,7 @@ from reebound import (
 )
 from reebound.errors import (
     BadWitness,
+    BadWitnessFraction,
     ContourSweepFailed,
     DegenerateField,
     MalformedMesh,
@@ -43,7 +44,7 @@ from reebound.errors import (
     ReeboundError,
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex, _level_rule
-from reebound.mesh import (LevelCycle, _check_cycle, _cycle_ok, _disk_edges,
+from reebound.mesh import (LevelCycle, _check_cycle, _disk_edges,
                             _pick_witness_level, _run_starts, _trace)
 
 from _fixtures import (
@@ -191,6 +192,14 @@ class TestDirectConstruction:
         with pytest.raises(MalformedMesh) as info:
             TriangulatedSurface(4, 5)
         assert str(info.value) == "triangles must be iterable, got 5"
+
+    @pytest.mark.parametrize("fraction", ["x", None], ids=["string", "none"])
+    def test_non_number_witness_fraction_refused(self, fraction):
+        # comparing it with 0.0 raised a bare TypeError
+        s, f = vertical_torus()
+        with pytest.raises(BadWitnessFraction) as info:
+            build_reeb(s, f, witness_fraction=fraction)
+        assert str(info.value) == "witness_fraction %r must be inside (0, 1)" % (fraction,)
 
     @FUZZ
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -912,10 +921,13 @@ class TestLabelsFromTopology:
         assert _disk_outcome(_disk_edges, g) \
             == _disk_outcome(naive_disk_edges, g)
 
+    # float() read the level strings as numbers
     @pytest.mark.parametrize("witness", [
         [1, 2], "x", 3,
-        {"level": 0.5, "crossings": [[float("inf"), [0, 13], [0, 12]]]}],
-        ids=["list", "string", "number", "infinite-triangle"])
+        {"level": 0.5, "crossings": [[float("inf"), [0, 13], [0, 12]]]},
+        {"level": "0.7", "crossings": []}, {"level": "nan", "crossings": []}],
+        ids=["list", "string", "number", "infinite-triangle", "string-level",
+             "nan-string-level"])
     def test_foreign_witness_is_a_parse_error(self, witness):
         s, f, g = torus_with_edited_witness(lambda w: witness)
         for graph in (g, graph_loads(graph_dumps(g))):
@@ -925,27 +937,30 @@ class TestLabelsFromTopology:
             # the rest is the interpreter's own text
             assert str(info.value).startswith("bad level-cycle payload: ")
 
-    @pytest.mark.parametrize("edit, detail", [
-        (lambda c: [(336.5, *c[0][1:])] + c[1:],
-         "'float' object cannot be interpreted as an integer"),
-        (lambda c: [(*c[0][:2], ("168", 180)), (c[1][0], ("168", 180), c[1][2])]
-         + c[2:], "'str' object cannot be interpreted as an integer"),
+    @pytest.mark.parametrize("edit", [
+        lambda c: [(336.5, *c[0][1:])] + c[1:],
+        lambda c: [(*c[0][:2], ("168", 180)), (c[1][0], ("168", 180), c[1][2])]
+        + c[2:],
     ], ids=["float-triangle", "string-end"])
-    def test_payload_refuses_what_int_would_truncate(self, edit, detail):
+    def test_payload_refuses_what_int_would_truncate(self, edit):
         # int() read triangle 336.5 as 336 and the end "168" as 168, so
-        # both witnesses passed as e0's own
+        # both witnesses passed as e0's own; now no field is converted,
+        # and the constructor names crossing 0
         s, f = chained_tori(1)
         g = build_reeb(s, f)
         w = g.edge("e0").witness
         assert w.crossings[0][0] == 336 and w.crossings[0][2] == (168, 180)
-        payload = {"level": w.level, "crossings": edit(list(w.crossings))}
+        crossings = edit(list(w.crossings))
+        payload = {"level": w.level, "crossings": crossings}
         edges = tuple(e._replace(witness=payload) if e.id == "e0" else e
                       for e in g.edges)
         for call in (lambda: LevelCycle.from_payload(payload),
                      lambda: label_reeb(s, f, ReebGraph(g.vertices, edges, g.lo, g.hi))):
             with pytest.raises(ParseError) as info:
                 call()
-            assert str(info.value) == "bad level-cycle payload: " + detail
+            assert str(info.value) == (
+                "bad level-cycle payload: crossing 0 must be (t, (a, b), (x, y)) "
+                "of ints with 0 <= a < b and 0 <= x < y, got %r" % (crossings[0],))
 
     def test_rank_below_genus_rejected(self):
         s, f = vertical_torus()
@@ -1038,10 +1053,8 @@ class TestRandomSurfaces:
                 assert spanning == count_level_components(s, f, t), (k, t)
             for e in g.edges:
                 assert naive_check_cycle(s, f, e.witness) is None
-                assert _cycle_ok(s, f.values, e.witness), (k, e.id)
-                bad = mutated_witness(s, f, e.witness, side.choice)
-                assert (_check_outcome(_check_cycle, s, f, bad)
-                        == _check_outcome(naive_check_cycle, s, f, bad)), (k, e.id)
+                assert _check_outcome(_check_cycle, s, f, e.witness) is None, (k, e.id)
+                _mutated_outcome(s, f, *mutated_witness(s, f, e.witness, side.choice))
             for e in rng.sample(g.edges, min(6, len(g.edges))):
                 assert (e.label is EdgeLabel.INESSENTIAL) \
                     == naive_is_inessential(s, f, e.witness), (k, e.id)
@@ -1187,23 +1200,25 @@ PINNED_MESHES = {
 }
 
 def mutated_witness(s, f, w, pick):
-    """``w`` with one field of one crossing replaced (an edge by one of
-    another triangle, by its reverse, or by a pair with an end off the mesh
-    or of another type, among others), its level moved,
-    one crossing dropped or repeated, one edge between two crossings
-    replaced at both ends, its triangles turned one step against its
-    edges, or the cycle collapsed to one crossing that enters and exits
-    by the same edge; ``pick`` chooses each part of the change from a
-    sequence."""
+    """The (level, crossings) of ``w`` with one field of one crossing
+    replaced (an edge by one of another triangle, by its reverse, or by a
+    pair with an end off the mesh or of another type, among others), its
+    level moved or replaced by a non-number, one crossing dropped,
+    repeated or of another shape, the crossings given as a list, one edge
+    between two crossings replaced at both ends, its triangles turned one
+    step against its edges, or the cycle collapsed to one crossing that
+    enters and exits by the same edge; ``pick`` chooses each part of the
+    change from a sequence.  Some of these break ``LevelCycle``'s
+    contract, so no cycle is built here."""
     crossings = list(w.crossings)
     i = pick(range(len(crossings)))
     t, entry, exit_ = crossings[i]
     other = crossings[pick(range(len(crossings)))]
     move = pick(("triangle", "entry", "exit", "edge", "level", "drop",
-                 "repeat", "turn", "collapse"))
+                 "repeat", "shape", "turn", "collapse"))
     if move == "triangle":
         crossings[i] = (pick((t + 1, t - 1, -1, -s.n_triangles + t,
-                              s.n_triangles, other[0],
+                              s.n_triangles, other[0], float(t), True,
                               pick(range(s.n_triangles)))), entry, exit_)
     elif move in ("entry", "exit", "edge"):
         pair = entry if move == "entry" else exit_
@@ -1227,12 +1242,18 @@ def mutated_witness(s, f, w, pick):
             k = (i + 1) % len(crossings)
             crossings[k] = (crossings[k][0], pair, crossings[k][2])
     elif move == "level":
-        return LevelCycle(pick((f.values[entry[0]], f.values[exit_[1]],
-                                nextafter(w.level, inf), -w.level)), w.crossings)
+        return pick((f.values[entry[0]], f.values[exit_[1]], nextafter(w.level, inf),
+                     -w.level, nan, inf, str(w.level), None)), w.crossings
     elif move == "drop":
         del crossings[i]
     elif move == "repeat":
         crossings.insert(pick(range(len(crossings) + 1)), crossings[i])
+    elif move == "shape":
+        shape = pick(("short", "long", "list", "cycle-list"))
+        if shape == "cycle-list":
+            return w.level, crossings
+        crossings[i] = {"short": (t, entry), "long": (t, entry, exit_, t),
+                        "list": [t, entry, exit_]}[shape]
     elif move == "turn":
         step = pick((1, -1))
         crossings = [(crossings[(k + step) % len(crossings)][0], a, b)
@@ -1240,7 +1261,34 @@ def mutated_witness(s, f, w, pick):
     else:
         pair = pick((entry, exit_))
         crossings = [(t, pair, pair)]
-    return LevelCycle(w.level, tuple(crossings))
+    return w.level, tuple(crossings)
+
+
+def _in_contract(level, crossings) -> bool:
+    """``LevelCycle``'s contract, decided apart from it: a level under the
+    graph's level rule, and a tuple of (triangle, entry, exit) tuples whose
+    fields are ints, never bools, each pair's ends rising from 0."""
+    def pair_ok(pair):
+        return (type(pair) is tuple and len(pair) == 2
+                and all(type(end) is int for end in pair) and 0 <= pair[0] < pair[1])
+    return _level_rule(level) is None and type(crossings) is tuple and all(
+        type(c) is tuple and len(c) == 3 and type(c[0]) is int
+        and pair_ok(c[1]) and pair_ok(c[2]) for c in crossings)
+
+
+def _mutated_outcome(s, f, level, crossings):
+    """"refused" if ``LevelCycle`` refuses the fields, which it must do
+    exactly when ``_in_contract`` does, else the one outcome of
+    ``_check_cycle`` and ``naive_check_cycle`` on the cycle built."""
+    try:
+        w = LevelCycle(level, crossings)
+    except BadWitness:
+        assert not _in_contract(level, crossings), (level, crossings)
+        return "refused"
+    assert _in_contract(level, crossings), (level, crossings)
+    want = _check_outcome(naive_check_cycle, s, f, w)
+    assert _check_outcome(_check_cycle, s, f, w) == want
+    return want
 
 
 def _check_outcome(check, s, f, w):
@@ -1261,7 +1309,8 @@ def _witness_base(name):
 
 
 class TestWitnessCheck:
-    """The one-pass witness check against the crossing-by-crossing walk."""
+    """The witness contract at construction, and the one-pass check
+    against the crossing-by-crossing walk."""
 
     @FUZZ
     @given(st.sampled_from(("sphere", "torus", "genus2", "noisy-torus",
@@ -1269,69 +1318,46 @@ class TestWitnessCheck:
     def test_mutated_crossing_matches_walk(self, name, data):
         s, f, witnesses = _witness_base(name)
         w = data.draw(st.sampled_from(witnesses))
-        bad = mutated_witness(s, f, w,
-                              lambda seq: data.draw(st.sampled_from(seq)))
-        want = _check_outcome(naive_check_cycle, s, f, bad)
-        assert _check_outcome(_check_cycle, s, f, bad) == want
-        if want is not None:
-            assert not _cycle_ok(s, f.values, bad)
+        outcome = _mutated_outcome(s, f, *mutated_witness(
+            s, f, w, lambda seq: data.draw(st.sampled_from(seq))))
+        event(outcome if outcome in ("refused", None) else outcome[0].__name__)
 
-    def test_float_end_names_missing_edge(self):
-        # (0.0, 13) equals the edge (0, 13) but indexes no vertex
+    @pytest.mark.parametrize("end, missing", [
+        ((False, 13), False), ((0.0, 13), False), ([0, 13], False), ({}, False),
+        ((1, -275), False),
+        # 288 + 13 packs to the key of (1, 13)
+        ((0, 301), True),
+    ], ids=["bool", "float", "list", "dict", "negative-hi", "past-n"])
+    def test_odd_end_verdicts(self, end, missing):
+        # in place of (0, 13) at both its places in e1's witness on the
+        # 288-vertex torus: an end that is not an int, or ends that do not
+        # rise from 0, are refused when the cycle is built, naming the
+        # crossing; ends past n that pack to another edge's key are built
+        # and named as a missing edge by both walks
         s, f = vertical_torus()
         w = build_reeb(s, f).edge("e1").witness
-        crossings = list(w.crossings)
-        assert crossings[0][1] == crossings[-1][2] == (0, 13)
-        crossings[0] = (crossings[0][0], (0.0, 13), crossings[0][2])
-        crossings[-1] = (crossings[-1][0], crossings[-1][1], (0.0, 13))
-        bad = LevelCycle(w.level, tuple(crossings))
-        want = (BadWitness, "cycle references missing edge (0.0, 13)")
-        assert _check_outcome(naive_check_cycle, s, f, bad) == want
-        assert _check_outcome(_check_cycle, s, f, bad) == want
-
-    @pytest.mark.parametrize("end", [[0, 13], {}], ids=["list", "dict"])
-    def test_unhashable_end_names_missing_edge(self, end):
-        # in place of (0, 13): [0, 13] reads two values but does not hash,
-        # and {} has no item 0
-        s, f, g = torus_with_edited_witness(lambda w: LevelCycle(w.level, (
-            (w.crossings[0][0], end, w.crossings[0][2]),
-            *w.crossings[1:-1], (*w.crossings[-1][:2], end))))
-        bad = g.edge("e1").witness
-        want = (BadWitness, "cycle references missing edge %r" % (end,))
-        assert _check_outcome(naive_check_cycle, s, f, bad) == want
-        assert _check_outcome(_check_cycle, s, f, bad) == want
-        with pytest.raises(BadWitness) as info:
-            label_reeb(s, f, g)
-        assert str(info.value) == want[1]
-
-    @pytest.mark.parametrize("end, want", [
-        ((False, 13), None),
-        # 288 + 13 and 288 - 275 pack to the keys of (1, 13) and (0, 13)
-        ((0, 301), "cycle references missing edge (0, 301)"),
-        ((1, -275), "cycle references missing edge (1, -275)"),
-    ], ids=["bool", "past-n", "negative-hi"])
-    def test_odd_end_verdicts(self, end, want):
-        # in place of (0, 13) at both its places in e1's witness on the
-        # 288-vertex torus: a bool end is the int it equals, so the one
-        # pass accepts it, and an end past n that packs to another edge's
-        # key still fails the one pass and is named by the walk; float,
-        # list, reversed and off-mesh ends come from mutated_witness
-        s, f, g = torus_with_edited_witness(lambda w: LevelCycle(w.level, (
-            (w.crossings[0][0], end, w.crossings[0][2]),
-            *w.crossings[1:-1], (*w.crossings[-1][:2], end))))
         assert s.n_vertices == 288
-        bad = g.edge("e1").witness
-        assert _cycle_ok(s, f.values, bad) is (want is None)
+        first, *middle, last = w.crossings
+        assert first[1] == last[2] == (0, 13)
+        crossings = ((first[0], end, first[2]), *middle, (*last[:2], end))
+        if not missing:
+            with pytest.raises(BadWitness) as info:
+                LevelCycle(w.level, crossings)
+            assert str(info.value) == (
+                "crossing 0 must be (t, (a, b), (x, y)) of ints with "
+                "0 <= a < b and 0 <= x < y, got %r" % (crossings[0],))
+            return
+        bad = LevelCycle(w.level, crossings)
         for check in (_check_cycle, naive_check_cycle):
             assert _check_outcome(check, s, f, bad) == (
-                want and (BadWitness, want))
+                BadWitness, "cycle references missing edge %r" % (end,))
 
     @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
     def test_every_witness_passes_in_one_pass(self, name):
         s, f, witnesses = _witness_base(name)
         for w in witnesses:
             assert naive_check_cycle(s, f, w) is None
-            assert _cycle_ok(s, f.values, w)
+            assert _check_outcome(_check_cycle, s, f, w) is None
 
 
 #: SHA-256 of graph_dumps(label_reeb(build_reeb(...))) per (mesh, witness
@@ -1531,6 +1557,23 @@ class TestPinnedOutput:
          "degenerate triangle (0, 1, 1)"),
         (lambda: TriangulatedSurface(3, [(0, 1, "x"), (0, 1, 1)]), MalformedMesh,
          "triangle (0, 1, 'x') is not three vertex indices"),
+        (lambda: ScalarField(5), MalformedMesh, "values must be iterable, got 5"),
+        (lambda: ScalarField(None), MalformedMesh, "values must be iterable, got None"),
+        # the walk compared "0.5" or None with the field values and raised
+        # a bare TypeError
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: LevelCycle("0.5", w.crossings))), BadWitness,
+         "witness level must be a finite number, got '0.5'"),
+        (lambda: label_reeb(*torus_with_edited_witness(
+            lambda w: LevelCycle(None, w.crossings))), BadWitness,
+         "witness level must be a finite number, got None"),
+        (lambda: LevelCycle(nan, ()), BadWitness,
+         "witness level must be a finite number, got nan"),
+        (lambda: LevelCycle(0.5, [(0, (0, 1), (1, 2))]), BadWitness,
+         "witness crossings must be a tuple, got [(0, (0, 1), (1, 2))]"),
+        (lambda: LevelCycle(0.5, ((0, (0, 1), (1, 2)), (1, (1, 2)))), BadWitness,
+         "crossing 1 must be (t, (a, b), (x, y)) of ints with 0 <= a < b and "
+         "0 <= x < y, got (1, (1, 2))"),
     ], ids=["open", "klein", "disconnected", "isolated-vertex", "pinched",
             "witness-not-crossed", "witness-missing-triangle", "degenerate",
             "missing-vertex", "no-triangles", "three-owners", "bad-header",
@@ -1546,7 +1589,10 @@ class TestPinnedOutput:
             "str-value", "huge-int-value", "unprintable-int-value",
             "none-before-nan", "nan-before-none", "str-corner", "float-corner",
             "two-corners", "int-triangle", "str-vertex-count",
-            "unprintable-int-corner", "degenerate-first", "str-corner-first"])
+            "unprintable-int-corner", "degenerate-first", "str-corner-first",
+            "int-field-values", "none-field-values", "witness-str-level",
+            "witness-none-level", "witness-nan-level",
+            "witness-crossings-list", "witness-short-crossing"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
             make()
