@@ -115,9 +115,9 @@ class _Frontier:
     """
 
     def __init__(self, g: ReebGraph, values: dict[str, int]):
-        self.values, self.gaps = values, g._gaps
-        self.enter: list[list[str]] = [[] for _ in g._events]
-        self.leave: list[list[str]] = [[] for _ in g._events]
+        self.values, self.gaps = values, g.gaps
+        self.enter: list[list[str]] = [[] for _ in g.events]
+        self.leave: list[list[str]] = [[] for _ in g.events]
         for eid, gaps in self.gaps.items():
             if gaps:
                 self.enter[gaps.start].append(eid)
@@ -184,7 +184,7 @@ def check_invariants(g: ReebGraph, p: PartialAssignment,
         checker = _Checker(g)
         checker.take(p.assigned, (TraceEntry(STEP0, None, tuple(p.assigned), 1),))
         out += checker.report(g, vid)
-    return ValidationReport.from_violations(out)
+    return ValidationReport(tuple(out))
 
 
 class _Checker:
@@ -218,11 +218,11 @@ class _Checker:
     """
 
     def __init__(self, g: ReebGraph):
-        self.gaps, self.edges, self.index = g._gaps, g._edge_by_id, g._event_index
+        self.gaps, self.edges, self.index = g.gaps, g.edge_by_id, g.event_index
         self.sound, self.value = all(self.gaps.values()), {}
         self.front, self.seen, self.live, self.uf = _Frontier(g, self.value), 0, {}, {}
         self.top: list[tuple[int, int | None]] = [(0, None)] * 3
-        self.none = len(g._events)   # above every gap: the lowest gap of a root with none
+        self.none = len(g.events)   # above every gap: the lowest gap of a root with none
 
     def take(self, assigned: dict[str, int], trace) -> bool:
         """Read the trace entries appended since the last call: False if one
@@ -321,7 +321,7 @@ class _Checker:
         # another value fails plateau-uniform there; it fails
         # plateau-connected at the first plateau of value v if its
         # component within the v-edges starts above that gap
-        events, first_of = g._events, {}
+        events, first_of = g.events, {}
         for gap in range(max(gap0, 0), len(events) - 1):
             front.advance(gap)
             if len(front.counts) == 1:
@@ -372,7 +372,7 @@ class _Sweep:
         self.assigned: dict[str, int] = {}
         self.trace: list[TraceEntry] = []
         # the graph's own index, read in place
-        self.edges, self.incident, self.gaps = g._edge_by_id, g._incident, g._gaps
+        self.edges, self.incident, self.gaps = g.edge_by_id, g.incident, g.gaps
         self.valency2 = [v for v, eids in self.incident.items() if len(eids) == 2]
         self.rank = {vid: k for k, vid in enumerate(self.valency2)}
         self.next = 0
@@ -459,7 +459,7 @@ class _Sweep:
         below the target is assigned."""
         if not self.stray:
             return
-        index, assigned = self.g.gap_below(target) + 1, self.assigned
+        index, assigned = self.g.event_index[target], self.assigned
         stragglers = [eid for eid in self.stray
                       if eid not in assigned and self.gaps[eid].start < index]
         if stragglers:
@@ -475,7 +475,7 @@ class _Sweep:
         assigned, as check_left_of has just passed.
         """
         front = self.frontier
-        front.advance(self.g.gap_below(target))
+        front.advance(self.g.event_index[target] - 1)
         if not (front.open or front.counts):
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
@@ -499,7 +499,7 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
         raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
     sweep = _Sweep(g)
     checker = _Checker(g) if check else None
-    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
+    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident[vid]})
     sweep.run_round(STEP0, None, tuple(seeded), 1)
     top = g.vertices[-1]    # the last round is checked at the gap below hi
     last = top.id if top.level == g.hi else None
@@ -520,7 +520,7 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
                                   % ", ".join(missing))
         sweep.check_left_of(target)
         value = sweep.frontier_value(target)
-        todo = tuple(sorted(eid for eid in g.incident(target)
+        todo = tuple(sorted(eid for eid in g.incident[target]
                             if eid not in sweep.assigned))
         sweep.run_round(STEP2, target, todo, value)
 
@@ -534,7 +534,7 @@ def distance_bound(g: ReebGraph,
         missing = sorted(e.id for e in g.edges if e.id not in p.assigned)
         raise IncompleteAssignment("unassigned edges: %s" % ", ".join(missing))
     per_edge = {eid: p.assigned[eid]
-                for vid in g.boundary_plus for eid in g.incident(vid)}
+                for vid in g.boundary_plus for eid in g.incident[vid]}
     n_min = min(per_edge.values())
     return DistanceBoundReport(per_edge, n_min, n_min + 1)
 

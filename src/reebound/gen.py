@@ -22,12 +22,13 @@ from .graph import (
     ReebGraph,
     ReebVertex,
     VertexKind,
+    _CENTER,
+    _MINUS,
+    _PLUS,
+    _SADDLE,
 )
 
 MAX_SADDLES = 10_000
-
-# plain names: Enum class attribute reads are slow on CPython 3.11
-_MINUS, _PLUS, _CENTER, _SADDLE, _REGULAR = VertexKind
 
 # Saddle patterns as (consumed labels, produced labels); E essential,
 # I inessential.  Splits consume one strand, merges consume two.
@@ -52,15 +53,19 @@ class GenParams:
     inessential_bias: float = 0.35
 
     def __post_init__(self):
-        # plain ints and floats only: each is written into the graph's meta
-        if not isinstance(self.saddle_count, int):
-            raise GenerationFailed("saddle_count must be an int, got %r"
-                                   % (self.saddle_count,))
+        # plain ints and floats, no bools: each is written into the graph's
+        # meta, and the seed must reproduce the graph
+        for name in ("seed", "saddle_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GenerationFailed("%s must be an int, got %r" % (name, value))
         if not 0 <= self.saddle_count <= MAX_SADDLES:
             raise GenerationFailed(
                 "saddle_count %d outside [0, %d]" % (self.saddle_count, MAX_SADDLES))
         for name in ("parallel_edge_bias", "inessential_bias"):
             p = getattr(self, name)
+            if isinstance(p, bool):
+                raise GenerationFailed("%s must be an int or a float, got %r" % (name, p))
             if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
                 raise GenerationFailed("%s %r outside [0, 1]" % (name, p))
 

@@ -101,13 +101,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...]
 
-    @classmethod
-    def from_violations(cls, violations) -> "ValidationReport":
-        vs = tuple(violations)
-        return cls(ok=not vs, violations=vs)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def rules(self) -> set[str]:
         return {v.rule for v in self.violations}
@@ -207,10 +205,17 @@ class ReebGraph:
     same vertex/edge content.  ``meta`` carries provenance (generator
     seeds, mesh info) and is excluded from comparisons.
 
-    Construction also indexes the graph once, and validate and the sweep
-    read the index in place: the sorted event levels (``_events``), each
-    edge's range of spanned gaps (``_gaps``; gap k is the open interval
-    between event levels k and k + 1), ``_incident`` and ``_edge_by_id``.
+    Construction indexes the graph once, into tables that every reader
+    reads in place and none changes: ``vertex_by_id`` and ``edge_by_id``
+    (each record by its id), ``incident`` (each vertex id to the ids of
+    its edges in id order, a loop listed twice), ``events`` (the sorted
+    event levels, a tuple), ``event_index`` (each vertex id to the index
+    of its level in ``events``) and ``gaps`` (each edge id to the range of
+    gaps it spans).  Gap k is the open interval between event levels k
+    and k + 1, and an edge [a, b] spans (x, y) iff a <= x and y <= b, so
+    its range runs from the event index of its lower end to that of its
+    upper end: decided on indices, the rule is exact however close the
+    levels are, and a loop, flat or backward edge spans no gap.
     The event levels and each vertex's event index are read off the vertex
     loop, as the vertices come in (level, id) order; the first vertex at a
     level gives its event level, so of levels that compare equal (-0.0 and
@@ -259,9 +264,9 @@ class ReebGraph:
         return g
 
     def _index(self) -> None:
-        self._by_id = by_id = {}
-        self._event_index = event_index = {}
-        self._events = events = []
+        self.vertex_by_id = by_id = {}
+        self.event_index = event_index = {}
+        events = []
         bounds, interior, incident, last = {_MINUS: [], _PLUS: []}, [], {}, None
         for v in self.vertices:
             vid, level, kind = v
@@ -281,11 +286,12 @@ class ReebGraph:
         self.interior = tuple(interior)
         if not (events and events[0] == self.lo and events[-1] == self.hi):
             # a vertex outside the window, or none at lo or at hi
-            self._events = events = sorted({*events, self.lo, self.hi})
+            events = sorted({*events, self.lo, self.hi})
             index = {level: k for k, level in enumerate(events)}
             event_index.update((vid, index[level]) for vid, level, _ in self.vertices)
-        self._edge_by_id = edge_by_id = {}
-        self._gaps = gaps = {}
+        self.events = tuple(events)
+        self.edge_by_id = edge_by_id = {}
+        self.gaps = gaps = {}
         for e in self.edges:
             eid, lower, upper, label, _ = e
             if type(eid) is not str or type(label) is not EdgeLabel:
@@ -299,51 +305,17 @@ class ReebGraph:
                 raise MalformedGraph("edge %r references missing vertex %r"
                                      % (eid, missing.args[0])) from None
             edge_by_id[eid] = e
-            # [a, b] spans (x, y) iff a <= x and y <= b
             gaps[eid] = range(event_index[lower], event_index[upper])
-        self._incident = {k: tuple(v) for k, v in incident.items()}
-
-    # -- lookups ------------------------------------------------------------
-
-    def vertex(self, vid: str) -> ReebVertex:
-        return self._by_id[vid]
-
-    def edge(self, eid: str) -> ReebEdge:
-        return self._edge_by_id[eid]
-
-    def level(self, vid: str) -> float:
-        return self._by_id[vid].level
-
-    def incident(self, vid: str) -> tuple[str, ...]:
-        """Ids of the edges meeting the vertex."""
-        return self._incident[vid]
+        self.incident = {k: tuple(v) for k, v in incident.items()}
 
     def span(self, eid: str) -> tuple[float, float]:
         """(lower level, upper level) of the edge."""
-        e = self._edge_by_id[eid]
-        return (self._by_id[e.lower].level, self._by_id[e.upper].level)
-
-    def event_levels(self) -> list[float]:
-        """Sorted distinct vertex levels together with lo and hi."""
-        return list(self._events)
-
-    def gap_below(self, vid: str) -> int:
-        """Index of the gap ending at the vertex level (-1 at the bottom)."""
-        return self._event_index[vid] - 1
-
-    def gaps(self, eid: str) -> range:
-        """Indices of the gaps the edge spans.
-
-        Edge [a, b] spans gap (x, y) iff a <= x and y <= b: these are the
-        gaps from the event index of its lower end up to that of its upper
-        end.  Decided on indices, the rule is exact however close the
-        event levels are.
-        """
-        return self._gaps[eid]
+        e = self.edge_by_id[eid]
+        return (self.vertex_by_id[e.lower].level, self.vertex_by_id[e.upper].level)
 
     def spanning(self, gap: int) -> list[str]:
         """Ids of the edges spanning the gap, in id order."""
-        return [eid for eid, gaps in self._gaps.items() if gap in gaps]
+        return [eid for eid, gaps in self.gaps.items() if gap in gaps]
 
 
 def validate(g: ReebGraph, *, allow_regular: bool = False,
@@ -368,9 +340,9 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     out: list[Violation] = []
     # essential ends per vertex, and essential edges opening minus closing per event
     ess: dict[str, int] = {}
-    delta = [0] * len(g._events)
+    delta = [0] * len(g.events)
     for eid, lower, upper, label, _ in g.edges:
-        gaps = g._gaps[eid]
+        gaps = g.gaps[eid]
         if not gaps:
             out.append(Violation(RULE_EDGE_MONOTONE, (eid,),
                                  "edge levels %r -> %r are not increasing"
@@ -387,7 +359,7 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
     runs, ends, crit = [], [], None
     for vid, level, kind in g.vertices:
         want = EXPECTED_VALENCY[kind]
-        deg = len(g._incident[vid])
+        deg = len(g.incident[vid])
         if kind is _REGULAR and not allow_regular:
             out.append(Violation(RULE_REGULAR, (vid,),
                                  "valency-two subdivision vertex present"))
@@ -421,13 +393,13 @@ def validate(g: ReebGraph, *, allow_regular: bool = False,
 
     if check_coverage and monotone_ok:
         spanning = 0
-        for k, (a, b) in enumerate(pairwise(g._events)):
+        for k, (a, b) in enumerate(pairwise(g.events)):
             spanning += delta[k]
             if not spanning:
                 out.append(Violation(RULE_COVERAGE, (),
                                      "no essential edge spans (%r, %r)" % (a, b)))
 
-    return ValidationReport.from_violations(out)
+    return ValidationReport(tuple(out))
 
 
 def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
@@ -471,7 +443,7 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
         a, b = g.span(e.id)
         if not max(a, lo_eff) < min(b, hi_eff):
             continue
-        lower_v, upper_v = g.vertex(e.lower), g.vertex(e.upper)
+        lower_v, upper_v = g.vertex_by_id[e.lower], g.vertex_by_id[e.upper]
         if a < lo_eff:
             lower_v = cut(e.id, "lo", lo_eff, VertexKind.BOUNDARY_MINUS)
         if b > hi_eff:

@@ -170,9 +170,7 @@ class TriangulatedSurface:
     ``_tri_edges`` (the ids of edges ab, bc, ca of each oriented triangle
     abc, to step a contour across it), ``links`` (each vertex's neighbours
     in rotation order, from the smallest) and ``stars`` (``stars[v][i]``
-    is the id of the edge from v to ``links[v][i]``).  ``edges``,
-    ``edge_tris`` and ``edge_index`` are derived from ``_table`` on each
-    access, and the package reads none of them.
+    is the id of the edge from v to ``links[v][i]``).
     ``from_off_text`` reads the OFF tokens from one split of the text
     (see ``_tokens``) with one reader, ``_read_off``.
 
@@ -320,23 +318,6 @@ class TriangulatedSurface:
         if None in flips:
             raise NotAManifold("surface is not connected")
         return flips
-
-    @property
-    def edges(self) -> dict[int, Edge]:
-        """Each edge's vertex pair by its id, in id order."""
-        return {k: divmod(k, self.n_vertices) for k in sorted(self._table)}
-
-    @property
-    def edge_tris(self) -> dict[int, tuple[int, int]]:
-        """Each edge's two triangles, first listed first, by its id."""
-        m = 2 * len(self.triangles) + 1
-        return {k: ((c // m - 1) >> 1, (c % m - 1) >> 1)
-                for k, c in sorted(self._table.items())}
-
-    @property
-    def edge_index(self) -> dict[Edge, int]:
-        """Each edge's id by its vertex pair."""
-        return {e: k for k, e in self.edges.items()}
 
     @property
     def n_edges(self) -> int:
@@ -713,9 +694,10 @@ def _disk_edges(g: ReebGraph) -> set[str]:
     if not g.vertices:
         raise ReebTopologyMismatch("Reeb graph has no vertices")
     seen, stack = {g.vertices[0].id}, [g.vertices[0].id]
+    incident, edge_by_id = g.incident, g.edge_by_id
     while stack:
-        for k in g.incident(stack.pop()):
-            e = g.edge(k)
+        for k in incident[stack.pop()]:
+            e = edge_by_id[k]
             for u in (e.lower, e.upper):
                 if u not in seen:
                     seen.add(u)
@@ -724,16 +706,16 @@ def _disk_edges(g: ReebGraph) -> set[str]:
         raise ReebTopologyMismatch(
             "Reeb graph is not connected: %d of %d vertices reachable"
             % (len(seen), len(g.vertices)))
-    valency = {v: len(g.incident(v)) for v in seen}
+    valency = {v: len(incident[v]) for v in seen}
     leaves = [v for v, n in valency.items() if n == 1]
     out: set[str] = set()
     while leaves:
         v = leaves.pop()
         if valency[v] != 1:     # its last edge went from the other end
             continue
-        k = next(k for k in g.incident(v) if k not in out)
+        k = next(k for k in incident[v] if k not in out)
         out.add(k)
-        e = g.edge(k)
+        e = edge_by_id[k]
         u = e.upper if e.lower == v else e.lower
         valency[v] = 0
         valency[u] -= 1

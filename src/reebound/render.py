@@ -70,13 +70,13 @@ def _strand_layout(g: ReebGraph) -> dict[str, float]:
     y: dict[str, float] = {}
     starts: dict[str, list[str]] = {}
     for v in g.vertices:
-        for eid in g.incident(v.id):
-            if g.edge(eid).lower == v.id:
+        for eid in g.incident[v.id]:
+            if g.edge_by_id[eid].lower == v.id:
                 starts.setdefault(v.id, []).append(eid)
     for v in g.vertices:
         # a self-loop is not open yet when it reaches its own end
-        positions = sorted(slots.index(eid) for eid in g.incident(v.id)
-                           if eid in is_open and g.edge(eid).upper == v.id)
+        positions = sorted(slots.index(eid) for eid in g.incident[v.id]
+                           if eid in is_open and g.edge_by_id[eid].upper == v.id)
         outs = sorted(starts.get(v.id, ()))
         if positions:
             y[v.id] = sum(positions) / len(positions)
@@ -111,8 +111,8 @@ def to_svg(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
              'viewBox="0 0 %d %d">' % ((SVG_WIDTH, SVG_HEIGHT) * 2),
              '<rect width="100%" height="100%" fill="white"/>']
     for e in g.edges:
-        x1, y1 = sx(g.level(e.lower)), sy(y[e.lower])
-        x2, y2 = sx(g.level(e.upper)), sy(y[e.upper])
+        x1, y1 = sx(g.vertex_by_id[e.lower].level), sy(y[e.lower])
+        x2, y2 = sx(g.vertex_by_id[e.upper].level), sy(y[e.upper])
         if e.label is EdgeLabel.ESSENTIAL:
             style = 'stroke="#1f6fb4" stroke-width="2.5"'
         else:

@@ -8,8 +8,11 @@ turn and searching both sides, the surface tables built with the
 orientation walk always run, the witness check crossing by crossing,
 the consistency checker that rescans every edge at every gap, the sweep
 as separate steps over frozen assignments, which rescans the graph in
-each of them, and the validator as one pass per rule group through the
-graph's lookup methods."""
+each of them, and the validator as one pass per rule group.  The graph
+oracles read the tables ``naive_index`` derives from a graph's records by
+their definitions, never the graph's own index, and the mesh oracles the
+edge pairs and triangles ``surface_edges`` and ``surface_edge_tris``
+decode from its edge table."""
 from __future__ import annotations
 
 import random
@@ -19,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise
 from math import nextafter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from reebound.assign import (
     RULE_BAND,
@@ -62,7 +65,9 @@ from reebound.graph import (
     RULE_SADDLE_PARITY,
     RULE_VERTEX_VALENCY,
     EdgeLabel,
+    ReebEdge,
     ReebGraph,
+    ReebVertex,
     ValidationReport,
     VertexKind,
     Violation,
@@ -77,12 +82,77 @@ from reebound.mesh import (
 )
 
 
+# -- the graph index, from the records ----------------------------------------
+
+class NaiveIndex(NamedTuple):
+    """The tables ``ReebGraph`` indexes at construction, by the same names."""
+
+    vertex_by_id: dict[str, ReebVertex]
+    edge_by_id: dict[str, ReebEdge]
+    incident: dict[str, tuple[str, ...]]
+    events: tuple[float, ...]
+    event_index: dict[str, int]
+    gaps: dict[str, range]
+    boundary_minus: frozenset[str]
+    boundary_plus: frozenset[str]
+    interior: tuple[str, ...]
+
+    def span(self, eid: str) -> tuple[float, float]:
+        e = self.edge_by_id[eid]
+        return (self.vertex_by_id[e.lower].level, self.vertex_by_id[e.upper].level)
+
+    def spanning(self, gap: int) -> list[str]:
+        """Ids of the edges spanning the gap, in id order."""
+        return [eid for eid, gaps in self.gaps.items() if gap in gaps]
+
+
+#: the last graph asked for and its tables: the step-at-a-time sweep asks
+#: for the same graph's tables once per step
+_last_index: list = [None, None]
+
+
+def naive_index(g: ReebGraph) -> NaiveIndex:
+    """The graph's tables derived from ``g.vertices`` and ``g.edges`` by
+    their definitions: a vertex's incident edges by scanning every edge
+    (a loop twice), the event levels as the sorted set of the vertex
+    levels with lo and hi, and an edge [a, b]'s gaps as every (x, y) of
+    consecutive event levels with a <= x and y <= b.  An edge spanning no
+    gap gets the empty range from the event index of its lower end to
+    that of its upper end, where the sweep's checker reads its lowest gap.
+    """
+    if _last_index[0] is not g:
+        _last_index[:] = g, _derive_index(g)
+    return _last_index[1]
+
+
+def _derive_index(g: ReebGraph) -> NaiveIndex:
+    level = {v.id: v.level for v in g.vertices}
+    events = tuple(sorted({*level.values(), g.lo, g.hi}))
+    index = {x: k for k, x in enumerate(events)}
+    event_index = {vid: index[x] for vid, x in level.items()}
+    gaps = {}
+    for e in g.edges:
+        a, b = level[e.lower], level[e.upper]
+        spanned = [k for k, (x, y) in enumerate(pairwise(events)) if a <= x and y <= b]
+        gaps[e.id] = (range(spanned[0], spanned[-1] + 1) if spanned
+                      else range(event_index[e.lower], event_index[e.upper]))
+    boundary = (VertexKind.BOUNDARY_MINUS, VertexKind.BOUNDARY_PLUS)
+    return NaiveIndex(
+        {v.id: v for v in g.vertices}, {e.id: e for e in g.edges},
+        {vid: tuple(e.id for e in g.edges for end in (e.lower, e.upper) if end == vid)
+         for vid in level},
+        events, event_index, gaps,
+        *(frozenset(v.id for v in g.vertices if v.kind is kind) for kind in boundary),
+        tuple(sorted((v.id for v in g.vertices if v.kind not in boundary),
+                     key=lambda vid: (level[vid], vid))))
+
+
 # -- the graph validator, one rule group at a time ----------------------------
 
 def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
                    check_coverage: bool = True) -> ValidationReport:
-    """Reference validator: one pass per rule group through the graph's
-    lookup methods, with the violations in the order validate reports.
+    """Reference validator: one pass per rule group through
+    ``naive_index``, with the violations in the order validate reports.
 
     Rules: monotone edges, valency matching the vertex kind, boundary
     vertices sitting exactly on lo/hi with everything else strictly
@@ -97,17 +167,18 @@ def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
     coverage rule; unrestricted whole-surface graphs fail it trivially
     because level loops near their extrema bound disks.
     """
+    ix = naive_index(g)
     out: list[Violation] = []
     monotone_ok = True
     for e in g.edges:
-        a, b = g.span(e.id)
+        a, b = ix.span(e.id)
         if not a < b:
             monotone_ok = False
             out.append(Violation(RULE_EDGE_MONOTONE, (e.id,),
                                  "edge levels %r -> %r are not increasing" % (a, b)))
 
     for v in g.vertices:
-        deg = len(g.incident(v.id))
+        deg = len(ix.incident[v.id])
         if v.kind is VertexKind.REGULAR and not allow_regular:
             out.append(Violation(RULE_REGULAR, (v.id,),
                                  "valency-two subdivision vertex present"))
@@ -136,7 +207,7 @@ def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
                                  "interior vertices share level %r" % level))
 
     for v in g.vertices:
-        labels = [g.edge(eid).label for eid in g.incident(v.id)]
+        labels = [ix.edge_by_id[eid].label for eid in ix.incident[v.id]]
         ess = sum(1 for lb in labels if lb is EdgeLabel.ESSENTIAL)
         if v.kind is VertexKind.SADDLE and ess == 1:
             out.append(Violation(RULE_SADDLE_PARITY, (v.id,),
@@ -148,11 +219,11 @@ def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
     if check_coverage and monotone_ok:
         # difference array over event indices: +1 where an essential
         # edge's gaps start, -1 where they stop
-        events = g.event_levels()
+        events = ix.events
         delta = [0] * len(events)
         for e in g.edges:
             if e.label is EdgeLabel.ESSENTIAL:
-                gaps = g.gaps(e.id)
+                gaps = ix.gaps[e.id]
                 delta[gaps.start] += 1
                 delta[gaps.stop] -= 1
         spanning = 0
@@ -162,7 +233,7 @@ def naive_validate(g: ReebGraph, *, allow_regular: bool = False,
                 out.append(Violation(RULE_COVERAGE, (),
                                      "no essential edge spans (%r, %r)" % (a, b)))
 
-    return ValidationReport.from_violations(out)
+    return ValidationReport(tuple(out))
 
 
 # -- the mesh front-end's rules, applied on their own -------------------------
@@ -199,6 +270,21 @@ def naive_from_off_text(text: str) -> TriangulatedSurface:
     except ValueError as exc:
         raise ParseError("bad OFF token: %s" % exc) from None
     return TriangulatedSurface(nv, faces)
+
+
+def surface_edges(surface: TriangulatedSurface) -> dict[int, Edge]:
+    """Each edge's vertex pair by its id, in id order, decoded from the
+    surface's edge table: the id of edge lo-hi is ``lo * n + hi``."""
+    return {k: divmod(k, surface.n_vertices) for k in sorted(surface._table)}
+
+
+def surface_edge_tris(surface: TriangulatedSurface) -> dict[int, tuple[int, int]]:
+    """Each edge's two triangles, first listed first, by its id in id
+    order, decoded from the surface's edge table: a code holds one base-m
+    digit ``2 * triangle + 1`` (plus a direction bit) per triangle."""
+    m = 2 * surface.n_triangles + 1
+    return {k: ((c // m - 1) >> 1, (c % m - 1) >> 1)
+            for k, c in sorted(surface._table.items())}
 
 
 def naive_surface(n_vertices: int, triangles) -> TriangulatedSurface:
@@ -374,8 +460,8 @@ def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int,
     exactly one, where ``reebound.mesh._trace`` makes one comparison.
     Returns the crossings as (triangle, entry eid, exit eid), starting at
     ``start_edge`` through its lower-numbered triangle.  ``edge_tris`` is
-    ``surface.edge_tris``, which a caller that walks many times derives
-    once.
+    ``surface_edge_tris(surface)``, which a caller that walks many times
+    derives once.
     """
     def other_crossed(tri: int, eid: int) -> int:
         hits = [x for x in surface._tri_edges[tri] if x != eid and crossed(x)]
@@ -385,7 +471,7 @@ def naive_trace(surface: TriangulatedSurface, crossed, start_edge: int,
         return hits[0]
 
     if edge_tris is None:
-        edge_tris = surface.edge_tris   # derived anew on each access
+        edge_tris = surface_edge_tris(surface)
     t0 = min(edge_tris[start_edge])
     out = []
     e, t = start_edge, t0
@@ -407,7 +493,7 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
     if not cycle.crossings:
         raise OpenCycle("empty cycle")
     level, n = cycle.level, len(cycle.crossings)
-    edge_index = surface.edge_index     # derived anew on each access
+    edge_index = {pair: k for k, pair in surface_edges(surface).items()}
     for i, (t, entry, exit_) in enumerate(cycle.crossings):
         nxt = cycle.crossings[(i + 1) % n]
         if entry == exit_:
@@ -439,7 +525,7 @@ def naive_check_cycle(surface: TriangulatedSurface, field: ScalarField,
 
 def value_crossed(surface: TriangulatedSurface, values, level: float):
     """The witness predicate: ``level`` strictly inside the edge's span."""
-    edges = surface.edges
+    edges = surface_edges(surface)
 
     def crossed(eid: int) -> bool:
         va, vb = (values[x] for x in edges[eid])
@@ -449,7 +535,7 @@ def value_crossed(surface: TriangulatedSurface, values, level: float):
 
 def rank_crossed(surface: TriangulatedSurface, rank, rv: int):
     """The split predicate: exactly one end of the edge ranked ``<= rv``."""
-    edges = surface.edges
+    edges = surface_edges(surface)
 
     def crossed(eid: int) -> bool:
         ra, rb = (rank[x] for x in edges[eid])
@@ -465,8 +551,8 @@ def level_cycles(surface: TriangulatedSurface, field: ScalarField,
         raise ValueError("level %r hits a vertex value; pick another" % level)
 
     crossed = value_crossed(surface, field.values, level)
-    todo = [eid for eid in surface.edges if crossed(eid)]    # in id order
-    edge_tris = surface.edge_tris
+    todo = [eid for eid in surface_edges(surface) if crossed(eid)]    # in id order
+    edge_tris = surface_edge_tris(surface)
     seen: set[int] = set()
     out: list[LevelCycle] = []
     for eid in todo:
@@ -633,7 +719,7 @@ def count_level_components(surface, field, level) -> int:
     """Components of the level set, from scratch via edge adjacency."""
     vals = field.values
     crossed = set()
-    for eid, (a, b) in surface.edges.items():
+    for eid, (a, b) in surface_edges(surface).items():
         if min(vals[a], vals[b]) < level < max(vals[a], vals[b]):
             crossed.add(eid)
     adjacency: dict[int, set[int]] = {e: set() for e in crossed}
@@ -671,12 +757,13 @@ def naive_assign(g: ReebGraph,
     resulting map must not depend on it.
     """
     rng = rng if rng is not None else random.Random(0)
-    if not g.boundary_minus:
+    ix = naive_index(g)
+    if not ix.boundary_minus:
         raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
     assigned: dict[str, int] = {}
     trace: list[TraceEntry] = []
 
-    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
+    seeded = sorted({eid for vid in ix.boundary_minus for eid in ix.incident[vid]})
     for eid in seeded:
         assigned[eid] = 1
     trace.append(TraceEntry(STEP0, None, tuple(seeded), 1))
@@ -688,10 +775,10 @@ def naive_assign(g: ReebGraph,
         changed = True
         while changed:
             changed = False
-            order = [v.id for v in g.vertices if len(g.incident(v.id)) == 2]
+            order = [v.id for v in g.vertices if len(ix.incident[v.id]) == 2]
             rng.shuffle(order)
             for vid in order:
-                e1, e2 = g.incident(vid)
+                e1, e2 = ix.incident[vid]
                 have1, have2 = e1 in assigned, e2 in assigned
                 if have1 == have2:
                     continue
@@ -704,23 +791,23 @@ def naive_assign(g: ReebGraph,
             break
 
         eligible = []
-        for vid in g.interior:
-            if all(eid in assigned for eid in g.incident(vid)):
+        for vid in ix.interior:
+            if all(eid in assigned for eid in ix.incident[vid]):
                 continue
             left_done = all(
                 eid in assigned for eid in all_edges
-                if g.span(eid)[0] < g.level(vid))
+                if ix.span(eid)[0] < ix.vertex_by_id[vid].level)
             if left_done:
                 eligible.append(vid)
         if len(eligible) != 1:
             raise BrokenUniqueness(
                 "eligible vertices: %s" % (", ".join(sorted(eligible)) or "none"))
         vid = eligible[0]
-        level = g.level(vid)
+        level = ix.vertex_by_id[vid].level
         prev = max(lv for lv in all_levels if lv < level)
         # the frontier spans the whole gap (prev, level)
         frontier = [eid for eid in all_edges
-                    if g.span(eid)[0] <= prev and level <= g.span(eid)[1]]
+                    if ix.span(eid)[0] <= prev and level <= ix.span(eid)[1]]
         if any(eid not in assigned for eid in frontier):
             raise UnassignedFrontier("unassigned frontier at %s" % vid)
         values = sorted({assigned[eid] for eid in frontier})
@@ -730,7 +817,7 @@ def naive_assign(g: ReebGraph,
             value = values[1]
         else:
             raise NonConsecutiveFrontier("frontier of %s carries %r" % (vid, values))
-        todo = [eid for eid in g.incident(vid) if eid not in assigned]
+        todo = [eid for eid in ix.incident[vid] if eid not in assigned]
         rng.shuffle(todo)
         for eid in todo:
             assigned[eid] = value
@@ -745,7 +832,7 @@ def _connected_min_levels(g: ReebGraph,
                           eids: Iterable[str]) -> dict[str, float]:
     """For each edge in the set, the lowest level reached by its connected
     component within the set (edges connect through shared vertices)."""
-    eids = list(eids)
+    eids, ix = list(eids), naive_index(g)
     parent: dict[str, str] = {eid: eid for eid in eids}
 
     def find(x: str) -> str:
@@ -756,7 +843,7 @@ def _connected_min_levels(g: ReebGraph,
 
     anchor: dict[str, str] = {}
     for eid in eids:
-        e = g.edge(eid)
+        e = ix.edge_by_id[eid]
         for end in (e.lower, e.upper):
             if end in anchor:
                 ra, rb = find(anchor[end]), find(eid)
@@ -767,7 +854,7 @@ def _connected_min_levels(g: ReebGraph,
     low: dict[str, float] = {}
     for eid in eids:
         root = find(eid)
-        a, _ = g.span(eid)
+        a, _ = ix.span(eid)
         low[root] = min(low.get(root, a), a)
     return {eid: low[find(eid)] for eid in eids}
 
@@ -803,9 +890,10 @@ def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
                                  "edge written %d times" % n))
 
     if vid is not None:
-        level = g.level(vid)
-        gap0 = g.gap_below(vid)
-        frontier = g.spanning(gap0)
+        ix = naive_index(g)
+        level = ix.vertex_by_id[vid].level
+        gap0 = ix.event_index[vid] - 1
+        frontier = ix.spanning(gap0)
         top = None
         missing = [e for e in frontier if e not in p.assigned]
         if missing:
@@ -826,7 +914,7 @@ def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
             band = {top - 1, top}
             for e in g.edges:
                 val = p.assigned.get(e.id)
-                if val is None or g.span(e.id)[1] <= level:
+                if val is None or ix.span(e.id)[1] <= level:
                     continue
                 if val not in band:
                     out.append(Violation(
@@ -834,12 +922,12 @@ def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
                         "edge right of %s carries %d outside {%d, %d}"
                         % (vid, val, top - 1, top)))
 
-        events = g.event_levels()
+        events = ix.events
         flagged_value: set[str] = set()
         flagged_path: set[str] = set()
         min_level_cache: dict[int, dict[str, float]] = {}
         for gap in range(gap0, len(events) - 1):
-            spanning = g.spanning(gap)
+            spanning = ix.spanning(gap)
             vals = {p.assigned[e] for e in spanning if e in p.assigned}
             if len(vals) != 1:
                 continue
@@ -851,7 +939,7 @@ def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
             reach = min_level_cache[m]
             for e in g.edges:
                 val = p.assigned.get(e.id)
-                if val is None or g.span(e.id)[1] <= x:
+                if val is None or ix.span(e.id)[1] <= x:
                     continue
                 if val != m:
                     if e.id not in flagged_value:
@@ -868,7 +956,7 @@ def naive_check_invariants(g: ReebGraph, p: PartialAssignment,
                             "no path through %d-edges from %s down to level %r"
                             % (m, e.id, x)))
 
-    return ValidationReport.from_violations(out)
+    return ValidationReport(tuple(out))
 
 
 # -- the sweep one step at a time ---------------------------------------------
@@ -901,9 +989,10 @@ def empty_assignment() -> PartialAssignment:
 
 def step0(g: ReebGraph) -> PartialAssignment:
     """Seed: every edge touching the lower boundary gets 1."""
-    if not g.boundary_minus:
+    ix = naive_index(g)
+    if not ix.boundary_minus:
         raise NoLowerBoundary("no lower-boundary vertex in the subgraph")
-    seeded = sorted({eid for vid in g.boundary_minus for eid in g.incident(vid)})
+    seeded = sorted({eid for vid in ix.boundary_minus for eid in ix.incident[vid]})
     return _extend(empty_assignment(), TraceEntry(STEP0, None, tuple(seeded), 1))
 
 
@@ -915,7 +1004,8 @@ def classify_frontier(g: ReebGraph, p: PartialAssignment,
     NonConsecutiveFrontier if the value set is neither a singleton nor a
     consecutive pair (or is empty); valid inputs never do either.
     """
-    frontier = g.spanning(g.gap_below(vid))
+    ix = naive_index(g)
+    frontier = ix.spanning(ix.event_index[vid] - 1)
     if not frontier:
         raise NonConsecutiveFrontier(
             "no essential edge spans the gap just left of %s" % vid)
@@ -932,8 +1022,8 @@ def classify_frontier(g: ReebGraph, p: PartialAssignment,
         "frontier of %s carries %r" % (vid, values))
 
 
-def _valency2_vertices(g: ReebGraph) -> list[str]:
-    return [v.id for v in g.vertices if len(g.incident(v.id)) == 2]
+def _valency2_vertices(ix: NaiveIndex) -> list[str]:
+    return [vid for vid, eids in ix.incident.items() if len(eids) == 2]
 
 
 def step1_saturate(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
@@ -945,25 +1035,23 @@ def step1_saturate(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
     edges end up assigned with different integers the input was not in the
     supported class: ConflictingPropagation.
     """
-    out = p
-    queue = deque(_valency2_vertices(g))
+    out, ix = p, naive_index(g)
+    queue = deque(_valency2_vertices(ix))
     while queue:
         vid = queue.popleft()
-        if len(g.incident(vid)) != 2:
-            continue
-        e1, e2 = g.incident(vid)
+        e1, e2 = ix.incident[vid]
         v1, v2 = out.assigned.get(e1), out.assigned.get(e2)
         if (v1 is None) == (v2 is None):
             continue
         src, dst = (e1, e2) if v2 is None else (e2, e1)
         entry = TraceEntry(STEP1, vid, (dst,), out.assigned[src])
         out = _extend(out, entry)
-        edge = g.edge(dst)
+        edge = ix.edge_by_id[dst]
         for end in (edge.lower, edge.upper):
-            if end != vid and len(g.incident(end)) == 2:
+            if end != vid and len(ix.incident[end]) == 2:
                 queue.append(end)
-    for vid in _valency2_vertices(g):
-        e1, e2 = g.incident(vid)
+    for vid in _valency2_vertices(ix):
+        e1, e2 = ix.incident[vid]
         v1, v2 = out.assigned.get(e1), out.assigned.get(e2)
         if v1 is not None and v2 is not None and v1 != v2:
             raise ConflictingPropagation(
@@ -973,8 +1061,9 @@ def step1_saturate(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
 
 def _next_target(g: ReebGraph, p: PartialAssignment) -> str | None:
     """Lowest-level interior vertex with an unassigned incident edge."""
-    for vid in g.interior:
-        if any(eid not in p.assigned for eid in g.incident(vid)):
+    ix = naive_index(g)
+    for vid in ix.interior:
+        if any(eid not in p.assigned for eid in ix.incident[vid]):
             return vid
     return None
 
@@ -992,16 +1081,17 @@ def step2(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
         missing = sorted(e.id for e in g.edges if e.id not in p.assigned)
         raise NothingToAssign("no interior vertex meets the unassigned edges: %s"
                               % (", ".join(missing) or "none"))
-    level = g.level(target)
+    ix = naive_index(g)
+    level = ix.vertex_by_id[target].level
     stragglers = [e.id for e in g.edges
-                  if e.id not in p.assigned and g.span(e.id)[0] < level]
+                  if e.id not in p.assigned and ix.span(e.id)[0] < level]
     if stragglers:
         raise BrokenUniqueness(
             "unassigned edges strictly left of %s: %s"
             % (target, ", ".join(sorted(stragglers))))
     cls = classify_frontier(g, p, target)
     value = cls.n + 1 if isinstance(cls, AllEqual) else cls.n
-    todo = tuple(sorted(eid for eid in g.incident(target)
+    todo = tuple(sorted(eid for eid in ix.incident[target]
                         if eid not in p.assigned))
     return _extend(p, TraceEntry(STEP2, target, todo, value))
 

@@ -94,7 +94,7 @@ def test_criterion_2_invariant_suite(corpus, corpus_assignments):
             written = [e for t in p.trace for e in t.edges]
             assert len(written) == len(set(written)) == len(sub.edges)
             for vid in sub.boundary_minus:
-                for eid in sub.incident(vid):
+                for eid in sub.incident[vid]:
                     assert p.assigned[eid] == 1
         assert elapsed < 10.0, "checked sweep took %.2f s" % elapsed
 
@@ -117,7 +117,7 @@ def test_criterion_4_local_lipschitz(corpus, corpus_assignments):
         violations = 0
         for (_, sub), p in zip(corpus, ps):
             for v in sub.vertices:
-                vals = [p.assigned[eid] for eid in sub.incident(v.id)]
+                vals = [p.assigned[eid] for eid in sub.incident[v.id]]
                 if max(vals) - min(vals) > 1:
                     violations += 1
         assert violations == 0

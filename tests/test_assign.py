@@ -518,7 +518,7 @@ class TestTrickyShapes:
              ReebEdge("e2", "s", "t2", L.ESSENTIAL)),
             0.0, 1.0)
         sub = essential_subgraph(g)
-        assert len(sub.incident("s")) == 2 and sub.interior == ("s",)
+        assert len(sub.incident["s"]) == 2 and sub.interior == ("s",)
         expected = {"a": 1, "e1": 2, "e2": 2}
         assert naive_assign(sub).assigned == expected
         p = assign_all(sub, check=True)
@@ -574,7 +574,7 @@ class TestFrontier:
         values = {e: n for e, n in assigned.items() if e not in later}
         front = assign_mod._Frontier(sub, values)
         _assert_frontier(front, sub, -1)
-        for k in range(len(sub.event_levels()) - 1):
+        for k in range(len(sub.events) - 1):
             front.advance(k)
             _assert_frontier(front, sub, k)
             n = rng.randint(0, 3)
@@ -802,7 +802,7 @@ def _check_agrees(g, q, vid):
     report = check_invariants(g, q, vid)
     assert report == naive_check_invariants(g, q, vid)
     verdict = assign_mod._Checker(g).clean(q.assigned, q.trace, vid)
-    exact = (all(g.gaps(e.id) for e in g.edges)
+    exact = (all(g.gaps.values())
              and Counter(e for t in q.trace for e in t.edges) == Counter(q.assigned))
     assert report.ok if verdict else not (exact and report.ok)
 
@@ -1043,17 +1043,17 @@ class TestProperties:
         assert len(written) == len(set(written)) == len(sub.edges)
         # boundary anchor
         for vid in sub.boundary_minus:
-            for eid in sub.incident(vid):
+            for eid in sub.incident[vid]:
                 assert p.assigned[eid] == 1
         # monotone bound: 1 <= n(e) <= 1 + #interior vertices strictly
         # below the edge's upper level
         for e in sub.edges:
             hi_level = sub.span(e.id)[1]
-            below = sum(1 for vid in sub.interior if sub.level(vid) < hi_level)
+            below = sum(1 for vid in sub.interior if sub.vertex_by_id[vid].level < hi_level)
             assert 1 <= p.assigned[e.id] <= 1 + below
         # local Lipschitz: integers across a shared vertex differ by <= 1
         for v in sub.vertices:
-            vals = [p.assigned[eid] for eid in sub.incident(v.id)]
+            vals = [p.assigned[eid] for eid in sub.incident[v.id]]
             assert max(vals) - min(vals) <= 1
         # order independence: the naive oracle agrees under two scan orders
         for salt in (1, 2):

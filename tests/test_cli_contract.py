@@ -96,8 +96,7 @@ def test_error_type_exit_code(cls, monkeypatch):
     name = cls.__name__
     assert cls.exit_code == EXPECTED_EXIT[name]
     if name in REPORTING:
-        exc = cls(ValidationReport.from_violations(
-            [Violation("SomeRule", ("v",), "note")]))
+        exc = cls(ValidationReport((Violation("SomeRule", ("v",), "note"),)))
     else:
         exc = cls("boom")
 

@@ -88,13 +88,31 @@ class TestParams:
         with pytest.raises(GenerationFailed):
             GenParams(seed=1, saddle_count=1, inessential_bias=-0.1)
 
-    @pytest.mark.parametrize("count", ["3", 3.5, None], ids=["string", "float", "none"])
+    @pytest.mark.parametrize("count", ["3", 3.5, None, True],
+                             ids=["string", "float", "none", "bool"])
     def test_non_int_saddle_count_rejected(self, count):
-        # "3" failed the range test with a bare TypeError, and 3.5 passed it
-        # and failed in random_reeb
+        # "3" failed the range test with a bare TypeError, 3.5 passed it
+        # and failed in random_reeb, and True was written into meta as true
         with pytest.raises(GenerationFailed) as info:
             GenParams(seed=1, saddle_count=count)
         assert str(info.value) == "saddle_count must be an int, got %r" % (count,)
+
+    @pytest.mark.parametrize("seed", [[1], {}, None, 1.5, "7", True],
+                             ids=["list", "dict", "none", "float", "string", "bool"])
+    def test_non_int_seed_rejected(self, seed):
+        # [1] and {} raised a bare TypeError from random.Random, None built
+        # a graph that no seed reproduces, and True was written into meta
+        with pytest.raises(GenerationFailed) as info:
+            GenParams(seed=seed, saddle_count=2)
+        assert str(info.value) == "seed must be an int, got %r" % (seed,)
+
+    @pytest.mark.parametrize("name", ["parallel_edge_bias", "inessential_bias"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_bias_rejected(self, name, flag):
+        # a bool passed the range test and was written into meta as true/false
+        with pytest.raises(GenerationFailed) as info:
+            GenParams(seed=1, saddle_count=1, **{name: flag})
+        assert str(info.value) == "%s must be an int or a float, got %r" % (name, flag)
 
     @pytest.mark.parametrize("name", ["parallel_edge_bias", "inessential_bias"])
     @pytest.mark.parametrize("bias", ["x", None], ids=["string", "none"])

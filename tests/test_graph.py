@@ -23,8 +23,8 @@ from reebound import (
     restrict,
     validate,
 )
-from reebound.graph import graph_to_dict
-from reebound.mesh import LevelCycle
+from reebound.graph import ValidationReport, Violation, graph_to_dict
+from reebound.mesh import LevelCycle, build_reeb, label_reeb
 from reebound.render import to_dot, to_svg
 from reebound.errors import (
     BadWindow,
@@ -37,16 +37,20 @@ from reebound.errors import (
 
 from _fixtures import (
     center_violation,
+    chained_tori,
     coverage_violation,
     genericity_violation,
     mixed_saddle_graph,
+    octa_sphere,
+    pillow,
     saddle_parity_violation,
     single_edge_graph,
     theta_graph,
     torus_reeb_by_hand,
+    vertical_torus,
     y_graph,
 )
-from _oracles import naive_validate
+from _oracles import NaiveIndex, naive_index, naive_validate
 from test_assign import _any_subgraph
 
 
@@ -144,12 +148,28 @@ class TestValidate:
         # least one essential edge
         g = random_reeb(GenParams(seed=7, saddle_count=20))
         assert validate(g).ok
-        events = g.event_levels()
+        events = g.events
         spans = [g.span(e.id) for e in g.edges
                  if e.label is EdgeLabel.ESSENTIAL]
         for a, b in zip(events, events[1:]):
             mid = (a + b) / 2
             assert any(lo < mid < hi for lo, hi in spans)
+
+
+class TestValidationReport:
+    def test_ok_follows_violations(self):
+        v = Violation("SomeRule", ("v",), "note")
+        assert ValidationReport(()).ok
+        assert not ValidationReport((v,)).ok
+        assert ValidationReport((v,)).to_dict() == {
+            "ok": False, "violations": [{"rule": "SomeRule", "subjects": ["v"],
+                                         "note": "note"}]}
+
+    def test_ok_is_not_stored(self):
+        # a report could call itself ok while it held a violation
+        v = Violation("SomeRule", ("v",), "note")
+        with pytest.raises(TypeError):
+            ValidationReport(ok=True, violations=(v,))
 
 
 class TestRestrict:
@@ -247,7 +267,7 @@ class TestRestrict:
         assert {(v.id, v.level) for v in r.vertices} == {
             ("cut:e0:lo''", 0.2), ("cut:e0:hi", 0.8),
             ("cut:e0:lo", 0.5), ("cut:e0:lo'", 0.6)}
-        assert r.edge("e0")[1:3] == ("cut:e0:lo''", "cut:e0:hi")
+        assert r.edge_by_id["e0"][1:3] == ("cut:e0:lo''", "cut:e0:hi")
 
     def test_boundary_vertex_reuse_at_same_level(self):
         g = single_edge_graph()
@@ -279,7 +299,7 @@ class TestEssentialSubgraph:
 
     def test_mixed_saddle_becomes_valency_two(self):
         sub = essential_subgraph(mixed_saddle_graph())
-        assert len(sub.incident("s")) == 2
+        assert len(sub.incident["s"]) == 2
         assert {e.id for e in sub.edges} == {"e0", "e1"}
         # the inessential branch endpoint dropped
         assert "t1" not in {v.id for v in sub.vertices}
@@ -320,7 +340,7 @@ class TestJson:
             (ReebEdge("e0", "b", "t", EdgeLabel.ESSENTIAL),),
             0.0, lvl)
         g2 = graph_loads(graph_dumps(g))
-        assert g2.level("t") == g.level("t")
+        assert g2.vertex_by_id["t"].level == g.vertex_by_id["t"].level
 
     def test_meta_preserved(self):
         g = random_reeb(GenParams(seed=3, saddle_count=4))
@@ -791,65 +811,58 @@ class TestValidateOracle:
 
 # -- the index against a recomputation from the tuples ------------------------
 
-def assert_index_consistent(g: ReebGraph) -> None:
-    """Every index lookup equals a naive recomputation from g.vertices,
-    their kinds and g.edges, with gap k the open interval between event
-    levels k, k + 1."""
-    level = {v.id: v.level for v in g.vertices}
-    events = sorted(set(level.values()) | {g.lo, g.hi})
-    assert g.event_levels() == events
-    gaps = list(zip(events, events[1:]))
-    spans = {e.id: [k for k, (x, y) in enumerate(gaps)
-                    if level[e.lower] <= x and y <= level[e.upper]]
-             for e in g.edges}
-    for e in g.edges:
-        assert list(g.gaps(e.id)) == spans[e.id], e.id
-    for v in g.vertices:
-        assert g.gap_below(v.id) == events.index(v.level) - 1
-        assert g.incident(v.id) == tuple(
-            e.id for e in g.edges for end in (e.lower, e.upper) if end == v.id)
-    for k in range(len(gaps)):
-        assert g.spanning(k) == [e.id for e in g.edges if k in spans[e.id]]
-    minus, plus = VertexKind.BOUNDARY_MINUS, VertexKind.BOUNDARY_PLUS
-    assert type(g.boundary_minus) is type(g.boundary_plus) is frozenset
-    assert g.boundary_minus == {v.id for v in g.vertices if v.kind is minus}
-    assert g.boundary_plus == {v.id for v in g.vertices if v.kind is plus}
-    assert g.interior == tuple(sorted(
-        (v.id for v in g.vertices if v.kind not in (minus, plus)),
-        key=lambda vid: (level[vid], vid)))
-
-
 def _typed(x):
-    """x with the type of every part and the order of every container."""
+    """x with the type of every part and the order of every container; a
+    range as its start and stop, as empty ranges compare equal whatever
+    their start, and the sweep's checker reads it."""
     if isinstance(x, dict):
         return dict, [(_typed(k), _typed(v)) for k, v in x.items()]
     if isinstance(x, (list, tuple)):
         return type(x), [_typed(y) for y in x]
+    if isinstance(x, range):
+        return range, x.start, x.stop
     return type(x), x
+
+
+def _signed(levels):
+    """Each level with its type and sign, so -0.0 and 0.0, 1 and 1.0 differ."""
+    return [(type(x), x, copysign(1.0, x)) for x in levels]
+
+
+def assert_index_naive(g: ReebGraph) -> None:
+    """Every public table of g equals ``naive_index``'s derivation from
+    g.vertices and g.edges, in order and in type, down to the object kept
+    for event levels that compare equal, and ``spanning`` reads the gaps
+    the definition gives."""
+    ix = naive_index(g)
+    for name in NaiveIndex._fields:
+        assert _typed(getattr(g, name)) == _typed(getattr(ix, name)), name
+    assert _signed(g.events) == _signed(ix.events)
+    assert type(g.boundary_minus) is type(g.boundary_plus) is frozenset
+    for k in range(len(g.events) - 1):
+        assert g.spanning(k) == ix.spanning(k)
 
 
 def assert_built_alike(sub: ReebGraph) -> None:
     """The subgraph essential_subgraph indexes from its parent's records
     equals the one the checked constructor builds from the same records,
     field by field, in order and in type."""
-    built = ReebGraph(sub.vertices, sub.edges, sub.lo, sub.hi)
+    built = ReebGraph(sub.vertices, sub.edges, sub.lo, sub.hi, meta=sub.meta)
     assert sub == built
-    for name in ("vertices", "edges", "lo", "hi", "meta", "_by_id",
-                 "boundary_minus", "boundary_plus", "interior", "_events",
-                 "_event_index", "_incident", "_edge_by_id", "_gaps"):
+    for name in ("vertices", "edges", "lo", "hi", "meta", *NaiveIndex._fields):
         assert _typed(getattr(sub, name)) == _typed(getattr(built, name)), name
 
 
 def test_index_matches_tuples(corpus):
     rng = random.Random(1)
     for g, sub in corpus:
-        mids = [(x + y) / 2 for x, y in zip(g.event_levels(), g.event_levels()[1:])]
+        mids = [(x + y) / 2 for x, y in zip(g.events, g.events[1:])]
         i = rng.randrange(len(mids))
         j = rng.randrange(i, len(mids))
         window = restrict(g, mids[i], mids[j] if j > i else g.hi)
         window_sub = essential_subgraph(window, prevalidated=True)
         for h in (g, sub, window, window_sub):
-            assert_index_consistent(h)
+            assert_index_naive(h)
         assert_built_alike(sub)
         assert_built_alike(window_sub)
 
@@ -866,36 +879,11 @@ def test_subgraph_of_invalid_parent_matches_constructor(drawn, data):
     sub = essential_subgraph(parent, prevalidated=True)
     assert [e.id for e in sub.edges] == [e.id for e in drawn.edges
                                          if e.id not in dropped]
-    assert_index_consistent(sub)
+    assert_index_naive(sub)
     assert_built_alike(sub)
 
 
 # -- the event index against the sorted-set derivation ------------------------
-
-def set_derived_index(g: ReebGraph):
-    """The event levels as the sorted set of the vertex levels with lo and
-    hi, each vertex's event index and each edge's (start, stop) of gaps:
-    empty ranges compare equal whatever their start, and validate reads
-    the start of every essential edge's range."""
-    events = sorted({*(v.level for v in g.vertices), g.lo, g.hi})
-    index = {level: k for k, level in enumerate(events)}
-    event_index = {v.id: index[v.level] for v in g.vertices}
-    gaps = {e.id: (event_index[e.lower], event_index[e.upper]) for e in g.edges}
-    return events, event_index, gaps
-
-
-def _signed(levels):
-    """Each level with its type and sign, so -0.0 and 0.0, 1 and 1.0 differ."""
-    return [(type(x), x, copysign(1.0, x)) for x in levels]
-
-
-def assert_index_set_derived(g: ReebGraph) -> None:
-    events, event_index, gaps = set_derived_index(g)
-    assert _signed(g._events) == _signed(events)
-    assert _typed(g._events) == _typed(events)
-    assert _typed(g._event_index) == _typed(event_index)
-    assert _typed({eid: (r.start, r.stop) for eid, r in g._gaps.items()}) == _typed(gaps)
-
 
 def _graph_at(levels, lo, hi, ids=None) -> ReebGraph:
     """Regular vertices at the levels (ids a, b, ... unless given), with an
@@ -916,9 +904,10 @@ _POOL = (-0.0, 0.0, 0, 1, 1.0, -1.0, 0.5, _UP, nextafter(_UP, 1.0), 2.0,
 class TestEventIndex:
     """ReebGraph reads its event levels off its (level, id) sorted vertex
     loop, and derives them from a sorted set only when a vertex lies
-    outside [lo, hi] or none sits at lo or at hi; both paths must give the
-    sorted-set derivation's levels, down to the object kept for levels that
-    compare equal, its indices and its gap ranges."""
+    outside [lo, hi] or none sits at lo or at hi; both paths, and the
+    records essential_subgraph and label_reeb index without sorting them,
+    must give every table ``naive_index`` derives by the definitions, down
+    to the object kept for levels that compare equal."""
 
     @pytest.mark.parametrize("levels, lo, hi, ids", [
         ((-0.0, 0.0, 1.0), 0.0, 1.0, None),
@@ -944,15 +933,15 @@ class TestEventIndex:
             "adjacent-floats", "adjacent-floats-no-hi", "no-vertices"])
     def test_matches_sorted_set(self, levels, lo, hi, ids):
         g = _graph_at(levels, lo, hi, ids)
-        assert_index_set_derived(g)
-        assert_index_set_derived(essential_subgraph(g, prevalidated=True))
+        assert_index_naive(g)
+        assert_index_naive(essential_subgraph(g, prevalidated=True))
 
     def test_first_level_object_is_kept(self):
         # the vertex at -0.0 comes first by id, so its zero is the event
         # level, and lo's 0.0 is not
         g = _graph_at((-0.0, 0.0, 1.0), 0.0, 1.0)
-        assert copysign(1.0, g._events[0]) == -1.0
-        assert type(_graph_at((1, 1.0, 0.0), 0.0, 1.0)._events[-1]) is int
+        assert copysign(1.0, g.events[0]) == -1.0
+        assert type(_graph_at((1, 1.0, 0.0), 0.0, 1.0).events[-1]) is int
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_POOL), max_size=7),
@@ -963,9 +952,18 @@ class TestEventIndex:
         if not lo < hi:
             return
         g = _graph_at(levels, lo, hi)
-        assert_index_set_derived(g)
-        assert_index_set_derived(essential_subgraph(g, prevalidated=True))
-        assert_index_consistent(g)
+        assert_index_naive(g)
+        assert_index_naive(essential_subgraph(g, prevalidated=True))
+
+    @pytest.mark.parametrize("make", [octa_sphere, vertical_torus, pillow,
+                                      lambda: chained_tori(2)],
+                             ids=["sphere", "torus", "pillow", "genus2"])
+    def test_label_reeb_matches_naive_index(self, make):
+        # label_reeb indexes its relabelled records without the constructor
+        s, f = make()
+        g = label_reeb(s, f, build_reeb(s, f))
+        assert_index_naive(g)
+        assert_built_alike(g)
 
 
 class TestGenericityRuns:

@@ -71,7 +71,8 @@ from _oracles import (_lower_arcs, count_level_components, level_cycles,
                       naive_from_off_text,
                       naive_is_inessential,
                       naive_pick_witness_level, naive_surface, naive_trace,
-                      pl_criticality, rank_crossed, value_crossed)
+                      pl_criticality, rank_crossed, surface_edge_tris,
+                      surface_edges, value_crossed)
 
 #: deterministic Hypothesis runs, like the CLI contract fuzzers
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -97,8 +98,9 @@ class TestLoading:
         s2 = TriangulatedSurface.from_off_text(off_text(s))
         assert s2.n_vertices == s.n_vertices
         assert s2.triangles == s.triangles
-        assert (s2.edges, s2.edge_tris, s2._tri_edges) == (
-            s.edges, s.edge_tris, s._tri_edges)
+        for table in (surface_edges, surface_edge_tris):
+            assert table(s2) == table(s)
+        assert s2._tri_edges == s._tri_edges
         assert (s2.links, s2.stars) == (s.links, s.stars)
 
     def test_off_with_comments_and_blanks(self):
@@ -293,8 +295,8 @@ def _load_outcome(parse, text):
         s = parse(text)
     except Exception as exc:
         return type(exc), str(exc)
-    return (s.n_vertices, s.triangles, list(s._table.items()), s.edges,
-            s.edge_index, s.edge_tris, s._tri_edges, s.links, s.stars)
+    return (s.n_vertices, s.triangles, list(s._table.items()), s._tri_edges,
+            s.links, s.stars)
 
 
 class TestOffParse:
@@ -427,18 +429,17 @@ class TestSurfaceTables:
         n = s.n_vertices
         sides = [tuple(sorted(p)) for a, b, c in s.triangles
                  for p in ((a, b), (b, c), (c, a))]
-        assert list(s.edges.values()) == sorted(set(sides))
-        assert list(s.edges) == [a * n + b for a, b in sorted(set(sides))]
-        assert s.edge_index == {e: k for k, e in s.edges.items()}
-        edges = s.edges     # derived anew on each access
+        edges = surface_edges(s)
+        assert list(edges.values()) == sorted(set(sides))
+        assert list(edges) == [a * n + b for a, b in sorted(set(sides))]
         assert [edges[e] for te in s._tri_edges for e in te] == sides
-        assert s.n_edges == len(edges) == len(s.edge_tris)
+        assert s.n_edges == len(edges) == len(surface_edge_tris(s))
 
     @ORIENTABLE
     def test_star_edges_join_vertex_to_link(self, fixture):
         s, _ = fixture()
         assert len(s.stars) == len(s.links) == s.n_vertices
-        edges = s.edges
+        edges = surface_edges(s)
         for v, (ring, star) in enumerate(zip(s.links, s.stars)):
             assert len(star) == len(ring)
             for u, eid in zip(ring, star):
@@ -453,9 +454,10 @@ class TestSurfaceTables:
         tris = [(a, c, b) if k and rng.random() < 0.5 else (a, b, c)
                 for k, (a, b, c) in enumerate(s.triangles)]
         s2 = TriangulatedSurface(s.n_vertices, tris)
-        for name in ("triangles", "edges", "edge_tris", "_tri_edges",
-                     "links", "stars"):
+        for name in ("triangles", "_tri_edges", "links", "stars"):
             assert getattr(s2, name) == getattr(s, name), name
+        for table in (surface_edges, surface_edge_tris):
+            assert table(s2) == table(s), table.__name__
 
     def test_flipped_klein_bottle_not_orientable(self):
         n, tris = klein_grid()
@@ -543,8 +545,8 @@ def _surface_outcome(build, n, tris):
         s = build(n, tris)
     except Exception as exc:
         return type(exc), str(exc)
-    return (s.n_vertices, s.triangles, list(s._table.items()), s.edges,
-            s.edge_index, s.edge_tris, s._tri_edges, s.links, s.stars)
+    return (s.n_vertices, s.triangles, list(s._table.items()), s._tri_edges,
+            s.links, s.stars)
 
 
 def _disjoint(*parts):
@@ -735,7 +737,7 @@ class TestBuildReeb:
                 continue
             # the contour just below v, whole: the exits of its walk
             mine = {x for _, _, x in _trace(s, rank, rv - 1, lower[0])}
-            others = [e for e, (a, b) in s.edges.items() if e not in mine
+            others = [e for e, (a, b) in surface_edges(s).items() if e not in mine
                       and min(rank[a], rank[b]) < rv <= max(rank[a], rank[b])]
             if others:
                 break
@@ -948,7 +950,7 @@ class TestLabelsFromTopology:
         # and the constructor names crossing 0
         s, f = chained_tori(1)
         g = build_reeb(s, f)
-        w = g.edge("e0").witness
+        w = g.edge_by_id["e0"].witness
         assert w.crossings[0][0] == 336 and w.crossings[0][2] == (168, 180)
         crossings = edit(list(w.crossings))
         payload = {"level": w.level, "crossings": crossings}
@@ -1023,15 +1025,15 @@ class TestRandomSurfaces:
         for k in range(21):
             genus = 1 + k % 3
             s, f, kind = random_closed_surface(rng, genus)
-            edge_tris = s.edge_tris     # derived anew on each access
+            edges, edge_tris = surface_edges(s), surface_edge_tris(s)
             # the walks against their oracles, drawn apart so that the
             # surfaces and fractions stay those of the seed above
             side = random.Random(k)
             for t in _random_gap_levels(f, side, 2):
                 crossed = value_crossed(s, f.values, t)
-                hit = [e for e in s.edges if crossed(e)]
+                hit = [e for e in edges if crossed(e)]
                 for e in side.sample(hit, min(len(hit), 8)) + side.sample(
-                        list(s.edges), 8):
+                        list(edges), 8):
                     assert (_walk_or_message(_trace, s, f.values, t, e)
                             == _walk_or_message(naive_trace, s, crossed, e,
                                                 edge_tris)), (k, t, e)
@@ -1175,7 +1177,7 @@ class TestCutAlong:
                              ids=["all-below-zero", "first-past-the-end"])
     def test_missing_triangle_rejected(self, shift, first_only):
         s, f, g = torus_with_shifted_triangles(shift, first_only)
-        first = g.edge("e1").witness.crossings[0][0]
+        first = g.edge_by_id["e1"].witness.crossings[0][0]
         for graph in (g, graph_loads(graph_dumps(g))):
             with pytest.raises(BadWitness) as info:
                 label_reeb(s, f, graph)
@@ -1222,7 +1224,7 @@ def mutated_witness(s, f, w, pick):
                               pick(range(s.n_triangles)))), entry, exit_)
     elif move in ("entry", "exit", "edge"):
         pair = entry if move == "entry" else exit_
-        edges = s.edges
+        edges = surface_edges(s)
         third = [edges[e] for e in s._tri_edges[t]
                  if edges[e] not in (entry, exit_)]
         # an edge of the next triangle, or ends that are off the mesh, or
@@ -1335,7 +1337,7 @@ class TestWitnessCheck:
         # crossing; ends past n that pack to another edge's key are built
         # and named as a missing edge by both walks
         s, f = vertical_torus()
-        w = build_reeb(s, f).edge("e1").witness
+        w = build_reeb(s, f).edge_by_id["e1"].witness
         assert s.n_vertices == 288
         first, *middle, last = w.crossings
         assert first[1] == last[2] == (0, 13)
@@ -1621,7 +1623,7 @@ class TestContourWalk:
         refused = Counter()
         for make in (*PINNED_MESHES.values(), monkey_bipyramid):
             s, own = make()
-            edge_tris = s.edge_tris     # derived anew on each access
+            edges, edge_tris = surface_edges(s), surface_edge_tris(s)
             for field in (own, quantized_field(own, 4),
                           random_level_field(s.n_vertices, 3, rng.random())):
                 values = field.values
@@ -1638,8 +1640,8 @@ class TestContourWalk:
                           for rv in rng.sample(range(s.n_vertices - 1),
                                                min(3, s.n_vertices - 1))]
                 for key, level, crossed in cases:
-                    hit = [e for e in s.edges if crossed(e)]
-                    miss = [e for e in s.edges if not crossed(e)]
+                    hit = [e for e in edges if crossed(e)]
+                    miss = [e for e in edges if not crossed(e)]
                     for e in hit + rng.sample(miss, min(len(miss), 40)):
                         want = _walk_or_message(naive_trace, s, crossed, e,
                                                 edge_tris)
