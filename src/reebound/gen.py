@@ -64,9 +64,8 @@ class GenParams:
                 "saddle_count %d outside [0, %d]" % (self.saddle_count, MAX_SADDLES))
         for name in ("parallel_edge_bias", "inessential_bias"):
             p = getattr(self, name)
-            if isinstance(p, bool):
-                raise GenerationFailed("%s must be an int or a float, got %r" % (name, p))
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+            if isinstance(p, bool) or not (isinstance(p, (int, float))
+                                           and 0.0 <= p <= 1.0):
                 raise GenerationFailed("%s %r outside [0, 1]" % (name, p))
 
 

@@ -112,7 +112,7 @@ class TestParams:
         # a bool passed the range test and was written into meta as true/false
         with pytest.raises(GenerationFailed) as info:
             GenParams(seed=1, saddle_count=1, **{name: flag})
-        assert str(info.value) == "%s must be an int or a float, got %r" % (name, flag)
+        assert str(info.value) == "%s %r outside [0, 1]" % (name, flag)
 
     @pytest.mark.parametrize("name", ["parallel_edge_bias", "inessential_bias"])
     @pytest.mark.parametrize("bias", ["x", None], ids=["string", "none"])

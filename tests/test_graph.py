@@ -843,11 +843,11 @@ def assert_index_naive(g: ReebGraph) -> None:
         assert g.spanning(k) == ix.spanning(k)
 
 
-def assert_built_alike(sub: ReebGraph) -> None:
+def assert_built_alike(sub: ReebGraph, meta=None) -> None:
     """The subgraph essential_subgraph indexes from its parent's records
-    equals the one the checked constructor builds from the same records,
-    field by field, in order and in type."""
-    built = ReebGraph(sub.vertices, sub.edges, sub.lo, sub.hi, meta=sub.meta)
+    equals the one the checked constructor builds from the same records
+    and the given meta, field by field, in order and in type."""
+    built = ReebGraph(sub.vertices, sub.edges, sub.lo, sub.hi, meta=meta)
     assert sub == built
     for name in ("vertices", "edges", "lo", "hi", "meta", *NaiveIndex._fields):
         assert _typed(getattr(sub, name)) == _typed(getattr(built, name)), name
@@ -961,9 +961,11 @@ class TestEventIndex:
     def test_label_reeb_matches_naive_index(self, make):
         # label_reeb indexes its relabelled records without the constructor
         s, f = make()
-        g = label_reeb(s, f, build_reeb(s, f))
+        built = build_reeb(s, f)
+        g = label_reeb(s, f, built)
+        assert g.meta == built.meta
         assert_index_naive(g)
-        assert_built_alike(g)
+        assert_built_alike(g, meta=built.meta)
 
 
 class TestGenericityRuns:
