@@ -117,14 +117,11 @@ def _cmd_render(args) -> int:
     g = _graph(args)
     assignment = None
     if args.assignment:
+        text = _read_text(args.assignment)
         try:   # the decoder raises RecursionError on too deep a nesting
-            data = json.loads(_read_text(args.assignment))
-        except (RecursionError, json.JSONDecodeError) as exc:
-            raise ParseError("bad assignment payload: %s" % exc) from None
-        try:
-            assignment = {str(k): int(v) for k, v in data["edges"].items()}
-        except (AttributeError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+            assignment = {str(k): int(v) for k, v in json.loads(text)["edges"].items()}
+        except (AttributeError, KeyError, OverflowError, RecursionError,
+                TypeError, ValueError) as exc:
             raise ParseError("bad assignment payload: %s" % exc) from None
     wrote = False
     if args.svg:

@@ -19,12 +19,12 @@ class ReeboundError(Exception):
 
 
 class MalformedGraph(ReeboundError):
-    """Vertices or edges that are not iterable, a record that is not a
-    tuple of its type's length, an id that is not a ``str`` or repeats, an
-    edge end that names no vertex, a level, lo or hi that is not a finite
-    float or an int that a float holds exactly, a kind that is not a
-    ``VertexKind`` or a label that is not an ``EdgeLabel``: the payload is
-    not a graph at all."""
+    """Vertices or edges that are not iterable, a vertex or an edge that is
+    not a ``ReebVertex`` or a ``ReebEdge``, an id that is not a ``str`` or
+    repeats, an edge end that names no vertex, a level, lo or hi that is not
+    a finite float or an int that a float holds exactly, a kind or a label
+    that is not a member: the payload is not a graph at all.  The first bad
+    field of the first bad record in walk order is named (see ReebGraph)."""
 
     exit_code = 3
 
@@ -79,13 +79,6 @@ class ConflictingPropagation(ReeboundError):
     is already in place.  assign_all checks each saturation for it, though
     a full run, writing each round's one integer onto unassigned edges
     only, cannot produce it."""
-
-
-class UnassignedFrontier(ReeboundError):
-    """An edge spanning the gap just left of the active vertex has no
-    integer yet.  assign_all never raises it: such an edge starts below
-    the step-2 vertex, so BrokenUniqueness fires first.  Only a sweep run
-    one step at a time, such as the tests' reference, does."""
 
 
 class NonConsecutiveFrontier(ReeboundError):

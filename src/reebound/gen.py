@@ -218,4 +218,4 @@ def random_reeb(params: GenParams) -> ReebGraph:
             "inessential_bias": params.inessential_bias,
         }
     }
-    return ReebGraph(tuple(vertices), tuple(edges), lo, hi, meta=meta)
+    return ReebGraph(vertices, edges, lo, hi, meta=meta)

@@ -120,25 +120,20 @@ class ValidationReport:
         }
 
 
-def _level_rule(value) -> str | None:
-    """None if value is a finite float or an int that a float holds
-    exactly (JSON reads every level back as a float), else the rule that
-    value breaks."""
-    try:
-        if isinstance(value, (int, float)) and isfinite(value):
-            return None if float(value) == value else "an int that a float holds exactly"
-    except OverflowError:   # an int too large for a float
-        pass
-    return "a finite number"
-
-
 def _check_finite(value: float, what: str, *args,
                   error: type[Exception] = MalformedGraph) -> None:
-    """Raise ``error`` unless value keeps the level rule; ``what % args``
-    names it, formatted only on failure."""
-    rule = _level_rule(value)
-    if rule:
-        raise error("%s must be %s, got %s" % (what % args, rule, _shown(value)))
+    """Raise ``error`` unless value keeps the level rule: a finite float or
+    an int that a float holds exactly (JSON reads every level back as a
+    float); ``what % args`` names it, formatted only on failure."""
+    rule = "a finite number"
+    try:
+        if isinstance(value, (int, float)) and isfinite(value):
+            if float(value) == value:
+                return
+            rule = "an int that a float holds exactly"
+    except OverflowError:   # an int too large for a float
+        pass
+    raise error("%s must be %s, got %s" % (what % args, rule, _shown(value)))
 
 
 def _shown(value) -> str:
@@ -152,48 +147,12 @@ def _shown(value) -> str:
         return "(%s)" % ", ".join(map(_shown, value))
 
 
-def _malformed(vertices, edges) -> MalformedGraph | None:
-    """The error naming vertices or edges that are not iterable, else the
-    first bad record in the order given: a vertex or an edge that is not a
-    tuple of 3 or 5 fields, else a vertex whose level breaks the level
-    rule (see ``_level_rule``), else a vertex or an edge whose id is not a
-    ``str``, else an edge end that is not a string, else a vertex whose
-    kind is not a ``VertexKind``, else an edge whose label is not an
-    ``EdgeLabel``."""
-    for what, records in (("vertices", vertices), ("edges", edges)):
-        try:
-            iter(records)
-        except TypeError:
-            return MalformedGraph("%s must be iterable, got %s" % (what, _shown(records)))
-    for what, records, size in (("vertex", vertices, 3), ("edge", edges, 5)):
-        for record in records:
-            if not (isinstance(record, tuple) and len(record) == size):
-                return MalformedGraph("%s record must be a tuple of %d fields, got %s"
-                                      % (what, size, _shown(record)))
-    for vid, level, _ in vertices:
-        try:
-            _check_finite(level, "level of vertex %s", vid)
-        except MalformedGraph as exc:
-            return exc
-    for what, records in (("vertex", vertices), ("edge", edges)):
-        for record in records:
-            if type(record[0]) is not str:
-                return MalformedGraph("%s id must be a string, got %r"
-                                      % (what, record[0]))
-    for eid, lower, upper, _, _ in edges:
-        for end in (lower, upper):
-            if not isinstance(end, str):
-                return MalformedGraph("edge %r references missing vertex %r"
-                                      % (eid, end))
-    for vid, _, kind in vertices:
-        if type(kind) is not VertexKind:
-            return MalformedGraph("kind of vertex %s must be a vertex kind, got %s"
-                                  % (vid, _shown(kind)))
-    for eid, _, _, label, _ in edges:
-        if type(label) is not EdgeLabel:
-            return MalformedGraph("label of edge %s must be an edge label, got %s"
-                                  % (eid, _shown(label)))
-    return None
+def _as_tuple(given, what: str, error: type[Exception] = MalformedGraph) -> tuple:
+    """``given`` as a tuple; ``error`` names it when it is not iterable."""
+    try:
+        return tuple(given)
+    except TypeError:
+        raise error("%s must be iterable, got %s" % (what, _shown(given))) from None
 
 
 @dataclass(eq=True)
@@ -226,14 +185,14 @@ class ReebGraph:
     ``boundary_plus`` (frozensets of ids) and ``interior`` (every other id
     in (level, id) order: on a full graph, centers and regular vertices too).
     The constructor sorts the records, ``_trusted`` (for essential_subgraph
-    and label_reeb) takes them sorted, and indexing decides the whole record contract: every
-    record is a tuple of its type's length, every id a ``str``, every kind a
-    ``VertexKind``, every label an ``EdgeLabel``, no id repeats and every edge
-    end is a vertex id.  Levels, lo and hi keep the level rule: each is a
-    finite float or an int that a float holds exactly, as JSON reads every
-    level back as a float, so ``graph_loads(graph_dumps(g)) == g``.  Any
-    breach raises ``MalformedGraph`` naming the first bad record (see
-    ``_malformed``), so no code past construction checks a record's types.
+    and label_reeb) takes them sorted, and indexing decides the whole record
+    contract: every vertex is a ``ReebVertex``, every edge a ``ReebEdge``,
+    every id a ``str``, kind a ``VertexKind`` and label an ``EdgeLabel``, no
+    id repeats, every edge end is a vertex id, and levels, lo and hi keep
+    the level rule (see ``_check_finite``), so that a graph survives its
+    JSON round trip.  The first bad field of the first bad record met raises
+    ``MalformedGraph``, in sorted order, or in the order given when a bad
+    record stops the sort, so no code past construction checks a record.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -247,14 +206,19 @@ class ReebGraph:
         _check_finite(self.hi, "hi")
         if not self.lo < self.hi:
             raise MalformedGraph("window lo must be below hi")
+        vertices = _as_tuple(self.vertices, "vertices")
+        edges = _as_tuple(self.edges, "edges")
         try:
-            vertices = tuple(sorted(self.vertices, key=itemgetter(1, 0)))  # level, id
-            self.edges = tuple(sorted(self.edges, key=itemgetter(0)))  # id
-            self.vertices = vertices
-            self._index()
+            self.vertices = tuple(sorted(vertices, key=itemgetter(1, 0)))  # level, id
+            self.edges = tuple(sorted(edges, key=itemgetter(0)))  # id
         except (TypeError, ValueError, IndexError) as exc:
-            # an unordered level or id, an unhashable end, a misshapen record
-            raise _malformed(self.vertices, self.edges) or exc from None
+            # a record that breaks the contract stops the sort, and the walk
+            # over the records as given names it; only a level that keeps the
+            # level rule but refuses to be ordered gets past the walk
+            self.vertices, self.edges = vertices, edges
+            self._index()
+            raise MalformedGraph("records do not sort: %s" % exc) from None
+        self._index()
 
     @classmethod
     def _trusted(cls, vertices, edges, lo, hi, meta=None) -> "ReebGraph":
@@ -269,11 +233,16 @@ class ReebGraph:
         events = []
         bounds, interior, incident, last = {_MINUS: [], _PLUS: []}, [], {}, None
         for v in self.vertices:
+            if type(v) is not ReebVertex:
+                raise MalformedGraph("vertex record must be a ReebVertex, got %s" % _shown(v))
             vid, level, kind = v
-            if not (type(vid) is str and type(kind) is VertexKind
-                    and (type(level) is float and isfinite(level)
-                         or not _level_rule(level))):
-                raise _malformed(self.vertices, self.edges)
+            if type(vid) is not str:
+                raise MalformedGraph("vertex id must be a string, got %s" % _shown(vid))
+            if not (type(level) is float and isfinite(level)):
+                _check_finite(level, "level of vertex %s", vid)
+            if type(kind) is not VertexKind:
+                raise MalformedGraph("kind of vertex %s must be a vertex kind, got %s"
+                                     % (vid, _shown(kind)))
             if vid in by_id:
                 raise MalformedGraph("duplicate vertex id %r" % vid)
             by_id[vid] = v
@@ -293,17 +262,23 @@ class ReebGraph:
         self.edge_by_id = edge_by_id = {}
         self.gaps = gaps = {}
         for e in self.edges:
+            if type(e) is not ReebEdge:
+                raise MalformedGraph("edge record must be a ReebEdge, got %s" % _shown(e))
             eid, lower, upper, label, _ = e
-            if type(eid) is not str or type(label) is not EdgeLabel:
-                raise _malformed(self.vertices, self.edges)
+            if type(eid) is not str:
+                raise MalformedGraph("edge id must be a string, got %s" % _shown(eid))
+            if type(label) is not EdgeLabel:
+                raise MalformedGraph("label of edge %s must be an edge label, got %s"
+                                     % (eid, _shown(label)))
             if eid in edge_by_id:
                 raise MalformedGraph("duplicate edge id %r" % eid)
             try:
                 incident[lower].append(eid)
                 incident[upper].append(eid)
-            except KeyError as missing:
-                raise MalformedGraph("edge %r references missing vertex %r"
-                                     % (eid, missing.args[0])) from None
+            except (KeyError, TypeError):   # a missing or unhashable end
+                end = upper if isinstance(lower, str) and lower in incident else lower
+                raise MalformedGraph("edge %r references missing vertex %s"
+                                     % (eid, _shown(end))) from None
             edge_by_id[eid] = e
             gaps[eid] = range(event_index[lower], event_index[upper])
         self.incident = {k: tuple(v) for k, v in incident.items()}
@@ -453,8 +428,7 @@ def restrict(g: ReebGraph, lo: float, hi: float) -> ReebGraph:
         new_edges.append(e._replace(lower=lower_v.id, upper=upper_v.id))
     if not new_edges:
         raise EmptyWindow("no edge meets (%r, %r)" % (lo_eff, hi_eff))
-    return ReebGraph(tuple(new_vertices.values()), tuple(new_edges),
-                     lo_eff, hi_eff, meta=g.meta)
+    return ReebGraph(new_vertices.values(), new_edges, lo_eff, hi_eff, meta=g.meta)
 
 
 def essential_subgraph(g: ReebGraph, *,

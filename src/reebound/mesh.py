@@ -52,7 +52,7 @@ from .errors import (
     ReebTopologyMismatch,
 )
 from .graph import (EdgeLabel, ReebEdge, ReebGraph, ReebVertex, VertexKind,
-                    _check_finite, _shown)
+                    _as_tuple, _check_finite, _shown)
 
 Edge = tuple[int, int]
 
@@ -352,19 +352,13 @@ class ScalarField:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = self.values
-        try:
-            if {*map(type, values)} <= {float} and all(map(isfinite, values)):
-                return
-        except TypeError:   # not iterable
-            raise MalformedMesh("values must be iterable, got %s"
-                                % _shown(values)) from None
+        values = _as_tuple(self.values, "values", MalformedMesh)
+        object.__setattr__(self, "values", values)
+        if {*map(type, values)} <= {float} and all(map(isfinite, values)):
+            return
         for i, v in enumerate(values):      # again, to name the fault
-            try:
-                if not isfinite(v):
-                    raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
-            except (TypeError, OverflowError):  # not a number, or too large
-                pass
+            if isinstance(v, float) and not isfinite(v):
+                raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
             _check_finite(v, "value at vertex %d", i, error=DegenerateField)
 
     @classmethod
@@ -644,7 +638,7 @@ def build_reeb(surface: TriangulatedSurface, field: ScalarField,
 
     meta = {"builder": {"witness_fraction": witness_fraction,
                         "triangles": surface.n_triangles}}
-    return ReebGraph(tuple(vertices), tuple(edges), lo, hi, meta=meta)
+    return ReebGraph(vertices, edges, lo, hi, meta=meta)
 
 
 def _check_cycle(surface: TriangulatedSurface, field: ScalarField,

@@ -51,7 +51,7 @@ from reebound.errors import (
     OpenCycle,
     ParseError,
     ReebTopologyMismatch,
-    UnassignedFrontier,
+    ReeboundError,
 )
 from reebound.graph import (
     BOUNDARY_KINDS,
@@ -80,6 +80,13 @@ from reebound.mesh import (
     _check_pair,
     _cycle_from_crossings,
 )
+
+
+class UnassignedFrontier(ReeboundError):
+    """An edge spanning the gap just left of the active vertex has no
+    integer yet.  assign_all never meets one: such an edge starts below
+    the step-2 vertex, so BrokenUniqueness fires first.  Only the sweeps
+    here, run one step at a time, raise it."""
 
 
 # -- the graph index, from the records ----------------------------------------

@@ -40,7 +40,6 @@ from reebound.errors import (
     NothingToAssign,
     NoUpperBoundary,
     ReeboundError,
-    UnassignedFrontier,
 )
 from reebound.graph import (EdgeLabel, ReebEdge, ReebGraph, ReebVertex,
                             VertexKind, Violation)
@@ -66,6 +65,7 @@ from _oracles import (
     step1_saturate,
     step2,
     stepwise_assign,
+    UnassignedFrontier,
 )
 
 SINGLE_EXPECTED = {"e0": 1}

@@ -147,6 +147,30 @@ class TestGraphErrorPaths:
         assert out == ""
         assert json.loads(err) == {"error": error, "message": message}
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        # the first fault met in (level, id) order is named: a's repeat
+        # below b at +inf, b's level at -inf below a's repeat
+        ((("a", 0.2), ("a", 0.3), ("b", float("inf"))), (),
+         "duplicate vertex id 'a'"),
+        ((("a", 0.2), ("a", 0.3), ("b", -float("inf"))), (),
+         "level of vertex b must be a finite number, got -inf"),
+        ((("a", 0.5),), (("e1", "a", "a"), ("e1", "a", "zz")),
+         "duplicate edge id 'e1'"),
+    ], ids=["duplicate-before-level", "level-before-duplicate",
+            "duplicate-edge-before-missing-end"])
+    def test_first_of_two_faults_named(self, capsys, tmp_path, vertices,
+                                       edges, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "lo": 0.0, "hi": 1.0,
+            "vertices": [{"id": vid, "level": level, "kind": "saddle"}
+                         for vid, level in vertices],
+            "edges": [{"id": eid, "lower": lower, "upper": upper,
+                       "label": "essential"} for eid, lower, upper in edges]}))
+        code, out, err = run_main(capsys, "validate", str(path))
+        assert (code, out) == (3, "")
+        assert err == '{"error": "MalformedGraph", "message": %s}\n' % json.dumps(message)
+
     def test_stdin_matches_file(self, capsys, monkeypatch, tmp_path):
         text = graph_dumps(theta_graph())
         path = tmp_path / "g.json"

@@ -54,7 +54,7 @@ EXPECTED_EXIT = {
     "MalformedGraph": 3, "ParseError": 3,
     "NonGenericCut": 2, "EmptyWindow": 2, "NoLowerBoundary": 2,
     "NoUpperBoundary": 2, "ConflictingPropagation": 2,
-    "UnassignedFrontier": 2, "NonConsecutiveFrontier": 2,
+    "NonConsecutiveFrontier": 2,
     "NothingToAssign": 2, "BrokenUniqueness": 2, "IncompleteAssignment": 2,
     "InvariantViolation": 2, "BadWitnessFraction": 2, "OpenCycle": 2,
     "MissingWitness": 2, "ReebTopologyMismatch": 2, "GenerationFailed": 2,

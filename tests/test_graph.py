@@ -6,7 +6,7 @@ import random
 from math import copysign, nextafter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reebound import (
@@ -533,14 +533,26 @@ _KINDS = st.one_of(st.sampled_from(list(VertexKind)), _NON_MEMBERS,
 _LABELS = st.one_of(st.sampled_from(list(EdgeLabel)), _NON_MEMBERS)
 
 
+def _records(record, *fields):
+    """Records of ``record``'s type built from ``fields``, and plain tuples
+    and lists of the same fields beside them."""
+    return st.one_of(*(st.builds(lambda *f, make=make: make(f), *fields)
+                       for make in (record._make, tuple, list)))
+
+
 class TestDirectConstruction:
     """A graph built from records directly is a graph or a MalformedGraph,
     whatever types its fields hold, and a graph that is built gets through
     every later call with nothing but a ReeboundError."""
 
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(st.builds(ReebVertex, _IDS, _LEVELS, _KINDS), max_size=6),
-           st.lists(st.builds(ReebEdge, _IDS, _IDS, _IDS, _LABELS, st.none()),
+    # plain records with good fields, which later calls read by name
+    @example([("a", 0.5, VertexKind.SADDLE)], [], 0.0, 1.0)
+    @example([ReebVertex("a", 0.0, VertexKind.BOUNDARY_MINUS),
+              ReebVertex("b", 1.0, VertexKind.BOUNDARY_PLUS)],
+             [["e1", "a", "b", EdgeLabel.ESSENTIAL, None]], 0.0, 1.0)
+    @given(st.lists(_records(ReebVertex, _IDS, _LEVELS, _KINDS), max_size=6),
+           st.lists(_records(ReebEdge, _IDS, _IDS, _IDS, _LABELS, st.none()),
                     max_size=6),
            _LEVELS, _LEVELS)
     def test_graph_or_malformed(self, vertices, edges, lo, hi):
@@ -549,7 +561,8 @@ class TestDirectConstruction:
         except MalformedGraph:
             return
         assert sorted(g.vertices, key=lambda v: (v.level, v.id)) == list(g.vertices)
-        for call in (validate, essential_subgraph, to_dot, to_svg):
+        for call in (validate, essential_subgraph, to_dot, to_svg,
+                     lambda g: restrict(g, g.lo, g.hi)):
             try:
                 call(g)
             except ReeboundError:
@@ -575,9 +588,19 @@ class TestDirectConstruction:
         ((("b", 0.5), (["a"], 0.2)), (), "vertex id must be a string, got ['a']"),
         # an id that hashes and, alone at its level, is never compared
         ((("a", 0.5), (1, 0.2)), (), "vertex id must be a string, got 1"),
+        # ids too long to print are named by their size
+        (((10 ** 5000, 0.5),), (),
+         "vertex id must be a string, got an int of 16610 bits"),
+        ((("a", 0.5),), (10 ** 5000,),
+         "edge id must be a string, got an int of 16610 bits"),
+        # the vertices sort, the edges do not: both are walked as given
+        (((["b"], 0.5), (1, 0.2)), ("e1", 1),
+         "vertex id must be a string, got ['b']"),
     ], ids=["none-level", "input-order", "int-vertex-id", "none-edge-id",
             "huge-int-level", "unprintable-int-level", "list-vertex-id",
-            "list-edge-id", "list-id-among-levels", "int-vertex-id-own-level"])
+            "list-edge-id", "list-id-among-levels", "int-vertex-id-own-level",
+            "unprintable-int-vertex-id", "unprintable-int-edge-id",
+            "given-order-when-edges-do-not-sort"])
     def test_message_names_first_bad_record(self, vertices, edges, message):
         vs = tuple(ReebVertex(vid, level, VertexKind.SADDLE)
                    for vid, level in vertices)
@@ -589,7 +612,8 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("lower, upper, message", [
         (["a"], "a", "edge 'e1' references missing vertex ['a']"),
         ("a", ["b"], "edge 'e1' references missing vertex ['b']"),
-    ], ids=["list-lower", "list-upper"])
+        ("a", 10 ** 5000, "edge 'e1' references missing vertex an int of 16610 bits"),
+    ], ids=["list-lower", "list-upper", "unprintable-int-upper"])
     def test_unhashable_edge_end_named(self, lower, upper, message):
         vs = (ReebVertex("a", 0.2, VertexKind.SADDLE),
               ReebVertex("b", 0.5, VertexKind.SADDLE))
@@ -599,14 +623,25 @@ class TestDirectConstruction:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("vertices, edges, message", [
-        (((1, 2),), (), "vertex record must be a tuple of 3 fields, got (1, 2)"),
-        ((("a",),), (), "vertex record must be a tuple of 3 fields, got ('a',)"),
-        ((5,), (), "vertex record must be a tuple of 3 fields, got 5"),
+        (((1, 2),), (), "vertex record must be a ReebVertex, got (1, 2)"),
+        ((("a",),), (), "vertex record must be a ReebVertex, got ('a',)"),
+        ((5,), (), "vertex record must be a ReebVertex, got 5"),
         ((ReebVertex("a", 0.5, VertexKind.SADDLE),), (("e1", "a", "a"),),
-         "edge record must be a tuple of 5 fields, got ('e1', 'a', 'a')"),
-        ((), ((),), "edge record must be a tuple of 5 fields, got ()"),
+         "edge record must be a ReebEdge, got ('e1', 'a', 'a')"),
+        ((), ((),), "edge record must be a ReebEdge, got ()"),
+        # a plain tuple or list with a ReebVertex's fields is no ReebVertex
+        ((("a", 0.5, VertexKind.SADDLE),), (),
+         "vertex record must be a ReebVertex, got ('a', 0.5, <VertexKind.SADDLE: 'saddle'>)"),
+        ((ReebVertex("a", 0.5, VertexKind.SADDLE),),
+         (["e1", "a", "a", EdgeLabel.ESSENTIAL, None],),
+         "edge record must be a ReebEdge, got "
+         "['e1', 'a', 'a', <EdgeLabel.ESSENTIAL: 'essential'>, None]"),
+        # the first bad record in the order given, when a record stops the sort
+        ((ReebVertex("a", 0.5, VertexKind.SADDLE), (10 ** 5000,)), (),
+         "vertex record must be a ReebVertex, got (an int of 16610 bits)"),
     ], ids=["short-vertex", "one-field-vertex", "int-vertex", "short-edge",
-            "empty-edge"])
+            "empty-edge", "plain-tuple-vertex", "plain-list-edge",
+            "unsortable-record"])
     def test_misshapen_record_named(self, vertices, edges, message):
         with pytest.raises(MalformedGraph) as info:
             ReebGraph(vertices, edges, 0.0, 1.0)
@@ -617,13 +652,15 @@ class TestDirectConstruction:
         # a tuple type hashes, but not this tuple
         ((("b", 0.2, VertexKind.SADDLE), ("a", 0.5, ([],))), (),
          "kind of vertex a must be a vertex kind, got ([],)"),
-        # a bad level, id or edge end is named first, whatever the order
+        # the first bad field of the first bad record met: in the order
+        # given when a record stops the sort, else in (level, id) order,
+        # and every vertex before any edge
         ((("a", 0.5, ["x"]), ("b", None, VertexKind.SADDLE)), (),
-         "level of vertex b must be a finite number, got None"),
+         "kind of vertex a must be a vertex kind, got ['x']"),
         ((("a", 0.5, ["x"]), (["b"], 0.2, VertexKind.SADDLE)), (),
          "vertex id must be a string, got ['b']"),
         ((("a", 0.5, ["x"]),), (("e1", "a", ["a"]),),
-         "edge 'e1' references missing vertex ['a']"),
+         "kind of vertex a must be a vertex kind, got ['x']"),
     ], ids=["list-kind", "unhashable-tuple-kind", "level-first", "id-first",
             "end-first"])
     def test_unhashable_kind_named_last(self, vertices, edges, message):
@@ -633,6 +670,21 @@ class TestDirectConstruction:
         with pytest.raises(MalformedGraph) as info:
             ReebGraph(vs, es, 0.0, 1.0)
         assert str(info.value) == message
+
+    def test_unordered_levels_refused(self):
+        # ints that keep the level rule but refuse to compare stop the sort,
+        # and the walk in the order given finds no bad field: the vertices
+        # at lo and at hi come first and last, so the records would be
+        # kept out of level order
+        class Unordered(int):
+            def __lt__(self, other):
+                raise TypeError("no order")
+
+        vs = tuple(ReebVertex(vid, Unordered(level), VertexKind.SADDLE)
+                   for vid, level in zip("acbd", (0, 2, 1, 3)))
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, (), 0.0, 3.0)
+        assert str(info.value) == "records do not sort: no order"
 
     def test_hashable_non_member_kind_is_interior(self):
         # a kind that hashes but is no VertexKind is refused, not indexed

@@ -34,6 +34,7 @@ from reebound.errors import (
     BadWitnessFraction,
     ContourSweepFailed,
     DegenerateField,
+    MalformedGraph,
     MalformedMesh,
     MissingWitness,
     NotAManifold,
@@ -43,7 +44,7 @@ from reebound.errors import (
     ReebTopologyMismatch,
     ReeboundError,
 )
-from reebound.graph import ReebEdge, ReebGraph, ReebVertex, _level_rule
+from reebound.graph import ReebEdge, ReebGraph, ReebVertex, _check_finite
 from reebound.mesh import (LevelCycle, _check_cycle, _disk_edges,
                             _pick_witness_level, _run_starts, _trace)
 
@@ -212,7 +213,8 @@ class TestDirectConstruction:
         except ReeboundError:
             return
         assert all(map(isfinite, f.values))
-        assert not any(map(_level_rule, f.values))
+        for v in f.values:
+            _check_finite(v, "value")
 
     def test_inexact_int_value_is_a_field_error(self):
         # a value keeps the graph's level rule, so the field names it before
@@ -229,6 +231,13 @@ class TestDirectConstruction:
         values[top] = 2 ** 53
         g = build_reeb(s, ScalarField(tuple(values)))
         assert g.vertices[-1].level == 2 ** 53
+
+    def test_generator_values_kept_as_a_tuple(self):
+        # build_reeb took the length of the generator it was given
+        s, f = chained_tori(2)
+        lazy = ScalarField(v for v in f.values)
+        assert lazy.values == f.values
+        assert build_reeb(s, lazy) == build_reeb(s, f)
 
 
 #: whitespace to ``str.split``; all but the first four and the last two
@@ -1266,6 +1275,14 @@ def mutated_witness(s, f, w, pick):
     return w.level, tuple(crossings)
 
 
+def _keeps_level_rule(level) -> bool:
+    try:
+        _check_finite(level, "level")
+    except MalformedGraph:
+        return False
+    return True
+
+
 def _in_contract(level, crossings) -> bool:
     """``LevelCycle``'s contract, decided apart from it: a level under the
     graph's level rule, and a tuple of (triangle, entry, exit) tuples whose
@@ -1273,7 +1290,7 @@ def _in_contract(level, crossings) -> bool:
     def pair_ok(pair):
         return (type(pair) is tuple and len(pair) == 2
                 and all(type(end) is int for end in pair) and 0 <= pair[0] < pair[1])
-    return _level_rule(level) is None and type(crossings) is tuple and all(
+    return _keeps_level_rule(level) and type(crossings) is tuple and all(
         type(c) is tuple and len(c) == 3 and type(c[0]) is int
         and pair_ok(c[1]) and pair_ok(c[2]) for c in crossings)
 
