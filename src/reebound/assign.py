@@ -42,7 +42,7 @@ only to report a violation.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -197,15 +197,15 @@ class _Checker:
     ``take`` reads the entries appended since its last call, their
     edges' integers in the assignment and the graph's index, never the
     sweep's state.  It keeps ``value`` per edge written and its own
-    frontier; ``live``, the gaps each integer's edges span as the bits of
-    one int; ``top``, the three integers reaching furthest, as (reach,
-    integer) largest first; ``uf``, per integer, a union-find over vertex
-    ids with each root's lowest gap (an edge's lowest gap is the event
-    index of its lower end, so a loop, a flat or a backward edge counts
-    too), in a max-heap pushed when that gap is new or lowered.  A write
-    costs a few dict operations and one OR of G bits for G gaps; a round
-    of ``clean``, its frontier walk and O(1) compares and shifts of G-bit
-    ints.
+    frontier, written in place; ``live``, the gaps each integer's edges
+    span as the bits of one int; ``top``, the three integers reaching
+    furthest, as (reach, integer) largest first; ``uf``, per integer, a
+    union-find over vertex ids with each root's lowest gap (an edge's
+    lowest gap is the event index of its lower end, so a loop, a flat or
+    a backward edge counts too), in a max-heap pushed when that gap is new
+    or lowered.  A write costs a few dict operations and one OR of G bits
+    for G gaps; a round of ``clean``, its frontier walk and O(1) compares
+    and shifts of G-bit ints.
 
     Once the frontier carries b, or b - 1 and b, and no other integer is
     live at a gap past the frontier's, a gap from the frontier's on is a
@@ -220,30 +220,36 @@ class _Checker:
     def __init__(self, g: ReebGraph):
         self.gaps, self.edges, self.index = g.gaps, g.edge_by_id, g.event_index
         self.sound, self.value = all(self.gaps.values()), {}
-        self.front, self.seen, self.live, self.uf = _Frontier(g, self.value), 0, {}, {}
+        self.front, self.seen, self.live = _Frontier(g, self.value), 0, {}
+        self.uf = defaultdict(lambda: ({}, {}, []))
         self.top: list[tuple[int, int | None]] = [(0, None)] * 3
         self.none = len(g.events)   # above every gap: the lowest gap of a root with none
 
     def take(self, assigned: dict[str, int], trace) -> bool:
         """Read the trace entries appended since the last call: False if one
-        writes an edge twice or unassigned, or an assigned edge stays unwritten."""
+        writes an edge twice or unassigned, or an assigned edge stays unwritten.
+        The frontier's gap stays put here, so its writes are inline."""
         value, gaps, edges, live, uf = self.value, self.gaps, self.edges, self.live, self.uf
-        write, top, none = self.front.write, self.top, self.none
+        front, top, none = self.front, self.top, self.none
+        gap, counts = front.gap, front.counts
         for entry in trace[self.seen:]:
             for eid in entry.edges:
                 n = assigned.get(eid)
                 if n is None or eid in value:
                     return False
-                write(eid, n)
+                value[eid] = n
                 span = gaps[eid]
                 start, stop = span.start, span.stop
+                if start <= gap < stop:
+                    front.open -= 1
+                    counts[n] = counts.get(n, 0) + 1
                 if start < stop:
                     bits = live.get(n, 0)
                     live[n] = bits | ((1 << stop) - (1 << start))
                     if stop > top[2][0] and stop > bits.bit_length():
                         top.pop(0 if top[0][1] == n else 1 if top[1][1] == n else 2)
                         top.insert((top[0][0] >= stop) + (top[1][0] >= stop), (stop, n))
-                parent, low, heap = uf.get(n) or uf.setdefault(n, ({}, {}, []))
+                parent, low, heap = uf[n]
                 x, y = _ends(edges[eid])
                 # path halving; a vertex seen first is its own root
                 while (p := parent.setdefault(x, x)) != x:
@@ -387,34 +393,36 @@ class _Sweep:
 
     def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
                   value: int) -> None:
-        """Write ``value`` onto ``eids``, then saturate step 1."""
+        """Write ``value`` onto ``eids``, unassigned edges, then saturate
+        step 1.  A loop is listed twice; it spans no gap, so writing it
+        again counts nothing."""
         self.trace.append(_new(TraceEntry, (step, vid, eids, value)))
-        written = []
         for eid in eids:
-            if eid not in self.assigned:    # a loop is listed twice
-                self.frontier.write(eid, value)
-                written.append(eid)
-        self._saturate(written)
+            self.frontier.write(eid, value)
+        self._saturate(eids)
 
-    def _saturate(self, written: list[str]) -> None:
+    def _saturate(self, written: tuple[str, ...]) -> None:
         """Copy integers across valency-two vertices until a fixpoint.
 
         Replays the queue order of a full in-order pass over the
         valency-two vertices followed by a FIFO of the ones re-queued
         behind each copy.  Before the round every such vertex had both or
         neither edge assigned, so the pass can only copy at the ends of
-        edges written since: the heap ``ahead`` holds those still in
-        front of the pass, by rank.  Then raises ConflictingPropagation if
-        two integers meet at a valency-two end of an edge written.
+        edges written since: the heap ``ahead``, seeded from ``written``,
+        holds those still in front of the pass, by rank.  Every such end
+        is popped at least once, an integer never changes once written,
+        and a vertex popped with one edge assigned gets a copy, so the
+        ends that join two integers are those popped with two that
+        differ: ConflictingPropagation names the lowest-ranked of them.
         """
-        rank, assigned, edges = self.rank, self.assigned, self.edges
+        rank, assigned, edges, incident = self.rank, self.assigned, self.edges, self.incident
         ahead = [rank[end] for eid in written for end in _ends(edges[eid])
                  if end in rank]
         if not ahead:   # nothing to copy, and no valency-two vertex to clash
             return
         heapify(ahead)
         behind: deque[str] = deque()
-        cursor = -1
+        cursor, clash = -1, len(self.valency2)
         while ahead or behind:
             if ahead:
                 cursor = heappop(ahead)
@@ -422,24 +430,23 @@ class _Sweep:
             else:
                 cursor = len(self.valency2)
                 vid = behind.popleft()
-            e1, e2 = self.incident[vid]
-            if (e1 in assigned) == (e2 in assigned):
+            e1, e2 = incident[vid]
+            n1, n2 = assigned.get(e1), assigned.get(e2)
+            if (n1 is None) is (n2 is None):    # neither or both assigned
+                if n1 != n2:
+                    clash = min(clash, rank[vid])
                 continue
-            src, dst = (e1, e2) if e1 in assigned else (e2, e1)
-            value = assigned[src]
+            dst, value = (e1, n2) if n1 is None else (e2, n1)
             self.trace.append(_new(TraceEntry, (STEP1, vid, (dst,), value)))
             self.frontier.write(dst, value)
-            written.append(dst)
             for end in _ends(edges[dst]):
                 if end != vid and end in rank:
                     behind.append(end)
                     if rank[end] > cursor:
                         heappush(ahead, rank[end])
-        clashes = [rank[end] for eid in written for end in _ends(edges[eid]) if end in rank
-                   and len({*map(assigned.get, self.incident[end])} - {None}) == 2]
-        if clashes:
-            vid = self.valency2[min(clashes)]
-            e1, e2 = self.incident[vid]
+        if clash < len(self.valency2):
+            vid = self.valency2[clash]
+            e1, e2 = incident[vid]
             raise ConflictingPropagation(
                 "vertex %s joins edges assigned %d and %d"
                 % (vid, assigned[e1], assigned[e2]))
@@ -468,22 +475,23 @@ class _Sweep:
 
     def frontier_value(self, target: str) -> int:
         """The integer step 2 writes at the target: n+1 if the frontier
-        carries one value n, n if it carries n-1 and n.
+        carries one value n, n if it carries n-1 and n, read off the one or
+        two keys of its counts with min and max.
 
-        Raises NonConsecutiveFrontier if the frontier is empty or its
-        values are neither; valid inputs never do.  Every frontier edge is
-        assigned, as check_left_of has just passed.
+        Raises NonConsecutiveFrontier, its values sorted, if the frontier is
+        empty or its values are neither; valid inputs never do.  Every
+        frontier edge is assigned, as check_left_of has just passed.
         """
         front = self.frontier
         front.advance(self.g.event_index[target] - 1)
-        if not (front.open or front.counts):
+        counts = front.counts
+        if counts and max(counts) - (low := min(counts)) < 2:
+            return low + 1
+        if not (front.open or counts):
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
-        values = sorted(front.counts)
-        if not values or values[-1] - values[0] > 1:
-            raise NonConsecutiveFrontier(
-                "frontier of %s carries %r" % (target, values))
-        return values[0] + 1
+        raise NonConsecutiveFrontier(
+            "frontier of %s carries %r" % (target, sorted(counts)))
 
 
 def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
@@ -520,8 +528,7 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
                                   % ", ".join(missing))
         sweep.check_left_of(target)
         value = sweep.frontier_value(target)
-        todo = tuple(sorted(eid for eid in g.incident[target]
-                            if eid not in sweep.assigned))
+        todo = tuple([eid for eid in g.incident[target] if eid not in sweep.assigned])
         sweep.run_round(STEP2, target, todo, value)
 
 

@@ -193,6 +193,8 @@ class ReebGraph:
     JSON round trip.  The first bad field of the first bad record met raises
     ``MalformedGraph``, in sorted order, or in the order given when a bad
     record stops the sort, so no code past construction checks a record.
+    A record with the wrong number of fields is named by that number, as
+    its ``repr`` raises; levels that refuse ``<`` do not sort.
     """
 
     vertices: tuple[ReebVertex, ...]
@@ -235,7 +237,11 @@ class ReebGraph:
         for v in self.vertices:
             if type(v) is not ReebVertex:
                 raise MalformedGraph("vertex record must be a ReebVertex, got %s" % _shown(v))
-            vid, level, kind = v
+            try:
+                vid, level, kind = v
+            except ValueError:  # a record made with the wrong field count
+                raise MalformedGraph("vertex record must have 3 fields, got %d"
+                                     % len(v)) from None
             if type(vid) is not str:
                 raise MalformedGraph("vertex id must be a string, got %s" % _shown(vid))
             if not (type(level) is float and isfinite(level)):
@@ -255,7 +261,10 @@ class ReebGraph:
         self.interior = tuple(interior)
         if not (events and events[0] == self.lo and events[-1] == self.hi):
             # a vertex outside the window, or none at lo or at hi
-            events = sorted({*events, self.lo, self.hi})
+            try:
+                events = sorted({*events, self.lo, self.hi})
+            except TypeError as exc:    # a level that keeps the rule but refuses <
+                raise MalformedGraph("records do not sort: %s" % exc) from None
             index = {level: k for k, level in enumerate(events)}
             event_index.update((vid, index[level]) for vid, level, _ in self.vertices)
         self.events = tuple(events)
@@ -264,7 +273,10 @@ class ReebGraph:
         for e in self.edges:
             if type(e) is not ReebEdge:
                 raise MalformedGraph("edge record must be a ReebEdge, got %s" % _shown(e))
-            eid, lower, upper, label, _ = e
+            try:
+                eid, lower, upper, label, _ = e
+            except ValueError:
+                raise MalformedGraph("edge record must have 5 fields, got %d" % len(e)) from None
             if type(eid) is not str:
                 raise MalformedGraph("edge id must be a string, got %s" % _shown(eid))
             if type(label) is not EdgeLabel:

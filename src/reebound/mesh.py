@@ -723,12 +723,13 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
     """Label every edge from the topology of ``g``; no mesh is cut.
 
     Each edge's witness is first checked against the surface (present,
-    parsed, a closed cycle at its level).  Then, because the cycle rank
-    of a connected Reeb graph on a closed orientable surface equals the
-    genus, an edge is inessential iff it is a bridge and one of its two
-    sides has cycle rank 0, that is, iff it hangs off the rest of ``g``
-    in a tree.  Raises ReebTopologyMismatch when ``g`` is disconnected or
-    its cycle rank is not the surface's genus.
+    parsed, a closed cycle at its level), then against its edge: BadWitness
+    unless its level lies strictly between the edge's end levels.  Then,
+    because the cycle rank of a connected Reeb graph on a closed orientable
+    surface equals the genus, an edge is inessential iff it is a bridge and
+    one of its two sides has cycle rank 0, that is, iff it hangs off the
+    rest of ``g`` in a tree.  Raises ReebTopologyMismatch when ``g`` is
+    disconnected or its cycle rank is not the surface's genus.
     """
     _check_pair(surface, field)
     witnesses = []
@@ -739,6 +740,10 @@ def label_reeb(surface: TriangulatedSurface, field: ScalarField,
         if not isinstance(w, LevelCycle):
             w = LevelCycle.from_payload(w)
         _check_cycle(surface, field, w)
+        a, b = g.span(e.id)
+        if not a < w.level < b:
+            raise BadWitness("witness level %r of edge %s is not strictly between "
+                             "its end levels %r and %r" % (w.level, e.id, a, b))
         witnesses.append(w)
     chi = surface.euler_characteristic()
     rank = len(g.edges) - len(g.vertices) + 1

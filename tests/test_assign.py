@@ -119,6 +119,38 @@ class TestStep1:
         with pytest.raises(ConflictingPropagation):
             step1_saturate(sub, PartialAssignment({"e0": 1, "e1": 3}, ()))
 
+    # No full run reaches ConflictingPropagation (see TestOnePass), so these
+    # drive one round of the sweep from a state that no run leaves behind.
+    def test_sweep_round_names_lower_ranked_clash(self):
+        # b -e0- m0 -e1- m1 -e2- t with e0 = 1 and e2 = 3: writing 2 onto
+        # e1 makes both m0 and m1 join two integers
+        sweep = assign_mod._Sweep(chain_subgraph(2))
+        sweep.frontier.write("e0", 1)
+        sweep.frontier.write("e2", 3)
+        with pytest.raises(ConflictingPropagation) as info:
+            sweep.run_round("step2", "m0", ("e1",), 2)
+        assert str(info.value) == "vertex m0 joins edges assigned 1 and 2"
+
+    def test_sweep_round_names_clash_found_behind_the_pass(self):
+        # the round writes 2 onto n and x; the pass meets r (rank 1) joining
+        # m = 1 and n = 2 first, then copies 2 from x across s (rank 2) onto
+        # y, which queues q (rank 0) behind the pass: q joins y = 2 and
+        # z = 1, and is named, as the lowest rank
+        sub = _hand_built(
+            [("b0", 0.0, "-"), ("b1", 0.0, "-"), ("q", 0.2, "o"),
+             ("r", 0.3, "o"), ("s", 0.4, "o"), ("t0", 1.0, "+"),
+             ("t1", 1.0, "+")],
+            [("z", "b0", "q"), ("y", "q", "s"), ("x", "s", "t0"),
+             ("m", "b1", "r"), ("n", "r", "t1")])
+        sweep = assign_mod._Sweep(sub)
+        assert sweep.valency2 == ["q", "r", "s"]
+        sweep.frontier.write("z", 1)
+        sweep.frontier.write("m", 1)
+        with pytest.raises(ConflictingPropagation) as info:
+            sweep.run_round("step2", "s", ("n", "x"), 2)
+        assert str(info.value) == "vertex q joins edges assigned 2 and 1"
+        assert sweep.trace[-1] == TraceEntry("step1", "s", ("y",), 2)
+
 
 class TestClassifyFrontier:
     def test_all_equal(self):

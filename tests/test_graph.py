@@ -671,17 +671,46 @@ class TestDirectConstruction:
             ReebGraph(vs, es, 0.0, 1.0)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ((("a", 0.5),), (), "vertex record must have 3 fields, got 2"),
+        ((("a", 0.5, VertexKind.SADDLE, None),), (),
+         "vertex record must have 3 fields, got 4"),
+        ((("a", 0.5, VertexKind.SADDLE),), (("e1", "a"),),
+         "edge record must have 5 fields, got 2"),
+    ], ids=["two-field-vertex", "four-field-vertex", "two-field-edge"])
+    def test_wrong_field_count_named(self, vertices, edges, message):
+        # made without the named tuple's __new__, such a record is of the
+        # right type, and its repr raises, so its field count names it
+        vs = tuple(tuple.__new__(ReebVertex, v) for v in vertices)
+        es = tuple(tuple.__new__(ReebEdge, e) for e in edges)
+        with pytest.raises(TypeError):
+            repr(vs[0] if not es else es[0])
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, es, 0.0, 1.0)
+        assert str(info.value) == message
+
+    class Unordered(int):
+        """An int that keeps the level rule but refuses to be ordered."""
+
+        def __lt__(self, other):
+            raise TypeError("no order")
+
     def test_unordered_levels_refused(self):
         # ints that keep the level rule but refuse to compare stop the sort,
         # and the walk in the order given finds no bad field: the vertices
         # at lo and at hi come first and last, so the records would be
         # kept out of level order
-        class Unordered(int):
-            def __lt__(self, other):
-                raise TypeError("no order")
-
-        vs = tuple(ReebVertex(vid, Unordered(level), VertexKind.SADDLE)
+        vs = tuple(ReebVertex(vid, self.Unordered(level), VertexKind.SADDLE)
                    for vid, level in zip("acbd", (0, 2, 1, 3)))
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph(vs, (), 0.0, 3.0)
+        assert str(info.value) == "records do not sort: no order"
+
+    def test_unordered_levels_off_the_window_ends_refused(self):
+        # with no vertex at lo or at hi the walk falls back to sorting the
+        # event levels with lo and hi, which these levels refuse too
+        vs = tuple(ReebVertex(vid, self.Unordered(level), VertexKind.SADDLE)
+                   for vid, level in zip("ab", (1, 2)))
         with pytest.raises(MalformedGraph) as info:
             ReebGraph(vs, (), 0.0, 3.0)
         assert str(info.value) == "records do not sort: no order"

@@ -973,6 +973,49 @@ class TestLabelsFromTopology:
                 "bad level-cycle payload: crossing 0 must be (t, (a, b), (x, y)) "
                 "of ints with 0 <= a < b and 0 <= x < y, got %r" % (crossings[0],))
 
+    def test_witness_outside_its_span_rejected(self):
+        # e0 spans -3.0 to -1.0, and e1's witness, a closed contour of the
+        # surface, lies at 6.1e-17
+        s, f = chained_tori(2)
+        g = build_reeb(s, f)
+        w = g.edge_by_id["e1"].witness
+        bad = ReebGraph(g.vertices, tuple(e._replace(witness=w) if e.id == "e0" else e
+                                          for e in g.edges), g.lo, g.hi)
+        for graph in (bad, graph_loads(graph_dumps(bad))):
+            with pytest.raises(BadWitness) as info:
+                label_reeb(s, f, graph)
+            assert str(info.value) == (
+                "witness level 6.123233995736766e-17 of edge e0 is not strictly "
+                "between its end levels -3.0 and -1.0")
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_witness_at_an_end_level_rejected(self, end):
+        # strictly between: e3 spans 1.0 to 6.0 with its witness at 3.5;
+        # one end moved to 3.5 leaves every other witness inside its span
+        s, f = chained_tori(2)
+        g = build_reeb(s, f)
+        e3 = g.edge_by_id["e3"]
+        assert (g.span("e3"), e3.witness.level) == ((1.0, 6.0), 3.5)
+        moved = getattr(e3, end)
+        g = ReebGraph(tuple(v._replace(level=3.5) if v.id == moved else v
+                            for v in g.vertices), g.edges, g.lo, g.hi)
+        with pytest.raises(BadWitness) as info:
+            label_reeb(s, f, g)
+        assert str(info.value) == (
+            "witness level 3.5 of edge e3 is not strictly between its end levels %r and %r"
+            % g.span("e3"))
+
+    def test_every_fixture_graph_keeps_the_span_rule(self):
+        # each witness build_reeb writes lies strictly inside its edge's span
+        for s, f in (octa_sphere(), vertical_torus(), chained_tori(2), chained_tori(3),
+                     chained_tori(4), noisy_torus(), smooth_torus(1), pillow()):
+            for frac in (0.05, 0.3, 0.5, 0.7, 0.95):
+                g = build_reeb(s, f, frac)
+                for e in g.edges:
+                    a, b = g.span(e.id)
+                    assert a < e.witness.level < b, e.id
+                label_reeb(s, f, g)
+
     def test_rank_below_genus_rejected(self):
         s, f = vertical_torus()
         g = build_reeb(s, f)
@@ -985,15 +1028,17 @@ class TestLabelsFromTopology:
 
     def test_disconnected_graph_rejected(self):
         # a two-edge loop beside a single edge: cycle rank 0, as on the
-        # sphere, but in two components
+        # sphere, but in two components; every edge spans the witness
+        # level 0.5, so the witnesses pass
         s, f = octa_sphere()
         (e,) = build_reeb(s, f).edges
         w = e.witness
+        assert w.level == 0.5
         g = ReebGraph(
-            (ReebVertex("a0", -1.0, VertexKind.CENTER),
-             ReebVertex("a1", -0.5, VertexKind.CENTER),
-             ReebVertex("b0", 0.0, VertexKind.CENTER),
-             ReebVertex("b1", 0.5, VertexKind.CENTER)),
+            (ReebVertex("a0", 0.0, VertexKind.CENTER),
+             ReebVertex("a1", 1.0, VertexKind.CENTER),
+             ReebVertex("b0", 0.25, VertexKind.CENTER),
+             ReebVertex("b1", 0.75, VertexKind.CENTER)),
             (ReebEdge("x", "a0", "a1", e.label, witness=w),
              ReebEdge("y", "a0", "a1", e.label, witness=w),
              ReebEdge("z", "b0", "b1", e.label, witness=w)),
