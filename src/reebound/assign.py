@@ -110,8 +110,9 @@ class _Frontier:
     """The edges spanning gap ``gap``, walked up from below the lowest gap:
     ``open`` of them with no integer in ``values`` (edge id -> integer)
     and ``counts[n]`` carrying n.  Later integers go in through
-    ``write``, counted at once if their edge spans the gap.  A loop, flat
-    or backward edge spans no gap and never enters.
+    ``write`` (``_Checker.take`` inlines it), counted at once if their edge
+    spans the gap.  A loop, flat or backward edge spans no gap and never
+    enters.
     """
 
     def __init__(self, g: ReebGraph, values: dict[str, int]):
