@@ -394,9 +394,8 @@ class _Sweep:
 
     def run_round(self, step: str, vid: str | None, eids: tuple[str, ...],
                   value: int) -> None:
-        """Write ``value`` onto ``eids``, unassigned edges, then saturate
-        step 1.  A loop is listed twice; it spans no gap, so writing it
-        again counts nothing."""
+        """Write ``value`` onto ``eids``, unassigned edges each listed
+        once, then saturate step 1."""
         self.trace.append(_new(TraceEntry, (step, vid, eids, value)))
         for eid in eids:
             self.frontier.write(eid, value)
@@ -529,7 +528,8 @@ def assign_all(g: ReebGraph, check: bool = False) -> PartialAssignment:
                                   % ", ".join(missing))
         sweep.check_left_of(target)
         value = sweep.frontier_value(target)
-        todo = tuple([eid for eid in g.incident[target] if eid not in sweep.assigned])
+        # a loop's two entries in the incidence list are written once
+        todo = tuple({e: None for e in g.incident[target] if e not in sweep.assigned})
         sweep.run_round(STEP2, target, todo, value)
 
 

@@ -123,11 +123,9 @@ def _cmd_render(args) -> int:
         except (AttributeError, KeyError, OverflowError, RecursionError,
                 TypeError, ValueError) as exc:
             raise ParseError("bad assignment payload: %s" % exc) from None
-    wrote = False
     if args.svg:
         _emit(render_mod.to_svg(g, assignment), args.svg)
-        wrote = True
-    if args.dot or not wrote:
+    if args.dot or not args.svg:
         _emit(render_mod.to_dot(g, assignment), args.dot or args.output)
     return EXIT_OK
 

@@ -29,6 +29,7 @@ saddle, rejected as degenerate.  No geometric tolerances anywhere.
 """
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -55,6 +56,8 @@ from .graph import (EdgeLabel, ReebEdge, ReebGraph, ReebVertex, VertexKind,
                     _as_tuple, _check_finite, _shown)
 
 Edge = tuple[int, int]
+#: a comment: from ``#`` up to, not across, the next ``str.splitlines`` break
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
 
 @dataclass(frozen=True)
@@ -102,15 +105,10 @@ class LevelCycle:
 
 
 def _tokens(text: str) -> list[str]:
-    """The whitespace-separated tokens of ``text``, each line cut at ``#``.
-
-    Text without a ``#`` is split once: every break ``str.splitlines``
-    makes is whitespace to ``str.split``, so the tokens are the same.
-    """
-    if "#" not in text:
-        return text.split()
-    return [tok for line in text.splitlines()
-            for tok in line.partition("#")[0].split()]
+    """The whitespace-separated tokens of ``text``, each line cut at ``#``:
+    one cut of every comment, then one split, as every break
+    ``str.splitlines`` makes is whitespace to ``str.split``."""
+    return _COMMENT.sub("", text).split()
 
 
 def _read_off(tokens: list[str]):
@@ -171,8 +169,8 @@ class TriangulatedSurface:
     abc, to step a contour across it), ``links`` (each vertex's neighbours
     in rotation order, from the smallest) and ``stars`` (``stars[v][i]``
     is the id of the edge from v to ``links[v][i]``).
-    ``from_off_text`` reads the OFF tokens from one split of the text
-    (see ``_tokens``) with one reader, ``_read_off``.
+    ``from_off_text`` reads the OFF tokens, cut of comments and split
+    once (see ``_tokens``), with one reader, ``_read_off``.
 
     ``_orient`` walks the triangles only when some edge's two triangles
     disagree; else the links show connectivity.  Oracles: ``naive_surface``
@@ -347,31 +345,28 @@ class TriangulatedSurface:
 @dataclass(frozen=True)
 class ScalarField:
     """One value per surface vertex, under the graph's level rule (a finite
-    float, or an int that a float holds exactly); ties break by index."""
+    float, or an int that a float holds exactly), each checked once and the
+    first fault named; ties break by index.  ``from_text`` converts in one
+    pass and names the first token that is not a float."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
         values = _as_tuple(self.values, "values", MalformedMesh)
         object.__setattr__(self, "values", values)
-        if {*map(type, values)} <= {float} and all(map(isfinite, values)):
-            return
-        for i, v in enumerate(values):      # again, to name the fault
-            if isinstance(v, float) and not isfinite(v):
-                raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
-            _check_finite(v, "value at vertex %d", i, error=DegenerateField)
+        for i, v in enumerate(values):
+            if not (type(v) is float and isfinite(v)):
+                if isinstance(v, float) and not isfinite(v):
+                    raise DegenerateField("non-finite value %r at vertex %d" % (v, i))
+                _check_finite(v, "value at vertex %d", i, error=DegenerateField)
 
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
-        tokens = _tokens(text)
-        try:
-            values = tuple(map(float, tokens))
+        tokens, values = _tokens(text), []
+        try:    # a failed += keeps the floats read before the bad token
+            values += map(float, tokens)
         except ValueError:
-            for tok in tokens:   # again, one by one, to name the bad one
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ParseError("bad scalar value %r" % tok) from None
+            raise ParseError("bad scalar value %r" % tokens[len(values)]) from None
         return cls(values)
 
     @classmethod

@@ -68,16 +68,12 @@ def _strand_layout(g: ReebGraph) -> dict[str, float]:
     slots: list[str] = []          # open edge ids, bottom to top
     is_open: set[str] = set()      # the ids in ``slots``
     y: dict[str, float] = {}
-    starts: dict[str, list[str]] = {}
-    for v in g.vertices:
-        for eid in g.incident[v.id]:
-            if g.edge_by_id[eid].lower == v.id:
-                starts.setdefault(v.id, []).append(eid)
     for v in g.vertices:
         # a self-loop is not open yet when it reaches its own end
         positions = sorted(slots.index(eid) for eid in g.incident[v.id]
                            if eid in is_open and g.edge_by_id[eid].upper == v.id)
-        outs = sorted(starts.get(v.id, ()))
+        # the out-edges in id order, a loop's two entries side by side
+        outs = [eid for eid in g.incident[v.id] if g.edge_by_id[eid].lower == v.id]
         if positions:
             y[v.id] = sum(positions) / len(positions)
             anchor = positions[0]

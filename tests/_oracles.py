@@ -824,7 +824,7 @@ def naive_assign(g: ReebGraph,
             value = values[1]
         else:
             raise NonConsecutiveFrontier("frontier of %s carries %r" % (vid, values))
-        todo = [eid for eid in ix.incident[vid] if eid not in assigned]
+        todo = sorted({eid for eid in ix.incident[vid] if eid not in assigned})
         rng.shuffle(todo)
         for eid in todo:
             assigned[eid] = value
@@ -1098,8 +1098,8 @@ def step2(g: ReebGraph, p: PartialAssignment) -> PartialAssignment:
             % (target, ", ".join(sorted(stragglers))))
     cls = classify_frontier(g, p, target)
     value = cls.n + 1 if isinstance(cls, AllEqual) else cls.n
-    todo = tuple(sorted(eid for eid in ix.incident[target]
-                        if eid not in p.assigned))
+    todo = tuple(sorted({eid for eid in ix.incident[target]
+                         if eid not in p.assigned}))
     return _extend(p, TraceEntry(STEP2, target, todo, value))
 
 

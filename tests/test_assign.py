@@ -434,6 +434,16 @@ class TestOnePass:
         assert p.is_complete(sub)
         assert _outcome(assign_all, sub) == _outcome(stepwise_assign, sub)
 
+    def test_loop_at_a_step2_target_written_once(self):
+        # the loop l is listed twice in v's incidence list; the round lists
+        # it once, so the checked run passes single-assignment
+        sub = _hand_built([("b0", 0.0, "-"), ("v", 0.5, "o"), ("t", 1.0, "+")],
+                          [("e0", "b0", "v"), ("e1", "v", "t"), ("l", "v", "v")])
+        p = assign_all(sub)
+        assert p.trace[-1] == TraceEntry("step2", "v", ("e1", "l"), 2)
+        assert _outcome(assign_all, sub, check=True) == (p.assigned, p.trace)
+        assert _outcome(stepwise_assign, sub, check=True) == (p.assigned, p.trace)
+
     @pytest.mark.parametrize("name", sorted(FAULTY_SUBGRAPHS))
     def test_faulty_subgraphs(self, name):
         *parts, expected = FAULTY_SUBGRAPHS[name]

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 from collections import Counter
+from decimal import Decimal
 from math import inf, isfinite, isinf, nan, nextafter
 
 import pytest
@@ -46,7 +47,7 @@ from reebound.errors import (
 )
 from reebound.graph import ReebEdge, ReebGraph, ReebVertex, _check_finite
 from reebound.mesh import (LevelCycle, _check_cycle, _disk_edges,
-                            _pick_witness_level, _run_starts, _trace)
+                            _pick_witness_level, _run_starts, _tokens, _trace)
 
 from _fixtures import (
     ISOLATED_VERTEX_OFF,
@@ -150,6 +151,54 @@ class TestLoading:
         s, _ = octa_sphere()
         with pytest.raises(ValueError):
             build_reeb(s, ScalarField((1.0, 2.0)))
+
+
+#: every break ``str.splitlines`` makes, ``\r\n`` among them
+_EVERY_BREAK = ["\r\n", *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+#: token characters, ``#``, and whitespace that breaks no line (tab, space,
+#: no-break spaces, the unit separator)
+_LINE_CHARS = "ab1.#\t \xa0\u3000\x1f"
+
+
+class TestTextReaders:
+    """The mesh text readers each read in one pass and name the first fault."""
+
+    @FUZZ
+    @given(st.lists(st.one_of(st.sampled_from(_EVERY_BREAK),
+                              st.text(_LINE_CHARS, max_size=6)),
+                    max_size=30).map("".join))
+    def test_tokens_cut_each_line_at_hash(self, text):
+        assert _tokens(text) == [t for line in text.splitlines()
+                                 for t in line.partition("#")[0].split()]
+
+    @pytest.mark.parametrize("gap", _EVERY_BREAK + list("\t \xa0\u3000\x1f"),
+                             ids=ascii)
+    def test_comment_ends_at_a_line_break_only(self, gap):
+        tokens = _tokens("a # x%sb # y%sc" % (gap, gap))
+        assert tokens == (["a", "b", "c"] if gap in _EVERY_BREAK else ["a"])
+
+    @pytest.mark.parametrize("text", ["x 0.5 y", "0.5 x\n1 y", "0.5 1.5 x",
+                                      "inf x y"],
+                             ids=["first", "middle", "last", "after-inf"])
+    def test_field_names_first_bad_token(self, text):
+        with pytest.raises(ParseError) as info:
+            ScalarField.from_text(text)
+        assert str(info.value) == "bad scalar value 'x'"
+
+    def test_field_keeps_exact_ints_and_bools(self):
+        assert ScalarField((0.5, 3, True)).values == (0.5, 3, True)
+
+    @pytest.mark.parametrize("value, message", [
+        (nan, "non-finite value nan at vertex 1"),
+        (Decimal("Infinity"), "value at vertex 1 must be a finite number, "
+                              "got Decimal('Infinity')"),
+        (2 ** 60 + 1, "value at vertex 1 must be an int that a float holds "
+                      "exactly, got 1152921504606846977")],
+        ids=["nan", "decimal-infinity", "inexact-int"])
+    def test_field_names_bad_value(self, value, message):
+        with pytest.raises(DegenerateField) as info:
+            ScalarField((0.5, value, 1.5))
+        assert str(info.value) == message
 
 
 #: the tetrahedron's faces, as ``TETRA_OFF`` lists them
