@@ -119,10 +119,15 @@ def _cmd_render(args) -> int:
     if args.assignment:
         text = _read_text(args.assignment)
         try:   # the decoder raises RecursionError on too deep a nesting
-            assignment = {str(k): int(v) for k, v in json.loads(text)["edges"].items()}
-        except (AttributeError, KeyError, OverflowError, RecursionError,
-                TypeError, ValueError) as exc:
+            assignment = json.loads(text)["edges"]
+            bad = [(k, type(v).__name__) for k, v in assignment.items()
+                   if type(v) is not int]
+        except (AttributeError, KeyError, RecursionError, TypeError,
+                ValueError) as exc:
             raise ParseError("bad assignment payload: %s" % exc) from None
+        if bad:    # only JSON ints: no float, string or bool is coerced
+            raise ParseError("bad assignment payload: edge %r carries a %s, "
+                             "not an int" % bad[0])
     if args.svg:
         _emit(render_mod.to_svg(g, assignment), args.svg)
     if args.dot or not args.svg:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import GenerationFailed
 from .graph import (
@@ -69,22 +68,6 @@ class GenParams:
                 raise GenerationFailed("%s %r outside [0, 1]" % (name, p))
 
 
-class _Strand:
-    """A live edge being grown rightwards; ``number`` counts the strands
-    opened before it and names its edge."""
-
-    __slots__ = ("number", "label", "lower", "twin")
-
-    def __init__(self, number: int, label: str, lower: str):
-        self.number = number
-        self.label = label
-        self.lower = lower
-        self.twin: _Strand | None = None
-
-
-_number = attrgetter("number")
-
-
 def _distinct_levels(rng: random.Random, count: int) -> list[float]:
     levels: set[float] = set()
     while len(levels) < count:
@@ -127,52 +110,48 @@ def random_reeb(params: GenParams) -> ReebGraph:
 
     vertices: list[ReebVertex] = []
     edges: list[ReebEdge] = []
-    edge_n = 0
+    strands: list[tuple[str, str]] = []   # (label, lower vertex) per strand
 
     def new_vertex(level: float, kind: VertexKind) -> str:
         vid = "v%d" % len(vertices)
         vertices.append(ReebVertex(vid, level, kind))
         return vid
 
-    # Live strands of each label, and those whose twin is live with the
-    # same label, in opening order.  Strands open in number order, so the
-    # lists stay sorted by number and a strand is found by bisection.
-    pools: dict[str, list[_Strand]] = {"E": [], "I": []}
-    twins: dict[str, list[_Strand]] = {"E": [], "I": []}
+    # A strand is its number, which names its edge.  pools holds the live
+    # strands of each label; twins the live pairs opened together with
+    # one label, a pair at positions 2i and 2i + 1 until either closes.
+    # Strands open in number order, so both stay sorted for bisection.
+    pools: dict[str, list[int]] = {"E": [], "I": []}
+    twins: dict[str, list[int]] = {"E": [], "I": []}
 
-    def position(strands: list[_Strand], s: _Strand) -> int | None:
-        k = bisect_left(strands, s.number, key=_number)
-        return k if k < len(strands) and strands[k] is s else None
-
-    def open_strand(label: str, lower: str) -> _Strand:
-        nonlocal edge_n
-        s = _Strand(edge_n, label, lower)
-        edge_n += 1
+    def open_strand(label: str, lower: str) -> int:
+        s = len(strands)
+        strands.append((label, lower))
         pools[label].append(s)
         return s
 
-    def close_strand(s: _Strand, upper: str) -> None:
-        edges.append(ReebEdge("e%d" % s.number, s.lower, upper,
-                              _LABELS[s.label]))
-        del pools[s.label][position(pools[s.label], s)]
-        pair = twins[s.label]
-        k = position(pair, s)
-        if k is not None:
-            del pair[k]
-            del pair[position(pair, s.twin)]
+    def close_strand(s: int, upper: str) -> None:
+        label, lower = strands[s]
+        edges.append(ReebEdge("e%d" % s, lower, upper, _LABELS[label]))
+        pool = pools[label]
+        del pool[bisect_left(pool, s)]
+        pair = twins[label]
+        k = bisect_left(pair, s)
+        if k < len(pair) and pair[k] == s:
+            del pair[k & -2:(k | 1) + 1]
 
     open_strand("E", new_vertex(lo, _MINUS))
 
-    def pick(label: str) -> _Strand:
+    def pick(label: str) -> int:
         pool = pools[label]
         return pool[rng.randrange(len(pool))]
 
-    def pick_pair(la: str, lb: str) -> tuple[_Strand, _Strand]:
+    def pick_pair(la: str, lb: str) -> tuple[int, int]:
         if la == lb:
             pair = twins[la]
             if pair and rng.random() < params.parallel_edge_bias:
-                s = pair[rng.randrange(len(pair))]
-                return s, s.twin
+                k = rng.randrange(len(pair))
+                return pair[k], pair[k ^ 1]
             a, b = rng.sample(pools[la], 2)
             return a, b
         return pick(la), pick(lb)
@@ -201,13 +180,10 @@ def random_reeb(params: GenParams) -> ReebGraph:
         for s in consumed:
             close_strand(s, vid)
         produced = [open_strand(lb, vid) for lb in produced_labels]
-        if len(produced) == 2:
-            a, b = produced
-            a.twin, b.twin = b, a
-            if a.label == b.label:
-                twins[a.label] += produced
+        if len(produced) == 2 and produced_labels[0] == produced_labels[1]:
+            twins[produced_labels[0]] += produced
 
-    for s in sorted(pools["E"] + pools["I"], key=_number):
+    for s in sorted(pools["E"] + pools["I"]):
         close_strand(s, new_vertex(hi, _PLUS))
 
     meta = {

@@ -10,6 +10,7 @@ which keeps crossings low without any real optimization.
 from __future__ import annotations
 
 from html import escape
+from math import inf
 
 from .graph import EdgeLabel, ReebGraph, VertexKind
 
@@ -76,14 +77,12 @@ def _strand_layout(g: ReebGraph) -> dict[str, float]:
         outs = [eid for eid in g.incident[v.id] if g.edge_by_id[eid].lower == v.id]
         if positions:
             y[v.id] = sum(positions) / len(positions)
-            anchor = positions[0]
             for k in reversed(positions):
                 is_open.discard(slots.pop(k))
-            for k, eid in enumerate(outs):
-                slots.insert(min(anchor + k, len(slots)), eid)
+            slots[positions[0]:positions[0]] = outs
         else:
             y[v.id] = float(len(slots))
-            slots.extend(outs)
+            slots += outs
         is_open.update(outs)
     return y
 
@@ -92,11 +91,13 @@ def to_svg(g: ReebGraph, assignment: dict[str, int] | None = None) -> str:
     """Standalone SVG with straight edges: x is the level."""
     y = _strand_layout(g)
     pad = 50.0
-    span = g.hi - g.lo
+    lo, span, scale = g.lo, g.hi - g.lo, 1
+    if span == inf:         # hi - lo overflows: scale the levels by halves
+        lo, span, scale = g.lo / 2, g.hi / 2 - g.lo / 2, 0.5
     ymax = max(y.values()) if y else 1.0
 
     def sx(level: float) -> float:
-        return pad + (level - g.lo) / span * (SVG_WIDTH - 2 * pad)
+        return pad + (level * scale - lo) / span * (SVG_WIDTH - 2 * pad)
 
     def sy(value: float) -> float:
         if ymax == 0:

@@ -8,7 +8,8 @@ turn and searching both sides, the surface tables built with the
 orientation walk always run, the witness check crossing by crossing,
 the consistency checker that rescans every edge at every gap, the sweep
 as separate steps over frozen assignments, which rescans the graph in
-each of them, and the validator as one pass per rule group.  The graph
+each of them, the validator as one pass per rule group, and the SVG
+strand layout inserting each out-edge on its own.  The graph
 oracles read the tables ``naive_index`` derives from a graph's records by
 their definitions, never the graph's own index, and the mesh oracles the
 edge pairs and triangles ``surface_edges`` and ``surface_edge_tris``
@@ -720,6 +721,34 @@ def naive_disk_edges(g: ReebGraph) -> set[str]:
             if n_edges == len(vs) - 1:
                 out.add(eid)
     return out
+
+
+def naive_strand_layout(g: ReebGraph) -> dict[str, float]:
+    """y coordinate per vertex from the left-to-right strand sweep, with
+    a vertex's out-edges inserted one by one at its lowest closing slot
+    and the slot clamped to the list's end."""
+    ix = naive_index(g)
+    slots: list[str] = []          # open edge ids, bottom to top
+    is_open: set[str] = set()      # the ids in ``slots``
+    y: dict[str, float] = {}
+    for v in g.vertices:
+        # a self-loop is not open yet when it reaches its own end
+        positions = sorted(slots.index(eid) for eid in ix.incident[v.id]
+                           if eid in is_open and ix.edge_by_id[eid].upper == v.id)
+        # the out-edges in id order, a loop's two entries side by side
+        outs = [eid for eid in ix.incident[v.id] if ix.edge_by_id[eid].lower == v.id]
+        if positions:
+            y[v.id] = sum(positions) / len(positions)
+            anchor = positions[0]
+            for k in reversed(positions):
+                is_open.discard(slots.pop(k))
+            for k, eid in enumerate(outs):
+                slots.insert(min(anchor + k, len(slots)), eid)
+        else:
+            y[v.id] = float(len(slots))
+            slots.extend(outs)
+        is_open.update(outs)
+    return y
 
 
 def count_level_components(surface, field, level) -> int:

@@ -462,6 +462,9 @@ class TestGenRender:
                                          '{"edges": [1]}',
                                          '{"edges": {"e0": "x"}}',
                                          '{"edges": {"e": 1e400}}',
+                                         '{"edges": {"e0": 1.9}}',
+                                         '{"edges": {"e0": "7"}}',
+                                         '{"edges": {"e0": true}}',
                                          pytest.param("[" * 100_000,
                                                       id="deep-nesting")])
     def test_render_bad_assignment_exits_3(self, capsys, single_edge_file,

@@ -74,6 +74,10 @@ GEN_SHA256 = {
     (12345, 400, 0.25, 0.35): "417328c471dbe8c085373dc8d1b244e4a26bee4978055f05ac5f4d96c5f82a92",
     (12345, 400, 1.0, 0.5): "f193c54a413df7bf1c246a8a3e89d23fb1912ea753252b7c593037a4002cd932",
     (12345, 400, 0.5, 1.0): "4c633a4d7d7f4098c790c091fa70894b87c0ec00bdbe2a02b614425af1b13a77",
+    # at MAX_SADDLES, recorded while each strand was an object with a
+    # pointer to its twin; the first graph draws many twin pairs
+    (1, 10000, 1.0, 0.5): "fc63dc2ada782b7055059f0a3b9f2b385ecba9cbf196f6d4cacf3bfc2fc3834e",
+    (1, 10000, 0.25, 0.35): "9009907ca79e94c46c2d9ec971ce095f5e65143f8bf03d529a8b50f212ef6cf1",
 }
 
 

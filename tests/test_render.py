@@ -5,6 +5,8 @@ import hashlib
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebound import (
     EdgeLabel,
@@ -18,9 +20,10 @@ from reebound import (
     graph_from_dict,
     random_reeb,
 )
-from reebound.render import to_dot, to_svg
+from reebound.render import _strand_layout, to_dot, to_svg
 
 from _fixtures import theta_graph, torus_reeb_by_hand
+from _oracles import naive_strand_layout
 
 
 def test_dot_structure():
@@ -70,6 +73,59 @@ def test_svg_well_formed():
 def test_svg_handles_unassigned_graph():
     text = to_svg(torus_reeb_by_hand())
     assert "<line " in text
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (0.0, 5e-324)],
+                         ids=["overflowing", "subnormal"])
+def test_svg_spans_any_finite_window(lo, hi):
+    # hi - lo overflows to inf on the first window; halving the second
+    # would leave a span of zero
+    g = graph_from_dict({
+        "lo": lo, "hi": hi,
+        "vertices": [{"id": "a", "level": lo, "kind": "boundary-minus"},
+                     {"id": "b", "level": hi, "kind": "boundary-plus"}],
+        "edges": [{"id": "e0", "lower": "a", "upper": "b", "label": "essential"}]})
+    text = to_svg(g)
+    assert "nan" not in text and "inf" not in text
+    doc = minidom.parseString(text)
+    line, = doc.getElementsByTagName("line")
+    assert (line.getAttribute("x1"), line.getAttribute("x2")) == ("50.0", "850.0")
+    assert [c.getAttribute("cx") for c in doc.getElementsByTagName("circle")] == [
+        "50.0", "850.0"]
+
+
+@st.composite
+def tangled_graphs(draw):
+    """Graphs the constructor takes and validate refuses: loops, edges
+    between vertices of one level, and edges that run downwards."""
+    levels = draw(st.lists(st.sampled_from((0.2, 0.4, 0.6, 0.8)),
+                           min_size=1, max_size=8))
+    ends = st.integers(0, len(levels) - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=14))
+    return ReebGraph(
+        [ReebVertex("v%d" % k, x, VertexKind.SADDLE) for k, x in enumerate(levels)],
+        [ReebEdge("e%d" % k, "v%d" % a, "v%d" % b, EdgeLabel.ESSENTIAL)
+         for k, (a, b) in enumerate(pairs)],
+        0.0, 1.0)
+
+
+class TestStrandLayout:
+    """The layout inserts a vertex's out-edges in one slice where the
+    oracle inserts them one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=tangled_graphs())
+    def test_tangled_graphs(self, g):
+        assert _strand_layout(g) == naive_strand_layout(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), saddles=st.integers(0, 60),
+           pbias=st.floats(0, 1), ibias=st.floats(0, 1))
+    def test_generated_graphs(self, seed, saddles, pbias, ibias):
+        g = random_reeb(GenParams(seed=seed, saddle_count=saddles,
+                                  parallel_edge_bias=pbias,
+                                  inessential_bias=ibias))
+        assert _strand_layout(g) == naive_strand_layout(g)
 
 
 def _markup_graph():
