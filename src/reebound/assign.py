@@ -109,28 +109,21 @@ class DistanceBoundReport:
 class _Frontier:
     """The edges spanning gap ``gap``, walked up from below the lowest gap:
     ``open`` of them with no integer in ``values`` (edge id -> integer)
-    and ``counts[n]`` carrying n.  Later integers go in through
-    ``write`` (``_Checker.take`` inlines it), counted at once if their edge
-    spans the gap.  A loop, flat or backward edge spans no gap and never
-    enters.
+    and ``counts[n]`` carrying n, read as each edge enters and leaves:
+    exact, as no write spans the walk's gap (see ``frontier_value`` and
+    ``take``).  A loop, flat or backward edge spans no gap and never enters.
     """
 
     def __init__(self, g: ReebGraph, values: dict[str, int]):
-        self.values, self.gaps = values, g.gaps
+        self.values = values
         self.enter: list[list[str]] = [[] for _ in g.events]
         self.leave: list[list[str]] = [[] for _ in g.events]
-        for eid, gaps in self.gaps.items():
+        for eid, gaps in g.gaps.items():
             if gaps:
                 self.enter[gaps.start].append(eid)
                 self.leave[gaps.stop].append(eid)
         self.gap, self.open = -1, 0
         self.counts: dict[int, int] = {}
-
-    def write(self, eid: str, value: int) -> None:
-        self.values[eid] = value
-        if self.gap in self.gaps[eid]:
-            self.open -= 1
-            self.counts[value] = self.counts.get(value, 0) + 1
 
     def advance(self, gap: int) -> None:
         """Move up to ``gap``; a lower one leaves the walk where it is."""
@@ -197,8 +190,8 @@ class _Checker:
 
     ``take`` reads the entries appended since its last call, their
     edges' integers in the assignment and the graph's index, never the
-    sweep's state.  It keeps ``value`` per edge written and its own
-    frontier, written in place; ``live``, the gaps each integer's edges
+    sweep's state.  It keeps ``value`` per edge written, which its own
+    frontier only reads; ``live``, the gaps each integer's edges
     span as the bits of one int; ``top``, the three integers reaching
     furthest, as (reach, integer) largest first; ``uf``, per integer, a
     union-find over vertex ids with each root's lowest gap (an edge's
@@ -229,10 +222,11 @@ class _Checker:
     def take(self, assigned: dict[str, int], trace) -> bool:
         """Read the trace entries appended since the last call: False if one
         writes an edge twice or unassigned, or an assigned edge stays unwritten.
-        The frontier's gap stays put here, so its writes are inline."""
+        No write is counted on the frontier: each edge spanning its gap is in
+        ``value``, or ``clean`` met ``open`` > 0 and the run aborted (``report``
+        lists frontier-class).  check_invariants' checker takes at gap -1."""
         value, gaps, edges, live, uf = self.value, self.gaps, self.edges, self.live, self.uf
-        front, top, none = self.front, self.top, self.none
-        gap, counts = front.gap, front.counts
+        top, none = self.top, self.none
         for entry in trace[self.seen:]:
             for eid in entry.edges:
                 n = assigned.get(eid)
@@ -241,9 +235,6 @@ class _Checker:
                 value[eid] = n
                 span = gaps[eid]
                 start, stop = span.start, span.stop
-                if start <= gap < stop:
-                    front.open -= 1
-                    counts[n] = counts.get(n, 0) + 1
                 if start < stop:
                     bits = live.get(n, 0)
                     live[n] = bits | ((1 << stop) - (1 << start))
@@ -369,7 +360,7 @@ class _Sweep:
 
     Rounds only ever add integers, so every structure moves one way:
     ``next`` indexes the lowest interior vertex that may still have an
-    unassigned edge, and ``frontier``, which writes every integer, walks
+    unassigned edge, and ``frontier``, which only reads ``assigned``, walks
     up to the gap left of each target.  ``stray`` lists, in id order, the
     edges whose lower end is an upper-boundary vertex, off its incidence list.
     """
@@ -397,8 +388,7 @@ class _Sweep:
         """Write ``value`` onto ``eids``, unassigned edges each listed
         once, then saturate step 1."""
         self.trace.append(_new(TraceEntry, (step, vid, eids, value)))
-        for eid in eids:
-            self.frontier.write(eid, value)
+        self.assigned.update(dict.fromkeys(eids, value))
         self._saturate(eids)
 
     def _saturate(self, written: tuple[str, ...]) -> None:
@@ -438,7 +428,7 @@ class _Sweep:
                 continue
             dst, value = (e1, n2) if n1 is None else (e2, n1)
             self.trace.append(_new(TraceEntry, (STEP1, vid, (dst,), value)))
-            self.frontier.write(dst, value)
+            assigned[dst] = value
             for end in _ends(edges[dst]):
                 if end != vid and end in rank:
                     behind.append(end)
@@ -479,15 +469,17 @@ class _Sweep:
         two keys of its counts with min and max.
 
         Raises NonConsecutiveFrontier, its values sorted, if the frontier is
-        empty or its values are neither; valid inputs never do.  Every
-        frontier edge is assigned, as check_left_of has just passed.
+        empty or its values are neither; valid inputs never do.  Every edge
+        spanning the walk's gap starts below the target: step 0 wrote it, or
+        check_left_of or next_target saw it assigned (see ``stray``).  Rounds
+        write no assigned edge; before the first target the gap is -1.
         """
         front = self.frontier
         front.advance(self.g.event_index[target] - 1)
         counts = front.counts
         if counts and max(counts) - (low := min(counts)) < 2:
             return low + 1
-        if not (front.open or counts):
+        if not counts:
             raise NonConsecutiveFrontier(
                 "no essential edge spans the gap just left of %s" % target)
         raise NonConsecutiveFrontier(

@@ -501,9 +501,9 @@ _new = tuple.__new__    # a record without the named tuple's Python-level __new_
 def _records(data: dict, kind, label) -> tuple[list, list]:
     """The payload's vertices and edges, ``kind`` and ``label`` mapping
     each string to its member."""
-    return ([_new(ReebVertex, (str(v["id"]), float(v["level"]), kind(v["kind"])))
+    return ([_new(ReebVertex, (v["id"], float(v["level"]), kind(v["kind"])))
              for v in data["vertices"]],
-            [_new(ReebEdge, (str(e["id"]), str(e["lower"]), str(e["upper"]),
+            [_new(ReebEdge, (e["id"], e["lower"], e["upper"],
                              label(e["label"]), e.get("witness")))
              for e in data["edges"]])
 
@@ -530,7 +530,7 @@ def graph_dumps(g: ReebGraph) -> str:
 def graph_loads(text: str) -> ReebGraph:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:     # JSONDecodeError is a ValueError
         raise MalformedGraph("not valid JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise MalformedGraph("graph payload must be a JSON object")

@@ -383,9 +383,7 @@ def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:
 
 def _run_starts(flags: list[bool]) -> list[int]:
     """First position of each maximal cyclic run of set flags, in ring
-    order from the first unset flag ([0] when every flag is set)."""
-    if all(flags):
-        return [0]
+    order from the first unset flag, of a ring that holds both values."""
     n, k = len(flags), flags.index(False)
     return [i % n for i in range(k + 1, k + n + 1)
             if flags[i % n] and not flags[i % n - 1]]

@@ -125,8 +125,7 @@ class TestStep1:
         # b -e0- m0 -e1- m1 -e2- t with e0 = 1 and e2 = 3: writing 2 onto
         # e1 makes both m0 and m1 join two integers
         sweep = assign_mod._Sweep(chain_subgraph(2))
-        sweep.frontier.write("e0", 1)
-        sweep.frontier.write("e2", 3)
+        sweep.assigned.update(e0=1, e2=3)
         with pytest.raises(ConflictingPropagation) as info:
             sweep.run_round("step2", "m0", ("e1",), 2)
         assert str(info.value) == "vertex m0 joins edges assigned 1 and 2"
@@ -144,8 +143,7 @@ class TestStep1:
              ("m", "b1", "r"), ("n", "r", "t1")])
         sweep = assign_mod._Sweep(sub)
         assert sweep.valency2 == ["q", "r", "s"]
-        sweep.frontier.write("z", 1)
-        sweep.frontier.write("m", 1)
+        sweep.assigned.update(z=1, m=1)
         with pytest.raises(ConflictingPropagation) as info:
             sweep.run_round("step2", "s", ("n", "x"), 2)
         assert str(info.value) == "vertex q joins edges assigned 2 and 1"
@@ -605,7 +603,8 @@ def _assert_frontier(front, sub, k):
 
 class TestFrontier:
     """The one gap walk against a rescan of the spanning edges at every
-    gap, with integers both there from the start and written on the way."""
+    gap, with integers both there from the start and written on the way,
+    each onto an edge off the gap the walk stands on: the walk only reads."""
 
     @pytest.mark.parametrize("seed", range(41))
     def test_generator_graphs(self, seed):
@@ -619,10 +618,10 @@ class TestFrontier:
         for k in range(len(sub.events) - 1):
             front.advance(k)
             _assert_frontier(front, sub, k)
-            n = rng.randint(0, 3)
-            for eid in later[:n]:
-                front.write(eid, assigned[eid])
-            del later[:n]
+            off = [eid for eid in later if k not in sub.gaps[eid]]
+            for eid in off[:rng.randint(0, 3)]:
+                values[eid] = assigned[eid]
+                later.remove(eid)
             _assert_frontier(front, sub, k)
 
     def test_edges_spanning_no_gap_never_enter(self):
@@ -631,13 +630,13 @@ class TestFrontier:
              ("d", 0.6, "o"), ("t0", 1.0, "+")],
             [("e0", "b0", "a"), ("e1", "a", "c"), ("e2", "c", "t0"),
              ("loop", "a", "a"), ("flat", "c", "d"), ("back", "c", "a")])
-        front = assign_mod._Frontier(sub, {"loop": 5})
+        values = {"loop": 5}
+        front = assign_mod._Frontier(sub, values)
         for k in range(3):
-            front.advance(k)
-            front.write("e%d" % k, 1)
+            values["e%d" % k] = 1      # before e_k enters, at gap k
             if k == 1:
-                front.write("flat", 7)
-                front.write("back", 7)
+                values.update(flat=7, back=7)
+            front.advance(k)
             _assert_frontier(front, sub, k)
             assert sub.spanning(k) == ["e%d" % k]
             assert (front.open, front.counts) == (0, {1: 1})
@@ -880,9 +879,31 @@ def _corrupt_sweep(monkeypatch, at, picks, repeat):
             if free:
                 eid = free[k % len(free)]
                 self.trace.append(TraceEntry(step, vid, (eid,), value + d))
-                self.frontier.write(eid, value + d)
+                self.assigned[eid] = value + d
 
     monkeypatch.setattr(assign_mod._Sweep, "run_round", bad_round)
+
+
+def _corrupted_sweeps(monkeypatch):
+    """200 generator subgraphs, each yielded while one round of its sweep
+    also writes 1 to 3 stray edges with its integer moved by 1 to 3, or
+    writes an earlier trace entry again; undone before the next."""
+    rng = random.Random(12)
+    for seed in range(200):
+        g = random_reeb(GenParams(seed=seed, saddle_count=seed % 30,
+                                  parallel_edge_bias=(seed % 5) / 4,
+                                  inessential_bias=(seed % 7) / 6))
+        sub = essential_subgraph(g, prevalidated=True)
+        picks, repeat = [], None
+        if seed % 4:
+            picks = [(rng.randrange(99), rng.choice((-3, -2, -1, 1, 2, 3)))
+                     for _ in range(rng.randint(1, 3))]
+        else:
+            repeat = rng.randrange(99)
+        _corrupt_sweep(monkeypatch, rng.randint(1, 1 + seed % 30),
+                       picks, repeat)
+        yield sub
+        monkeypatch.undo()
 
 
 class TestIncrementalChecker:
@@ -920,29 +941,13 @@ class TestIncrementalChecker:
         assert "frontier-class" in rules
 
     def test_corrupted_sweeps(self, monkeypatch):
-        # one round also writes 1 to 3 stray edges with its integer moved
-        # by 1 to 3, or writes an earlier trace entry again; the run must
-        # end as it does when every round is derived in full
-        rng = random.Random(12)
+        # the run must end as it does when every round is derived in full
         rules = set()
-        for seed in range(200):
-            g = random_reeb(GenParams(seed=seed, saddle_count=seed % 30,
-                                      parallel_edge_bias=(seed % 5) / 4,
-                                      inessential_bias=(seed % 7) / 6))
-            sub = essential_subgraph(g, prevalidated=True)
-            picks, repeat = [], None
-            if seed % 4:
-                picks = [(rng.randrange(99), rng.choice((-3, -2, -1, 1, 2, 3)))
-                         for _ in range(rng.randint(1, 3))]
-            else:
-                repeat = rng.randrange(99)
-            _corrupt_sweep(monkeypatch, rng.randint(1, 1 + seed % 30),
-                           picks, repeat)
+        for sub in _corrupted_sweeps(monkeypatch):
             fast = _checked_outcome(sub)
             monkeypatch.setattr(assign_mod._Checker, "clean",
                                 lambda self, assigned, trace, vid: False)
             assert fast == _checked_outcome(sub)
-            monkeypatch.undo()
             if fast[0] == "InvariantViolation":
                 rules |= fast[1].rules()
         assert rules == {"single-assignment", "frontier-class",
@@ -1012,6 +1017,88 @@ class TestIncrementalChecker:
             "no path through 2-edges from ec down to level 0.2"),)
         assert not assign_mod._Checker(sub).clean(p.assigned, p.trace, "v")
 
+
+def _rescan_every_advance(monkeypatch, sub):
+    """Compare every frontier walk with a rescan of ``sub`` after each of
+    its advances: the sweep's and the checkers', which only read."""
+    advance = assign_mod._Frontier.advance
+
+    def checked(self, gap):
+        advance(self, gap)
+        _assert_frontier(self, sub, self.gap)
+
+    monkeypatch.setattr(assign_mod._Frontier, "advance", checked)
+
+
+# hand-built subgraphs with a loop, a flat edge, a backward edge and an
+# edge hanging off an upper-boundary vertex below hi, and the faulty ones
+ODD_EDGE_SUBGRAPHS = {
+    "loop": (
+        [("b0", 0.0, "-"), ("v", 0.5, "o"), ("t", 1.0, "+")],
+        [("e0", "b0", "v"), ("e1", "v", "t"), ("l", "v", "v")]),
+    "flat-and-backward": (
+        [("b0", 0.0, "-"), ("a", 0.3, "o"), ("c", 0.6, "o"), ("d", 0.6, "o"),
+         ("t0", 1.0, "+"), ("t1", 1.0, "+")],
+        [("e0", "b0", "a"), ("e1", "a", "c"), ("flat", "c", "d"),
+         ("e2", "c", "t0"), ("e3", "d", "t1"), ("back", "d", "a")]),
+    "copied-off-the-upper-boundary": (
+        [("b0", 0.0, "-"), ("b1", 0.0, "-"), ("c", 0.3, "+"), ("w", 0.5, "o"),
+         ("s", 0.6, "o"), ("t0", 1.0, "+"), ("t1", 1.0, "+")],
+        [("e0", "b0", "w"), ("e1", "c", "w"), ("e2", "b1", "s"),
+         ("e3", "s", "t0"), ("e4", "s", "t1")]),
+    **{name: parts[:2] for name, parts in FAULTY_SUBGRAPHS.items()},
+}
+
+
+class TestFrontierInRuns:
+    """Nothing writes into a frontier's counts, so each walk is exact only
+    if no integer lands on an edge spanning the gap it stands on: every
+    walk of checked and unchecked runs, rescanned after each advance."""
+
+    @pytest.mark.parametrize("seed,saddles", ROUND_GRAPHS)
+    def test_round_graphs(self, monkeypatch, seed, saddles):
+        sub = _round_graph(seed, saddles)
+        _rescan_every_advance(monkeypatch, sub)
+        assert assign_all(sub, check=True) == assign_all(sub)
+
+    @pytest.mark.parametrize("name", sorted(ODD_EDGE_SUBGRAPHS))
+    def test_odd_edges(self, monkeypatch, name):
+        sub = _hand_built(*ODD_EDGE_SUBGRAPHS[name])
+        _rescan_every_advance(monkeypatch, sub)
+        for check in (False, True):
+            _outcome(assign_all, sub, check)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sub=_any_subgraph())
+    def test_arbitrary_subgraphs(self, sub):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _rescan_every_advance(monkeypatch, sub)
+            for check in (False, True):
+                _outcome(assign_all, sub, check)
+
+    def test_corrupted_sweeps(self, monkeypatch):
+        for sub in _corrupted_sweeps(monkeypatch):
+            _rescan_every_advance(monkeypatch, sub)
+            for check in (False, True):
+                _outcome(assign_all, sub, check)
+
+    def test_corrupted_sweep_meets_a_clash(self, monkeypatch):
+        # step 0 also writes 1 onto z, past step 1, so p's round writes 2
+        # onto e2 only, and T's round writes 2 onto g: u joins g = 2 with
+        # z = 1, which spans the walk's gap at T.  Copying onto z instead
+        # of naming the clash would leave the walk counting z as 1 at q
+        sub = _hand_built(
+            [("b0", 0.0, "-"), ("b1", 0.0, "-"), ("p", 0.1, "o"),
+             ("T", 0.3, "o"), ("u", 0.6, "o"), ("q", 0.8, "o"),
+             ("t0", 1.0, "+"), ("t1", 1.0, "+"), ("t2", 1.0, "+")],
+            [("e0", "b0", "T"), ("e1", "b1", "p"), ("e2", "p", "t1"),
+             ("z", "p", "u"), ("g", "T", "u"), ("h", "T", "q"),
+             ("k1", "q", "t0"), ("k2", "q", "t2")])
+        _corrupt_sweep(monkeypatch, 1, [(5, 0)], None)
+        _rescan_every_advance(monkeypatch, sub)
+        for check in (False, True):
+            assert _outcome(assign_all, sub, check) == (
+                "ConflictingPropagation", "vertex u joins edges assigned 2 and 1")
 
 class TestTraceEntry:
     def test_immutable(self):

@@ -121,6 +121,19 @@ class TestAssign:
         assert code == 3
         assert json.loads(err)["error"] == "MalformedGraph"
 
+    @pytest.mark.parametrize("vertex", [
+        '{"id": "a", "level": %s, "kind": "saddle"}' % ("1" * 5000),
+        '{"id": null, "level": 0.5, "kind": "saddle"}',
+    ], ids=["level-of-5000-digits", "null-id"])
+    def test_unreadable_vertex_exits_3(self, capsys, tmp_path, vertex):
+        path = tmp_path / "g.json"
+        path.write_text('{"lo": 0, "hi": 1, "vertices": [%s], "edges": []}' % vertex)
+        code, out, err = run_main(capsys, "validate", str(path))
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MalformedGraph"
+
 
 class TestGraphErrorPaths:
     """Messages of the graph loader and of restrict, through the CLI."""

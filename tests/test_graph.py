@@ -359,6 +359,35 @@ class TestJson:
                         % ("0" * 400))
         with pytest.raises(MalformedGraph):     # too deep for the decoder
             graph_loads("[" * 100_000)
+        with pytest.raises(MalformedGraph):     # too many digits for an int
+            graph_loads('{"lo": 0, "hi": 1, "vertices": [{"id": "a", "level": %s, '
+                        '"kind": "saddle"}], "edges": []}' % ("1" * 5000))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["vertices"][0].update(id=None),
+         "vertex id must be a string, got None"),
+        (lambda d: d["vertices"][0].update(id=7),
+         "vertex id must be a string, got 7"),
+        (lambda d: d["edges"][0].update(id=None),
+         "edge id must be a string, got None"),
+        (lambda d: d["edges"][0].update(id=["e0"]),
+         "edge id must be a string, got ['e0']"),
+        # a vertex "7" is there, but the end is the JSON number 7
+        (lambda d: (d["vertices"].append({"id": "7", "level": 0.5, "kind": "saddle"}),
+                    d["edges"][0].update(upper=7)),
+         "edge 'e0' references missing vertex 7"),
+        (lambda d: d["edges"][0].update(lower={"a": 1}),
+         "edge 'e0' references missing vertex {'a': 1}"),
+    ], ids=["vertex-null", "vertex-int", "edge-null", "edge-list",
+            "end-int", "end-object"])
+    def test_ids_and_ends_are_read_as_given(self, edit, message):
+        # no id or end is turned into a string: one that is not a string
+        # is named as the JSON value it was
+        data = json.loads(graph_dumps(single_edge_graph()))
+        edit(data)
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value, shown", [
         ("foo", "'foo'"), ([], "[]"), (None, "None"), (3, "3")])
