@@ -3,14 +3,15 @@
 Subcommands: validate, assign, bound, from-mesh, gen, render.  Graphs
 travel as the JSON wire format on files or stdin ("-"); outputs go to
 stdout or --output.  Exit codes: 0 success, 1 validation failure,
-2 algorithm error, 3 I/O or parse error; each error type declares its
-own as ``exit_code`` in :mod:`reebound.errors`.  Errors print one JSON
-object on stderr with "error" (the exception class) and "message".
+2 algorithm error, 3 I/O, parse or usage error; each error type declares
+its own as ``exit_code`` in :mod:`reebound.errors`.  Errors, usage errors
+too, print one JSON object on stderr with "error" and "message".
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import assign as assign_mod
@@ -26,10 +27,6 @@ from .graph import (
     validate,
 )
 from .mesh import ScalarField, TriangulatedSurface, build_reeb, label_reeb
-
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_IO = 3
 
 
 def _read_text(path: str) -> str:
@@ -78,30 +75,30 @@ def _cmd_validate(args) -> int:
     report = validate(g, allow_regular=args.allow_regular,
                       check_coverage=not args.no_coverage)
     _emit(_dumps(report.to_dict()), args.output)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return 0 if report.ok else InvalidGraph.exit_code
 
 
 def _cmd_assign(args) -> int:
     p, bound = _prepare(args)
     payload = assign_mod.assignment_to_dict(p, bound, include_trace=args.trace)
     _emit(_dumps(payload), args.output)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_bound(args) -> int:
     _, bound = _prepare(args)
     _emit(_dumps(bound.to_dict()), args.output)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_from_mesh(args) -> int:
-    surface = TriangulatedSurface.load_off(args.mesh)
-    field = ScalarField.load(args.field)
+    surface = TriangulatedSurface.from_off_text(_read_text(args.mesh))
+    field = ScalarField.from_text(_read_text(args.field))
     g = build_reeb(surface, field, witness_fraction=args.witness_fraction)
     g = label_reeb(surface, field, g)
     g = _windowed(g, args.window)
     _emit(graph_dumps(g) + "\n", args.output)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -110,7 +107,7 @@ def _cmd_gen(args) -> int:
                                inessential_bias=args.inessential_bias)
     g = gen_mod.random_reeb(params)
     _emit(graph_dumps(g) + "\n", args.output)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_render(args) -> int:
@@ -130,13 +127,24 @@ def _cmd_render(args) -> int:
                              "not an int" % bad[0])
     if args.svg:
         _emit(render_mod.to_svg(g, assignment), args.svg)
-    if args.dot or not args.svg:
+    if args.dot or args.output or not args.svg:
         _emit(render_mod.to_dot(g, assignment), args.dot or args.output)
-    return EXIT_OK
+    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError; -1e-3, -.5 or -inf reads as a value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reebound",
         description="Labeled Reeb graphs, integer assignment, and "
                     "curve-complex distance bounds.")
@@ -174,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("from-mesh",
                        help="labeled graph from an OFF mesh and a scalar file")
-    p.add_argument("mesh", help="OFF file")
-    p.add_argument("field", help="one scalar per vertex, same order")
+    p.add_argument("mesh", help="OFF file, or - for stdin")
+    p.add_argument("field", help="one scalar per vertex, or - for stdin")
     add_common(p, graph=False)
     p.add_argument("--witness-fraction", type=float, default=0.5)
     p.set_defaults(func=_cmd_from_mesh)
@@ -208,13 +216,13 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ReeboundError as exc:
         return _fail(exc, exc.exit_code)
     except (OSError, UnicodeError) as exc:    # reading or writing a file
-        return _fail(exc, EXIT_IO)
+        return _fail(exc, ParseError.exit_code)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ class MalformedGraph(ReeboundError):
     """Vertices or edges that are not iterable, a vertex or an edge that is
     not a ``ReebVertex`` or a ``ReebEdge``, an id that is not a ``str`` or
     repeats, an edge end that names no vertex, a level, lo or hi that is not
-    a finite float or an int that a float holds exactly, a kind or a label
-    that is not a member: the payload is not a graph at all.  The first bad
-    field of the first bad record in walk order is named (see ReebGraph)."""
+    a finite float or a non-bool int that a float holds exactly, a kind or a
+    label that is not a member: the payload is not a graph at all.  The first
+    bad field of the first bad record in walk order is named (see ReebGraph)."""
 
     exit_code = 3
 
@@ -59,8 +59,8 @@ class EmptyWindow(ReeboundError):
 
 
 class BadWindow(ReeboundError, ValueError):
-    """A restriction window end is not a finite float or an int that a
-    float holds exactly."""
+    """A restriction window end is not a finite float or an int, not a
+    bool, that a float holds exactly."""
 
 
 # -- integer-assignment sweep ------------------------------------------------
@@ -178,7 +178,7 @@ class GenerationFailed(ReeboundError):
 
 
 class ParseError(ReeboundError):
-    """A mesh, field, or JSON payload could not be parsed, or a witness
-    payload's arrays make no cycle that ``LevelCycle`` accepts."""
+    """A command line, mesh, field, or JSON payload could not be parsed, or
+    a witness payload's arrays make no cycle that ``LevelCycle`` accepts."""
 
     exit_code = 3

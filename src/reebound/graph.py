@@ -123,11 +123,11 @@ class ValidationReport:
 def _check_finite(value: float, what: str, *args,
                   error: type[Exception] = MalformedGraph) -> None:
     """Raise ``error`` unless value keeps the level rule: a finite float or
-    an int that a float holds exactly (JSON reads every level back as a
-    float); ``what % args`` names it, formatted only on failure."""
+    an int, not a bool, that a float holds exactly; ``what % args`` names
+    it, formatted only on failure."""
     rule = "a finite number"
     try:
-        if isinstance(value, (int, float)) and isfinite(value):
+        if isinstance(value, (int, float)) and type(value) is not bool and isfinite(value):
             if float(value) == value:
                 return
             rule = "an int that a float holds exactly"
@@ -499,9 +499,9 @@ _new = tuple.__new__    # a record without the named tuple's Python-level __new_
 
 
 def _records(data: dict, kind, label) -> tuple[list, list]:
-    """The payload's vertices and edges, ``kind`` and ``label`` mapping
-    each string to its member."""
-    return ([_new(ReebVertex, (v["id"], float(v["level"]), kind(v["kind"])))
+    """The payload's vertices and edges with ids, ends and levels as given,
+    ``kind`` and ``label`` mapping each string to its member."""
+    return ([_new(ReebVertex, (v["id"], v["level"], kind(v["kind"])))
              for v in data["vertices"]],
             [_new(ReebEdge, (e["id"], e["lower"], e["upper"],
                              label(e["label"]), e.get("witness")))
@@ -515,8 +515,8 @@ def graph_from_dict(data: dict) -> ReebGraph:
         except (KeyError, TypeError):
             # a string off its table: the enum calls name the first fault
             vertices, edges = _records(data, VertexKind, EdgeLabel)
-        lo, hi = float(data["lo"]), float(data["hi"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        lo, hi = data["lo"], data["hi"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedGraph("bad graph payload: %s" % exc) from None
     return ReebGraph(vertices, edges, lo, hi, meta=data.get("meta"))
 

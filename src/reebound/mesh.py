@@ -336,18 +336,13 @@ class TriangulatedSurface:
         del tokens      # not held while the tables are built
         return cls(nv, faces)
 
-    @classmethod
-    def load_off(cls, path) -> "TriangulatedSurface":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_off_text(fh.read())
-
 
 @dataclass(frozen=True)
 class ScalarField:
     """One value per surface vertex, under the graph's level rule (a finite
-    float, or an int that a float holds exactly), each checked once and the
-    first fault named; ties break by index.  ``from_text`` converts in one
-    pass and names the first token that is not a float."""
+    float, or an int, not a bool, that a float holds exactly), each checked
+    once and the first fault named; ties break by index.  ``from_text``
+    converts in one pass and names the first token that is not a float."""
 
     values: tuple[float, ...]
 
@@ -368,11 +363,6 @@ class ScalarField:
         except ValueError:
             raise ParseError("bad scalar value %r" % tokens[len(values)]) from None
         return cls(values)
-
-    @classmethod
-    def load(cls, path) -> "ScalarField":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 def _check_pair(surface: TriangulatedSurface, field: ScalarField) -> None:

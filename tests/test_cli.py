@@ -88,7 +88,8 @@ class TestAssign:
         assert json.loads(err)["error"] == "EmptyWindow"
 
     @pytest.mark.parametrize("window", [("nan", "nan"), ("0.2", "inf"),
-                                        ("nan", "0.8")])
+                                        ("nan", "0.8"), ("-inf", "0.8"),
+                                        ("0.2", "-inf"), ("-nan", "0.8")])
     def test_non_finite_window_exits_2(self, capsys, single_edge_file,
                                        window):
         code, out, err = run_main(capsys, "assign", single_edge_file,
@@ -192,6 +193,42 @@ class TestGraphErrorPaths:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert run_main(capsys, "assign", "-", "--trace") == from_file
         assert from_file[0] == 0
+
+
+class TestCommandLine:
+    """Every usage error is one JSON line, and a window end written as any
+    float literal with a leading minus is a number, not an option."""
+
+    @pytest.mark.parametrize("lo", ["-1e-3", "-1E+2", "-.5"])
+    def test_negative_literal_reads_as_padded(self, capsys, tmp_path, lo):
+        # a leading space keeps argparse from reading the value as an option
+        path = tmp_path / "g.json"
+        path.write_text(graph_dumps(random_reeb(GenParams(seed=7, saddle_count=12))))
+        padded = run_main(capsys, "bound", str(path), "--window", " " + lo, "0.9")
+        assert padded[0] == 0
+        assert run_main(capsys, "bound", str(path), "--window", lo, "0.9") == padded
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--bogus", "{g}"], "reebound: unrecognized arguments: --bogus"),
+        (["assign"], "reebound assign: the following arguments are required: graph"),
+        (["gen", "--seed", "x", "--saddles", "1"],
+         "reebound gen: argument --seed: invalid int value: 'x'"),
+        ([], "reebound: the following arguments are required: command"),
+    ], ids=["unknown-option", "missing-graph", "bad-int", "no-subcommand"])
+    def test_usage_error_is_one_json_line(self, capsys, single_edge_file, argv,
+                                          message):
+        code, out, err = run_main(capsys, *(a.format(g=single_edge_file) for a in argv))
+        assert (code, out) == (3, "")
+        assert err == '{"error": "ParseError", "message": %s}\n' % json.dumps(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bound", "-h"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 0
+        assert captured.out.startswith("usage: reebound")
+        assert captured.err == ""
 
 
 class TestValidate:
@@ -326,6 +363,16 @@ class TestFromMesh:
         assert code == 0
         g = graph_loads(out)
         assert len(g.edges) == 4
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["mesh", "field"])
+    def test_stdin_matches_file(self, capsys, monkeypatch, torus_files, which):
+        # either input, but only one, may be read from stdin as "-"
+        from_file = run_main(capsys, "from-mesh", *torus_files)
+        argv = list(torus_files)
+        argv[which] = "-"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(torus_files[which]).read_text()))
+        assert run_main(capsys, "from-mesh", *argv) == from_file
+        assert from_file[0] == 0
 
     def test_bad_mesh_exits_1(self, capsys, tmp_path, torus_files):
         _, fld = torus_files
@@ -465,6 +512,17 @@ class TestGenRender:
                                   "--svg", str(svg))
         assert (code, out, err) == (0, "", "")
         assert svg.read_text().count("<line ") == 2
+
+    def test_render_svg_and_output_writes_both(self, capsys, single_edge_file,
+                                               tmp_path):
+        # with --svg given, the DOT still goes to --output when no --dot is
+        _, dot, _ = run_main(capsys, "render", single_edge_file)
+        svg, out = tmp_path / "s.svg", tmp_path / "d.dot"
+        code, stdout, err = run_main(capsys, "render", single_edge_file,
+                                     "--svg", str(svg), "-o", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        assert out.read_text() == dot
+        assert svg.read_text().startswith("<svg")
 
     def test_render_defaults_to_stdout_dot(self, capsys, single_edge_file):
         code, out, _ = run_main(capsys, "render", single_edge_file)

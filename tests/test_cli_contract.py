@@ -10,6 +10,9 @@ import copy
 import io
 import json
 import math
+import os
+import shutil
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -310,6 +313,81 @@ def test_from_mesh_never_crashes(fuzz_dir, mesh, window, fraction):
     off = _write(fuzz_dir / "mesh.off", mesh[0])
     field = _write(fuzz_dir / "mesh.field", mesh[1])
     check_contract(["from-mesh", off, field] + window + fraction)
+
+
+#: Each command's positional arguments, which most examples keep, and its
+#: options; every option the parser knows is here but --help.
+COMMANDS = {
+    "validate": (["graph.json"], ["--window", "-o", "--allow-regular",
+                                  "--no-coverage"]),
+    "assign": (["graph.json"], ["--window", "--output", "--allow-regular",
+                                "--check-invariants", "--trace"]),
+    "bound": (["graph.json"], ["--window", "-o", "--allow-regular",
+                               "--check-invariants"]),
+    "render": (["graph.json"], ["--window", "-o", "--assignment", "--dot",
+                                "--svg"]),
+    "from-mesh": (["mesh.off", "mesh.field"], ["--window", "-o",
+                                               "--witness-fraction"]),
+    "gen": (["--seed", "4", "--saddles", "3"], ["--seed", "--saddles",
+                                                "--parallel-bias",
+                                                "--inessential-bias", "-o"]),
+    "bogus": ([], []),
+}
+FLAGS = {"--allow-regular", "--no-coverage", "--check-invariants", "--trace"}
+ALL_OPTIONS = sorted({o for _, options in COMMANDS.values() for o in options})
+#: the files each example writes, or leaves missing
+ARGV_FILES = {"graph.json": RENDER_GRAPH, "mesh.off": TETRA_OFF,
+              "mesh.field": "0\n1\n2\n3\n",
+              "assignment.json": json.dumps(ASSIGNMENTS[2])}
+VALUES = st.one_of(
+    st.sampled_from(["-1e-3", "-.5", "0.2", "0.5", "0.95", "1", "3", "-",
+                     "out.txt", "assignment.json"]),
+    st.sampled_from(["-1E+2", "-inf", "-nan", "nan", "inf", "1e400", "0", "x",
+                     "", "--", "-x", "--bogus", "--window=0", "--saddles=-1",
+                     " -2", "1_0", *ARGV_FILES, "missing.json", "."]))
+
+
+@st.composite
+def argument_vectors(draw):
+    """A command, with its positional arguments or without, then options,
+    most of them its own, with odd values, and stray tokens."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positional, own = COMMANDS[command]
+    argv = [command] + (positional if draw(st.integers(0, 3)) else [])
+    for _ in range(draw(st.integers(0, 4))):
+        if not draw(st.integers(0, 7)):
+            argv.append(draw(VALUES))   # a stray token
+            continue
+        option = draw(st.sampled_from(own if own and draw(st.integers(0, 3))
+                                      else ALL_OPTIONS))
+        count = 0 if option in FLAGS else 2 if option == "--window" else 1
+        argv += [option] + [draw(VALUES) for _ in range(count)]
+    return argv
+
+
+@FUZZ
+@given(argv=st.one_of(st.just([]), argument_vectors()))
+def test_argument_vectors_never_crash(fuzz_dir, argv):
+    # run inside a directory of its own, since any value may name an
+    # output file, and with a graph on stdin for "-"
+    where = fuzz_dir / "argv"
+    shutil.rmtree(where, ignore_errors=True)
+    where.mkdir()
+    for name, text in ARGV_FILES.items():
+        _write(where / name, text)
+    cwd, stdin = os.getcwd(), sys.stdin
+    os.chdir(where)
+    sys.stdin = io.StringIO(RENDER_GRAPH)
+    try:
+        code, out, err = run(argv)
+    finally:
+        os.chdir(cwd)
+        sys.stdin = stdin
+    assert code in (0, 1, 2, 3)
+    if code == 0 or (code == 1 and argv[0] == "validate" and not err):
+        assert err == ""    # a failing report is validate's output
+    else:
+        one_json_object(err)
 
 
 #: Saddle counts and biases inside, at and just past the documented

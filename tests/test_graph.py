@@ -404,8 +404,10 @@ class TestJson:
     @pytest.mark.parametrize("faults, shown", [
         ([("vertices", 0, "kind", "foo"), ("vertices", 1, "level", "x")],
          "'foo' is not a valid VertexKind"),
+        # levels are read as given and checked by the index walk, as ids
+        # are, so a kind decoded with the records is named first
         ([("vertices", 0, "level", "x"), ("vertices", 1, "kind", "foo")],
-         "could not convert string to float: 'x'"),
+         "'foo' is not a valid VertexKind"),
         ([("vertices", 0, "kind", []), ("vertices", 1, "id", None)],
          "[] is not a valid VertexKind"),
         ([("vertices", 0, "id", None), ("vertices", 1, "kind", "foo")], "'id'"),
@@ -426,6 +428,24 @@ class TestJson:
         with pytest.raises(MalformedGraph) as info:
             graph_loads(json.dumps(data))
         assert str(info.value) == "bad graph payload: %s" % shown
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["vertices"][0].update(level="0.5"),
+         "level of vertex b0 must be a finite number, got '0.5'"),
+        (lambda d: d.update(lo="0"), "lo must be a finite number, got '0'"),
+        (lambda d: d.update(hi="1"), "hi must be a finite number, got '1'"),
+        (lambda d: d["vertices"][1].update(level=True),
+         "level of vertex b1 must be a finite number, got True"),
+        (lambda d: d.update(lo=False), "lo must be a finite number, got False"),
+    ], ids=["string-level", "string-lo", "string-hi", "true-level", "false-lo"])
+    def test_level_read_as_given(self, edit, message):
+        # no level, lo or hi is converted: a JSON string or bool is refused
+        # by the level rule, named as the JSON value it was
+        data = graph_to_dict(theta_graph())
+        edit(data)
+        with pytest.raises(MalformedGraph) as info:
+            graph_loads(json.dumps(data))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("level, shown", [
         (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")])
@@ -813,13 +833,26 @@ class TestDirectConstruction:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("level, lo, hi", [
-        (2 ** 53, 0, 2 ** 60), (-2 ** 53 - 2, -2 ** 54, 1), (True, 0, 2)],
-        ids=["2**53", "even-past-2**53", "bool"])
+        (2 ** 53, 0, 2 ** 60), (-2 ** 53 - 2, -2 ** 54, 1)],
+        ids=["2**53", "even-past-2**53"])
     def test_exact_int_levels_round_trip(self, level, lo, hi):
+        # JSON ints are read as given: equal ints come back, not floats
         g = ReebGraph((ReebVertex("a", level, VertexKind.SADDLE),), (), lo, hi)
         back = graph_loads(graph_dumps(g))
         assert back == g
-        assert [type(x) for x in (back.lo, back.hi, back.vertices[0].level)] == [float] * 3
+        assert [type(x) for x in (back.lo, back.hi, back.vertices[0].level)] == [int] * 3
+
+    @pytest.mark.parametrize("level, lo, hi, message", [
+        (True, 0, 2, "level of vertex a must be a finite number, got True"),
+        (0.5, False, 2, "lo must be a finite number, got False"),
+        (0.5, 0, True, "hi must be a finite number, got True"),
+    ], ids=["level", "lo", "hi"])
+    def test_bool_level_refused(self, level, lo, hi, message):
+        # a bool is an int to Python, but no level: JSON would write it as
+        # true or false
+        with pytest.raises(MalformedGraph) as info:
+            ReebGraph((ReebVertex("a", level, VertexKind.SADDLE),), (), lo, hi)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("lo, hi, message", [
         (10 ** 5000, 1.0, "lo must be a finite number, got an int of 16610 bits"),

@@ -185,16 +185,20 @@ class TestTextReaders:
             ScalarField.from_text(text)
         assert str(info.value) == "bad scalar value 'x'"
 
-    def test_field_keeps_exact_ints_and_bools(self):
-        assert ScalarField((0.5, 3, True)).values == (0.5, 3, True)
+    def test_field_keeps_exact_ints_refuses_bools(self):
+        assert ScalarField((0.5, 3, 2 ** 53)).values == (0.5, 3, 2 ** 53)
+        with pytest.raises(DegenerateField) as info:
+            ScalarField((0.5, 3, True))
+        assert str(info.value) == "value at vertex 2 must be a finite number, got True"
 
     @pytest.mark.parametrize("value, message", [
         (nan, "non-finite value nan at vertex 1"),
+        (False, "value at vertex 1 must be a finite number, got False"),
         (Decimal("Infinity"), "value at vertex 1 must be a finite number, "
                               "got Decimal('Infinity')"),
         (2 ** 60 + 1, "value at vertex 1 must be an int that a float holds "
                       "exactly, got 1152921504606846977")],
-        ids=["nan", "decimal-infinity", "inexact-int"])
+        ids=["nan", "bool", "decimal-infinity", "inexact-int"])
     def test_field_names_bad_value(self, value, message):
         with pytest.raises(DegenerateField) as info:
             ScalarField((0.5, value, 1.5))
@@ -1687,6 +1691,8 @@ class TestPinnedOutput:
          "witness level must be a finite number, got None"),
         (lambda: LevelCycle(nan, ()), BadWitness,
          "witness level must be a finite number, got nan"),
+        (lambda: LevelCycle(True, ()), BadWitness,
+         "witness level must be a finite number, got True"),
         (lambda: LevelCycle(0.5, [(0, (0, 1), (1, 2))]), BadWitness,
          "witness crossings must be a tuple, got [(0, (0, 1), (1, 2))]"),
         (lambda: LevelCycle(0.5, ((0, (0, 1), (1, 2)), (1, (1, 2)))), BadWitness,
@@ -1709,7 +1715,7 @@ class TestPinnedOutput:
             "two-corners", "int-triangle", "str-vertex-count",
             "unprintable-int-corner", "degenerate-first", "str-corner-first",
             "int-field-values", "none-field-values", "witness-str-level",
-            "witness-none-level", "witness-nan-level",
+            "witness-none-level", "witness-nan-level", "witness-bool-level",
             "witness-crossings-list", "witness-short-crossing"])
     def test_surface_check_messages(self, make, error, message):
         with pytest.raises(error) as info:
